@@ -66,7 +66,12 @@ def orthonormal_range(mat, rank_tol=_RANK_TOL, scale=None):
 
 
 def pencil_lower_bound(sqrt_s, b_basis, b_gram, rank_tol=_RANK_TOL):
-    """Optimal constant alpha = inf <S f, f> / <B f, f> over f with <B f, f> != 0.
+    """Optimal constants of the pencil (S, B), returned as (alpha, beta).
+
+    alpha = inf <S f, f> / <B f, f> over f with <B f, f> != 0, and
+    beta = sigma_max(sqrt_s)^2 = sup <S f, f> / <f, f>, the upper (Bessel)
+    constant.  beta comes from the singular values the rank cut below
+    needs anyway, so callers need no second factorization of sqrt_s.
 
     Arguments are given in orthonormal coordinates of the quantifier space V
     (dimension r):
@@ -91,16 +96,25 @@ def pencil_lower_bound(sqrt_s, b_basis, b_gram, rank_tol=_RANK_TOL):
     # rank cut is taken relative to X itself: when ker(B) is trivial this
     # difference is pure roundoff and must not produce spurious directions.
     xk = sqrt_s - xu @ b_basis.conj().T
-    xscale = np.linalg.svd(sqrt_s, compute_uv=False)[0] if sqrt_s.size else 0.0
+    xscale = float(np.linalg.svd(sqrt_s, compute_uv=False)[0]) if sqrt_s.size else 0.0
     t_basis = orthonormal_range(xk, rank_tol, scale=xscale)
     if t_basis.shape[1]:
         xu = xu - t_basis @ (t_basis.conj().T @ xu)
     s_eff = hermitize(xu.conj().T @ xu)
     vals = scipy.linalg.eigh(s_eff, hermitize(b_gram), eigvals_only=True)
-    return float(max(vals[0], 0.0))
+    return float(max(vals[0], 0.0)), xscale**2
 
 
-def relative_residual(delta, reference, weights):
-    num = np.sqrt(np.sum(weights * np.abs(delta) ** 2))
-    den = np.sqrt(np.sum(weights * np.abs(reference) ** 2))
-    return float(num / den) if den > 0 else float(num)
+def max_column_gap(approx, reference, weights):
+    """Largest relative column gap max_j ||approx_j - ref_j|| / ||ref_j||.
+
+    Norms are weighted by the model weights.  Only live reference columns
+    count, those with norm above 1e-14 times the largest; the gap is 0.0
+    when no column is live.
+    """
+    w = weights[:, None]
+    errs = np.sqrt(np.sum(w * np.abs(approx - reference) ** 2, axis=0))
+    norms = np.sqrt(np.sum(w * np.abs(reference) ** 2, axis=0))
+    live = norms > 1e-14 * max(float(np.max(norms)), 1e-300)
+    return float(np.max(errs[live] / norms[live])) if np.any(live) else 0.0
+

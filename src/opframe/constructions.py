@@ -18,7 +18,7 @@ from .errors import (
     NotBiorthogonal,
     WindowOverflow,
 )
-from .hilbert import HilbertModel, Subspace, l2_truncation
+from .hilbert import HilbertModel, l2_truncation
 from .opmodel import OperatorModel
 from .seqops import FrameSequence
 
@@ -196,6 +196,9 @@ def pw_example(grid: HilbertModel, taper: str = "linear"):
     quarter band {|gamma| <= 1/4}, phi has a tapered transfer profile (1 on
     the band, decaying to 0 on 1/4 <= |gamma| < 1/2), phi_n(x) = phi(x-n),
     and psi_n is the inverse transform of the band-limited exponential.
+    P is stored in factored form P = u (W u)^H, where the columns of u are
+    the band exponentials, weighted-orthonormal, so P.factor[0] is an
+    orthonormal basis of the band and no dim x dim array is ever formed.
     Requires a power-of-two grid whose window length is divisible by 4 and
     whose sample rate is an integer per unit length.
     """
@@ -217,10 +220,9 @@ def pw_example(grid: HilbertModel, taper: str = "linear"):
     phi = np.column_stack([np.roll(phi0, shift * n) for n in ns])
     psi = np.column_stack([np.roll(psi0, shift * n) for n in ns])
     u = np.exp(2j * np.pi * np.outer(pts, band / L)) / np.sqrt(L)
-    p_mat = u @ (u.conj().T * grid.weights[None, :])
     P = OperatorModel(
-        p_mat, grid, grid, name="quarter-band projection",
-        range_basis=Subspace(grid, u),
+        None, grid, grid, name="quarter-band projection",
+        factor=(u, grid.weights[:, None] * u),
     )
     return (
         FrameSequence(grid, phi, ns),

@@ -47,6 +47,8 @@ class HilbertModel:
             raise InvalidDimension("model dimension must be positive")
         if w.shape[0] != self.dim:
             raise InvalidDimension("weights length must equal dim")
+        if not np.all(np.isfinite(w)):
+            raise InvalidDimension("quadrature weights must be finite")
         if not np.all(w > 0.0):
             raise InvalidDimension("all quadrature weights must be strictly positive")
         object.__setattr__(self, "weights", w)

@@ -10,8 +10,8 @@ conditions (e.g. the Dirichlet subspace of the -i d/dx operators).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -31,32 +31,56 @@ from .hilbert import HilbertModel, Subspace, interval_grid
 class OperatorModel:
     """A linear map between models, with domain bookkeeping.
 
-    matrix         : dim_out x dim_in complex matrix
+    matrix         : dim_out x dim_in complex matrix, or None when the
+                     operator is given by ``factor``
     input_model    : model of the input space
     codomain       : model of the output space
     domain         : Subspace of input_model (None == everywhere defined)
     adjoint_domain : declared domain of the adjoint (None == full codomain)
-    range_basis    : optional precomputed Subspace spanning the closure of
-                     the range; purely a performance cache for bound solvers
+    factor         : optional low-rank form (L, R) with M = L R^H in plain
+                     coordinates, L of shape dim_out x q and R dim_in x q
+
+    Exactly one of ``matrix`` and ``factor`` is given.  A factored operator
+    never stores its dim_out x dim_in matrix: ``apply``, ``apply_columns``
+    and ``whitened_svd`` work on the factor in O(dim q) per column, and
+    every other consumer forms the matrix on demand through ``dense``.
+    Both forms must be finite and match the models' dimensions.
     """
 
-    matrix: np.ndarray
+    matrix: Optional[np.ndarray]
     input_model: HilbertModel
     codomain: HilbertModel
     domain: Optional[Subspace] = None
     adjoint_domain: Optional[Subspace] = None
     name: str = ""
-    range_basis: Optional[Subspace] = field(default=None, compare=False)
+    factor: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def __post_init__(self):
+        d_out, d_in = self.codomain.dim, self.input_model.dim
+        if (self.matrix is None) == (self.factor is None):
+            raise InvalidDimension("give exactly one of matrix and factor")
+        if self.factor is not None:
+            left, right = (np.asarray(a, dtype=complex) for a in self.factor)
+            if left.ndim != 2 or right.ndim != 2 or left.shape[1] != right.shape[1]:
+                raise InvalidDimension("factor must be two 2-d arrays of equal width")
+            if left.shape[0] != d_out or right.shape[0] != d_in:
+                raise InvalidDimension(
+                    f"factor shapes {left.shape}, {right.shape} do not match models "
+                    f"({d_out}, {d_in})"
+                )
+            if not (np.all(np.isfinite(left)) and np.all(np.isfinite(right))):
+                raise InvalidDimension("operator factor must be finite")
+            object.__setattr__(self, "factor", (left, right))
+            return
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2:
             raise InvalidDimension("operator matrix must be 2-d")
-        if m.shape != (self.codomain.dim, self.input_model.dim):
+        if m.shape != (d_out, d_in):
             raise InvalidDimension(
-                f"matrix shape {m.shape} does not match models "
-                f"({self.codomain.dim}, {self.input_model.dim})"
+                f"matrix shape {m.shape} does not match models ({d_out}, {d_in})"
             )
+        if not np.all(np.isfinite(m)):
+            raise InvalidDimension("operator matrix must be finite")
         object.__setattr__(self, "matrix", m)
 
     # -- basic structure -------------------------------------------------
@@ -70,12 +94,26 @@ class OperatorModel:
             return self.adjoint_domain
         return Subspace.full(self.codomain)
 
+    def dense(self) -> np.ndarray:
+        """The dim_out x dim_in matrix; a factored operator forms L R^H here."""
+        if self.factor is None:
+            return self.matrix
+        left, right = self.factor
+        return left @ right.conj().T
+
+    def _times(self, x) -> np.ndarray:
+        """M x without forming M when the operator is factored."""
+        if self.factor is None:
+            return self.matrix @ x
+        left, right = self.factor
+        return left @ (right.conj().T @ x)
+
     def effective_matrix(self) -> np.ndarray:
         """matrix composed with the projection onto the domain."""
         if self.domain is None:
-            return self.matrix
+            return self.dense()
         b = self.domain.basis
-        return (self.matrix @ b) @ (b.conj().T * self.input_model.weights[None, :])
+        return self._times(b) @ (b.conj().T * self.input_model.weights[None, :])
 
     def domain_violation(self, f) -> float:
         return self.domain_subspace.violation(f)
@@ -83,14 +121,14 @@ class OperatorModel:
     def apply(self, f) -> np.ndarray:
         """Apply as matrix o (projection onto domain)."""
         f = as_complex_vector(f, self.input_model.dim)
-        return self.matrix @ self.domain_subspace.project(f)
+        return self._times(self.domain_subspace.project(f))
 
     def apply_columns(self, fs) -> np.ndarray:
         fs = np.asarray(fs, dtype=complex)
         if self.domain is None:
-            return self.matrix @ fs
+            return self._times(fs)
         b = self.domain.basis
-        return (self.matrix @ b) @ (b.conj().T @ (self.input_model.weights[:, None] * fs))
+        return self._times(b) @ (b.conj().T @ (self.input_model.weights[:, None] * fs))
 
     def whitened(self) -> np.ndarray:
         """Effective matrix in whitened coordinates (Hermitian-friendly)."""
@@ -98,9 +136,28 @@ class OperatorModel:
             self.effective_matrix(), self.codomain.weights, self.input_model.weights
         )
 
+    def whitened_svd(self):
+        """(U, s): thin left singular vectors and singular values of whitened().
+
+        A factored operator takes them from thin QRs of its whitened factors
+        and a q x q SVD, in O(dim q^2), without forming the matrix.
+        """
+        if self.factor is None:
+            u, s, _ = np.linalg.svd(self.whitened(), full_matrices=False)
+            return u, s
+        left, right = self.factor
+        if self.domain is not None:
+            # M P_D = L (W B B^H R)^H with P_D = B B^H W the domain projection
+            b = self.domain.basis
+            right = (self.input_model.weights[:, None] * b) @ (b.conj().T @ right)
+        q_left, r_left = np.linalg.qr(self.codomain.sqrt_weights[:, None] * left)
+        r_right = np.linalg.qr(right / self.input_model.sqrt_weights[:, None], mode="r")
+        u, s, _ = np.linalg.svd(r_left @ r_right.conj().T)
+        return q_left @ u, s
+
     def domain_whitened(self) -> np.ndarray:
         """Whitened matrix restricted to orthonormal domain coordinates."""
-        m = whiten_matrix(self.matrix, self.codomain.weights, self.input_model.weights)
+        m = whiten_matrix(self.dense(), self.codomain.weights, self.input_model.weights)
         dom = self.domain_subspace
         if dom.basis is None:
             return m
@@ -314,12 +371,4 @@ def restrict_leading_block(op: OperatorModel, n: int) -> OperatorModel:
     from .hilbert import l2_truncation
 
     m = l2_truncation(n)
-    return replace(
-        op,
-        matrix=op.matrix[:n, :n],
-        input_model=m,
-        codomain=m,
-        domain=None,
-        adjoint_domain=None,
-        range_basis=None,
-    )
+    return OperatorModel(op.dense()[:n, :n], m, m, name=op.name)

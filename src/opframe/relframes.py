@@ -18,10 +18,16 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from ._linalg import adjoint_matrix, hermitize, pencil_lower_bound, pinv_weighted
+from ._linalg import (
+    adjoint_matrix,
+    hermitize,
+    max_column_gap,
+    pencil_lower_bound,
+    pinv_weighted,
+)
 from .errors import DegenerateOperator, InvalidDimension, RangeNotIncluded
 from .opmodel import OperatorModel
-from .seqops import FRAME_TOL, FrameBounds, FrameSequence, frame_bounds
+from .seqops import FRAME_TOL, FrameBounds, FrameSequence
 from .weakframes import DualSequence, _domain_samples
 
 #: projection residual above this fails the range-inclusion test
@@ -40,23 +46,12 @@ def kframe_bounds(
 ) -> FrameBounds:
     """Optimal constants for alpha ||K* f||^2 <= sum |inner(f,g_n)|^2 <= beta ||f||^2."""
     _check_models(seq, K)
-    kt = K.whitened()
     x = seq.whitened().conj().T  # N x d; S-form = ||x f~||^2
-    if K.range_basis is not None:
-        u = seq.model.sqrt_weights[:, None] * K.range_basis.basis
-        kh = kt.conj().T @ u  # dim_J x q
-        b_gram = hermitize(kh.conj().T @ kh)
-        if not np.any(np.diag(b_gram).real > _DEGENERATE_TOL):
-            raise DegenerateOperator("K* is numerically zero")
-    else:
-        u, sv, _ = np.linalg.svd(kt, full_matrices=False)
-        if sv.size == 0 or sv[0] <= _DEGENERATE_TOL:
-            raise DegenerateOperator("K* is numerically zero")
-        q = int(np.sum(sv > 1e-12 * sv[0]))
-        u = u[:, :q]
-        b_gram = np.diag(sv[:q] ** 2)
-    alpha = pencil_lower_bound(x, u, b_gram)
-    beta = frame_bounds(seq).beta
+    u, sv = K.whitened_svd()
+    if sv.size == 0 or sv[0] <= _DEGENERATE_TOL:
+        raise DegenerateOperator("K* is numerically zero")
+    q = int(np.sum(sv > 1e-12 * sv[0]))
+    alpha, beta = pencil_lower_bound(x, u[:, :q], np.diag(sv[:q] ** 2))
     kind = "k_frame" if alpha > frame_tol else "bessel_only"
     return FrameBounds(alpha, beta, kind)
 
@@ -74,13 +69,7 @@ def range_inclusion(K: OperatorModel, seq: FrameSequence, tol: float = RANGE_TOL
     kt = K.whitened()
     u = orthonormal_range(y)
     proj = u @ (u.conj().T @ kt)
-    col_norm = np.sqrt(np.sum(np.abs(kt) ** 2, axis=0))
-    gap = np.sqrt(np.sum(np.abs(kt - proj) ** 2, axis=0))
-    scale = float(np.max(col_norm)) if col_norm.size else 0.0
-    if scale <= 0.0:
-        return True, 0.0
-    live = col_norm > 1e-14 * scale
-    residual = float(np.max(gap[live] / col_norm[live])) if np.any(live) else 0.0
+    residual = max_column_gap(proj, kt, np.ones(kt.shape[0]))
     return residual <= tol, residual
 
 
@@ -93,12 +82,7 @@ def _certificate(seq, K, k_vectors, trials=100, seed=0):
     fs = _domain_samples(Subspace.full(J), rng, trials)
     kf = K.apply_columns(fs)
     coeffs = k_vectors.conj().T @ (J.weights[:, None] * fs)  # N x q
-    rec = seq.vectors @ coeffs
-    w = seq.model.weights
-    errs = np.sqrt(np.sum(w[:, None] * np.abs(rec - kf) ** 2, axis=0))
-    norms = np.sqrt(np.sum(w[:, None] * np.abs(kf) ** 2, axis=0))
-    live = norms > 1e-14 * max(float(np.max(norms)), 1e-300)
-    return float(np.max(errs[live] / norms[live])) if np.any(live) else 0.0
+    return max_column_gap(seq.vectors @ coeffs, kf, seq.model.weights)
 
 
 def k_dual(
@@ -140,8 +124,7 @@ def aframe_bounds_graph(
     u = u[:, :q]
     b_gram = np.diag(sv[:q] ** 2 / (1.0 + sv[:q] ** 2))
     x = seq.whitened().conj().T
-    alpha = pencil_lower_bound(x, u, b_gram)
-    beta = frame_bounds(seq).beta
+    alpha, beta = pencil_lower_bound(x, u, b_gram)
     kind = "graph_a_frame" if alpha > frame_tol else "bessel_only"
     return FrameBounds(alpha, beta, kind)
 
@@ -189,9 +172,5 @@ def a_dual_graph(
     else:
         cf = dom.basis.conj().T @ (w[:, None] * fs)
     coeffs = ((np.eye(r) + gram) @ y).conj().T @ cf  # N x q
-    rec = seq.vectors @ coeffs
-    errs = np.sqrt(np.sum(w[:, None] * np.abs(rec - af) ** 2, axis=0))
-    norms = np.sqrt(np.sum(w[:, None] * np.abs(af) ** 2, axis=0))
-    live = norms > 1e-14 * max(float(np.max(norms)), 1e-300)
-    cert = float(np.max(errs[live] / norms[live])) if np.any(live) else 0.0
+    cert = max_column_gap(seq.vectors @ coeffs, af, w)
     return DualSequence(seq.model, k_vecs, "k_dual_thm", cert, graph_space=True)

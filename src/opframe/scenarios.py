@@ -9,6 +9,7 @@ in the report, so identical files give identical reports up to wall clock.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass, field
@@ -18,6 +19,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from . import constructions as C
+from ._linalg import max_column_gap
 from .errors import InvalidScenario
 from .hilbert import HilbertModel, interval_grid, l2_truncation, window_grid
 from .opmodel import (
@@ -342,13 +344,8 @@ def _chk_derivative_match(ctx, params, rng):
     p = dict(ctx["params"])
     plain = _build_gabor(p, rng, derivative=False)["seq"]
     A = ctx["op"]
-    fd = A.apply_columns(plain.vectors)
-    target = ctx["seq"].vectors
-    w = ctx["grid"].weights
-    errs = np.sqrt(np.sum(w[:, None] * np.abs(fd - target) ** 2, axis=0))
-    norms = np.sqrt(np.sum(w[:, None] * np.abs(target) ** 2, axis=0))
-    live = norms > 1e-14 * float(np.max(norms))
-    value = float(np.max(errs[live] / norms[live]))
+    value = max_column_gap(A.apply_columns(plain.vectors), ctx["seq"].vectors,
+                           ctx["grid"].weights)
     h = float(ctx["grid"].points[1] - ctx["grid"].points[0])
     ctx.setdefault("extras", {})["derivative_match_C_h2"] = value / h**2
     return value
@@ -357,18 +354,15 @@ def _chk_derivative_match(ctx, params, rng):
 def _chk_wavelet_derivative_match(ctx, params, rng):
     p = dict(ctx["params"])
     plain = _build_wavelet(p, rng, derivative=False)["seq"]
-    A = ctx["op"]
-    fd = A.apply_columns(plain.vectors)
-    target = ctx["seq"].vectors
-    w = ctx["grid"].weights
-    errs = np.sqrt(np.sum(w[:, None] * np.abs(fd - target) ** 2, axis=0))
-    norms = np.sqrt(np.sum(w[:, None] * np.abs(target) ** 2, axis=0))
-    return float(np.max(errs / norms))
+    return max_column_gap(ctx["op"].apply_columns(plain.vectors), ctx["seq"].vectors,
+                          ctx["grid"].weights)
 
 
 def _chk_self_adjoint_gap(ctx, params, rng):
     A = ctx["op"]
     gap = A.whitened() - adjoint(A).whitened()
+    if not np.any(gap):
+        return 0.0
     s = np.linalg.svd(gap, compute_uv=False)
     return float(s[0]) if s.size else 0.0
 
@@ -425,18 +419,15 @@ def _chk_strong_residual_min(ctx, params, rng):
 
 def _chk_pw_reconstruction(ctx, params, rng):
     seq, psi, P = ctx["seq"], ctx["psi"], ctx["op"]
-    u = P.range_basis.basis
-    w = seq.model.weights
+    u = P.factor[0]  # weighted-orthonormal basis of the band
+    q = u.shape[1]
     count = int(params.get("signals", 20))
-    worst = 0.0
-    for _ in range(count):
-        coeff = rng.standard_normal(u.shape[1]) + 1j * rng.standard_normal(u.shape[1])
-        f = u @ coeff
-        rec = seq.vectors @ (psi.whitened().conj().T @ (seq.model.sqrt_weights * f))
-        num = np.sqrt(np.sum(w * np.abs(rec - f) ** 2))
-        den = np.sqrt(np.sum(w * np.abs(f) ** 2))
-        worst = max(worst, float(num / den))
-    return worst
+    if count < 1:
+        return 0.0
+    coeffs = [rng.standard_normal(q) + 1j * rng.standard_normal(q) for _ in range(count)]
+    fs = u @ np.column_stack(coeffs)
+    rec = seq.vectors @ (psi.whitened().conj().T @ (seq.model.sqrt_weights[:, None] * fs))
+    return max_column_gap(rec, fs, seq.model.weights)
 
 
 def _chk_kframe_alpha(ctx, params, rng):
@@ -447,11 +438,7 @@ def _chk_kframe_alpha(ctx, params, rng):
 
 def _chk_psi_in_range(ctx, params, rng):
     psi, P = ctx["psi"], ctx["op"]
-    w = psi.model.weights
-    proj = P.apply_columns(psi.vectors)
-    errs = np.sqrt(np.sum(w[:, None] * np.abs(psi.vectors - proj) ** 2, axis=0))
-    norms = np.sqrt(np.sum(w[:, None] * np.abs(psi.vectors) ** 2, axis=0))
-    return float(np.max(errs / norms))
+    return max_column_gap(P.apply_columns(psi.vectors), psi.vectors, psi.model.weights)
 
 
 def _chk_multiplier_weak_duality(ctx, params, rng):
@@ -512,13 +499,24 @@ def load_schema() -> dict:
         return json.load(fh)
 
 
+@functools.cache
+def _schema_validator():
+    """The scenario schema's validator, checked and compiled once per process."""
+    import jsonschema
+
+    schema = load_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def validate_scenario(data: dict):
     import jsonschema
 
-    try:
-        jsonschema.validate(data, load_schema())
-    except jsonschema.ValidationError as exc:
-        raise InvalidScenario(f"scenario schema violation: {exc.message}") from exc
+    # the error jsonschema.validate would raise, without re-checking the schema
+    error = jsonschema.exceptions.best_match(_schema_validator().iter_errors(data))
+    if error is not None:
+        raise InvalidScenario(f"scenario schema violation: {error.message}")
     cname = data["construction"]["name"]
     if cname not in CONSTRUCTIONS:
         raise InvalidScenario(

@@ -64,7 +64,7 @@ def _basis_from(payload, model):
 
 
 def operator_to_dict(op: OperatorModel) -> dict:
-    re, im = _matrix_payload(op.matrix)
+    re, im = _matrix_payload(op.dense())
     return {
         "dim": op.input_model.dim,
         "codomain_dim": op.codomain.dim,

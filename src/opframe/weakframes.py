@@ -25,6 +25,7 @@ from ._linalg import (
     adjoint_matrix,
     as_complex_vector,
     hermitize,
+    max_column_gap,
     pencil_lower_bound,
     pinv_weighted,
     whiten_matrix,
@@ -93,7 +94,7 @@ def _adjoint_on_domain(A: OperatorModel):
     """(whitened A* restricted to V, orthonormal-coordinate map of V)."""
     astar = adjoint(A)
     v = A.adjoint_domain_subspace
-    mt = whiten_matrix(astar.matrix, astar.codomain.weights, astar.input_model.weights)
+    mt = whiten_matrix(astar.dense(), astar.codomain.weights, astar.input_model.weights)
     if v.basis is None:
         return mt, None
     return mt @ (A.codomain.sqrt_weights[:, None] * v.basis), v.basis
@@ -121,9 +122,7 @@ def weak_aframe_bound(
     q = int(np.sum(sv > 1e-12 * sv[0]))
     b_basis = vh[:q].conj().T  # rv x q
     b_gram = np.diag(sv[:q] ** 2)
-    alpha = pencil_lower_bound(x, b_basis, b_gram)
-    svals = np.linalg.svd(x, compute_uv=False)
-    beta = float(svals[0] ** 2) if svals.size else 0.0
+    alpha, beta = pencil_lower_bound(x, b_basis, b_gram)
     kind = "weak_a_frame" if alpha > frame_tol else "bessel_only"
     return FrameBounds(alpha, beta, kind)
 
@@ -276,14 +275,10 @@ def interchange_dual(
             f"(sigma_min={sv[-1] if sv.size else 0.0:.3e})"
         )
     h_map = adjoint(pseudo_inverse(A))
-    h = h_map.matrix @ dual.vectors
+    h = h_map.dense() @ dual.vectors
     # certificate: reconstruct the adjoint-domain basis through {h_n}
     sub = A.adjoint_domain_subspace
     basis = np.eye(seq.model.dim, dtype=complex) if sub.basis is None else sub.basis
     coeffs = seq.whitened().conj().T @ (seq.model.sqrt_weights[:, None] * basis)
-    rec = h @ coeffs
-    w = seq.model.weights
-    errs = np.sqrt(np.sum(w[:, None] * np.abs(rec - basis) ** 2, axis=0))
-    norms = np.sqrt(np.sum(w[:, None] * np.abs(basis) ** 2, axis=0))
-    cert = float(np.max(errs / norms))
+    cert = max_column_gap(h @ coeffs, basis, seq.model.weights)
     return DualSequence(seq.model, h, "interchange_thm", cert)

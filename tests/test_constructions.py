@@ -172,7 +172,7 @@ class TestPwExample:
 
     def test_band_limited_reconstruction(self, pw, rng):
         grid, phi, psi, P = pw
-        u = P.range_basis.basis
+        u = P.factor[0]
         w = grid.weights
         for _ in range(5):
             f = u @ (rng.standard_normal(u.shape[1]) + 1j * rng.standard_normal(u.shape[1]))

@@ -1,0 +1,131 @@
+"""Factored operators M = L R^H against their materialized dense twins."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from opframe import serialize
+from opframe.errors import InvalidDimension
+from opframe.hilbert import HilbertModel, orthonormalize
+from opframe.opmodel import OperatorModel
+from opframe.relframes import kframe_bounds, range_inclusion
+from opframe.scenarios import reproduce
+from opframe.seqops import FrameSequence
+
+from conftest import random_matrix, random_weighted_model
+
+RTOL = 1e-10
+
+
+def _rel(a, b):
+    return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300))
+
+
+def _pair(rng, d, q, domain_rank=None):
+    """A factored operator on a randomly weighted model and its dense twin."""
+    model = random_weighted_model(rng, d)
+    dom = None
+    if domain_rank is not None:
+        dom = orthonormalize(random_matrix(rng, d, domain_rank), model)
+    fac = OperatorModel(
+        None, model, model, domain=dom,
+        factor=(random_matrix(rng, d, q), random_matrix(rng, d, q)),
+    )
+    return fac, OperatorModel(fac.dense(), model, model, domain=dom)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 64), q=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_factored_agrees_with_dense_twin(d, q, seed):
+    rng = np.random.default_rng(seed)
+    fac, twin = _pair(rng, d, q)
+    model = fac.input_model
+
+    fs = random_matrix(rng, d, 5)
+    assert _rel(fac.apply_columns(fs), twin.apply_columns(fs)) <= RTOL
+
+    frame = FrameSequence(model, random_matrix(rng, d, d + 3))
+    kb_fac, kb_twin = kframe_bounds(frame, fac), kframe_bounds(frame, twin)
+    assert kb_fac.alpha == pytest.approx(kb_twin.alpha, rel=RTOL)
+    assert kb_fac.beta == pytest.approx(kb_twin.beta, rel=RTOL)
+
+    # a family spanning less than the model, so the residual is not roundoff
+    thin = FrameSequence(model, random_matrix(rng, d, max(1, d // 2)))
+    inc_fac, res_fac = range_inclusion(fac, thin)
+    inc_twin, res_twin = range_inclusion(twin, thin)
+    assert inc_fac == inc_twin
+    assert res_fac == pytest.approx(res_twin, rel=RTOL)
+
+    back = serialize.loads(serialize.dumps(fac, "operator"), "operator")
+    assert back.factor is None
+    assert _rel(back.dense(), twin.dense()) <= RTOL
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=st.integers(3, 32), q=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_factored_domain_agrees_with_dense_twin(d, q, seed):
+    rng = np.random.default_rng(seed)
+    fac, twin = _pair(rng, d, q, domain_rank=d - 1)
+    fs = random_matrix(rng, d, 4)
+    assert _rel(fac.apply_columns(fs), twin.apply_columns(fs)) <= RTOL
+    assert _rel(fac.effective_matrix(), twin.effective_matrix()) <= RTOL
+    frame = FrameSequence(fac.input_model, random_matrix(rng, d, d + 3))
+    kb_fac, kb_twin = kframe_bounds(frame, fac), kframe_bounds(frame, twin)
+    assert kb_fac.alpha == pytest.approx(kb_twin.alpha, rel=RTOL)
+
+
+def test_pw_quarter_stays_small():
+    """The bundled d = 4096 quarter-band scenario never forms a d x d array."""
+    reproduce("multiplier")  # finish lazy imports before measuring
+    tracemalloc.start()
+    try:
+        report = reproduce("pw_quarter")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.all_passed
+    assert peak < 64 * 2**20
+
+
+class TestBoundaryValidation:
+    model = HilbertModel(3, np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_matrix_must_be_finite(self, bad):
+        m = np.eye(3, dtype=complex)
+        m[1, 2] = bad
+        with pytest.raises(InvalidDimension):
+            OperatorModel(m, self.model, self.model)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_factor_must_be_finite(self, side):
+        factor = [np.ones((3, 2), dtype=complex), np.ones((3, 2), dtype=complex)]
+        factor[side][0, 1] = np.nan
+        with pytest.raises(InvalidDimension):
+            OperatorModel(None, self.model, self.model, factor=tuple(factor))
+
+    @pytest.mark.parametrize("shapes", [((4, 2), (3, 2)), ((3, 2), (2, 2)),
+                                        ((3, 2), (3, 1)), ((3,), (3,))])
+    def test_factor_shapes_must_match_models(self, shapes):
+        left, right = (np.ones(s, dtype=complex) for s in shapes)
+        with pytest.raises(InvalidDimension):
+            OperatorModel(None, self.model, self.model, factor=(left, right))
+
+    def test_exactly_one_form(self):
+        f = np.ones((3, 1), dtype=complex)
+        with pytest.raises(InvalidDimension):
+            OperatorModel(None, self.model, self.model)
+        with pytest.raises(InvalidDimension):
+            OperatorModel(f @ f.T, self.model, self.model, factor=(f, f))
+
+    def test_rectangular_factor_applies(self):
+        out = HilbertModel(2, np.array([0.5, 2.0]))
+        left = np.array([[1.0], [2.0]], dtype=complex)
+        right = np.array([[1.0], [0.0], [1j]], dtype=complex)
+        op = OperatorModel(None, self.model, out, factor=(left, right))
+        np.testing.assert_allclose(op.dense(), left @ right.conj().T)
+        f = np.array([1.0, 5.0, 2.0], dtype=complex)
+        np.testing.assert_allclose(op.apply(f), left[:, 0] * (1.0 - 2j))

@@ -67,6 +67,11 @@ class TestInner:
         with pytest.raises(InvalidDimension):
             HilbertModel(2, [1.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_weights_must_be_finite(self, bad):
+        with pytest.raises(InvalidDimension):
+            HilbertModel(2, [1.0, bad])
+
 
 class TestGraphInner:
     def test_zero_operator_reduces_to_ambient(self, rng):
