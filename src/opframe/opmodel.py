@@ -41,9 +41,9 @@ class OperatorModel:
                      coordinates, L of shape dim_out x q and R dim_in x q
 
     Exactly one of ``matrix`` and ``factor`` is given.  A factored operator
-    never stores its dim_out x dim_in matrix: ``apply``, ``apply_columns``
-    and ``whitened_svd`` work on the factor in O(dim q) per column, and
-    every other consumer forms the matrix on demand through ``dense``.
+    never stores its dim_out x dim_in matrix: ``apply`` and ``apply_columns``
+    cost O(dim q) per column and ``whitened_svd`` O(dim q^2), and every
+    other consumer forms the matrix on demand through ``dense``.
     Both forms must be finite and match the models' dimensions.
     """
 
