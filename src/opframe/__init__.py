@@ -30,7 +30,6 @@ from .hilbert import (
     HilbertModel,
     Subspace,
     graph_inner,
-    graph_norm,
     inner,
     interval_grid,
     l2_truncation,
@@ -73,7 +72,6 @@ from .relframes import (
 from .weakframes import (
     DualSequence,
     adjoint_decomposition,
-    factorize_synthesis,
     interchange_dual,
     user_dual,
     verify_weak_duality,
@@ -97,7 +95,7 @@ __all__ = [
     "GridMismatch", "GridTooCoarse", "InvalidDimension", "InvalidIndex",
     "InvalidProbe", "InvalidScenario", "NotAFrame", "NotBiorthogonal",
     "NotSurjective", "OpframeError", "RangeNotIncluded", "WindowOverflow",
-    "HilbertModel", "Subspace", "graph_inner", "graph_norm", "inner",
+    "HilbertModel", "Subspace", "graph_inner", "inner",
     "interval_grid", "l2_truncation", "norm", "orthonormalize", "window_grid",
     "OperatorModel", "TruncationFamily", "adjoint", "block_multiplier",
     "diagonal_operator", "diff_operator", "dirichlet_subspace", "graph_adjoint",
@@ -106,9 +104,8 @@ __all__ = [
     "frame_operator", "gram", "partial_synthesis", "reconstruct", "synthesis",
     "a_dual_graph", "aframe_bounds_graph", "k_dual", "kframe_bounds",
     "range_inclusion",
-    "DualSequence", "adjoint_decomposition", "factorize_synthesis",
-    "interchange_dual", "user_dual", "verify_weak_duality", "weak_a_dual",
-    "weak_aframe_bound",
+    "DualSequence", "adjoint_decomposition", "interchange_dual", "user_dual",
+    "verify_weak_duality", "weak_a_dual", "weak_aframe_bound",
     "difference_sequence", "exponential_system", "gabor_system", "pw_example",
     "riesz_multiplier", "translation_system", "wavelet_system",
 ]

@@ -13,6 +13,9 @@ import scipy.linalg
 
 _RANK_TOL = 1e-12
 
+#: a whitened operator of norm at most this counts as numerically zero
+_DEGENERATE_TOL = 1e-14
+
 
 def as_complex_vector(f, dim):
     from .errors import InvalidDimension

@@ -7,14 +7,15 @@
 Exit codes: 0 all checks pass, 1 a check failed, 2 parse/validation error,
 3 internal error.  The report is always written when execution reaches the
 checks; trajectories are additionally exported as CSV next to the report.
-The environment variable OPFRAME_TOL_OVERRIDE (a float) scales every check
-tolerance and is ignored when unset.
+The environment variable OPFRAME_TOL_OVERRIDE (a finite float > 0) scales
+every check tolerance and is ignored when unset.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -41,9 +42,21 @@ def _tol_scale() -> float:
     if raw is None:
         return 1.0
     try:
-        return float(raw)
+        scale = float(raw)
     except ValueError:
-        raise InvalidScenario(f"OPFRAME_TOL_OVERRIDE must be a float, got {raw!r}")
+        scale = math.nan  # rejected below with every other invalid value
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise InvalidScenario(
+            f"OPFRAME_TOL_OVERRIDE must be a finite float > 0, got {raw!r}"
+        )
+    return scale
+
+
+def _seed(raw: str) -> int:
+    """argparse type of --seed: a non-negative integer."""
+    if not raw.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 def _write_report(report: ScenarioReport, out: Path):
@@ -82,12 +95,12 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run a scenario file")
     p_run.add_argument("file", type=Path)
     p_run.add_argument("--out", type=Path, default=None)
-    p_run.add_argument("--seed", type=int, default=None)
+    p_run.add_argument("--seed", type=_seed, default=None)
 
     p_rep = sub.add_parser("reproduce", help="run a bundled canonical example")
     p_rep.add_argument("name")
     p_rep.add_argument("--out", type=Path, default=None)
-    p_rep.add_argument("--seed", type=int, default=None)
+    p_rep.add_argument("--seed", type=_seed, default=None)
 
     sub.add_parser("list", help="list examples, constructions, operators, checks")
 

@@ -123,6 +123,17 @@ class Subspace:
     def rank(self) -> int:
         return self.ambient.dim if self.basis is None else self.basis.shape[1]
 
+    def samples(self, rng=None, trials=0):
+        """Basis columns plus ``trials`` random members, as ambient vectors."""
+        basis = self.basis
+        if basis is None:
+            basis = np.eye(self.ambient.dim, dtype=complex)
+        if not trials:
+            return basis
+        r = basis.shape[1]
+        rand = rng.standard_normal((r, trials)) + 1j * rng.standard_normal((r, trials))
+        return np.concatenate([basis, basis @ rand], axis=1)
+
     def coords(self, f):
         """Orthonormal coordinates of the projection of f onto the subspace."""
         f = self._as_columns_or_vector(f)
@@ -207,7 +218,3 @@ def graph_inner(A: "OperatorModel", f, g) -> complex:
     af = A.apply(f)
     ag = A.apply(g)
     return inner(A.input_model, f, g) + inner(A.codomain, af, ag)
-
-
-def graph_norm(A: "OperatorModel", f) -> float:
-    return float(np.sqrt(max(graph_inner(A, f, f).real, 0.0)))

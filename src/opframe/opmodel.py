@@ -115,9 +115,6 @@ class OperatorModel:
         b = self.domain.basis
         return self._times(b) @ (b.conj().T * self.input_model.weights[None, :])
 
-    def domain_violation(self, f) -> float:
-        return self.domain_subspace.violation(f)
-
     def apply(self, f) -> np.ndarray:
         """Apply as matrix o (projection onto domain)."""
         f = as_complex_vector(f, self.input_model.dim)
@@ -162,10 +159,6 @@ class OperatorModel:
         if dom.basis is None:
             return m
         return m @ (self.input_model.sqrt_weights[:, None] * dom.basis)
-
-    def operator_norm(self) -> float:
-        s = np.linalg.svd(self.domain_whitened(), compute_uv=False)
-        return float(s[0]) if s.size else 0.0
 
 
 def identity_operator(model: HilbertModel, name="identity") -> OperatorModel:
@@ -216,24 +209,33 @@ def pseudo_inverse(op: OperatorModel, rcond=1e-10) -> OperatorModel:
     )
 
 
+def _graph_solve(A: OperatorModel, x) -> np.ndarray:
+    """Graph-space representers of the rows of x, as dim_in x k columns.
+
+    Row n of x (k x dim_in, plain coordinates) is the functional f -> x_n f
+    on D(A); column n of the result is the k_n in D(A) with
+    graph_inner(f, k_n) = x_n f.  Solves (I + A^H A) y = rhs in orthonormal
+    domain coordinates and maps y back to the model.
+    """
+    at = A.domain_whitened()  # dim_out x r
+    gram = hermitize(at.conj().T @ at)
+    basis = A.domain_subspace.basis
+    if basis is None:
+        rhs = (x / A.input_model.sqrt_weights[None, :]).conj().T
+    else:
+        rhs = (x @ basis).conj().T
+    y = scipy.linalg.solve(np.eye(at.shape[1]) + gram, rhs, assume_a="pos")
+    return y / A.input_model.sqrt_weights[:, None] if basis is None else basis @ y
+
+
 def graph_adjoint(A: OperatorModel) -> OperatorModel:
     """The adjoint of A viewed as a bounded map from its graph space into H.
 
     Solves (I + A^H A) y = A^H h in orthonormal domain coordinates, i.e.
     inner(A f, h) = graph_inner(f, A_sharp h) for all f in D(A).
     """
-    at = A.domain_whitened()  # dim_out x r
-    r = at.shape[1]
-    gram = hermitize(at.conj().T @ at)
-    rhs = at.conj().T * np.sqrt(A.codomain.weights)[None, :]  # r x dim_out
-    y = scipy.linalg.solve(np.eye(r) + gram, rhs, assume_a="pos")
-    dom = A.domain_subspace
-    if dom.basis is None:
-        back = y / np.sqrt(A.input_model.weights)[:, None]
-    else:
-        back = dom.basis @ y
     return OperatorModel(
-        back,
+        _graph_solve(A, A.codomain.weights[:, None] * A.dense()),
         input_model=A.codomain,
         codomain=A.input_model,
         name=f"{A.name}#" if A.name else "graph adjoint",
@@ -364,11 +366,3 @@ def truncation_trajectory(family: TruncationFamily, probe: str):
             value = weak_aframe_bound(seq, op).alpha
         out.append((int(n), float(value)))
     return out
-
-
-def restrict_leading_block(op: OperatorModel, n: int) -> OperatorModel:
-    """Leading principal block of an l2-truncation operator (embed check)."""
-    from .hilbert import l2_truncation
-
-    m = l2_truncation(n)
-    return OperatorModel(op.dense()[:n, :n], m, m, name=op.name)

@@ -16,44 +16,30 @@ Schur reduction restores it.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from ._linalg import (
+    _DEGENERATE_TOL,
     adjoint_matrix,
-    hermitize,
     max_column_gap,
-    pencil_lower_bound,
+    orthonormal_range,
+    pencil_lower_bound,  # noqa: F401 - an import site perfbench's tracer tests wrap
     pinv_weighted,
 )
 from .errors import DegenerateOperator, InvalidDimension, RangeNotIncluded
-from .opmodel import OperatorModel
-from .seqops import FRAME_TOL, FrameBounds, FrameSequence
-from .weakframes import DualSequence, _domain_samples
+from .hilbert import Subspace
+from .opmodel import OperatorModel, _graph_solve
+from .seqops import FRAME_TOL, FrameBounds, FrameSequence, _operator_bounds
+from .weakframes import DualSequence
 
 #: projection residual above this fails the range-inclusion test
 RANGE_TOL = 1e-8
-
-_DEGENERATE_TOL = 1e-14
-
-
-def _check_models(seq: FrameSequence, K: OperatorModel):
-    if K.codomain.dim != seq.model.dim:
-        raise InvalidDimension("operator codomain must match the sequence model")
 
 
 def kframe_bounds(
     seq: FrameSequence, K: OperatorModel, frame_tol: float = FRAME_TOL
 ) -> FrameBounds:
     """Optimal constants for alpha ||K* f||^2 <= sum |inner(f,g_n)|^2 <= beta ||f||^2."""
-    _check_models(seq, K)
-    x = seq.whitened().conj().T  # N x d; S-form = ||x f~||^2
-    u, sv = K.whitened_svd()
-    if sv.size == 0 or sv[0] <= _DEGENERATE_TOL:
-        raise DegenerateOperator("K* is numerically zero")
-    q = int(np.sum(sv > 1e-12 * sv[0]))
-    alpha, beta = pencil_lower_bound(x, u[:, :q], np.diag(sv[:q] ** 2))
-    kind = "k_frame" if alpha > frame_tol else "bessel_only"
-    return FrameBounds(alpha, beta, kind)
+    return _operator_bounds(seq, K, "k_frame", frame_tol)
 
 
 def range_inclusion(K: OperatorModel, seq: FrameSequence, tol: float = RANGE_TOL):
@@ -62,26 +48,37 @@ def range_inclusion(K: OperatorModel, seq: FrameSequence, tol: float = RANGE_TOL
     Returns (included, residual) with residual the maximum relative
     projection gap over nonzero columns.
     """
-    _check_models(seq, K)
-    from ._linalg import orthonormal_range
-
-    y = seq.whitened()
+    if K.codomain.dim != seq.model.dim:
+        raise InvalidDimension("operator codomain must match the sequence model")
     kt = K.whitened()
-    u = orthonormal_range(y)
+    u = orthonormal_range(seq.whitened())
     proj = u @ (u.conj().T @ kt)
     residual = max_column_gap(proj, kt, np.ones(kt.shape[0]))
     return residual <= tol, residual
 
 
-def _certificate(seq, K, k_vectors, trials=100, seed=0):
-    """max_f ||K f - sum_n inner(f, k_n)_J g_n|| / ||K f|| over J samples."""
-    rng = np.random.default_rng(seed)
-    J = K.input_model
-    from .hilbert import Subspace
+def _coefficient_factor(seq: FrameSequence, K: OperatorModel, rcond, tol) -> np.ndarray:
+    """M = D+ K (N x dim_in), so that K = D M once R(K) lies in R(D)."""
+    included, residual = range_inclusion(K, seq, tol)
+    if np.linalg.norm(K.whitened()) <= _DEGENERATE_TOL:
+        raise DegenerateOperator("operator is numerically zero")
+    if not included:
+        raise RangeNotIncluded(
+            f"R(K) is not contained in R(D): projection residual {residual:.3e}"
+        )
+    ones = np.ones(seq.n_vectors)
+    return pinv_weighted(seq.vectors, seq.model.weights, ones, rcond) @ K.effective_matrix()
 
-    fs = _domain_samples(Subspace.full(J), rng, trials)
+
+def _expansion_certificate(seq, K, k_vecs, sub: Subspace, graph=False) -> float:
+    """max_f ||K f - sum_n inner(f, k_n) g_n|| / ||K f|| over the basis of sub and
+    100 seeded random members; inner is K's graph inner product if ``graph``."""
+    fs = sub.samples(np.random.default_rng(0), 100)
     kf = K.apply_columns(fs)
-    coeffs = k_vectors.conj().T @ (J.weights[:, None] * fs)  # N x q
+    coeffs = k_vecs.conj().T @ (K.input_model.weights[:, None] * fs)  # N x samples
+    if graph:
+        ak = K.apply_columns(k_vecs)
+        coeffs = coeffs + ak.conj().T @ (K.codomain.weights[:, None] * kf)
     return max_column_gap(seq.vectors @ coeffs, kf, seq.model.weights)
 
 
@@ -89,20 +86,11 @@ def k_dual(
     seq: FrameSequence, K: OperatorModel, rcond: float = 1e-10, tol: float = RANGE_TOL
 ) -> DualSequence:
     """Minimum-norm K-dual {k_n} = {M* e_n} with M = D+ K (so K = D M)."""
-    _check_models(seq, K)
-    if np.linalg.norm(K.whitened()) <= _DEGENERATE_TOL:
-        raise DegenerateOperator("K is numerically zero")
-    included, residual = range_inclusion(K, seq, tol)
-    if not included:
-        raise RangeNotIncluded(
-            f"R(K) is not contained in R(D): projection residual {residual:.3e}"
-        )
-    ones = np.ones(seq.n_vectors)
-    d_pinv = pinv_weighted(seq.vectors, seq.model.weights, ones, rcond)
-    m = d_pinv @ K.effective_matrix()  # N x dim_J
-    k_vecs = adjoint_matrix(m, ones, K.input_model.weights)  # dim_J x N
-    cert = _certificate(seq, K, k_vecs)
-    return DualSequence(K.input_model, k_vecs, "k_dual_thm", cert)
+    m = _coefficient_factor(seq, K, rcond, tol)  # N x dim_J
+    J = K.input_model
+    k_vecs = adjoint_matrix(m, np.ones(seq.n_vectors), J.weights)  # dim_J x N
+    cert = _expansion_certificate(seq, K, k_vecs, Subspace.full(J))
+    return DualSequence(J, k_vecs, "k_dual_thm", cert)
 
 
 def aframe_bounds_graph(
@@ -113,20 +101,9 @@ def aframe_bounds_graph(
     The graph-norm form of A# h has the closed factorization
     ||A# h||_A^2 = h~^H At (I + At^H At)^-1 At^H h~ with At the whitened
     domain-restricted matrix, so its support and Gram come straight from
-    the SVD of At.
+    the SVD of At: sigma^2 / (1 + sigma^2) on its left singular vectors.
     """
-    _check_models(seq, A)
-    at = A.domain_whitened()
-    u, sv, _ = np.linalg.svd(at, full_matrices=False)
-    if sv.size == 0 or sv[0] <= _DEGENERATE_TOL:
-        raise DegenerateOperator("operator is numerically zero")
-    q = int(np.sum(sv > 1e-12 * sv[0]))
-    u = u[:, :q]
-    b_gram = np.diag(sv[:q] ** 2 / (1.0 + sv[:q] ** 2))
-    x = seq.whitened().conj().T
-    alpha, beta = pencil_lower_bound(x, u, b_gram)
-    kind = "graph_a_frame" if alpha > frame_tol else "bessel_only"
-    return FrameBounds(alpha, beta, kind)
+    return _operator_bounds(seq, A, "graph_a_frame", frame_tol, graph=True)
 
 
 def a_dual_graph(
@@ -134,43 +111,9 @@ def a_dual_graph(
 ) -> DualSequence:
     """Graph-space dual {k_n} with A f = sum_n inner(f, k_n)_A g_n on D(A).
 
-    M = D+ A on the domain; each k_n solves (I + A*A) k_n = M* e'_n in
-    domain coordinates, which realizes the adjoint into the graph space.
+    M = D+ A on the domain; k_n is the graph-space representer of
+    f -> (M f)_n, which realizes the adjoint of M into the graph space.
     """
-    _check_models(seq, A)
-    if np.linalg.norm(A.whitened()) <= _DEGENERATE_TOL:
-        raise DegenerateOperator("operator is numerically zero")
-    included, residual = range_inclusion(A, seq, tol)
-    if not included:
-        raise RangeNotIncluded(
-            f"R(A) is not contained in R(D): projection residual {residual:.3e}"
-        )
-    w = seq.model.weights
-    ones = np.ones(seq.n_vectors)
-    m = pinv_weighted(seq.vectors, w, ones, rcond) @ A.effective_matrix()  # N x d
-    dom = A.domain_subspace
-    if dom.basis is None:
-        mb = m / np.sqrt(w)[None, :]  # M in whitened full coordinates
-        at = A.whitened()
-    else:
-        mb = m @ dom.basis
-        at = A.domain_whitened()
-    r = mb.shape[1]
-    gram = hermitize(at.conj().T @ at)
-    y = scipy.linalg.solve(np.eye(r) + gram, mb.conj().T, assume_a="pos")  # r x N
-    if dom.basis is None:
-        k_vecs = y / np.sqrt(w)[:, None]
-    else:
-        k_vecs = dom.basis @ y
-    # independent certificate of the graph-inner expansion on domain samples
-    rng = np.random.default_rng(0)
-    fs = _domain_samples(dom, rng, 100)
-    af = A.apply_columns(fs)
-    # inner(f, k_n)_A = y_n^H (I + gram) c_f in domain coordinates
-    if dom.basis is None:
-        cf = np.sqrt(w)[:, None] * fs
-    else:
-        cf = dom.basis.conj().T @ (w[:, None] * fs)
-    coeffs = ((np.eye(r) + gram) @ y).conj().T @ cf  # N x q
-    cert = max_column_gap(seq.vectors @ coeffs, af, w)
+    k_vecs = _graph_solve(A, _coefficient_factor(seq, A, rcond, tol))
+    cert = _expansion_certificate(seq, A, k_vecs, A.domain_subspace, graph=True)
     return DualSequence(seq.model, k_vecs, "k_dual_thm", cert, graph_space=True)

@@ -15,9 +15,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._linalg import as_complex_vector, hermitize
-from .errors import InvalidDimension, InvalidIndex, NotAFrame
-from .hilbert import HilbertModel
+from ._linalg import (
+    _DEGENERATE_TOL,
+    _RANK_TOL,
+    as_complex_vector,
+    hermitize,
+    pencil_lower_bound,
+)
+from .errors import DegenerateOperator, InvalidDimension, InvalidIndex, NotAFrame
+from .hilbert import HilbertModel, Subspace
 from .opmodel import OperatorModel
 
 #: alpha > FRAME_TOL * beta decides frame vs bessel_only
@@ -70,14 +76,6 @@ class FrameSequence:
 
     def whitened(self) -> np.ndarray:
         return self.model.sqrt_weights[:, None] * self.vectors
-
-    def permuted(self, order) -> "FrameSequence":
-        order = list(order)
-        return FrameSequence(
-            self.model,
-            self.vectors[:, order],
-            [self.index_labels[j] for j in order],
-        )
 
 
 @dataclass(frozen=True)
@@ -136,6 +134,41 @@ def frame_bounds(seq: FrameSequence, frame_tol: float = FRAME_TOL) -> FrameBound
     alpha, beta = float(spec[0]), float(spec[-1])
     kind = "frame" if alpha > frame_tol * max(beta, 1e-300) else "bessel_only"
     return FrameBounds(alpha, beta, kind)
+
+
+def _operator_bounds(
+    seq: FrameSequence,
+    op: OperatorModel,
+    kind: str,
+    frame_tol: float,
+    graph: bool = False,
+    subspace: Optional[Subspace] = None,
+) -> FrameBounds:
+    """Optimal constants of alpha ||T f||^2 <= sum_n |inner(f, g_n)|^2 <= beta ||f||^2.
+
+    T = op* with f ranging over ``subspace`` (all of H when None), or the
+    graph adjoint op# when ``graph`` is set, whose Gram sigma^2 / (1 + sigma^2)
+    replaces sigma^2.  The support of T comes from the SVD of the whitened
+    operator cut at _RANK_TOL * sigma_0, and the pencil minimizes out ker(T)
+    components of f.  The family is ``kind`` when alpha > frame_tol.
+    """
+    if op.codomain.dim != seq.model.dim:
+        raise InvalidDimension("operator codomain must match the sequence model")
+    x = seq.whitened().conj().T  # N x d; S-form = ||x f~||^2
+    if subspace is None or subspace.basis is None:
+        u, sv = op.whitened_svd()
+    else:
+        vw = subspace.ambient.sqrt_weights[:, None] * subspace.basis  # plain l2
+        x = x @ vw
+        u, sv, _ = np.linalg.svd(vw.conj().T @ op.whitened(), full_matrices=False)
+    if sv.size == 0 or sv[0] <= _DEGENERATE_TOL:
+        raise DegenerateOperator("operator is numerically zero")
+    q = int(np.sum(sv > _RANK_TOL * sv[0]))
+    b_gram = sv[:q] ** 2
+    if graph:
+        b_gram = b_gram / (1.0 + b_gram)
+    alpha, beta = pencil_lower_bound(x, u[:, :q], np.diag(b_gram))
+    return FrameBounds(alpha, beta, kind if alpha > frame_tol else "bessel_only")
 
 
 def canonical_dual(seq: FrameSequence, frame_tol: float = FRAME_TOL) -> FrameSequence:

@@ -10,13 +10,14 @@ minimized out (a Schur complement in factored form, see
 :func:`opframe._linalg.pencil_lower_bound`).  The constructive dual follows
 the minimum-norm factorization: restrict the analysis operator to V, extend
 its adjoint by the full synthesis matrix, and solve A = B* M for the
-minimum-norm M.  Strong-expansion failure is reported as a measured
-residual, never an exception; only a failed *weak* factorization raises.
+minimum-norm M.  A strong expansion may still fail to converge; that is
+measured, never raised (see the ``strong_residual_min`` check), and only a
+failed *weak* factorization raises.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -26,26 +27,18 @@ from ._linalg import (
     as_complex_vector,
     hermitize,
     max_column_gap,
-    pencil_lower_bound,
+    pencil_lower_bound,  # noqa: F401 - an import site perfbench's tracer tests wrap
     pinv_weighted,
-    whiten_matrix,
 )
-from .errors import (
-    DegenerateOperator,
-    FactorizationFailed,
-    InvalidDimension,
-    NotSurjective,
-)
+from .errors import FactorizationFailed, InvalidDimension, NotSurjective
 from .hilbert import HilbertModel
 from .opmodel import OperatorModel, adjoint, pseudo_inverse
-from .seqops import FRAME_TOL, FrameBounds, FrameSequence, analysis
+from .seqops import FRAME_TOL, FrameBounds, FrameSequence, _operator_bounds, analysis
 
 PRODUCERS = ("weak_a_dual_thm", "k_dual_thm", "interchange_thm", "canonical", "user")
 
 #: weak factorization residual beyond this (relative) raises FactorizationFailed
 FACTORIZATION_TOL = 1e-8
-
-_DEGENERATE_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -90,16 +83,6 @@ def user_dual(model: HilbertModel, vectors, certificate_residual=float("nan")):
 # -- bound ----------------------------------------------------------------
 
 
-def _adjoint_on_domain(A: OperatorModel):
-    """(whitened A* restricted to V, orthonormal-coordinate map of V)."""
-    astar = adjoint(A)
-    v = A.adjoint_domain_subspace
-    mt = whiten_matrix(astar.dense(), astar.codomain.weights, astar.input_model.weights)
-    if v.basis is None:
-        return mt, None
-    return mt @ (A.codomain.sqrt_weights[:, None] * v.basis), v.basis
-
-
 def weak_aframe_bound(
     seq: FrameSequence, A: OperatorModel, frame_tol: float = FRAME_TOL
 ) -> FrameBounds:
@@ -108,45 +91,26 @@ def weak_aframe_bound(
     beta reports lambda_max of the frame operator restricted to D(A*); a
     weak frame carries no global upper-bound requirement.
     """
-    if A.codomain.dim != seq.model.dim:
-        raise InvalidDimension("operator codomain must match the sequence model")
-    z, v_basis = _adjoint_on_domain(A)  # (d_in x rv) whitened A* on V-coords
-    gt = seq.whitened().conj().T  # N x d
-    if v_basis is None:
-        x = gt
-    else:
-        x = gt @ (seq.model.sqrt_weights[:, None] * v_basis)
-    _, sv, vh = np.linalg.svd(z, full_matrices=False)
-    if sv.size == 0 or sv[0] <= _DEGENERATE_TOL:
-        raise DegenerateOperator("A* vanishes on its domain")
-    q = int(np.sum(sv > 1e-12 * sv[0]))
-    b_basis = vh[:q].conj().T  # rv x q
-    b_gram = np.diag(sv[:q] ** 2)
-    alpha, beta = pencil_lower_bound(x, b_basis, b_gram)
-    kind = "weak_a_frame" if alpha > frame_tol else "bessel_only"
-    return FrameBounds(alpha, beta, kind)
+    return _operator_bounds(seq, A, "weak_a_frame", frame_tol, subspace=A.adjoint_domain)
 
 
 # -- constructive dual -----------------------------------------------------
 
 
-def _weak_factorization(seq: FrameSequence, A: OperatorModel, rcond=1e-10):
-    """Minimum-norm M with P_V (G M - A) = 0, where V = D(A*).
+def weak_a_dual(seq: FrameSequence, A: OperatorModel, rcond=1e-10) -> DualSequence:
+    """Construct the Bessel weak dual {t_n} = {M* e_n} of a weak frame.
 
-    Returns (M, strong_residual); raises FactorizationFailed when even the
-    projected (weak) equation cannot be met, which signals that the weak
-    lower bound was spurious.
+    M is the minimum-norm solution of P_V (G M - A) = 0, where V = D(A*).
+    Raises FactorizationFailed when even this projected (weak) equation
+    cannot be met, which signals that the weak lower bound was spurious.
     """
     w = seq.model.weights
-    v = A.adjoint_domain_subspace
-    g = seq.vectors
-    a_eff = A.effective_matrix()
-    if v.basis is None:
-        g_v, a_v = g, a_eff
-    else:
-        proj = v.basis @ (v.basis.conj().T * w[None, :])
-        g_v, a_v = proj @ g, proj @ a_eff
     ones = np.ones(seq.n_vectors)
+    v = A.adjoint_domain_subspace
+    g_v, a_v = seq.vectors, A.effective_matrix()
+    if v.basis is not None:
+        proj = v.basis @ (v.basis.conj().T * w[None, :])
+        g_v, a_v = proj @ g_v, proj @ a_v
     m = pinv_weighted(g_v, w, ones, rcond) @ a_v
     wt = np.sqrt(w)[:, None]
     weak_res = np.linalg.norm(wt * (g_v @ m - a_v))
@@ -156,55 +120,12 @@ def _weak_factorization(seq: FrameSequence, A: OperatorModel, rcond=1e-10):
             f"projected factorization residual {weak_res:.3e} exceeds "
             f"{FACTORIZATION_TOL:.1e} * {weak_scale:.3e}"
         )
-    strong = np.linalg.norm(wt * (g @ m - a_eff)) / max(
-        np.linalg.norm(wt * a_eff), 1e-300
-    )
-    return m, float(strong)
-
-
-def weak_a_dual(seq: FrameSequence, A: OperatorModel, rcond=1e-10) -> DualSequence:
-    """Construct the Bessel weak dual {t_n} = {M* e_n} of a weak frame."""
-    m, _ = _weak_factorization(seq, A, rcond)
-    t = adjoint_matrix(m, np.ones(seq.n_vectors), seq.model.weights)  # d x N
+    t = adjoint_matrix(m, ones, w)  # d x N
     dual = DualSequence(seq.model, t, "weak_a_dual_thm", float("nan"))
-    cert = verify_weak_duality(seq, dual, A, trials=100)
-    return DualSequence(
-        seq.model, t, "weak_a_dual_thm", cert, bessel_bound=dual.bessel_bound
-    )
-
-
-def factorize_synthesis(seq: FrameSequence, A: OperatorModel, rcond=1e-10):
-    """Factor A = R Q through coefficient space: R extends synthesis, Q = M.
-
-    Returns (R, Q, residual) with residual the *strong* relative gap
-    ||R Q - A|| / ||A||; non-convergent strong expansions show up here as a
-    large measured residual while the weak factorization still succeeds.
-    """
-    m, strong = _weak_factorization(seq, A, rcond)
-    from .hilbert import l2_truncation
-
-    coeff_model = l2_truncation(seq.n_vectors, "coefficient space")
-    R = OperatorModel(
-        seq.vectors, coeff_model, seq.model, name="synthesis extension"
-    )
-    Q = OperatorModel(m, seq.model, coeff_model, name="coefficient factor")
-    return R, Q, strong
+    return replace(dual, certificate_residual=verify_weak_duality(seq, dual, A))
 
 
 # -- verification ----------------------------------------------------------
-
-
-def _domain_samples(sub, rng, trials):
-    """Basis columns of a subspace plus random members, as ambient vectors."""
-    d = sub.ambient.dim
-    if sub.basis is None:
-        basis = np.eye(d, dtype=complex)
-        r = d
-    else:
-        basis = sub.basis
-        r = basis.shape[1]
-    rand = rng.standard_normal((r, trials)) + 1j * rng.standard_normal((r, trials))
-    return np.concatenate([basis, basis @ rand], axis=1) if trials else basis
 
 
 def verify_weak_duality(
@@ -227,11 +148,11 @@ def verify_weak_duality(
     """
     rng = np.random.default_rng(seed)
     if hs is None:
-        hs = _domain_samples(A.domain_subspace, rng, trials)
+        hs = A.domain_subspace.samples(rng, trials)
     else:
         hs = np.asarray(hs, dtype=complex)
     if us is None:
-        us = _domain_samples(A.adjoint_domain_subspace, rng, trials)
+        us = A.adjoint_domain_subspace.samples(rng, trials)
     else:
         us = np.asarray(us, dtype=complex).reshape(seq.model.dim, -1)
         us = A.adjoint_domain_subspace.project(us)
@@ -277,8 +198,7 @@ def interchange_dual(
     h_map = adjoint(pseudo_inverse(A))
     h = h_map.dense() @ dual.vectors
     # certificate: reconstruct the adjoint-domain basis through {h_n}
-    sub = A.adjoint_domain_subspace
-    basis = np.eye(seq.model.dim, dtype=complex) if sub.basis is None else sub.basis
+    basis = A.adjoint_domain_subspace.samples()
     coeffs = seq.whitened().conj().T @ (seq.model.sqrt_weights[:, None] * basis)
     cert = max_column_gap(h @ coeffs, basis, seq.model.weights)
     return DualSequence(seq.model, h, "interchange_thm", cert)

@@ -94,6 +94,24 @@ class TestRunCommand:
         monkeypatch.setenv("OPFRAME_TOL_OVERRIDE", "1e20")
         assert main(["run", str(f), "--out", str(out)]) == 0
 
+    def test_negative_seed_exits_two(self, tmp_path, tiny_scenario):
+        f = tmp_path / "tiny.json"
+        f.write_text(json.dumps(tiny_scenario))
+        out = tmp_path / "report.json"
+        assert main(["run", str(f), "--out", str(out), "--seed", "-1"]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw", ["nan", "-1"])
+    def test_invalid_tolerance_override_exits_two(
+        self, tmp_path, tiny_scenario, monkeypatch, raw
+    ):
+        f = tmp_path / "tiny.json"
+        f.write_text(json.dumps(tiny_scenario))
+        out = tmp_path / "report.json"
+        monkeypatch.setenv("OPFRAME_TOL_OVERRIDE", raw)
+        assert main(["run", str(f), "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestReproduceCommand:
     def test_unknown_name_exits_two_listing_valid(self, capsys, tmp_path, monkeypatch):

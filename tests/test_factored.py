@@ -1,5 +1,6 @@
 """Factored operators M = L R^H against their materialized dense twins."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -11,9 +12,10 @@ from opframe import serialize
 from opframe.errors import InvalidDimension
 from opframe.hilbert import HilbertModel, orthonormalize
 from opframe.opmodel import OperatorModel
-from opframe.relframes import kframe_bounds, range_inclusion
+from opframe.relframes import aframe_bounds_graph, kframe_bounds, range_inclusion
 from opframe.scenarios import reproduce
 from opframe.seqops import FrameSequence
+from opframe.weakframes import weak_aframe_bound
 
 from conftest import random_matrix, random_weighted_model
 
@@ -22,6 +24,13 @@ RTOL = 1e-10
 
 def _rel(a, b):
     return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300))
+
+
+def _alpha_rtol(op):
+    """Relative tolerance for alpha: the pencil loses up to ~eps kappa^2 of op."""
+    _, s = op.whitened_svd()
+    s = s[s > 1e-12 * s[0]]
+    return max(RTOL, 1e-12 * (s[0] / s[-1]) ** 2)
 
 
 def _pair(rng, d, q, domain_rank=None):
@@ -75,6 +84,50 @@ def test_factored_domain_agrees_with_dense_twin(d, q, seed):
     frame = FrameSequence(fac.input_model, random_matrix(rng, d, d + 3))
     kb_fac, kb_twin = kframe_bounds(frame, fac), kframe_bounds(frame, twin)
     assert kb_fac.alpha == pytest.approx(kb_twin.alpha, rel=RTOL)
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(3, 64), q=st.integers(1, 8), with_domain=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_graph_and_weak_bounds_agree_with_dense_twin(d, q, with_domain, seed):
+    rng = np.random.default_rng(seed)
+    fac, twin = _pair(rng, d, q, domain_rank=d - 1 if with_domain else None)
+    model = fac.input_model
+    frame = FrameSequence(model, random_matrix(rng, d, d + 3))
+    v = orthonormalize(random_matrix(rng, d, d - 1), model)
+    cases = [
+        (aframe_bounds_graph, fac, twin),
+        (weak_aframe_bound, fac, twin),
+        # the weak bound over a declared adjoint domain
+        (weak_aframe_bound, dataclasses.replace(fac, adjoint_domain=v),
+         dataclasses.replace(twin, adjoint_domain=v)),
+    ]
+    for bound, a_fac, a_twin in cases:
+        b_fac, b_twin = bound(frame, a_fac), bound(frame, a_twin)
+        assert b_fac.kind == b_twin.kind
+        assert b_fac.alpha == pytest.approx(b_twin.alpha, rel=_alpha_rtol(twin))
+        assert b_fac.beta == pytest.approx(b_twin.beta, rel=RTOL)
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(2, 48), seed=st.integers(0, 2**32 - 1))
+def test_bound_metamorphic_relations(d, seed):
+    rng = np.random.default_rng(seed)
+    model = random_weighted_model(rng, d)
+    A = OperatorModel(random_matrix(rng, d, d), model, model)
+    frame = FrameSequence(model, random_matrix(rng, d, d + 3))
+    # with no adjoint domain the weak bound quantifies over all of H
+    assert weak_aframe_bound(frame, A).alpha == kframe_bounds(frame, A).alpha
+
+    # alpha(c K) = alpha(K) / |c|^2
+    c = 10.0 ** rng.uniform(-1.0, 1.0) * np.exp(2j * np.pi * rng.random())
+    v = orthonormalize(random_matrix(rng, d, max(1, d - 1)), model)
+    A_v = dataclasses.replace(A, adjoint_domain=v)
+    for bound, op in [(kframe_bounds, A), (weak_aframe_bound, A_v)]:
+        scaled = dataclasses.replace(op, matrix=c * op.matrix)
+        assert bound(frame, scaled).alpha == pytest.approx(
+            bound(frame, op).alpha / abs(c) ** 2, rel=_alpha_rtol(A)
+        )
 
 
 def test_pw_quarter_stays_small():

@@ -16,9 +16,9 @@ from opframe.opmodel import (
     graph_adjoint,
     identity_operator,
     pseudo_inverse,
-    restrict_leading_block,
     truncation_trajectory,
 )
+from opframe.scenarios import CHECKS
 from opframe.seqops import FrameSequence
 
 from conftest import random_matrix, random_vector, random_weighted_model
@@ -208,6 +208,17 @@ class TestDiffOperator:
         gap = a.matrix - adjoint(a).matrix
         assert np.linalg.norm(gap) == 0.0
 
+    @pytest.mark.parametrize(
+        "variant", ["minus_i_ddx_H1", "minus_i_ddx_H10", "ddx_periodic"]
+    )
+    def test_self_adjoint_gap_check_matches_two_copy_oracle(self, variant):
+        a = diff_operator(interval_grid(96, -2.0, 3.0), variant)
+        gap = a.whitened() - adjoint(a).whitened()
+        oracle = np.linalg.svd(gap, compute_uv=False)[0]
+        _, check = CHECKS["self_adjoint_gap"]
+        assert check({"op": a}, {}, None) == pytest.approx(oracle, rel=1e-10)
+        assert oracle > 1.0
+
     def test_too_coarse(self):
         with pytest.raises(GridTooCoarse):
             diff_operator(interval_grid(8), "ddx_H1")
@@ -272,8 +283,3 @@ class TestTruncationTrajectory:
     def test_unknown_probe(self):
         with pytest.raises(InvalidProbe):
             truncation_trajectory(self.family([4]), "nonsense")
-
-    def test_nested_leading_block_embedding(self):
-        op, _ = self.family([8]).generator(8)
-        small = restrict_leading_block(op, 4)
-        np.testing.assert_allclose(small.matrix, np.diag([1, 2, 3, 4]))

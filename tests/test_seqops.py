@@ -160,7 +160,7 @@ class TestFrameBounds:
         seq = random_frame(rng, 5, 9)
         fb = frame_bounds(seq)
         perm = rng.permutation(9)
-        fb2 = frame_bounds(seq.permuted(perm))
+        fb2 = frame_bounds(FrameSequence(seq.model, seq.vectors[:, perm]))
         assert fb2.alpha == pytest.approx(fb.alpha, abs=1e-12)
         assert fb2.beta == pytest.approx(fb.beta, abs=1e-12)
 
