@@ -9,7 +9,6 @@ precision.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 _RANK_TOL = 1e-12
 
@@ -51,6 +50,19 @@ def hermitize(a):
     return 0.5 * (a + a.conj().T)
 
 
+def _row_reduced(mat):
+    """A matrix with the left singular pairs of mat, at most square.
+
+    A wide mat (rows at most half the columns) becomes R^H from the thin QR
+    mat^H = Q R, so mat = R^H Q^H and the SVD runs on m x m; any other mat is
+    returned as is.
+    """
+    m, n = mat.shape
+    if 2 * m > n:
+        return mat
+    return np.linalg.qr(mat.conj().T, mode="r").conj().T
+
+
 def orthonormal_range(mat, rank_tol=_RANK_TOL, scale=None):
     """Orthonormal basis (plain l2) of the column space of mat; may be empty.
 
@@ -60,7 +72,7 @@ def orthonormal_range(mat, rank_tol=_RANK_TOL, scale=None):
     """
     if mat.size == 0:
         return np.zeros((mat.shape[0], 0), dtype=complex)
-    u, s, _ = np.linalg.svd(mat, full_matrices=False)
+    u, s, _ = np.linalg.svd(_row_reduced(mat), full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((mat.shape[0], 0), dtype=complex)
     cut = rank_tol * (float(s[0]) if scale is None else float(scale))
@@ -73,8 +85,7 @@ def pencil_lower_bound(sqrt_s, b_basis, b_gram, rank_tol=_RANK_TOL):
 
     alpha = inf <S f, f> / <B f, f> over f with <B f, f> != 0, and
     beta = sigma_max(sqrt_s)^2 = sup <S f, f> / <f, f>, the upper (Bessel)
-    constant.  beta comes from the singular values the rank cut below
-    needs anyway, so callers need no second factorization of sqrt_s.
+    constant.
 
     Arguments are given in orthonormal coordinates of the quantifier space V
     (dimension r):
@@ -89,23 +100,37 @@ def pencil_lower_bound(sqrt_s, b_basis, b_gram, rank_tol=_RANK_TOL):
 
         min_v ||X (U c + v)||^2 = || P_T_perp (X U) c ||^2,
 
-    where T is the column space of X restricted to ker(B).
+    where T is the column space of X restricted to ker(B) (ker(B) = {0}
+    when q == r).  With b_gram = L L^H, alpha is sigma_min(P_T_perp X U L^-H)^2,
+    the smallest squared singular value of the B-scaled projected factor, and
+    0 when that factor has fewer than q rows.  No Gram of X is formed, so
+    alpha keeps its accuracy for ill-conditioned B instead of losing
+    eps * kappa^2 to the normal equations.
     """
     q = b_basis.shape[1]
     if q == 0:
         raise ValueError("empty B support")
     xu = sqrt_s @ b_basis
-    # X restricted to ker(B) = X (I - U U^H); its column space is T.  The
-    # rank cut is taken relative to X itself: when ker(B) is trivial this
-    # difference is pure roundoff and must not produce spurious directions.
-    xk = sqrt_s - xu @ b_basis.conj().T
-    xscale = float(np.linalg.svd(sqrt_s, compute_uv=False)[0]) if sqrt_s.size else 0.0
-    t_basis = orthonormal_range(xk, rank_tol, scale=xscale)
-    if t_basis.shape[1]:
-        xu = xu - t_basis @ (t_basis.conj().T @ xu)
-    s_eff = hermitize(xu.conj().T @ xu)
-    vals = scipy.linalg.eigh(s_eff, hermitize(b_gram), eigvals_only=True)
-    return float(max(vals[0], 0.0)), xscale**2
+    xscale = (
+        float(np.linalg.svd(_row_reduced(sqrt_s), compute_uv=False)[0])
+        if sqrt_s.size
+        else 0.0
+    )
+    if q < b_basis.shape[0]:
+        # X restricted to ker(B) = X (I - U U^H); its column space is T.  The
+        # rank cut is taken relative to X itself: when ker(B) is numerically
+        # trivial this difference is roundoff and must not produce spurious
+        # directions.
+        xk = sqrt_s - xu @ b_basis.conj().T
+        t_basis = orthonormal_range(xk, rank_tol, scale=xscale)
+        if t_basis.shape[1]:
+            xu = xu - t_basis @ (t_basis.conj().T @ xu)
+    if xu.shape[0] < q:
+        return 0.0, xscale**2
+    chol = np.linalg.cholesky(hermitize(b_gram))
+    scaled = np.linalg.solve(chol, xu.conj().T).conj().T  # xu L^-H
+    smin = float(np.linalg.svd(scaled, compute_uv=False)[-1])
+    return smin**2, xscale**2
 
 
 def max_column_gap(approx, reference, weights):

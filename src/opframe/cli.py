@@ -122,6 +122,10 @@ def main(argv=None) -> int:
             except (OSError, json.JSONDecodeError) as exc:
                 print(f"error: cannot parse scenario file: {exc}", file=sys.stderr)
                 return EXIT_PARSE_ERROR
+            if not isinstance(data, dict):
+                print("error: scenario file must hold a JSON object, got "
+                      f"{type(data).__name__}", file=sys.stderr)
+                return EXIT_PARSE_ERROR
             out = args.out or Path(f"{data.get('name', args.file.stem)}.report.json")
             return _execute(data, out, args.seed)
         # reproduce

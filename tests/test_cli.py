@@ -78,6 +78,13 @@ class TestRunCommand:
         f.write_text("{not json")
         assert main(["run", str(f)]) == 2
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", "null", '"x"'])
+    def test_non_object_json_exits_two(self, tmp_path, capsys, text):
+        f = tmp_path / "bad.json"
+        f.write_text(text)
+        assert main(["run", str(f)]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
     def test_schema_violation_exits_two(self, tmp_path):
         f = tmp_path / "bad.json"
         f.write_text(json.dumps({"name": "x"}))
