@@ -31,19 +31,24 @@ class OperatorModel:
     """A linear map between models, with domain bookkeeping.
 
     matrix         : dim_out x dim_in complex matrix, or None when the
-                     operator is given by ``factor``
+                     operator is given by ``factor`` or ``stencil``
     input_model    : model of the input space
     codomain       : model of the output space
     domain         : Subspace of input_model (None == everywhere defined)
     adjoint_domain : declared domain of the adjoint (None == full codomain)
     factor         : optional low-rank form (L, R) with M = L R^H in plain
                      coordinates, L of shape dim_out x q and R dim_in x q
+    stencil        : optional banded form (cols, vals), both dim_out x w:
+                     row i of M holds vals[i, k] at column cols[i, k], and
+                     the columns within a row are distinct
 
-    Exactly one of ``matrix`` and ``factor`` is given.  A factored operator
-    never stores its dim_out x dim_in matrix: ``apply`` and ``apply_columns``
-    cost O(dim q) per column and ``whitened_svd`` O(dim q^2), and every
-    other consumer forms the matrix on demand through ``dense``.
-    Both forms must be finite and match the models' dimensions.
+    Exactly one of ``matrix``, ``factor`` and ``stencil`` is given, and it
+    must be finite and match the models' dimensions.  Neither a factored
+    nor a stencil operator stores its dim_out x dim_in matrix.  A factored
+    operator's ``apply`` and ``apply_columns`` cost O(dim q) per column and
+    its ``whitened_svd`` O(dim q^2); a stencil operator's ``apply`` and
+    ``apply_columns`` cost O(dim w) per column.  Every other consumer forms
+    the matrix on demand through ``dense``, which caches nothing.
     """
 
     matrix: Optional[np.ndarray]
@@ -53,11 +58,30 @@ class OperatorModel:
     adjoint_domain: Optional[Subspace] = None
     name: str = ""
     factor: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    stencil: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def __post_init__(self):
         d_out, d_in = self.codomain.dim, self.input_model.dim
-        if (self.matrix is None) == (self.factor is None):
-            raise InvalidDimension("give exactly one of matrix and factor")
+        if sum(f is not None for f in (self.matrix, self.factor, self.stencil)) != 1:
+            raise InvalidDimension("give exactly one of matrix, factor and stencil")
+        if self.stencil is not None:
+            cols, vals = np.asarray(self.stencil[0]), np.asarray(self.stencil[1], dtype=complex)
+            if cols.ndim != 2 or cols.shape != vals.shape or cols.shape[0] != d_out:
+                raise InvalidDimension(
+                    f"stencil shapes {cols.shape}, {vals.shape} must both be "
+                    f"({d_out}, w)"
+                )
+            if not np.issubdtype(cols.dtype, np.integer):
+                raise InvalidDimension("stencil columns must be integers")
+            if cols.size and (cols.min() < 0 or cols.max() >= d_in):
+                raise InvalidDimension(f"stencil columns must lie in [0, {d_in})")
+            ordered = np.sort(cols, axis=1)
+            if np.any(ordered[:, 1:] == ordered[:, :-1]):
+                raise InvalidDimension("stencil columns within a row must be distinct")
+            if not np.all(np.isfinite(vals)):
+                raise InvalidDimension("operator stencil must be finite")
+            object.__setattr__(self, "stencil", (cols.astype(np.intp), vals))
+            return
         if self.factor is not None:
             left, right = (np.asarray(a, dtype=complex) for a in self.factor)
             if left.ndim != 2 or right.ndim != 2 or left.shape[1] != right.shape[1]:
@@ -94,14 +118,23 @@ class OperatorModel:
         return Subspace.full(self.codomain)
 
     def dense(self) -> np.ndarray:
-        """The dim_out x dim_in matrix; a factored operator forms L R^H here."""
+        """The dim_out x dim_in matrix; a factored operator forms L R^H and a
+        stencil operator scatters its values into a new array here."""
+        if self.stencil is not None:
+            cols, vals = self.stencil
+            m = np.zeros((self.codomain.dim, self.input_model.dim), dtype=complex)
+            np.put_along_axis(m, cols, vals, axis=1)
+            return m
         if self.factor is None:
             return self.matrix
         left, right = self.factor
         return left @ right.conj().T
 
     def _times(self, x) -> np.ndarray:
-        """M x without forming M when the operator is factored."""
+        """M x without forming M when the operator is factored or a stencil."""
+        if self.stencil is not None:
+            cols, vals = self.stencil
+            return np.einsum("ik,ik...->i...", vals, x[cols])
         if self.factor is None:
             return self.matrix @ x
         left, right = self.factor
@@ -242,6 +275,50 @@ def graph_adjoint(A: OperatorModel) -> OperatorModel:
     )
 
 
+def _stencil_gap_is_zero(op: OperatorModel) -> bool:
+    """Whether Kt - Kt^H is exactly zero, Kt the whitened stencil operator.
+
+    Each whitened entry is paired with the negated conjugate mirror of its
+    transpose position; the sums over each (row, col) are the entries of the
+    dense Kt - Kt^H, bit for bit, and every other entry is zero.
+    """
+    cols, vals = op.stencil
+    rows = np.broadcast_to(np.arange(cols.shape[0])[:, None], cols.shape)
+    kt = (np.sqrt(op.codomain.weights)[:, None] * vals) / np.sqrt(
+        op.input_model.weights
+    )[cols]
+    n = max(op.codomain.dim, op.input_model.dim)
+    keys = np.concatenate([(rows * n + cols).ravel(), (cols * n + rows).ravel()])
+    uniq, where = np.unique(keys, return_inverse=True)
+    sums = np.zeros(uniq.size, dtype=complex)
+    np.add.at(sums, where, np.concatenate([kt.ravel(), -kt.conj().ravel()]))
+    return not np.any(sums)
+
+
+def self_adjoint_gap(op: OperatorModel) -> float:
+    """Largest singular value of the whitened A - A* restricted to D(A*).
+
+    With Kt the whitened A this is Kt - Kt^H, or Kt - (Kt^H Vw) Vw^H when an
+    adjoint domain V is declared.  A stencil operator with neither a domain
+    nor an adjoint domain whose gap is exactly zero returns 0.0 without
+    forming a dim x dim matrix.
+    """
+    if (op.stencil is not None and op.domain is None and op.adjoint_domain is None
+            and _stencil_gap_is_zero(op)):
+        return 0.0
+    kt = op.whitened()
+    v = op.adjoint_domain_subspace
+    if v.basis is None:
+        gap = kt - kt.conj().T
+    else:
+        vw = v.ambient.sqrt_weights[:, None] * v.basis
+        gap = kt - (kt.conj().T @ vw) @ vw.conj().T
+    if not np.any(gap):
+        return 0.0
+    s = np.linalg.svd(gap, compute_uv=False)
+    return float(s[0]) if s.size else 0.0
+
+
 # -- concrete operators -------------------------------------------------
 
 DIFF_VARIANTS = (
@@ -254,19 +331,15 @@ DIFF_VARIANTS = (
 
 
 def _central_difference(d, h, periodic):
-    D = np.zeros((d, d))
+    """Second-order first difference as a three-point stencil (cols, vals)."""
     idx = np.arange(d)
+    vals = np.tile([-0.5 / h, 0.0, 0.5 / h], (d, 1))
     if periodic:
-        D[idx, (idx - 1) % d] = -0.5 / h
-        D[idx, (idx + 1) % d] = 0.5 / h
-        return D
-    for j in range(1, d - 1):
-        D[j, j - 1] = -0.5 / h
-        D[j, j + 1] = 0.5 / h
+        return (idx[:, None] + (-1, 0, 1)) % d, vals
     # second-order one-sided rows at the interval ends
-    D[0, 0], D[0, 1], D[0, 2] = -1.5 / h, 2.0 / h, -0.5 / h
-    D[-1, -1], D[-1, -2], D[-1, -3] = 1.5 / h, -2.0 / h, 0.5 / h
-    return D
+    vals[0] = -1.5 / h, 2.0 / h, -0.5 / h
+    vals[-1] = 0.5 / h, -2.0 / h, 1.5 / h
+    return np.clip(idx, 1, d - 2)[:, None] + (-1, 0, 1), vals
 
 
 def dirichlet_subspace(grid: HilbertModel) -> Subspace:
@@ -295,20 +368,16 @@ def diff_operator(grid: HilbertModel, variant: str) -> OperatorModel:
         raise InvalidDimension("diff_operator requires a grid model with points")
     h = float(grid.points[1] - grid.points[0])
     periodic = variant.endswith("periodic")
-    D = _central_difference(grid.dim, h, periodic)
-    if variant.startswith("minus_i"):
-        M = -1j * D
-    else:
-        M = D.astype(complex)
-    dirich = None if periodic else dirichlet_subspace(grid)
-    if variant == "minus_i_ddx_H10":
-        return OperatorModel(
-            M, grid, grid, domain=dirich, adjoint_domain=None, name=variant
-        )
+    cols, D = _central_difference(grid.dim, h, periodic)
+    stencil = (cols, -1j * D if variant.startswith("minus_i") else D.astype(complex))
     if periodic:
-        return OperatorModel(M, grid, grid, name=variant)
+        return OperatorModel(None, grid, grid, name=variant, stencil=stencil)
+    dirich = dirichlet_subspace(grid)
+    if variant == "minus_i_ddx_H10":
+        return OperatorModel(None, grid, grid, domain=dirich, name=variant, stencil=stencil)
     # full-domain interval operators: the adjoint lives on the Dirichlet subspace
-    return OperatorModel(M, grid, grid, adjoint_domain=dirich, name=variant)
+    return OperatorModel(None, grid, grid, adjoint_domain=dirich, name=variant,
+                         stencil=stencil)
 
 
 def block_multiplier(alphas: Sequence[complex], pts_per_cell: int) -> OperatorModel:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import constructions as C
 from ._linalg import max_column_gap
-from .errors import InvalidScenario
+from .errors import GridTooCoarse, InvalidScenario
 from .hilbert import HilbertModel, interval_grid, l2_truncation, window_grid
 from .opmodel import (
     OperatorModel,
@@ -28,6 +28,8 @@ from .opmodel import (
     block_multiplier,
     diagonal_operator,
     diff_operator,
+    identity_operator,
+    self_adjoint_gap,
     truncation_trajectory,
 )
 from .relframes import aframe_bounds_graph, kframe_bounds, range_inclusion
@@ -223,24 +225,29 @@ CONSTRUCTIONS: Dict[str, Callable] = {
 # --------------------------------------------------------------------------
 
 
-def _diff_factory(variant):
+def _diff_factory(name, variant):
     def build(ctx, params):
-        return diff_operator(ctx["grid"], variant)
+        if "grid" not in ctx:
+            raise InvalidScenario(f"operator {name!r} needs a construction with a grid")
+        try:
+            return diff_operator(ctx["grid"], variant)
+        except GridTooCoarse as exc:
+            raise InvalidScenario(f"operator {name!r}: {exc}") from exc
 
     return build
 
 
 OPERATORS: Dict[str, Callable] = {
-    "diff_minus_i_H1": _diff_factory("minus_i_ddx_H1"),
-    "diff_minus_i_H10": _diff_factory("minus_i_ddx_H10"),
-    "diff_ddx_H1": _diff_factory("ddx_H1"),
-    "diff_minus_i_periodic": _diff_factory("minus_i_ddx_periodic"),
-    "diff_ddx_periodic": _diff_factory("ddx_periodic"),
-    "identity": lambda ctx, params: OperatorModel(
-        np.eye(ctx["seq"].model.dim, dtype=complex),
-        ctx["seq"].model, ctx["seq"].model, name="identity",
-    ),
+    name: _diff_factory(name, variant)
+    for name, variant in (
+        ("diff_minus_i_H1", "minus_i_ddx_H1"),
+        ("diff_minus_i_H10", "minus_i_ddx_H10"),
+        ("diff_ddx_H1", "ddx_H1"),
+        ("diff_minus_i_periodic", "minus_i_ddx_periodic"),
+        ("diff_ddx_periodic", "ddx_periodic"),
+    )
 }
+OPERATORS["identity"] = lambda ctx, params: identity_operator(ctx["seq"].model)
 
 
 # --------------------------------------------------------------------------
@@ -355,19 +362,7 @@ def _chk_derivative_match(ctx, params, rng):
 
 
 def _chk_self_adjoint_gap(ctx, params, rng):
-    # whitened A - A* restricted to D(A*) = Kt - Kt^H P_V, Kt = whitened A
-    A = ctx["op"]
-    kt = A.whitened()
-    v = A.adjoint_domain_subspace
-    if v.basis is None:
-        gap = kt - kt.conj().T
-    else:
-        vw = v.ambient.sqrt_weights[:, None] * v.basis
-        gap = kt - (kt.conj().T @ vw) @ vw.conj().T
-    if not np.any(gap):
-        return 0.0
-    s = np.linalg.svd(gap, compute_uv=False)
-    return float(s[0]) if s.size else 0.0
+    return self_adjoint_gap(ctx["op"])
 
 
 def _chk_range_inclusion_residual(ctx, params, rng):

@@ -119,6 +119,34 @@ class TestRunCommand:
         assert main(["run", str(f), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("construction", [
+        {"name": "parseval_family", "params": {"sizes": [4, 8]}},
+        {"name": "difference", "params": {"d": 20}},
+        {"name": "multiplier", "params": {"d": 8}},
+    ])
+    def test_diff_operator_without_grid_exits_two(self, tmp_path, capsys, construction):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps({
+            "name": "no_grid",
+            "construction": construction,
+            "operator": {"name": "diff_minus_i_H1"},
+            "checks": [{"name": "self_adjoint_gap", "tolerance": 1.0}],
+        }))
+        assert main(["run", str(f), "--out", str(tmp_path / "r.json")]) == 2
+        assert "'diff_minus_i_H1' needs a construction with a grid" in capsys.readouterr().err
+
+    def test_diff_operator_on_coarse_grid_exits_two(self, tmp_path, capsys):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps({
+            "name": "coarse",
+            "construction": {"name": "exponential", "params": {"d": 8}},
+            "operator": {"name": "diff_ddx_periodic"},
+            "checks": [{"name": "self_adjoint_gap", "tolerance": 1.0}],
+        }))
+        assert main(["run", str(f), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert "'diff_ddx_periodic'" in err and "at least 16 grid points" in err
+
 
 class TestReproduceCommand:
     def test_unknown_name_exits_two_listing_valid(self, capsys, tmp_path, monkeypatch):

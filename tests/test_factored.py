@@ -143,6 +143,21 @@ def test_pw_quarter_stays_small():
     assert peak < 64 * 2**20
 
 
+@pytest.mark.parametrize("name", ["wavelet", "exm2"])
+def test_stencil_scenarios_stay_small(name):
+    """The d = 2048 and d = 1024 derivative scenarios keep A as a stencil:
+    a dense d x d complex matrix alone would take 64 MB and 16 MB."""
+    reproduce("multiplier")  # finish lazy imports before measuring
+    tracemalloc.start()
+    try:
+        report = reproduce(name)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.all_passed
+    assert peak < 16 * 2**20
+
+
 class TestBoundaryValidation:
     model = HilbertModel(3, np.ones(3))
 

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opframe.errors import GridTooCoarse, InvalidProbe
-from opframe.hilbert import Subspace, inner, interval_grid, l2_truncation, norm
+from opframe import serialize
+from opframe.errors import GridTooCoarse, InvalidDimension, InvalidProbe
+from opframe.hilbert import HilbertModel, Subspace, inner, interval_grid, l2_truncation, norm
 from opframe.opmodel import (
+    DIFF_VARIANTS,
     OperatorModel,
     TruncationFamily,
     adjoint,
@@ -16,6 +18,7 @@ from opframe.opmodel import (
     graph_adjoint,
     identity_operator,
     pseudo_inverse,
+    self_adjoint_gap,
     truncation_trajectory,
 )
 from opframe.scenarios import CHECKS
@@ -205,7 +208,7 @@ class TestDiffOperator:
     def test_periodic_exactly_self_adjoint(self):
         grid = interval_grid(128, -8.0, 8.0)
         a = diff_operator(grid, "minus_i_ddx_periodic")
-        gap = a.matrix - adjoint(a).matrix
+        gap = a.dense() - adjoint(a).matrix
         assert np.linalg.norm(gap) == 0.0
 
     @pytest.mark.parametrize(
@@ -226,6 +229,139 @@ class TestDiffOperator:
     def test_unknown_variant(self):
         with pytest.raises(InvalidProbe):
             diff_operator(interval_grid(64), "nonsense")
+
+
+def _dense_twin(op):
+    return OperatorModel(op.dense(), op.input_model, op.codomain, domain=op.domain,
+                         adjoint_domain=op.adjoint_domain, name=op.name)
+
+
+def _assert_close(a, b):
+    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * max(np.abs(b).max(), 1.0))
+
+
+def _two_copy_gap(op):
+    gap = op.whitened() - adjoint(op).whitened()
+    return float(np.linalg.svd(gap, compute_uv=False)[0])
+
+
+class TestStencil:
+    @pytest.mark.parametrize("d", [16, 17, 96])
+    @pytest.mark.parametrize("variant", DIFF_VARIANTS)
+    def test_diff_operator_agrees_with_dense_twin(self, rng, variant, d):
+        op = diff_operator(interval_grid(d, -2.0, 3.0), variant)
+        twin = _dense_twin(op)
+        assert op.matrix is None and op.stencil[0].shape == (d, 3)
+        f = random_vector(rng, d)
+        fs = random_matrix(rng, d, 4)
+        _assert_close(op.apply(f), twin.apply(f))
+        _assert_close(op.apply_columns(fs), twin.apply_columns(fs))
+        _assert_close(op.effective_matrix(), twin.effective_matrix())
+        _assert_close(op.whitened(), twin.whitened())
+        _assert_close(op.whitened_svd()[1], twin.whitened_svd()[1])
+        a_op, a_twin = adjoint(op), adjoint(twin)
+        _assert_close(a_op.matrix, a_twin.matrix)
+        assert (a_op.domain is None) == (a_twin.domain is None)
+        assert (a_op.adjoint_domain is None) == (a_twin.adjoint_domain is None)
+        text = serialize.dumps(op, "operator")
+        assert text == serialize.dumps(twin, "operator")
+        back = serialize.loads(text, "operator")
+        assert back.stencil is None
+        np.testing.assert_array_equal(back.dense(), op.dense())
+
+    def test_dense_is_a_new_array_each_call(self):
+        op = diff_operator(interval_grid(16), "ddx_H1")
+        first = op.dense()
+        first[:] = 0.0
+        assert np.any(op.dense())
+
+    def test_weighted_stencil_agrees_with_dense_twin(self, rng):
+        # a plain-Hermitian band is not self-adjoint under non-uniform weights,
+        # so a gap that skipped the whitening would read 0.0
+        d = 12
+        model = random_weighted_model(rng, d)
+        cols = (np.arange(d)[:, None] + (-1, 0, 1)) % d
+        h = random_matrix(rng, d, d)
+        h = h + h.conj().T
+        op = OperatorModel(None, model, model, stencil=(cols, np.take_along_axis(h, cols, 1)))
+        twin = _dense_twin(op)
+        fs = random_matrix(rng, d, 3)
+        _assert_close(op.apply_columns(fs), twin.apply_columns(fs))
+        _assert_close(op.whitened(), twin.whitened())
+        gap = self_adjoint_gap(op)
+        assert gap == self_adjoint_gap(twin)
+        assert gap == pytest.approx(_two_copy_gap(op), rel=1e-10)
+        assert gap > 0.1
+
+    def test_weighted_zero_gap_skips_dense_path(self, rng, monkeypatch):
+        # weights 4**k have exact square roots, so M = W^-1/2 H W^1/2 with H
+        # Hermitian whitens back to H exactly and the gap is exactly zero
+        d = 12
+        sw = 2.0 ** rng.integers(-2, 3, d)
+        model = HilbertModel(d, sw**2, "powers of four")
+        cols = (np.arange(d)[:, None] + (-1, 0, 1)) % d
+        h = random_matrix(rng, d, d)
+        h = h + h.conj().T
+        m = np.take_along_axis(h, cols, 1) * sw[cols] / sw[:, None]
+        op = OperatorModel(None, model, model, stencil=(cols, m))
+        assert self_adjoint_gap(_dense_twin(op)) == 0.0
+        assert _two_copy_gap(op) < 1e-12
+        monkeypatch.setattr(OperatorModel, "whitened", None)
+        assert self_adjoint_gap(op) == 0.0
+
+    def test_gap_matches_two_copy_oracle(self):
+        grid = interval_grid(96, -2.0, 3.0)
+        exact = diff_operator(grid, "minus_i_ddx_periodic")
+        assert self_adjoint_gap(exact) == 0.0
+        assert _two_copy_gap(exact) == 0.0
+        real = diff_operator(grid, "ddx_periodic")
+        assert self_adjoint_gap(real) == self_adjoint_gap(_dense_twin(real))
+        assert self_adjoint_gap(real) == pytest.approx(_two_copy_gap(real), rel=1e-10)
+        assert self_adjoint_gap(real) > 1.0
+
+    model = l2_truncation(4)
+    cols = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
+    vals = np.ones((4, 2), dtype=complex)
+
+    @pytest.mark.parametrize("bad_col", [-1, 4])
+    def test_column_out_of_range(self, bad_col):
+        cols = self.cols.copy()
+        cols[2, 1] = bad_col
+        with pytest.raises(InvalidDimension):
+            OperatorModel(None, self.model, self.model, stencil=(cols, self.vals))
+
+    def test_repeated_column_in_a_row(self):
+        cols = self.cols.copy()
+        cols[1] = (2, 2)
+        with pytest.raises(InvalidDimension):
+            OperatorModel(None, self.model, self.model, stencil=(cols, self.vals))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_values_must_be_finite(self, bad):
+        vals = self.vals.copy()
+        vals[0, 1] = bad
+        with pytest.raises(InvalidDimension):
+            OperatorModel(None, self.model, self.model, stencil=(self.cols, vals))
+
+    @pytest.mark.parametrize("cols, vals", [
+        (np.zeros((4, 2), dtype=int), np.ones((4, 3))),
+        (np.zeros((3, 2), dtype=int), np.ones((3, 2))),
+        (np.zeros(4, dtype=int), np.ones(4)),
+        (np.zeros((4, 2)), np.ones((4, 2))),
+    ])
+    def test_shapes_and_types(self, cols, vals):
+        cols = cols + np.arange(cols.shape[-1])  # distinct in each row
+        with pytest.raises(InvalidDimension):
+            OperatorModel(None, self.model, self.model, stencil=(cols, vals))
+
+    @pytest.mark.parametrize("other", [
+        {"matrix": np.eye(4)},
+        {"matrix": None, "factor": (np.ones((4, 1)), np.ones((4, 1)))},
+    ])
+    def test_two_forms_at_once(self, other):
+        with pytest.raises(InvalidDimension):
+            OperatorModel(input_model=self.model, codomain=self.model,
+                          stencil=(self.cols, self.vals), **other)
 
 
 class TestBlockMultiplier:
