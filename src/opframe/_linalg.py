@@ -50,17 +50,32 @@ def hermitize(a):
     return 0.5 * (a + a.conj().T)
 
 
+def gram_factor(mat):
+    """Upper-triangular R with R^H R = mat mat^H, from the thin QR mat^H = Q R.
+
+    mat mat^H does not change when mat is multiplied by i, so a real or a
+    purely imaginary mat is factored in real arithmetic, at about a quarter
+    of the complex cost.
+    """
+    if np.iscomplexobj(mat):
+        if not np.any(mat.imag):
+            mat = mat.real
+        elif not np.any(mat.real):
+            mat = mat.imag
+    return np.linalg.qr(mat.conj().T, mode="r")
+
+
 def _row_reduced(mat):
     """A matrix with the left singular pairs of mat, at most square.
 
-    A wide mat (rows at most half the columns) becomes R^H from the thin QR
-    mat^H = Q R, so mat = R^H Q^H and the SVD runs on m x m; any other mat is
-    returned as is.
+    A wide mat (rows at most half the columns) becomes R^H from
+    ``gram_factor``, so mat = R^H Q^H and the SVD runs on m x m; any other
+    mat is returned as is.
     """
     m, n = mat.shape
     if 2 * m > n:
         return mat
-    return np.linalg.qr(mat.conj().T, mode="r").conj().T
+    return gram_factor(mat).conj().T
 
 
 def orthonormal_range(mat, rank_tol=_RANK_TOL, scale=None):
@@ -80,7 +95,7 @@ def orthonormal_range(mat, rank_tol=_RANK_TOL, scale=None):
     return u[:, :r]
 
 
-def pencil_lower_bound(sqrt_s, b_basis, b_gram, rank_tol=_RANK_TOL):
+def pencil_lower_bound(sqrt_s, b_basis, b_factor, rank_tol=_RANK_TOL):
     """Optimal constants of the pencil (S, B), returned as (alpha, beta).
 
     alpha = inf <S f, f> / <B f, f> over f with <B f, f> != 0, and
@@ -90,45 +105,54 @@ def pencil_lower_bound(sqrt_s, b_basis, b_gram, rank_tol=_RANK_TOL):
     Arguments are given in orthonormal coordinates of the quantifier space V
     (dimension r):
 
-    sqrt_s  : (m, r) array X with S-form = X^H X (a low-rank factor of S|_V)
-    b_basis : (r, q) orthonormal basis of supp(B) inside V
-    b_gram  : (q, q) Hermitian positive-definite Gram of the B-form on supp(B)
+    sqrt_s   : (m, r) array X with S-form = X^H X (a low-rank factor of S|_V)
+    b_basis  : (r, q) orthonormal basis of supp(B) inside V, or None when B
+               has full rank on V (q == r, coordinates of V itself)
+    b_factor : (q, q) invertible triangular (or diagonal) factor L of the
+               B-form's Gram on supp(B), L L^H = Gram; no Gram is formed
 
-    The infimum allows components of f in ker(B); minimizing them out is a
-    Schur complement, realized here in factored form: with f = U c + v,
-    v in ker(B),
+    A tall X (at least twice as many rows as columns) is first row-reduced
+    to the r x r R_x of X = Q R_x (from ``gram_factor``), which keeps
+    ||X f|| for every f.  The infimum allows components of f in ker(B);
+    minimizing them out is a Schur complement, realized here in factored
+    form: with f = U c + v, v in ker(B),
 
         min_v ||X (U c + v)||^2 = || P_T_perp (X U) c ||^2,
 
-    where T is the column space of X restricted to ker(B) (ker(B) = {0}
-    when q == r).  With b_gram = L L^H, alpha is sigma_min(P_T_perp X U L^-H)^2,
-    the smallest squared singular value of the B-scaled projected factor, and
-    0 when that factor has fewer than q rows.  No Gram of X is formed, so
-    alpha keeps its accuracy for ill-conditioned B instead of losing
-    eps * kappa^2 to the normal equations.
+    where T is the column space of X restricted to ker(B), taken from one
+    row reduction of that restriction (ker(B) = {0} when q == r).  alpha is
+    sigma_min(P_T_perp X U L^-H)^2, the smallest squared singular value of
+    the B-scaled projected factor, and 0 when that factor has fewer than q
+    rows.  No Gram of X or of B is formed, so alpha keeps its accuracy for
+    ill-conditioned B instead of losing eps * kappa^2 to the normal
+    equations.
     """
-    q = b_basis.shape[1]
-    if q == 0:
+    if b_basis is not None and b_basis.shape[1] == 0:
         raise ValueError("empty B support")
-    xu = sqrt_s @ b_basis
-    xscale = (
-        float(np.linalg.svd(_row_reduced(sqrt_s), compute_uv=False)[0])
-        if sqrt_s.size
-        else 0.0
-    )
-    if q < b_basis.shape[0]:
-        # X restricted to ker(B) = X (I - U U^H); its column space is T.  The
-        # rank cut is taken relative to X itself: when ker(B) is numerically
-        # trivial this difference is roundoff and must not produce spurious
-        # directions.
-        xk = sqrt_s - xu @ b_basis.conj().T
-        t_basis = orthonormal_range(xk, rank_tol, scale=xscale)
+    x = sqrt_s
+    if x.shape[0] >= 2 * x.shape[1]:
+        x = gram_factor(x.conj().T)
+    if b_basis is None or b_basis.shape[1] == b_basis.shape[0]:
+        xu = x if b_basis is None else x @ b_basis
+        xscale = float(np.linalg.svd(_row_reduced(x), compute_uv=False)[0])
+    else:
+        # X restricted to ker(B) = X (I - U U^H) has the left singular pairs
+        # of its row reduction x_k, so its column space T is that of x_k, and
+        # X X^H = x_k x_k^H + (X U)(X U)^H gives sigma_max(X) from the
+        # narrower of X and [x_k | X U].  The rank cut is taken relative to X
+        # itself: when ker(B) is numerically trivial the restriction is
+        # roundoff and must not produce spurious directions.
+        xu = x @ b_basis
+        x_k = _row_reduced(x - xu @ b_basis.conj().T)
+        stacked = np.concatenate([x_k, xu], axis=1)
+        xscale = float(np.linalg.svd(
+            stacked if stacked.shape[1] < x.shape[1] else x, compute_uv=False)[0])
+        t_basis = orthonormal_range(x_k, rank_tol, scale=xscale)
         if t_basis.shape[1]:
             xu = xu - t_basis @ (t_basis.conj().T @ xu)
-    if xu.shape[0] < q:
+    if xu.shape[0] < xu.shape[1]:
         return 0.0, xscale**2
-    chol = np.linalg.cholesky(hermitize(b_gram))
-    scaled = np.linalg.solve(chol, xu.conj().T).conj().T  # xu L^-H
+    scaled = np.linalg.solve(b_factor, xu.conj().T).conj().T  # xu L^-H
     smin = float(np.linalg.svd(scaled, compute_uv=False)[-1])
     return smin**2, xscale**2
 

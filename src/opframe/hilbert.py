@@ -8,7 +8,9 @@ linear in the first slot.  Continuous spaces are modeled on uniform midpoint
 grids carrying uniform weights h = (interval length) / dim, which keeps the
 discrete orthogonality of sampled exponentials exact.  Domain restrictions
 (Dirichlet conditions, operator domains) are :class:`Subspace` values: a
-matrix of columns orthonormal with respect to the weighted inner product.
+matrix of columns orthonormal with respect to the weighted inner product,
+or, for a coordinate subspace such as the Dirichlet one, just the selected
+indices, whose implied basis e_i / sqrt(w_i) is never stored.
 """
 
 from __future__ import annotations
@@ -99,52 +101,115 @@ def norm(model: HilbertModel, f) -> float:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of a model, stored as a weighted-orthonormal column basis.
+    """A subspace of a model, in one of three forms.
 
-    basis is dim x r with basis^H W basis = I_r.  basis=None denotes the
-    whole ambient space (and keeps large models cheap).
+    basis is dim x r with basis^H W basis = I_r.  index (the selection form)
+    is a strictly increasing array of r coordinates whose implied basis is
+    e_i / sqrt(w_i); coords, project and samples are then slices and
+    scatters, and ``dense`` materializes the basis for the consumers that
+    need a matrix.  With neither, the subspace is the whole ambient space
+    (and keeps large models cheap).
     """
 
     ambient: HilbertModel
-    basis: Optional[np.ndarray]  # None == full space
+    basis: Optional[np.ndarray]  # None == full space or selection form
+    index: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        if self.basis is not None and self.index is not None:
+            raise InvalidDimension("give at most one of basis and index")
         if self.basis is not None:
             b = np.asarray(self.basis, dtype=complex)
             if b.ndim != 2 or b.shape[0] != self.ambient.dim:
                 raise InvalidDimension("basis must be dim x r")
             object.__setattr__(self, "basis", b)
+        if self.index is not None:
+            idx = np.asarray(self.index)
+            if idx.ndim != 1 or (idx.size and not np.issubdtype(idx.dtype, np.integer)):
+                raise InvalidDimension("index must be a 1-d integer array")
+            if idx.size and (idx[0] < 0 or idx[-1] >= self.ambient.dim
+                             or np.any(idx[1:] <= idx[:-1])):
+                raise InvalidDimension(
+                    f"index must be strictly increasing in [0, {self.ambient.dim})"
+                )
+            object.__setattr__(self, "index", idx.astype(np.intp))
 
     @classmethod
     def full(cls, model: HilbertModel) -> "Subspace":
         return cls(model, None)
 
+    @classmethod
+    def selection(cls, model: HilbertModel, index) -> "Subspace":
+        """The span of the coordinate vectors e_i, i in index."""
+        return cls(model, None, index)
+
+    @property
+    def is_full(self) -> bool:
+        return self.basis is None and self.index is None
+
     @property
     def rank(self) -> int:
+        if self.index is not None:
+            return self.index.size
         return self.ambient.dim if self.basis is None else self.basis.shape[1]
+
+    def dense(self) -> Optional[np.ndarray]:
+        """The dim x r basis, None for the whole space; the selection form
+        scatters e_i / sqrt(w_i) into a new array here."""
+        if self.index is None:
+            return self.basis
+        return self._scatter(np.zeros((self.index.size, 0)))
+
+    def _scatter(self, c) -> np.ndarray:
+        """[basis | basis @ c] for the selection form, with no matrix product."""
+        r = self.index.size
+        inv = 1.0 / self.ambient.sqrt_weights[self.index]
+        out = np.zeros((self.ambient.dim, r + c.shape[1]), dtype=complex)
+        out[self.index, np.arange(r)] = inv
+        out[self.index, r:] = inv[:, None] * c
+        return out
 
     def samples(self, rng=None, trials=0):
         """Basis columns plus ``trials`` random members, as ambient vectors."""
+        shape = (self.rank, trials)
+        rand = np.zeros(shape)
+        if trials:
+            rand = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if self.index is not None:
+            return self._scatter(rand)
         basis = self.basis
         if basis is None:
             basis = np.eye(self.ambient.dim, dtype=complex)
-        if not trials:
-            return basis
-        r = basis.shape[1]
-        rand = rng.standard_normal((r, trials)) + 1j * rng.standard_normal((r, trials))
-        return np.concatenate([basis, basis @ rand], axis=1)
+        return np.concatenate([basis, basis @ rand], axis=1) if trials else basis
 
     def coords(self, f):
         """Orthonormal coordinates of the projection of f onto the subspace."""
         f = self._as_columns_or_vector(f)
+        if self.index is not None:
+            sw = self.ambient.sqrt_weights[self.index]
+            return (sw if f.ndim == 1 else sw[:, None]) * f[self.index]
         if self.basis is None:
             return f
         if f.ndim == 1:
             return self.basis.conj().T @ (self.ambient.weights * f)
         return self.basis.conj().T @ (self.ambient.weights[:, None] * f)
 
+    def whitened_coords(self, mat) -> np.ndarray:
+        """Vw^H mat with Vw = W^(1/2) basis: orthonormal coordinates of the
+        columns of mat, given in whitened (plain l2) coordinates.  A row
+        slice for the selection form, mat itself for the whole space."""
+        if self.index is not None:
+            return mat[self.index]
+        if self.basis is None:
+            return mat
+        return (self.ambient.sqrt_weights[:, None] * self.basis).conj().T @ mat
+
     def project(self, f):
         f = self._as_columns_or_vector(f)
+        if self.index is not None:
+            out = np.zeros_like(f)
+            out[self.index] = f[self.index]
+            return out
         if self.basis is None:
             return f
         return self.basis @ self.coords(f)
@@ -160,7 +225,7 @@ class Subspace:
     def violation(self, f) -> float:
         """norm(f - P f), the distance of f from the subspace."""
         f = as_complex_vector(f, self.ambient.dim)
-        if self.basis is None:
+        if self.is_full:
             return 0.0
         return norm(self.ambient, f - self.project(f))
 

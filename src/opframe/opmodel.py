@@ -144,7 +144,7 @@ class OperatorModel:
         """matrix composed with the projection onto the domain."""
         if self.domain is None:
             return self.dense()
-        b = self.domain.basis
+        b = self.domain.dense()
         return self._times(b) @ (b.conj().T * self.input_model.weights[None, :])
 
     def apply(self, f) -> np.ndarray:
@@ -154,10 +154,7 @@ class OperatorModel:
 
     def apply_columns(self, fs) -> np.ndarray:
         fs = np.asarray(fs, dtype=complex)
-        if self.domain is None:
-            return self._times(fs)
-        b = self.domain.basis
-        return self._times(b) @ (b.conj().T @ (self.input_model.weights[:, None] * fs))
+        return self._times(self.domain_subspace.project(fs))
 
     def whitened(self) -> np.ndarray:
         """Effective matrix in whitened coordinates (Hermitian-friendly)."""
@@ -176,9 +173,10 @@ class OperatorModel:
             return u, s
         left, right = self.factor
         if self.domain is not None:
-            # M P_D = L (W B B^H R)^H with P_D = B B^H W the domain projection
-            b = self.domain.basis
-            right = (self.input_model.weights[:, None] * b) @ (b.conj().T @ right)
+            # M P_D = L (P_D^H R)^H with P_D the weighted domain projection,
+            # whose plain adjoint is P_D^H = W P_D W^-1
+            w = self.input_model.weights[:, None]
+            right = w * self.domain.project(right / w)
         q_left, r_left = np.linalg.qr(self.codomain.sqrt_weights[:, None] * left)
         r_right = np.linalg.qr(right / self.input_model.sqrt_weights[:, None], mode="r")
         u, s, _ = np.linalg.svd(r_left @ r_right.conj().T)
@@ -187,10 +185,10 @@ class OperatorModel:
     def domain_whitened(self) -> np.ndarray:
         """Whitened matrix restricted to orthonormal domain coordinates."""
         m = whiten_matrix(self.dense(), self.codomain.weights, self.input_model.weights)
-        dom = self.domain_subspace
-        if dom.basis is None:
+        basis = self.domain_subspace.dense()
+        if basis is None:
             return m
-        return m @ (self.input_model.sqrt_weights[:, None] * dom.basis)
+        return m @ (self.input_model.sqrt_weights[:, None] * basis)
 
 
 def identity_operator(model: HilbertModel, name="identity") -> OperatorModel:
@@ -251,7 +249,7 @@ def _graph_solve(A: OperatorModel, x) -> np.ndarray:
     """
     at = A.domain_whitened()  # dim_out x r
     gram = hermitize(at.conj().T @ at)
-    basis = A.domain_subspace.basis
+    basis = A.domain_subspace.dense()
     if basis is None:
         rhs = (x / A.input_model.sqrt_weights[None, :]).conj().T
     else:
@@ -307,11 +305,11 @@ def self_adjoint_gap(op: OperatorModel) -> float:
             and _stencil_gap_is_zero(op)):
         return 0.0
     kt = op.whitened()
-    v = op.adjoint_domain_subspace
-    if v.basis is None:
+    basis = op.adjoint_domain_subspace.dense()
+    if basis is None:
         gap = kt - kt.conj().T
     else:
-        vw = v.ambient.sqrt_weights[:, None] * v.basis
+        vw = op.codomain.sqrt_weights[:, None] * basis
         gap = kt - (kt.conj().T @ vw) @ vw.conj().T
     if not np.any(gap):
         return 0.0
@@ -343,11 +341,8 @@ def _central_difference(d, h, periodic):
 
 
 def dirichlet_subspace(grid: HilbertModel) -> Subspace:
-    """Vectors vanishing at the first and last grid node."""
-    d = grid.dim
-    basis = np.zeros((d, d - 2), dtype=complex)
-    basis[1:-1, :] = np.diag(1.0 / grid.sqrt_weights[1:-1])
-    return Subspace(grid, basis)
+    """Vectors vanishing at the first and last grid node, as a selection."""
+    return Subspace.selection(grid, np.arange(1, grid.dim - 1))
 
 
 def diff_operator(grid: HilbertModel, variant: str) -> OperatorModel:

@@ -247,7 +247,15 @@ OPERATORS: Dict[str, Callable] = {
         ("diff_ddx_periodic", "ddx_periodic"),
     )
 }
-OPERATORS["identity"] = lambda ctx, params: identity_operator(ctx["seq"].model)
+
+
+def _identity(ctx, params):
+    if "seq" not in ctx:
+        raise InvalidScenario("operator 'identity' needs a construction with a sequence")
+    return identity_operator(ctx["seq"].model)
+
+
+OPERATORS["identity"] = _identity
 
 
 # --------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from ._linalg import (
     _DEGENERATE_TOL,
     _RANK_TOL,
     as_complex_vector,
+    gram_factor,
     hermitize,
     pencil_lower_bound,
 )
@@ -148,27 +149,48 @@ def _operator_bounds(
 
     T = op* with f ranging over ``subspace`` (all of H when None), or the
     graph adjoint op# when ``graph`` is set, whose Gram sigma^2 / (1 + sigma^2)
-    replaces sigma^2.  The support of T comes from the SVD of the whitened
-    operator cut at _RANK_TOL * sigma_0, and the pencil minimizes out ker(T)
-    components of f.  The family is ``kind`` when alpha > frame_tol.
+    replaces sigma^2.  In orthonormal coordinates of the subspace (slices for
+    a selection subspace) the family is the factor X and T is M^H, M the
+    restricted whitened operator.  The rank of T, its singular values above
+    _RANK_TOL * sigma_0, picks the path: at full rank (and not graph) the
+    pencil runs on the triangular R^H of M^H = Q R and no singular vectors
+    are computed; otherwise the SVD of M (``op.whitened_svd()`` for a
+    factored operator over all of H) gives the support of T and the pencil
+    minimizes out ker(T) components of f.  The family is ``kind`` when
+    alpha > frame_tol.
     """
     if op.codomain.dim != seq.model.dim:
         raise InvalidDimension("operator codomain must match the sequence model")
-    x = seq.whitened().conj().T  # N x d; S-form = ||x f~||^2
-    if subspace is None or subspace.basis is None:
+    v = subspace if subspace is not None else Subspace.full(op.codomain)
+    x = v.whitened_coords(seq.whitened()).conj().T  # N x r; S-form = ||x c||^2
+    alpha, beta = pencil_lower_bound(x, *_reference_factor(op, v, graph))
+    return FrameBounds(alpha, beta, kind if alpha > frame_tol else "bessel_only")
+
+
+def _reference_factor(op: OperatorModel, v: Subspace, graph: bool):
+    """(U, L): the support of T in coordinates of v (None for all of v) and
+    a triangular factor L of the Gram of ||T f||^2 there, as the pencil
+    takes them."""
+    if v.is_full and op.factor is not None:
         u, sv = op.whitened_svd()
     else:
-        vw = subspace.ambient.sqrt_weights[:, None] * subspace.basis  # plain l2
-        x = x @ vw
-        u, sv, _ = np.linalg.svd(vw.conj().T @ op.whitened(), full_matrices=False)
+        m = v.whitened_coords(op.whitened())  # r x dim_in; T = M^H
+        if not graph:
+            r_m = gram_factor(m)
+            if _rank(np.linalg.svd(r_m, compute_uv=False)) == v.rank:
+                return None, r_m.conj().T  # ||T f|| = ||R f||
+        u, sv, _ = np.linalg.svd(m, full_matrices=False)
+    q = _rank(sv)
+    if graph:
+        sv = sv / np.sqrt(1.0 + sv**2)
+    return u[:, :q], np.diag(sv[:q])
+
+
+def _rank(sv) -> int:
+    """Singular values above _RANK_TOL * sigma_0; a numerically zero operator raises."""
     if sv.size == 0 or sv[0] <= _DEGENERATE_TOL:
         raise DegenerateOperator("operator is numerically zero")
-    q = int(np.sum(sv > _RANK_TOL * sv[0]))
-    b_gram = sv[:q] ** 2
-    if graph:
-        b_gram = b_gram / (1.0 + b_gram)
-    alpha, beta = pencil_lower_bound(x, u[:, :q], np.diag(b_gram))
-    return FrameBounds(alpha, beta, kind if alpha > frame_tol else "bessel_only")
+    return int(np.sum(sv > _RANK_TOL * sv[0]))
 
 
 def canonical_dual(seq: FrameSequence, frame_tol: float = FRAME_TOL) -> FrameSequence:

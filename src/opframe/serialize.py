@@ -50,10 +50,11 @@ def frame_sequence_from_dict(data: dict) -> FrameSequence:
 
 
 def _basis_payload(sub):
-    if sub is None or sub.basis is None:
+    basis = None if sub is None else sub.dense()
+    if basis is None:
         return None
-    re, im = _matrix_payload(sub.basis)
-    return {"r": sub.basis.shape[1], "re": re, "im": im}
+    re, im = _matrix_payload(basis)
+    return {"r": basis.shape[1], "re": re, "im": im}
 
 
 def _basis_from(payload, model):

@@ -17,6 +17,7 @@ failed *weak* factorization raises.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -43,14 +44,17 @@ FACTORIZATION_TOL = 1e-8
 
 @dataclass(frozen=True)
 class DualSequence:
-    """A constructed companion family, tagged with its producing theorem."""
+    """A constructed companion family, tagged with its producing theorem.
+
+    ``bessel_bound`` is computed on first access and cached; constructing a
+    dual computes no spectrum.
+    """
 
     model: HilbertModel
     vectors: np.ndarray
     producer: str
     certificate_residual: float
     graph_space: bool = False
-    bessel_bound: float = float("nan")
 
     def __post_init__(self):
         if self.producer not in PRODUCERS:
@@ -59,11 +63,14 @@ class DualSequence:
         if v.ndim != 2 or v.shape[0] != self.model.dim:
             raise InvalidDimension("dual vectors must be model.dim x N")
         object.__setattr__(self, "vectors", v)
-        if np.isnan(self.bessel_bound):
-            y = self.model.sqrt_weights[:, None] * v
-            g = hermitize(y.conj().T @ y)
-            top = float(np.linalg.eigvalsh(g)[-1]) if g.size else 0.0
-            object.__setattr__(self, "bessel_bound", top)
+
+    @functools.cached_property
+    def bessel_bound(self) -> float:
+        """The optimal Bessel bound lambda_max of the Gram of the dual."""
+        y = self.whitened()
+        if not y.size:
+            return 0.0
+        return float(np.linalg.eigvalsh(hermitize(y.conj().T @ y))[-1])
 
     @property
     def n_vectors(self) -> int:
@@ -107,10 +114,8 @@ def weak_a_dual(seq: FrameSequence, A: OperatorModel, rcond=1e-10) -> DualSequen
     w = seq.model.weights
     ones = np.ones(seq.n_vectors)
     v = A.adjoint_domain_subspace
-    g_v, a_v = seq.vectors, A.effective_matrix()
-    if v.basis is not None:
-        proj = v.basis @ (v.basis.conj().T * w[None, :])
-        g_v, a_v = proj @ g_v, proj @ a_v
+    # P_V applied to columns: a row mask for a selection subspace
+    g_v, a_v = v.project(seq.vectors), v.project(A.effective_matrix())
     m = pinv_weighted(g_v, w, ones, rcond) @ a_v
     wt = np.sqrt(w)[:, None]
     weak_res = np.linalg.norm(wt * (g_v @ m - a_v))

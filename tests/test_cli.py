@@ -135,6 +135,17 @@ class TestRunCommand:
         assert main(["run", str(f), "--out", str(tmp_path / "r.json")]) == 2
         assert "'diff_minus_i_H1' needs a construction with a grid" in capsys.readouterr().err
 
+    def test_identity_without_sequence_exits_two(self, tmp_path, capsys):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps({
+            "name": "no_seq",
+            "construction": {"name": "parseval_family", "params": {"sizes": [4, 8]}},
+            "operator": {"name": "identity"},
+            "checks": [{"name": "parseval_alpha_deviation", "tolerance": 1.0}],
+        }))
+        assert main(["run", str(f), "--out", str(tmp_path / "r.json")]) == 2
+        assert "'identity' needs a construction with a sequence" in capsys.readouterr().err
+
     def test_diff_operator_on_coarse_grid_exits_two(self, tmp_path, capsys):
         f = tmp_path / "bad.json"
         f.write_text(json.dumps({

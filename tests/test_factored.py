@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from opframe import serialize
 from opframe.errors import InvalidDimension
-from opframe.hilbert import HilbertModel, orthonormalize
-from opframe.opmodel import OperatorModel
+from opframe.hilbert import HilbertModel, interval_grid, orthonormalize
+from opframe.opmodel import OperatorModel, diff_operator
 from opframe.relframes import aframe_bounds_graph, kframe_bounds, range_inclusion
 from opframe.scenarios import reproduce
 from opframe.seqops import FrameSequence
@@ -156,6 +156,20 @@ def test_stencil_scenarios_stay_small(name):
         tracemalloc.stop()
     assert report.all_passed
     assert peak < 16 * 2**20
+
+
+def test_dirichlet_operator_stays_small():
+    """The interval operators hold their Dirichlet subspace as an index
+    selection: a dense d x (d - 2) basis alone would take 256 MB at d = 4096."""
+    diff_operator(interval_grid(64), "minus_i_ddx_H1")  # finish lazy imports
+    tracemalloc.start()
+    try:
+        op = diff_operator(interval_grid(4096), "minus_i_ddx_H1")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert op.adjoint_domain.rank == 4094
+    assert peak < 2**20
 
 
 class TestBoundaryValidation:

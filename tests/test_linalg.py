@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from opframe._linalg import max_column_gap, orthonormal_range, pencil_lower_bound
-from opframe.hilbert import HilbertModel
+from opframe.hilbert import HilbertModel, orthonormalize
 from opframe.opmodel import OperatorModel, identity_operator
 from opframe.relframes import kframe_bounds
 from opframe.scenarios import CHECKS
 from opframe.seqops import FrameSequence
+from opframe.weakframes import weak_aframe_bound
 
 from conftest import random_matrix, random_weighted_model
 
@@ -44,22 +47,28 @@ def _unitary(rng, d):
     return q
 
 
-def _extended_alpha(seq, K):
-    """min ||X f||^2 / ||K~^H f||^2 as a clongdouble Rayleigh quotient.
+def _extended_alpha(seq, K, basis=None):
+    """min ||X f||^2 / ||T f||^2 as a clongdouble Rayleigh quotient.
 
-    X = G~^H and K~ are the whitened family and operator, formed from the
-    model data in extended precision.  The minimizer f = K~^-H v, with v the
-    last right singular vector of X K~^-H, comes from float64; the quotient
-    is second order in the error of f, so it is accurate far below the
-    eps * kappa^2 that the normal equations lose.
+    X = G~^H and T = K~^H are the whitened family and adjoint operator,
+    formed from the model data in extended precision and restricted to the
+    weighted-orthonormal ``basis`` when one is given.  The minimizer
+    f = R^-1 v, with T = Q R and v the last right singular vector of X R^-1,
+    comes from float64; the quotient is second order in the error of f, so
+    it is accurate far below the eps * kappa^2 that the normal equations
+    lose.
     """
     ld = np.clongdouble
     sw = np.sqrt(seq.model.weights.astype(np.longdouble))
     x = (sw[:, None] * seq.vectors.astype(ld)).conj().T
     t = ((sw[:, None] * K.matrix.astype(ld)) / sw[None, :]).conj().T
-    x64, t64 = x.astype(complex), t.astype(complex)
-    _, _, vh = np.linalg.svd(np.linalg.solve(t64.T, x64.T).T)  # X T^-1
-    f = np.linalg.solve(t64, vh[-1].conj()).astype(ld)
+    if basis is not None:
+        vw = sw[:, None] * basis.astype(ld)
+        x, t = x @ vw, t @ vw
+    x64 = x.astype(complex)
+    r64 = np.linalg.qr(t.astype(complex), mode="r")
+    _, _, vh = np.linalg.svd(np.linalg.solve(r64.T, x64.T).T)  # X R^-1
+    f = np.linalg.solve(r64, vh[-1].conj()).astype(ld)
     return np.sum(np.abs(x @ f) ** 2) / np.sum(np.abs(t @ f) ** 2)
 
 
@@ -76,6 +85,12 @@ def test_kframe_alpha_matches_extended_precision_oracle(kappa, seed):
     seq = FrameSequence(model, random_matrix(rng, d, d + 5))
     oracle = _extended_alpha(seq, K)
     alpha = kframe_bounds(seq, K).alpha
+    assert float(abs(alpha - oracle) / oracle) <= 1e-10
+    # the weak bound over a declared adjoint domain on which K* is injective,
+    # so the pencil runs on the triangular factor of the restricted operator
+    v = orthonormalize(random_matrix(rng, d, d - 3), model)
+    oracle = _extended_alpha(seq, K, v.basis)
+    alpha = weak_aframe_bound(seq, dataclasses.replace(K, adjoint_domain=v)).alpha
     assert float(abs(alpha - oracle) / oracle) <= 1e-10
 
 

@@ -345,3 +345,40 @@ class TestTheoremTriangle:
             ratios = 1.0 / ns**2
             # pencil minimum over f: diagonal case is explicit
             assert ratios.min() == pytest.approx(1.0 / n**2)
+
+
+class TestKernelCounts:
+    """What the solvers ask LAPACK for, counted by wrapping numpy.linalg;
+    unlike timings, the counts are the same on every machine."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = []
+        original = getattr(np.linalg, name)
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    def test_weak_bound_on_exm1_operator_computes_no_singular_vectors(self, monkeypatch):
+        # exm1 at d = 64: ker(A*) on the Dirichlet subspace is {0}, so the
+        # pencil runs on triangular factors and needs singular values only
+        grid = interval_grid(64)
+        seq = exponential_system(0.5, 64, grid, derivative=True)
+        A = diff_operator(grid, "minus_i_ddx_H1")
+        calls = self._count(monkeypatch, "svd")
+        assert weak_aframe_bound(seq, A).kind == "weak_a_frame"
+        assert calls
+        assert all(kw.get("compute_uv") is False for kw in calls)
+
+    def test_constructing_a_dual_computes_no_spectrum(self, monkeypatch, rng):
+        m = l2_truncation(8)
+        calls = self._count(monkeypatch, "eigvalsh")
+        dual = user_dual(m, random_matrix(rng, 8, 12))
+        assert not calls
+        top = dual.bessel_bound
+        assert len(calls) == 1 and top > 0.0
+        assert dual.bessel_bound == top and len(calls) == 1  # cached
