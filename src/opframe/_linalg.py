@@ -33,11 +33,13 @@ def whiten_matrix(matrix, w_out, w_in):
 def pinv_weighted(matrix, w_out, w_in, rcond=1e-10):
     """Moore-Penrose inverse of M with respect to the weighted inner products.
 
-    Computed through the SVD of the whitened matrix; singular values below
-    rcond * sigma_max are treated as zero.
+    V S^-1 U^H from ``thin_svd`` of the whitened matrix, keeping singular
+    values above rcond * sigma_max as numpy.linalg.pinv does; an all-zero M
+    gives the zero matrix.
     """
-    mt = whiten_matrix(matrix, w_out, w_in)
-    pt = np.linalg.pinv(mt, rcond=rcond)
+    u, s, vh = thin_svd(whiten_matrix(matrix, w_out, w_in))
+    p = rank_cut(s, rcond)
+    pt = vh[:p].conj().T @ (u[:, :p].conj().T / s[:p, None])
     return (pt / np.sqrt(w_in)[:, None]) * np.sqrt(w_out)[None, :]
 
 
@@ -50,32 +52,52 @@ def hermitize(a):
     return 0.5 * (a + a.conj().T)
 
 
-def gram_factor(mat):
-    """Upper-triangular R with R^H R = mat mat^H, from the thin QR mat^H = Q R.
+def _real_form(mat):
+    """(b, phase) with mat = phase * b and b real when mat is real or purely
+    imaginary, so a QR of b runs in real arithmetic at a quarter of the cost."""
+    if np.iscomplexobj(mat) and not np.any(mat.imag):
+        return mat.real, 1.0
+    if np.iscomplexobj(mat) and not np.any(mat.real):
+        return mat.imag, 1j
+    return mat, 1.0
 
-    mat mat^H does not change when mat is multiplied by i, so a real or a
-    purely imaginary mat is factored in real arithmetic, at about a quarter
-    of the complex cost.
-    """
-    if np.iscomplexobj(mat):
-        if not np.any(mat.imag):
-            mat = mat.real
-        elif not np.any(mat.real):
-            mat = mat.imag
-    return np.linalg.qr(mat.conj().T, mode="r")
+
+def gram_factor(mat):
+    """Upper-triangular R with R^H R = mat mat^H, from the thin QR mat^H = Q R
+    (in real arithmetic for a real or purely imaginary mat)."""
+    return np.linalg.qr(_real_form(mat)[0].conj().T, mode="r")
+
+
+def _is_wide(mat):
+    """The row-reduction rule: mat has at most half as many rows as columns."""
+    return 2 * mat.shape[0] <= mat.shape[1]
 
 
 def _row_reduced(mat):
-    """A matrix with the left singular pairs of mat, at most square.
+    """mat, or for a wide mat the m x m R^H of ``gram_factor`` (mat = R^H Q^H),
+    which has the same left singular pairs."""
+    return gram_factor(mat).conj().T if _is_wide(mat) else mat
 
-    A wide mat (rows at most half the columns) becomes R^H from
-    ``gram_factor``, so mat = R^H Q^H and the SVD runs on m x m; any other
-    mat is returned as is.
+
+def thin_svd(mat):
+    """(U, s, V^H) with mat = U diag(s) V^H, s descending: the one SVD with
+    vectors behind ``orthonormal_range`` and ``pinv_weighted``.
+
+    A wide mat is row-reduced: with mat^H = Q R (R bit for bit that of
+    ``gram_factor``) the SVD runs on R^H = U diag(s) W^H, and V^H = W^H Q^H.
     """
-    m, n = mat.shape
-    if 2 * m > n:
-        return mat
-    return gram_factor(mat).conj().T
+    if not _is_wide(mat):
+        return np.linalg.svd(mat, full_matrices=False)
+    b, phase = _real_form(mat)
+    q, r = np.linalg.qr(b.conj().T)
+    u, s, wh = np.linalg.svd(r.conj().T, full_matrices=False)
+    return u, s, phase * (wh @ q.conj().T)
+
+
+def rank_cut(s, tol, scale=None):
+    """How many of the descending singular values s exceed tol * scale, with
+    scale defaulting to s[0]."""
+    return int(np.sum(s > tol * (s[0] if scale is None else scale))) if s.size else 0
 
 
 def orthonormal_range(mat, rank_tol=_RANK_TOL, scale=None):
@@ -85,14 +107,8 @@ def orthonormal_range(mat, rank_tol=_RANK_TOL, scale=None):
     Pass an external scale when mat itself may be numerical noise (e.g. a
     residual that is exactly zero in exact arithmetic).
     """
-    if mat.size == 0:
-        return np.zeros((mat.shape[0], 0), dtype=complex)
-    u, s, _ = np.linalg.svd(_row_reduced(mat), full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((mat.shape[0], 0), dtype=complex)
-    cut = rank_tol * (float(s[0]) if scale is None else float(scale))
-    r = int(np.sum(s > cut))
-    return u[:, :r]
+    u, s, _ = thin_svd(mat)
+    return u[:, :rank_cut(s, rank_tol, scale)]
 
 
 def pencil_lower_bound(sqrt_s, b_basis, b_factor, rank_tol=_RANK_TOL):

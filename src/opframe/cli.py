@@ -20,7 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import InvalidScenario, OpframeError
+from .errors import InvalidScenario
 from .scenarios import (
     CHECKS,
     CONSTRUCTIONS,
@@ -139,10 +139,7 @@ def main(argv=None) -> int:
     except InvalidScenario as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    except OpframeError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
+    except Exception as exc:  # noqa: BLE001 - CLI boundary, OpframeError included
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -247,12 +247,8 @@ def pw_closed_form_gaps(psi: FrameSequence, grid: HilbertModel):
     psi0 = psi.column(0)
     w = grid.weights
     scale = np.sqrt(np.sum(w * np.abs(psi0) ** 2))
-    return {
-        "sinc_half": float(
-            np.sqrt(np.sum(w * np.abs(psi0 - sinc_half) ** 2)) / scale
-        ),
-        "sinc_4x": float(np.sqrt(np.sum(w * np.abs(psi0 - sinc_4x) ** 2)) / scale),
-    }
+    return {name: float(np.sqrt(np.sum(w * np.abs(psi0 - ref) ** 2)) / scale)
+            for name, ref in (("sinc_half", sinc_half), ("sinc_4x", sinc_4x))}
 
 
 def difference_sequence(d: int) -> FrameSequence:

@@ -43,7 +43,7 @@ class FactorizationFailed(OpframeError):
 
 
 class NotSurjective(OpframeError):
-    """Raised when an operation requires a surjective operator and sigma_min is ~ 0."""
+    """Raised when a surjective operator is required and sigma_min / sigma_max ~ 0."""
 
 
 class NotBiorthogonal(OpframeError):

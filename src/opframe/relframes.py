@@ -19,11 +19,13 @@ import numpy as np
 
 from ._linalg import (
     _DEGENERATE_TOL,
+    _RANK_TOL,
     adjoint_matrix,
     max_column_gap,
-    orthonormal_range,
     pencil_lower_bound,  # noqa: F401 - an import site perfbench's tracer tests wrap
-    pinv_weighted,
+    rank_cut,
+    thin_svd,
+    whiten_matrix,
 )
 from .errors import DegenerateOperator, InvalidDimension, RangeNotIncluded
 from .hilbert import Subspace
@@ -43,31 +45,44 @@ def kframe_bounds(
 
 
 def range_inclusion(K: OperatorModel, seq: FrameSequence, tol: float = RANGE_TOL):
-    """Project the columns of K onto the range of the synthesis operator.
+    """Project the columns of K onto the range of the synthesis operator D.
 
     Returns (included, residual) with residual the maximum relative
-    projection gap over nonzero columns.
+    projection gap over nonzero columns.  The range basis is the left
+    singular vectors of the whitened D above 1e-12 sigma_max, from the same
+    ``thin_svd`` that ``k_dual`` and ``a_dual_graph`` read D+ from.
     """
-    if K.codomain.dim != seq.model.dim:
-        raise InvalidDimension("operator codomain must match the sequence model")
-    kt = K.whitened()
-    u = orthonormal_range(seq.whitened())
-    proj = u @ (u.conj().T @ kt)
-    residual = max_column_gap(proj, kt, np.ones(kt.shape[0]))
+    residual, _ = _coefficient_factor(seq, K)
     return residual <= tol, residual
 
 
-def _coefficient_factor(seq: FrameSequence, K: OperatorModel, rcond, tol) -> np.ndarray:
-    """M = D+ K (N x dim_in), so that K = D M once R(K) lies in R(D)."""
-    included, residual = range_inclusion(K, seq, tol)
-    if np.linalg.norm(K.whitened()) <= _DEGENERATE_TOL:
+def _coefficient_factor(seq: FrameSequence, K: OperatorModel, rcond=None, tol=RANGE_TOL):
+    """(residual, M) from one SVD D~ = U S V^H of the whitened synthesis matrix.
+
+    By Douglas' lemma R(K) lies in R(D) exactly when K = D M for some M;
+    M = D+ K (N x dim_in) is the minimum-norm one.  residual is the gap of
+    K~ (K whitened with the sequence weights) to its projection on U above
+    _RANK_TOL sigma_max.  Given rcond, M = V S^-1 U^H K~ W_in^(1/2) above
+    rcond sigma_max, without forming D+; otherwise M is None.
+    """
+    if K.codomain.dim != seq.model.dim:
+        raise InvalidDimension("operator codomain must match the sequence model")
+    w_in = K.input_model.weights
+    kt = whiten_matrix(K.effective_matrix(), seq.model.weights, w_in)
+    u, s, vh = thin_svd(seq.whitened())
+    r = rank_cut(s, _RANK_TOL)
+    p = r if rcond is None else rank_cut(s, rcond)
+    c = u[:, :max(r, p)].conj().T @ kt
+    residual = max_column_gap(u[:, :r] @ c[:r], kt, np.ones(kt.shape[0]))
+    if rcond is None:
+        return residual, None
+    if np.linalg.norm(kt) <= _DEGENERATE_TOL:
         raise DegenerateOperator("operator is numerically zero")
-    if not included:
+    if residual > tol:
         raise RangeNotIncluded(
             f"R(K) is not contained in R(D): projection residual {residual:.3e}"
         )
-    ones = np.ones(seq.n_vectors)
-    return pinv_weighted(seq.vectors, seq.model.weights, ones, rcond) @ K.effective_matrix()
+    return residual, (vh[:p].conj().T @ (c[:p] / s[:p, None])) * np.sqrt(w_in)[None, :]
 
 
 def _expansion_certificate(seq, K, k_vecs, sub: Subspace, graph=False) -> float:
@@ -85,8 +100,12 @@ def _expansion_certificate(seq, K, k_vecs, sub: Subspace, graph=False) -> float:
 def k_dual(
     seq: FrameSequence, K: OperatorModel, rcond: float = 1e-10, tol: float = RANGE_TOL
 ) -> DualSequence:
-    """Minimum-norm K-dual {k_n} = {M* e_n} with M = D+ K (so K = D M)."""
-    m = _coefficient_factor(seq, K, rcond, tol)  # N x dim_J
+    """Minimum-norm K-dual {k_n} = {M* e_n} with M = D+ K (so K = D M).
+
+    One thin SVD of D decides R(K) in R(D) (cut 1e-12 sigma_max, residual
+    at most tol) and gives D+ K (cut rcond sigma_max) without forming D+.
+    """
+    _, m = _coefficient_factor(seq, K, rcond, tol)  # N x dim_J
     J = K.input_model
     k_vecs = adjoint_matrix(m, np.ones(seq.n_vectors), J.weights)  # dim_J x N
     cert = _expansion_certificate(seq, K, k_vecs, Subspace.full(J))
@@ -111,9 +130,10 @@ def a_dual_graph(
 ) -> DualSequence:
     """Graph-space dual {k_n} with A f = sum_n inner(f, k_n)_A g_n on D(A).
 
-    M = D+ A on the domain; k_n is the graph-space representer of
+    M = D+ A on the domain, from the one SVD of D that also decides
+    R(A) in R(D), as in ``k_dual``; k_n is the graph-space representer of
     f -> (M f)_n, which realizes the adjoint of M into the graph space.
     """
-    k_vecs = _graph_solve(A, _coefficient_factor(seq, A, rcond, tol))
+    k_vecs = _graph_solve(A, _coefficient_factor(seq, A, rcond, tol)[1])
     cert = _expansion_certificate(seq, A, k_vecs, A.domain_subspace, graph=True)
     return DualSequence(seq.model, k_vecs, "k_dual_thm", cert, graph_space=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 import time
 from dataclasses import dataclass, field
 from importlib import resources
@@ -317,14 +318,10 @@ def exm1_decomposition_error(b: float, label_range: int, grid: HilbertModel) -> 
 
 
 def _chk_weak_duality_residual(ctx, params, rng):
-    grid = ctx["grid"]
-    p = ctx["params"]
-    b = float(p.get("b", 1.0))
-    label_range = int(p.get("label_range", 40))
-    A = ctx["op"]
+    p, grid = ctx["params"], ctx["grid"]
+    dual = exm1_scaled_dual(float(p.get("b", 1.0)), int(p.get("label_range", 40)), grid)
     hs, us = exm1_probe_functions(grid)
-    dual = exm1_scaled_dual(b, label_range, grid)
-    return verify_weak_duality(ctx["seq"], dual, A, hs=hs, us=us)
+    return verify_weak_duality(ctx["seq"], dual, ctx["op"], hs=hs, us=us)
 
 
 def _chk_adjoint_decomposition_error(ctx, params, rng):
@@ -592,12 +589,7 @@ class ScenarioReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _passes(direction: str, value: float, tol: float) -> bool:
-    if direction == "le":
-        return bool(value <= tol)
-    if direction == "ge":
-        return bool(value >= tol)
-    return bool(value < tol)
+_PASSES = {"le": operator.le, "ge": operator.ge, "lt": operator.lt}
 
 
 def run_scenario(
@@ -621,7 +613,7 @@ def run_scenario(
         tol = float(chk["tolerance"]) * tol_scale
         value = float(fn(ctx, chk.get("params", {}), rng))
         results.append(
-            CheckResult(chk["name"], value, tol, direction, _passes(direction, value, tol))
+            CheckResult(chk["name"], value, tol, direction, _PASSES[direction](value, tol))
         )
     bounds = {
         key: {"alpha": fb.alpha, "beta": fb.beta, "kind": fb.kind}
@@ -648,17 +640,6 @@ def run_scenario(
 # bundled scenarios
 # --------------------------------------------------------------------------
 
-REPRODUCE_NAMES = (
-    "pw_quarter",
-    "exm1",
-    "exm2",
-    "wavelet",
-    "not_frame",
-    "difference",
-    "multiplier",
-    "parseval_trajectory",
-)
-
 _BUNDLED_FILES = {
     "pw_quarter": "pw_quarter.json",
     "exm1": "exm1_weak_dual.json",
@@ -669,6 +650,7 @@ _BUNDLED_FILES = {
     "multiplier": "multiplier.json",
     "parseval_trajectory": "parseval_trajectory.json",
 }
+REPRODUCE_NAMES = tuple(_BUNDLED_FILES)
 
 
 def load_bundled(name: str) -> dict:

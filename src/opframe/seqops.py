@@ -55,13 +55,10 @@ class FrameSequence:
         if not np.any(norms > 0.0):
             raise InvalidDimension("all sequence columns are zero")
         object.__setattr__(self, "vectors", v)
-        labels = self.index_labels
-        if labels is None:
-            labels = tuple(range(v.shape[1]))
-        else:
-            labels = tuple(int(k) for k in labels)
-            if len(labels) != v.shape[1]:
-                raise InvalidDimension("index_labels length must equal N")
+        labels = range(v.shape[1]) if self.index_labels is None else self.index_labels
+        labels = tuple(int(k) for k in labels)
+        if len(labels) != v.shape[1]:
+            raise InvalidDimension("index_labels length must equal N")
         object.__setattr__(self, "index_labels", labels)
 
     @property

@@ -3,7 +3,8 @@
 FrameSequence: {"dim", "N", "weights", "labels", "re", "im"} with the matrix
 flattened row-major.  OperatorModel mirrors that layout plus
 {"domain_basis", "codomain_dim", "codomain_weights", "adjoint_domain_basis",
-"name"}.  DualSequence adds {"producer", "certificate_residual"}.
+"name"}.  DualSequence adds {"producer", "certificate_residual"}, null for
+an uncertified (NaN) certificate.  ``dumps`` writes strict JSON.
 """
 
 from __future__ import annotations
@@ -31,22 +32,23 @@ def _matrix_from(payload_re, payload_im, rows, cols):
     return (re + 1j * im).reshape(rows, cols)
 
 
+def _family_to_dict(model: HilbertModel, vectors: np.ndarray, labels) -> dict:
+    re, im = _matrix_payload(vectors)
+    return {"dim": model.dim, "N": vectors.shape[1], "weights": list(map(float, model.weights)),
+            "labels": list(labels), "re": re, "im": im}
+
+
+def _family_from(data: dict):
+    model = HilbertModel(int(data["dim"]), data["weights"], "deserialized")
+    return model, _matrix_from(data["re"], data["im"], model.dim, int(data["N"]))
+
+
 def frame_sequence_to_dict(seq: FrameSequence) -> dict:
-    re, im = _matrix_payload(seq.vectors)
-    return {
-        "dim": seq.model.dim,
-        "N": seq.n_vectors,
-        "weights": list(map(float, seq.model.weights)),
-        "labels": list(seq.index_labels),
-        "re": re,
-        "im": im,
-    }
+    return _family_to_dict(seq.model, seq.vectors, seq.index_labels)
 
 
 def frame_sequence_from_dict(data: dict) -> FrameSequence:
-    model = HilbertModel(int(data["dim"]), data["weights"], "deserialized")
-    vectors = _matrix_from(data["re"], data["im"], model.dim, int(data["N"]))
-    return FrameSequence(model, vectors, data["labels"])
+    return FrameSequence(*_family_from(data), data["labels"])
 
 
 def _basis_payload(sub):
@@ -96,25 +98,15 @@ def operator_from_dict(data: dict) -> OperatorModel:
 
 
 def dual_sequence_to_dict(dual: DualSequence) -> dict:
-    re, im = _matrix_payload(dual.vectors)
-    return {
-        "dim": dual.model.dim,
-        "N": dual.n_vectors,
-        "weights": list(map(float, dual.model.weights)),
-        "labels": list(range(dual.n_vectors)),
-        "re": re,
-        "im": im,
-        "producer": dual.producer,
-        "certificate_residual": float(dual.certificate_residual),
-    }
+    cert = float(dual.certificate_residual)
+    return dict(_family_to_dict(dual.model, dual.vectors, range(dual.n_vectors)),
+                producer=dual.producer, certificate_residual=None if np.isnan(cert) else cert)
 
 
 def dual_sequence_from_dict(data: dict) -> DualSequence:
-    model = HilbertModel(int(data["dim"]), data["weights"], "deserialized")
-    vectors = _matrix_from(data["re"], data["im"], model.dim, int(data["N"]))
-    return DualSequence(
-        model, vectors, data["producer"], float(data["certificate_residual"])
-    )
+    cert = data["certificate_residual"]
+    return DualSequence(*_family_from(data), data["producer"],
+                        float("nan") if cert is None else float(cert))
 
 
 def dumps(obj, kind: str) -> str:
@@ -123,7 +115,7 @@ def dumps(obj, kind: str) -> str:
         "operator": operator_to_dict,
         "dual_sequence": dual_sequence_to_dict,
     }[kind]
-    return json.dumps(encoder(obj), sort_keys=True)
+    return json.dumps(encoder(obj), sort_keys=True, allow_nan=False)
 
 
 def loads(text: str, kind: str):

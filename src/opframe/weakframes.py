@@ -152,10 +152,7 @@ def verify_weak_duality(
                      (||Ah|| ||u|| + eps)
     """
     rng = np.random.default_rng(seed)
-    if hs is None:
-        hs = A.domain_subspace.samples(rng, trials)
-    else:
-        hs = np.asarray(hs, dtype=complex)
+    hs = A.domain_subspace.samples(rng, trials) if hs is None else np.asarray(hs, dtype=complex)
     if us is None:
         us = A.adjoint_domain_subspace.samples(rng, trials)
     else:
@@ -190,15 +187,17 @@ def adjoint_decomposition(seq: FrameSequence, dual: DualSequence, A: OperatorMod
 def interchange_dual(
     seq: FrameSequence, dual: DualSequence, A: OperatorModel, sigma_tol: float = 1e-8
 ) -> DualSequence:
-    """h_n = (A+)* t_n; reconstructs every u in D(A*) when A is surjective."""
+    """h_n = (A+)* t_n; reconstructs every u in D(A*) when A is surjective,
+    which fails (NotSurjective) when sigma_min <= sigma_tol * sigma_max."""
     if A.codomain.dim != seq.model.dim or A.input_model.dim != seq.model.dim:
         raise InvalidDimension("interchange dual expects an endomorphism model")
     at = A.domain_whitened()
     sv = np.linalg.svd(at, compute_uv=False)
-    if at.shape[1] < at.shape[0] or sv.size == 0 or sv[-1] <= sigma_tol:
+    smin, smax = (sv[-1], sv[0]) if sv.size else (0.0, 0.0)
+    if at.shape[1] < at.shape[0] or smin <= sigma_tol * smax:
         raise NotSurjective(
             "operator is not surjective onto the codomain "
-            f"(sigma_min={sv[-1] if sv.size else 0.0:.3e})"
+            f"(sigma_min={smin:.3e}, sigma_max={smax:.3e})"
         )
     h_map = adjoint(pseudo_inverse(A))
     h = h_map.dense() @ dual.vectors

@@ -10,6 +10,26 @@ def rng():
     return np.random.default_rng(12345)
 
 
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """count(name) wraps numpy.linalg.<name> for the test and returns the
+    list of (args, kwargs) of its calls.  What a solver asks LAPACK for is
+    the same on every machine, unlike its timings."""
+
+    def count(name):
+        calls = []
+        original = getattr(np.linalg, name)
+
+        def counted(*args, **kwargs):
+            calls.append((args, kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    return count
+
+
 def random_vector(rng, dim):
     return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 

@@ -2,11 +2,19 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from opframe._linalg import max_column_gap, orthonormal_range, pencil_lower_bound
-from opframe.hilbert import HilbertModel, orthonormalize
+from opframe._linalg import (
+    max_column_gap,
+    orthonormal_range,
+    pencil_lower_bound,
+    pinv_weighted,
+    thin_svd,
+)
+from opframe.hilbert import HilbertModel, l2_truncation, orthonormalize
 from opframe.opmodel import OperatorModel, identity_operator
-from opframe.relframes import kframe_bounds
+from opframe.relframes import k_dual, kframe_bounds, range_inclusion
 from opframe.scenarios import CHECKS
 from opframe.seqops import FrameSequence
 from opframe.weakframes import weak_aframe_bound
@@ -113,3 +121,55 @@ def test_wide_factor_range_matches_direct_svd():
     alpha, beta = pencil_lower_bound(x, u, np.diag(1.0 + rng.random(q)))
     assert alpha == 0.0
     assert beta == pytest.approx(scale**2, rel=1e-12)
+
+
+def _rel(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(4, 32), wide=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_range_and_pinv_cuts_from_one_svd(d, wide, seed):
+    """One thin SVD of the whitened D, two cuts: a singular value planted at
+    1e-11 sigma_0 is kept by the range basis (cut 1e-12 sigma_0) and dropped
+    by the pseudo-inverse (cut 1e-10 sigma_0).  D is tall (N = d/2) or wide
+    (N >= 2d, so the SVD runs on the row-reduced R^H)."""
+    rng = np.random.default_rng(seed)
+    model = random_weighted_model(rng, d)
+    sw = model.sqrt_weights
+    n = 2 * d + int(rng.integers(0, 8)) if wide else d // 2
+    k = min(d, n)
+    u, _ = np.linalg.qr(random_matrix(rng, d, k))
+    v, _ = np.linalg.qr(random_matrix(rng, n, k))
+    s = np.geomspace(1.0, 0.1, k)
+    s[-1] = 1e-11
+    y = (u * s) @ v.conj().T  # the whitened synthesis matrix
+    seq = FrameSequence(model, y / sw[:, None])
+
+    for mat in (y, y.real, 1j * y.real):
+        uu, ss, vh = thin_svd(mat)
+        assert _rel((uu * ss) @ vh, mat) <= 1e-12
+        assert np.linalg.norm(vh @ vh.conj().T - np.eye(vh.shape[0])) <= 1e-12
+
+    # For a wide D, K spans every direction of R(D) = C^d, the planted one
+    # included.  For a tall D the planted left singular vector is only known
+    # to eps / 1e-11 (its gap to the null space is its own singular value),
+    # so K stays on the other ones; D+ K then shows whether the planted one
+    # was dropped, since keeping it would amplify that error 1e11 times.
+    q = int(rng.integers(1, 5))
+    kt = u[:, : k if wide else k - 1] @ random_matrix(rng, k if wide else k - 1, q)
+    K = OperatorModel(kt / sw[:, None], l2_truncation(q), model)
+    basis = orthonormal_range(seq.whitened())
+    assert basis.shape[1] == k
+    for target in (kt, kt + random_matrix(rng, d, q)):
+        op = OperatorModel(target / sw[:, None], K.input_model, model)
+        oracle = max_column_gap(basis @ (basis.conj().T @ target), target, np.ones(d))
+        assert abs(range_inclusion(op, seq)[1] - oracle) <= 1e-10 * max(oracle, 1.0)
+
+    # K = D M with the minimum-norm M = D+ K; the dual vectors are M^H
+    m = k_dual(seq, K).vectors.conj().T
+    assert _rel(m, np.linalg.pinv(y, rcond=1e-10) @ kt) <= 1e-10
+    pinv = pinv_weighted(seq.vectors, model.weights, np.ones(n))
+    assert _rel(pinv, np.linalg.pinv(y, rcond=1e-10) * sw[None, :]) <= 1e-10
+    zero = pinv_weighted(np.zeros((d, n)), model.weights, np.ones(n))
+    assert zero.shape == (n, d) and not np.any(zero)

@@ -308,3 +308,28 @@ class TestEquivalence:
             else:
                 with pytest.raises((RangeNotIncluded, DegenerateOperator)):
                     k_dual(seq, K)
+
+
+class TestKernelCounts:
+    """A dual factors the synthesis matrix once: one SVD of the whitened D
+    gives both the range-inclusion test and D+ K, and no numpy.linalg.pinv
+    runs."""
+
+    def test_k_dual_factors_synthesis_matrix_once(self, rng, linalg_calls):
+        J = l2_truncation(4)
+        seq = random_frame(rng, 6, 9)
+        K = OperatorModel(random_matrix(rng, 6, 4), J, seq.model)
+        svd, pinv = linalg_calls("svd"), linalg_calls("pinv")
+        assert k_dual(seq, K).certificate_residual <= 1e-9
+        assert not pinv
+        assert len(svd) == 1
+        assert np.array_equal(svd[0][0][0], seq.whitened())
+
+    def test_a_dual_graph_factors_synthesis_matrix_once(self, rng, linalg_calls):
+        seq = random_frame(rng, 8, 12)
+        A = OperatorModel(random_matrix(rng, 8, 8), seq.model, seq.model)
+        svd, pinv = linalg_calls("svd"), linalg_calls("pinv")
+        assert a_dual_graph(seq, A).certificate_residual <= 1e-9
+        assert not pinv
+        assert len(svd) == 1
+        assert np.array_equal(svd[0][0][0], seq.whitened())

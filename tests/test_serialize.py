@@ -83,3 +83,26 @@ def test_loads_inverts_dumps(rng):
     seq = FrameSequence(l2_truncation(3), random_matrix(rng, 3, 4))
     back = loads(dumps(seq, "frame_sequence"), "frame_sequence")
     np.testing.assert_allclose(back.vectors, seq.vectors)
+
+
+def _strict(text):
+    """json.loads that rejects the NaN and Infinity tokens JSON does not have."""
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_uncertified_dual_is_strict_json_and_round_trips(rng):
+    dual = user_dual(l2_truncation(3), random_matrix(rng, 3, 4))  # NaN certificate
+    text = dumps(dual, "dual_sequence")
+    assert _strict(text)["certificate_residual"] is None
+    back = loads(text, "dual_sequence")
+    assert np.isnan(back.certificate_residual)
+    np.testing.assert_array_equal(back.vectors, dual.vectors)
+    # a finite certificate is written as before and survives exactly
+    certified = user_dual(dual.model, dual.vectors, certificate_residual=1.5e-9)
+    text = dumps(certified, "dual_sequence")
+    assert _strict(text)["certificate_residual"] == 1.5e-9
+    assert loads(text, "dual_sequence").certificate_residual == 1.5e-9
