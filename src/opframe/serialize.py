@@ -1,15 +1,21 @@
-"""Binary-free JSON serialization for sequences, operators, and duals.
+"""Strict-JSON serialization for sequences, operators, and duals.
 
-FrameSequence: {"dim", "N", "weights", "labels", "re", "im"} with the matrix
-flattened row-major.  OperatorModel mirrors that layout plus
-{"domain_basis", "codomain_dim", "codomain_weights", "adjoint_domain_basis",
-"name"}.  DualSequence adds {"producer", "certificate_residual"}, null for
-an uncertified (NaN) certificate.  ``dumps`` writes strict JSON.
+A matrix is one string "z": the padded standard base64 (RFC 4648) of its
+row-major entries, each 16 bytes, the real then the imaginary part as
+little-endian IEEE binary64 (numpy "<c16"); the payload gives its shape.
+FrameSequence: {"dim", "N", "weights", "labels", "z" (dim x N)}.  OperatorModel:
+{"dim", "codomain_dim", "weights", "codomain_weights", "z" (codomain_dim x
+dim), "domain_basis", "adjoint_domain_basis", "name"}; a basis is null or
+{"r", "z" (dim x r, codomain_dim x r for the adjoint domain)}.  DualSequence:
+the FrameSequence keys, "producer", "certificate_residual" (null for NaN).
+NaN and infinities are refused both ways; old "re"/"im" lists are not read.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 
 import numpy as np
 
@@ -20,27 +26,53 @@ from .seqops import FrameSequence
 from .weakframes import DualSequence
 
 
-def _matrix_payload(m: np.ndarray):
-    return list(map(float, m.real.ravel())), list(map(float, m.imag.ravel()))
+def _field(data, key, cast=lambda v: v):
+    """cast(data[key]); InvalidDimension naming key when that fails."""
+    try:
+        return cast(data[key])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidDimension(f"payload field {key!r} is missing or malformed") from exc
 
 
-def _matrix_from(payload_re, payload_im, rows, cols):
-    re = np.asarray(payload_re, dtype=float)
-    im = np.asarray(payload_im, dtype=float)
-    if re.size != rows * cols or im.size != rows * cols:
-        raise InvalidDimension("matrix payload size mismatch")
-    return (re + 1j * im).reshape(rows, cols)
+def _finite(text):
+    """JSON number hook rejecting NaN, Infinity and overflowing literals."""
+    if not math.isfinite(value := float(text)):
+        raise InvalidDimension(f"non-finite number {text} in payload")
+    return value
+
+
+def _matrix_payload(m: np.ndarray) -> str:
+    m = np.ascontiguousarray(m, dtype="<c16")
+    if not np.isfinite(m).all():
+        raise ValueError("cannot serialize a non-finite matrix")
+    return base64.b64encode(m.tobytes()).decode("ascii")
+
+
+def _matrix_from(data, rows, cols):
+    """The rows x cols matrix held in data["z"]."""
+    raw = _field(data, "z", lambda z: base64.b64decode(z, validate=True))
+    if len(raw) != 16 * rows * cols:
+        raise InvalidDimension(f"payload field 'z' holds {len(raw)} bytes, "
+                               f"not {16 * rows * cols} for {rows} x {cols}")
+    m = np.frombuffer(raw, dtype="<c16").reshape(rows, cols).astype(complex)
+    if not np.isfinite(m).all():
+        raise InvalidDimension("payload field 'z' holds a non-finite entry")
+    return m
+
+
+def _model_from(data, dim_key, weights_key, label):
+    return HilbertModel(_field(data, dim_key, int),
+                        _field(data, weights_key, lambda w: np.asarray(w, dtype=float)), label)
 
 
 def _family_to_dict(model: HilbertModel, vectors: np.ndarray, labels) -> dict:
-    re, im = _matrix_payload(vectors)
     return {"dim": model.dim, "N": vectors.shape[1], "weights": list(map(float, model.weights)),
-            "labels": list(labels), "re": re, "im": im}
+            "labels": list(labels), "z": _matrix_payload(vectors)}
 
 
 def _family_from(data: dict):
-    model = HilbertModel(int(data["dim"]), data["weights"], "deserialized")
-    return model, _matrix_from(data["re"], data["im"], model.dim, int(data["N"]))
+    model = _model_from(data, "dim", "weights", "deserialized")
+    return model, _matrix_from(data, model.dim, _field(data, "N", int))
 
 
 def frame_sequence_to_dict(seq: FrameSequence) -> dict:
@@ -48,53 +80,34 @@ def frame_sequence_to_dict(seq: FrameSequence) -> dict:
 
 
 def frame_sequence_from_dict(data: dict) -> FrameSequence:
-    return FrameSequence(*_family_from(data), data["labels"])
+    return FrameSequence(*_family_from(data), _field(data, "labels", list))
 
 
 def _basis_payload(sub):
     basis = None if sub is None else sub.dense()
-    if basis is None:
-        return None
-    re, im = _matrix_payload(basis)
-    return {"r": basis.shape[1], "re": re, "im": im}
+    return None if basis is None else {"r": basis.shape[1], "z": _matrix_payload(basis)}
 
 
 def _basis_from(payload, model):
-    if payload is None:
-        return None
-    basis = _matrix_from(payload["re"], payload["im"], model.dim, int(payload["r"]))
-    return Subspace(model, basis)
+    r = None if payload is None else _field(payload, "r", int)
+    return None if r is None else Subspace(model, _matrix_from(payload, model.dim, r))
 
 
 def operator_to_dict(op: OperatorModel) -> dict:
-    re, im = _matrix_payload(op.dense())
-    return {
-        "dim": op.input_model.dim,
-        "codomain_dim": op.codomain.dim,
-        "weights": list(map(float, op.input_model.weights)),
-        "codomain_weights": list(map(float, op.codomain.weights)),
-        "re": re,
-        "im": im,
-        "domain_basis": _basis_payload(op.domain),
-        "adjoint_domain_basis": _basis_payload(op.adjoint_domain),
-        "name": op.name,
-    }
+    return {"dim": op.input_model.dim, "codomain_dim": op.codomain.dim,
+            "weights": list(map(float, op.input_model.weights)),
+            "codomain_weights": list(map(float, op.codomain.weights)),
+            "z": _matrix_payload(op.dense()), "domain_basis": _basis_payload(op.domain),
+            "adjoint_domain_basis": _basis_payload(op.adjoint_domain), "name": op.name}
 
 
 def operator_from_dict(data: dict) -> OperatorModel:
-    inp = HilbertModel(int(data["dim"]), data["weights"], "deserialized input")
-    out = HilbertModel(
-        int(data["codomain_dim"]), data["codomain_weights"], "deserialized codomain"
-    )
-    matrix = _matrix_from(data["re"], data["im"], out.dim, inp.dim)
-    return OperatorModel(
-        matrix,
-        inp,
-        out,
-        domain=_basis_from(data.get("domain_basis"), inp),
-        adjoint_domain=_basis_from(data.get("adjoint_domain_basis"), out),
-        name=data.get("name", ""),
-    )
+    inp = _model_from(data, "dim", "weights", "deserialized input")
+    out = _model_from(data, "codomain_dim", "codomain_weights", "deserialized codomain")
+    return OperatorModel(_matrix_from(data, out.dim, inp.dim), inp, out,
+                         domain=_basis_from(data.get("domain_basis"), inp),
+                         adjoint_domain=_basis_from(data.get("adjoint_domain_basis"), out),
+                         name=data.get("name", ""))
 
 
 def dual_sequence_to_dict(dual: DualSequence) -> dict:
@@ -104,24 +117,17 @@ def dual_sequence_to_dict(dual: DualSequence) -> dict:
 
 
 def dual_sequence_from_dict(data: dict) -> DualSequence:
-    cert = data["certificate_residual"]
-    return DualSequence(*_family_from(data), data["producer"],
-                        float("nan") if cert is None else float(cert))
+    cert = _field(data, "certificate_residual", lambda c: float("nan") if c is None else float(c))
+    return DualSequence(*_family_from(data), _field(data, "producer"), cert)
 
 
 def dumps(obj, kind: str) -> str:
-    encoder = {
-        "frame_sequence": frame_sequence_to_dict,
-        "operator": operator_to_dict,
-        "dual_sequence": dual_sequence_to_dict,
-    }[kind]
-    return json.dumps(encoder(obj), sort_keys=True, allow_nan=False)
+    encode = {"frame_sequence": frame_sequence_to_dict, "operator": operator_to_dict,
+              "dual_sequence": dual_sequence_to_dict}[kind]
+    return json.dumps(encode(obj), sort_keys=True, allow_nan=False)
 
 
 def loads(text: str, kind: str):
-    decoder = {
-        "frame_sequence": frame_sequence_from_dict,
-        "operator": operator_from_dict,
-        "dual_sequence": dual_sequence_from_dict,
-    }[kind]
-    return decoder(json.loads(text))
+    decode = {"frame_sequence": frame_sequence_from_dict, "operator": operator_from_dict,
+              "dual_sequence": dual_sequence_from_dict}[kind]
+    return decode(json.loads(text, parse_float=_finite, parse_constant=_finite))

@@ -30,10 +30,11 @@ from ._linalg import (
     max_column_gap,
     pencil_lower_bound,  # noqa: F401 - an import site perfbench's tracer tests wrap
     pinv_weighted,
+    thin_svd,
 )
 from .errors import FactorizationFailed, InvalidDimension, NotSurjective
 from .hilbert import HilbertModel
-from .opmodel import OperatorModel, adjoint, pseudo_inverse
+from .opmodel import OperatorModel, adjoint
 from .seqops import FRAME_TOL, FrameBounds, FrameSequence, _operator_bounds, analysis
 
 PRODUCERS = ("weak_a_dual_thm", "k_dual_thm", "interchange_thm", "canonical", "user")
@@ -192,15 +193,16 @@ def interchange_dual(
     if A.codomain.dim != seq.model.dim or A.input_model.dim != seq.model.dim:
         raise InvalidDimension("interchange dual expects an endomorphism model")
     at = A.domain_whitened()
-    sv = np.linalg.svd(at, compute_uv=False)
-    smin, smax = (sv[-1], sv[0]) if sv.size else (0.0, 0.0)
-    if at.shape[1] < at.shape[0] or smin <= sigma_tol * smax:
-        raise NotSurjective(
-            "operator is not surjective onto the codomain "
-            f"(sigma_min={smin:.3e}, sigma_max={smax:.3e})"
-        )
-    h_map = adjoint(pseudo_inverse(A))
-    h = h_map.dense() @ dual.vectors
+    if at.shape[1] < at.shape[0]:
+        raise NotSurjective(f"operator not surjective: dim D(A) = {at.shape[1]} < {at.shape[0]}")
+    u, s, vh = thin_svd(at)
+    if s[-1] <= sigma_tol * s[0]:
+        raise NotSurjective(f"operator is not surjective (sigma_min={s[-1]:.3e}, "
+                            f"sigma_max={s[0]:.3e})")
+    # (A+)* = W_out^(-1/2) U S^-1 V^H Bw^H W_in^(1/2) from at = U S V^H, with
+    # Bw the whitened domain basis
+    t = A.domain_subspace.whitened_coords(A.input_model.sqrt_weights[:, None] * dual.vectors)
+    h = ((u / s) @ (vh @ t)) / A.codomain.sqrt_weights[:, None]
     # certificate: reconstruct the adjoint-domain basis through {h_n}
     basis = A.adjoint_domain_subspace.samples()
     coeffs = seq.whitened().conj().T @ (seq.model.sqrt_weights[:, None] * basis)

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from opframe.errors import DomainViolation, FactorizationFailed, NotSurjective
-from opframe.hilbert import HilbertModel, interval_grid, l2_truncation
+from opframe.hilbert import HilbertModel, interval_grid, l2_truncation, orthonormalize
 from opframe.opmodel import (
     OperatorModel,
+    adjoint,
     block_multiplier,
     diagonal_operator,
     diff_operator,
     identity_operator,
+    pseudo_inverse,
 )
 from opframe.constructions import (
     difference_sequence,
@@ -26,7 +28,7 @@ from opframe.weakframes import (
     weak_aframe_bound,
 )
 
-from conftest import random_frame, random_matrix, random_vector
+from conftest import random_frame, random_matrix, random_vector, random_weighted_model
 
 
 class TestWeakBound:
@@ -324,6 +326,23 @@ class TestInterchange:
             interchange_dual(seq, dual, A)
 
 
+    @pytest.mark.parametrize("with_domain", [False, True])
+    def test_matches_adjoint_of_pseudo_inverse(self, rng, with_domain):
+        # (A+)* t_n formed from the SVD of the whitened operator agrees with
+        # the weighted adjoint of the weighted pseudo-inverse
+        d = 7
+        m = random_weighted_model(rng, d)
+        dom = orthonormalize(random_matrix(rng, d, d), m) if with_domain else None
+        A = OperatorModel(np.eye(d) + 0.3 * random_matrix(rng, d, d) / np.sqrt(d), m, m,
+                          domain=dom)
+        seq = random_frame(rng, d, 11, model=m)
+        dual = weak_a_dual(seq, A)
+        inter = interchange_dual(seq, dual, A)
+        ref = adjoint(pseudo_inverse(A)).dense() @ dual.vectors
+        np.testing.assert_allclose(inter.vectors, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
+        assert inter.certificate_residual <= 1e-9
+
+
 class TestTheoremTriangle:
     def test_chain_on_random_instances(self, rng):
         # alpha > tol  =>  dual exists with small certificate  =>  the
@@ -380,3 +399,18 @@ class TestKernelCounts:
         top = dual.bessel_bound
         assert len(calls) == 1 and top > 0.0
         assert dual.bessel_bound == top and len(calls) == 1  # cached
+
+    def test_interchange_dual_factors_the_operator_once(self, linalg_calls, rng):
+        d = 6
+        m = random_weighted_model(rng, d)
+        A = OperatorModel(np.eye(d) + 0.3 * random_matrix(rng, d, d) / np.sqrt(d), m, m)
+        seq = random_frame(rng, d, 9, model=m)
+        dual = weak_a_dual(seq, A)
+        svd, pinv = linalg_calls("svd"), linalg_calls("pinv")
+        assert interchange_dual(seq, dual, A).certificate_residual <= 1e-9
+        assert len(svd) == 1 and not pinv
+        # a domain of too small a dimension is rejected before any factorization
+        B = OperatorModel(A.matrix, m, m, domain=orthonormalize(random_matrix(rng, d, d - 1), m))
+        with pytest.raises(NotSurjective):
+            interchange_dual(seq, dual, B)
+        assert len(svd) == 1 and not pinv
