@@ -15,6 +15,9 @@ _RANK_TOL = 1e-12
 #: a whitened operator of norm at most this counts as numerically zero
 _DEGENERATE_TOL = 1e-14
 
+#: a full-row-rank factor with Frobenius condition above this is left to the SVD
+_DIRECT_COND = 1e6
+
 
 def as_complex_vector(f, dim):
     from .errors import InvalidDimension
@@ -66,6 +69,35 @@ def gram_factor(mat):
     """Upper-triangular R with R^H R = mat mat^H, from the thin QR mat^H = Q R
     (in real arithmetic for a real or purely imaginary mat)."""
     return np.linalg.qr(_real_form(mat)[0].conj().T, mode="r")
+
+
+def triangular_inverse(r):
+    """R^-1 of an upper-triangular R by recursive 2 x 2 blocks,
+    [[A, B], [0, C]]^-1 = [[A^-1, -A^-1 B C^-1], [0, C^-1]], with
+    ``numpy.linalg.inv`` at order 64 or less; a real R stays real."""
+    if r.shape[0] <= 64:
+        return np.linalg.inv(r)
+    h = r.shape[0] // 2
+    out = np.zeros_like(r)
+    out[:h, :h], out[h:, h:] = triangular_inverse(r[:h, :h]), triangular_inverse(r[h:, h:])
+    out[:h, h:] = -(out[:h, :h] @ r[:h, h:]) @ out[h:, h:]
+    return out
+
+
+def certified_row_factor_inverse(mat, rcond):
+    """R^-1 for the R of ``gram_factor`` when kappa_F = ||R||_F ||R^-1||_F,
+    an upper bound on sigma_max / sigma_min of a mat of full row rank, is at
+    most _DIRECT_COND and below 1 / max(rcond, _RANK_TOL); else None."""
+    if mat.shape[1] < mat.shape[0]:
+        return None
+    r = gram_factor(mat)
+    with np.errstate(all="ignore"):
+        try:
+            r_inv = triangular_inverse(r)
+        except np.linalg.LinAlgError:  # an exactly singular R
+            return None
+        kappa = np.linalg.norm(r) * np.linalg.norm(r_inv)  # NaN or inf fails below
+    return r_inv if kappa <= _DIRECT_COND and kappa * max(rcond, _RANK_TOL) < 1 else None
 
 
 def _is_wide(mat):

@@ -21,6 +21,7 @@ from ._linalg import (
     _DEGENERATE_TOL,
     _RANK_TOL,
     adjoint_matrix,
+    certified_row_factor_inverse,
     max_column_gap,
     pencil_lower_bound,  # noqa: F401 - an import site perfbench's tracer tests wrap
     rank_cut,
@@ -48,41 +49,46 @@ def range_inclusion(K: OperatorModel, seq: FrameSequence, tol: float = RANGE_TOL
     """Project the columns of K onto the range of the synthesis operator D.
 
     Returns (included, residual) with residual the maximum relative
-    projection gap over nonzero columns.  The range basis is the left
-    singular vectors of the whitened D above 1e-12 sigma_max, from the same
-    ``thin_svd`` that ``k_dual`` and ``a_dual_graph`` read D+ from.
+    projection gap over nonzero columns, from ``_coefficient_factor``.
     """
     residual, _ = _coefficient_factor(seq, K)
     return residual <= tol, residual
 
 
 def _coefficient_factor(seq: FrameSequence, K: OperatorModel, rcond=None, tol=RANGE_TOL):
-    """(residual, M) from one SVD D~ = U S V^H of the whitened synthesis matrix.
+    """(residual, M) from one factorization of the whitened synthesis matrix D~.
 
-    By Douglas' lemma R(K) lies in R(D) exactly when K = D M for some M;
-    M = D+ K (N x dim_in) is the minimum-norm one.  residual is the gap of
-    K~ (K whitened with the sequence weights) to its projection on U above
-    _RANK_TOL sigma_max.  Given rcond, M = V S^-1 U^H K~ W_in^(1/2) above
-    rcond sigma_max, without forming D+; otherwise M is None.
+    By Douglas' lemma R(K) lies in R(D) exactly when K = D M; M = D+ K
+    (N x dim_in, times W_in^(1/2); None without rcond) is the minimum-norm
+    one.  A certified R of D~^H = Q R gives D~^H R^-1 R^-H K~, corrected
+    once, and the gap of D~ M to K~; else one SVD D~ = U S V^H gives the gap
+    to U above _RANK_TOL sigma_max and V S^-1 U^H K~ above rcond sigma_max.
     """
     if K.codomain.dim != seq.model.dim:
         raise InvalidDimension("operator codomain must match the sequence model")
     w_in = K.input_model.weights
     kt = whiten_matrix(K.effective_matrix(), seq.model.weights, w_in)
-    u, s, vh = thin_svd(seq.whitened())
-    r = rank_cut(s, _RANK_TOL)
-    p = r if rcond is None else rank_cut(s, rcond)
-    c = u[:, :max(r, p)].conj().T @ kt
-    residual = max_column_gap(u[:, :r] @ c[:r], kt, np.ones(kt.shape[0]))
+    y = seq.whitened()
+    r_inv = certified_row_factor_inverse(y, _RANK_TOL if rcond is None else rcond)
+    if r_inv is not None:  # the seminormal solve, then one corrective step
+        m = proj = 0.0
+        for _ in range(2):
+            m = m + y.conj().T @ (r_inv @ (r_inv.conj().T @ (kt - proj)))
+            proj = y @ m
+    else:
+        u, s, vh = thin_svd(y)
+        r = rank_cut(s, _RANK_TOL)
+        p = 0 if rcond is None else rank_cut(s, rcond)  # no M for range_inclusion
+        c = u[:, :max(r, p)].conj().T @ kt
+        proj, m = u[:, :r] @ c[:r], vh[:p].conj().T @ (c[:p] / s[:p, None])
+    residual = max_column_gap(proj, kt, np.ones(kt.shape[0]))
     if rcond is None:
         return residual, None
     if np.linalg.norm(kt) <= _DEGENERATE_TOL:
         raise DegenerateOperator("operator is numerically zero")
     if residual > tol:
-        raise RangeNotIncluded(
-            f"R(K) is not contained in R(D): projection residual {residual:.3e}"
-        )
-    return residual, (vh[:p].conj().T @ (c[:p] / s[:p, None])) * np.sqrt(w_in)[None, :]
+        raise RangeNotIncluded(f"R(K) is not contained in R(D): projection residual {residual:.3e}")
+    return residual, m * np.sqrt(w_in)[None, :]
 
 
 def _expansion_certificate(seq, K, k_vecs, sub: Subspace, graph=False) -> float:
@@ -102,8 +108,8 @@ def k_dual(
 ) -> DualSequence:
     """Minimum-norm K-dual {k_n} = {M* e_n} with M = D+ K (so K = D M).
 
-    One thin SVD of D decides R(K) in R(D) (cut 1e-12 sigma_max, residual
-    at most tol) and gives D+ K (cut rcond sigma_max) without forming D+.
+    One factorization of D (``_coefficient_factor``) decides R(K) in R(D)
+    (residual at most tol) and gives D+ K without forming D+.
     """
     _, m = _coefficient_factor(seq, K, rcond, tol)  # N x dim_J
     J = K.input_model
@@ -130,9 +136,9 @@ def a_dual_graph(
 ) -> DualSequence:
     """Graph-space dual {k_n} with A f = sum_n inner(f, k_n)_A g_n on D(A).
 
-    M = D+ A on the domain, from the one SVD of D that also decides
-    R(A) in R(D), as in ``k_dual``; k_n is the graph-space representer of
-    f -> (M f)_n, which realizes the adjoint of M into the graph space.
+    M = D+ A on the domain, from the one factorization of D that also
+    decides R(A) in R(D), as in ``k_dual``; k_n is the graph-space
+    representer of f -> (M f)_n, the adjoint of M into the graph space.
     """
     k_vecs = _graph_solve(A, _coefficient_factor(seq, A, rcond, tol)[1])
     cert = _expansion_certificate(seq, A, k_vecs, A.domain_subspace, graph=True)

@@ -63,6 +63,8 @@ class DualSequence:
         v = np.asarray(self.vectors, dtype=complex)
         if v.ndim != 2 or v.shape[0] != self.model.dim:
             raise InvalidDimension("dual vectors must be model.dim x N")
+        if not np.isfinite(v).all():
+            raise InvalidDimension("dual vectors hold a non-finite entry")
         object.__setattr__(self, "vectors", v)
 
     @functools.cached_property

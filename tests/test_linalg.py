@@ -6,15 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opframe._linalg import (
+    certified_row_factor_inverse,
     max_column_gap,
     orthonormal_range,
     pencil_lower_bound,
     pinv_weighted,
     thin_svd,
+    triangular_inverse,
 )
 from opframe.hilbert import HilbertModel, l2_truncation, orthonormalize
 from opframe.opmodel import OperatorModel, identity_operator
-from opframe.relframes import k_dual, kframe_bounds, range_inclusion
+from opframe.relframes import a_dual_graph, k_dual, kframe_bounds, range_inclusion
 from opframe.scenarios import CHECKS
 from opframe.seqops import FrameSequence
 from opframe.weakframes import weak_aframe_bound
@@ -173,3 +175,87 @@ def test_range_and_pinv_cuts_from_one_svd(d, wide, seed):
     assert _rel(pinv, np.linalg.pinv(y, rcond=1e-10) * sw[None, :]) <= 1e-10
     zero = pinv_weighted(np.zeros((d, n)), model.weights, np.ones(n))
     assert zero.shape == (n, d) and not np.any(zero)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 48),
+    shape=st.sampled_from(["tall", "square", "wide"]),
+    kind=st.sampled_from(["complex", "real", "imaginary"]),
+    decades=st.floats(1.0, 9.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_coefficient_factor_matches_svd_oracles(d, shape, kind, decades, seed):
+    """Both paths of the coefficient factor against SVD oracles.
+
+    sigma_min / sigma_max of the whitened D is planted between 1e-1 and
+    1e-9, so a family of full row rank falls on both sides of the
+    triangular-factor certificate (kappa_F <= 1e6).  The oracle
+    ``numpy.linalg.pinv`` is itself accurate only to about eps * kappa of the
+    singular values it keeps, so M is held to max(1e-10, 10 eps kappa).
+    """
+    rng = np.random.default_rng(seed)
+    model = random_weighted_model(rng, d)
+    sw = model.sqrt_weights
+    n = {"tall": max(1, d // 2), "square": d + int(rng.integers(0, d)),
+         "wide": 2 * d + int(rng.integers(0, 8))}[shape]
+    k = min(d, n)
+    draw = random_matrix if kind == "complex" else (lambda g, a, b: g.standard_normal((a, b)))
+    u, _ = np.linalg.qr(draw(rng, d, k))
+    v, _ = np.linalg.qr(draw(rng, n, k))
+    s = np.geomspace(1.0, 10.0**-decades, k)
+    y = (u * s) @ v.conj().T * (1j if kind == "imaginary" else 1.0)
+    seq = FrameSequence(model, y / sw[:, None])
+    y = seq.whitened()
+    q = int(rng.integers(1, 5))
+    kt = y @ random_matrix(rng, n, q)  # in R(D) whatever the shape
+    if n >= d:
+        kt = kt + random_matrix(rng, d, q)
+    K = OperatorModel(kt / sw[:, None], l2_truncation(q), model)
+    kt = sw[:, None] * K.dense()
+
+    for rcond in (1e-10, 1e-3):
+        if np.min(np.abs(np.log10(s / rcond))) < 1e-2:
+            continue  # a singular value on the cut: either rank is right
+        kappa = 1.0 / s[s > rcond][-1]
+        m = k_dual(seq, K, rcond=rcond).vectors.conj().T
+        tol = max(1e-10, 10 * np.finfo(float).eps * kappa)
+        assert _rel(m, np.linalg.pinv(y, rcond=rcond) @ kt) <= tol
+
+    kappa = s[0] / s[-1]
+    basis = orthonormal_range(y)
+    for target in (kt, kt + random_matrix(rng, d, q)):
+        op = OperatorModel(target / sw[:, None], K.input_model, model)
+        oracle = max_column_gap(basis @ (basis.conj().T @ target), target, np.ones(d))
+        tol = max(1e-10, 10 * np.finfo(float).eps * kappa) * max(oracle, 1.0)
+        assert abs(range_inclusion(op, seq)[1] - oracle) <= tol
+
+    A = OperatorModel((y @ random_matrix(rng, n, d)) / sw[:, None], model, model)
+    assert a_dual_graph(seq, A).certificate_residual <= 1e-9
+
+
+@pytest.mark.parametrize("d", [1, 63, 64, 65, 200])
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_triangular_inverse_matches_inv(d, is_complex):
+    rng = np.random.default_rng(d)
+    mat = random_matrix(rng, 2 * d, d) if is_complex else rng.standard_normal((2 * d, d))
+    r = np.linalg.qr(mat, mode="r")
+    r_inv = triangular_inverse(r)
+    assert r_inv.dtype == r.dtype
+    assert not np.any(np.tril(r_inv, -1))
+    assert _rel(r_inv, np.linalg.inv(r)) <= 1e-13
+
+
+def test_singular_factor_takes_the_svd_path(rng, linalg_calls):
+    """A zero row of the whitened D makes R exactly singular: the certified
+    factor declines it and the dual comes from the SVD, without raising."""
+    model = random_weighted_model(rng, 5)
+    vectors = random_matrix(rng, 5, 8)
+    vectors[2] = 0.0
+    seq = FrameSequence(model, vectors)
+    assert certified_row_factor_inverse(seq.whitened(), 1e-10) is None
+    K = OperatorModel(vectors @ random_matrix(rng, 8, 3), l2_truncation(3), model)
+    svd = linalg_calls("svd")
+    assert k_dual(seq, K).certificate_residual <= 1e-10
+    assert range_inclusion(K, seq)[0]
+    assert len(svd) == 2

@@ -311,25 +311,49 @@ class TestEquivalence:
 
 
 class TestKernelCounts:
-    """A dual factors the synthesis matrix once: one SVD of the whitened D
-    gives both the range-inclusion test and D+ K, and no numpy.linalg.pinv
-    runs."""
+    """A dual factors the synthesis matrix once.  A well-conditioned frame
+    takes one QR of the whitened D^H and no SVD; an ill-conditioned frame or
+    a family with fewer vectors than dimensions takes one SVD of the
+    whitened D.  No numpy.linalg.pinv runs."""
+
+    def _counts(self, linalg_calls):
+        return linalg_calls("svd"), linalg_calls("pinv"), linalg_calls("qr")
 
     def test_k_dual_factors_synthesis_matrix_once(self, rng, linalg_calls):
         J = l2_truncation(4)
         seq = random_frame(rng, 6, 9)
         K = OperatorModel(random_matrix(rng, 6, 4), J, seq.model)
-        svd, pinv = linalg_calls("svd"), linalg_calls("pinv")
+        svd, pinv, qr = self._counts(linalg_calls)
         assert k_dual(seq, K).certificate_residual <= 1e-9
-        assert not pinv
-        assert len(svd) == 1
-        assert np.array_equal(svd[0][0][0], seq.whitened())
+        assert not svd and not pinv
+        assert len(qr) == 1
+        assert np.array_equal(qr[0][0][0], seq.whitened().conj().T)
 
     def test_a_dual_graph_factors_synthesis_matrix_once(self, rng, linalg_calls):
         seq = random_frame(rng, 8, 12)
         A = OperatorModel(random_matrix(rng, 8, 8), seq.model, seq.model)
-        svd, pinv = linalg_calls("svd"), linalg_calls("pinv")
+        svd, pinv, qr = self._counts(linalg_calls)
         assert a_dual_graph(seq, A).certificate_residual <= 1e-9
+        assert not svd and not pinv
+        assert len(qr) == 1
+        assert np.array_equal(qr[0][0][0], seq.whitened().conj().T)
+
+    def _svd_once(self, seq, K, linalg_calls):
+        svd, pinv, _ = self._counts(linalg_calls)
+        assert k_dual(seq, K).certificate_residual <= 1e-8
         assert not pinv
         assert len(svd) == 1
         assert np.array_equal(svd[0][0][0], seq.whitened())
+
+    def test_ill_conditioned_frame_takes_one_svd(self, rng, linalg_calls):
+        u, _ = np.linalg.qr(random_matrix(rng, 6, 6))
+        v, _ = np.linalg.qr(random_matrix(rng, 9, 6))
+        s = np.array([1.0, 0.8, 0.6, 0.4, 0.2, 1e-8])
+        seq = FrameSequence(l2_truncation(6), (u * s) @ v.conj().T)
+        K = OperatorModel(random_matrix(rng, 6, 4), l2_truncation(4), seq.model)
+        self._svd_once(seq, K, linalg_calls)
+
+    def test_fewer_vectors_than_dimensions_take_one_svd(self, rng, linalg_calls):
+        seq = random_frame(rng, 9, 6)
+        K = OperatorModel(seq.vectors @ random_matrix(rng, 6, 4), l2_truncation(4), seq.model)
+        self._svd_once(seq, K, linalg_calls)

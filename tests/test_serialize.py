@@ -133,9 +133,13 @@ def test_non_finite_payload_is_rejected(rng):
     data["z"] = base64.b64encode(vectors.astype("<c16").tobytes()).decode()
     with pytest.raises(InvalidDimension, match="non-finite"):
         loads(json.dumps(data), "dual_sequence")
-    # and the writer refuses a non-finite matrix
+    # a dual refuses a non-finite matrix, and so does the writer when one is
+    # written into a constructed dual's array afterwards
+    with pytest.raises(InvalidDimension, match="non-finite"):
+        user_dual(dual.model, vectors)
+    dual.vectors[1, 2] = complex(0.0, np.nan)
     with pytest.raises(ValueError, match="non-finite"):
-        dumps(user_dual(dual.model, vectors), "dual_sequence")
+        dumps(dual, "dual_sequence")
 
 
 @pytest.mark.parametrize("text, kind, field", [

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from opframe.errors import DomainViolation, FactorizationFailed, NotSurjective
+from opframe.errors import (
+    DomainViolation,
+    FactorizationFailed,
+    InvalidDimension,
+    NotSurjective,
+)
 from opframe.hilbert import HilbertModel, interval_grid, l2_truncation, orthonormalize
 from opframe.opmodel import (
     OperatorModel,
@@ -133,6 +138,14 @@ class TestWeakDual:
         A = identity_operator(m)
         with pytest.raises(FactorizationFailed):
             weak_a_dual(seq, A)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_dual_sequence_rejects_non_finite_vectors(rng, bad):
+    vectors = random_matrix(rng, 3, 4)
+    vectors[1, 2] = bad
+    with pytest.raises(InvalidDimension, match="non-finite"):
+        user_dual(l2_truncation(3), vectors)
 
 
 class TestVerifyWeakDuality:
