@@ -33,19 +33,6 @@ def whiten_matrix(matrix, w_out, w_in):
     return (np.sqrt(w_out)[:, None] * matrix) / np.sqrt(w_in)[None, :]
 
 
-def pinv_weighted(matrix, w_out, w_in, rcond=1e-10):
-    """Moore-Penrose inverse of M with respect to the weighted inner products.
-
-    V S^-1 U^H from ``thin_svd`` of the whitened matrix, keeping singular
-    values above rcond * sigma_max as numpy.linalg.pinv does; an all-zero M
-    gives the zero matrix.
-    """
-    u, s, vh = thin_svd(whiten_matrix(matrix, w_out, w_in))
-    p = rank_cut(s, rcond)
-    pt = vh[:p].conj().T @ (u[:, :p].conj().T / s[:p, None])
-    return (pt / np.sqrt(w_in)[:, None]) * np.sqrt(w_out)[None, :]
-
-
 def adjoint_matrix(matrix, w_out, w_in):
     """W_in^-1 M^H W_out: the weighted adjoint of M."""
     return (matrix.conj().T * w_out[None, :]) / w_in[:, None]
@@ -112,8 +99,8 @@ def _row_reduced(mat):
 
 
 def thin_svd(mat):
-    """(U, s, V^H) with mat = U diag(s) V^H, s descending: the one SVD with
-    vectors behind ``orthonormal_range`` and ``pinv_weighted``.
+    """(U, s, V^H) with mat = U diag(s) V^H, s descending: every SVD with
+    vectors in opframe runs here.
 
     A wide mat is row-reduced: with mat^H = Q R (R bit for bit that of
     ``gram_factor``) the SVD runs on R^H = U diag(s) W^H, and V^H = W^H Q^H.
@@ -130,6 +117,31 @@ def rank_cut(s, tol, scale=None):
     """How many of the descending singular values s exceed tol * scale, with
     scale defaulting to s[0]."""
     return int(np.sum(s > tol * (s[0] if scale is None else scale))) if s.size else 0
+
+
+def min_norm_factor(y, kt, rcond=None):
+    """(proj, M): the projection of kt onto R(y) and the minimum-norm M = y+ kt.
+
+    By Douglas' lemma R(kt) lies in R(y) exactly when kt = y M.  A certified
+    R of y^H = Q R gives y^H R^-1 R^-H kt, corrected once (without the step
+    the error grows with kappa^2, as in the normal equations), and
+    proj = y M.  Else one ``thin_svd`` y = U S V^H gives proj from U above
+    _RANK_TOL sigma_max and M = V S^-1 U^H kt above rcond sigma_max (None
+    without rcond).  An all-zero y gives zero; nothing raises.
+    """
+    r_inv = certified_row_factor_inverse(y, _RANK_TOL if rcond is None else rcond)
+    if r_inv is not None:  # the seminormal solve, then one corrective step
+        m = proj = 0.0
+        for _ in range(2):
+            m = m + y.conj().T @ (r_inv @ (r_inv.conj().T @ (kt - proj)))
+            proj = y @ m
+        return proj, m
+    u, s, vh = thin_svd(y)
+    r = rank_cut(s, _RANK_TOL)
+    p = 0 if rcond is None else rank_cut(s, rcond)
+    c = u[:, :max(r, p)].conj().T @ kt
+    m = None if rcond is None else vh[:p].conj().T @ (c[:p] / s[:p, None])
+    return u[:, :r] @ c[:r], m
 
 
 def orthonormal_range(mat, rank_tol=_RANK_TOL, scale=None):

@@ -19,7 +19,8 @@ from ._linalg import (
     adjoint_matrix,
     as_complex_vector,
     hermitize,
-    pinv_weighted,
+    min_norm_factor,
+    thin_svd,
     whiten_matrix,
 )
 from .errors import GridTooCoarse, InvalidDimension, InvalidProbe
@@ -169,8 +170,7 @@ class OperatorModel:
         and a q x q SVD, in O(dim q^2), without forming the matrix.
         """
         if self.factor is None:
-            u, s, _ = np.linalg.svd(self.whitened(), full_matrices=False)
-            return u, s
+            return thin_svd(self.whitened())[:2]
         left, right = self.factor
         if self.domain is not None:
             # M P_D = L (P_D^H R)^H with P_D the weighted domain projection,
@@ -179,7 +179,7 @@ class OperatorModel:
             right = w * self.domain.project(right / w)
         q_left, r_left = np.linalg.qr(self.codomain.sqrt_weights[:, None] * left)
         r_right = np.linalg.qr(right / self.input_model.sqrt_weights[:, None], mode="r")
-        u, s, _ = np.linalg.svd(r_left @ r_right.conj().T)
+        u, s, _ = thin_svd(r_left @ r_right.conj().T)
         return q_left @ u, s
 
     def domain_whitened(self) -> np.ndarray:
@@ -226,13 +226,13 @@ def pseudo_inverse(op: OperatorModel, rcond=1e-10) -> OperatorModel:
     """Moore-Penrose inverse with singular values below rcond*sigma_max zeroed.
 
     Satisfies, in the weighted geometry: N(W+) = R(W)^perp, R(W+) = N(W)^perp
-    (within the domain), and W W+ f = f for f in R(W).
+    (within the domain), and W W+ f = f for f in R(W).  The whitened inverse
+    is the minimum-norm factor of the identity (``min_norm_factor``), the
+    solve behind the K-duals and the weak dual.
     """
-    m = pinv_weighted(
-        op.effective_matrix(), op.codomain.weights, op.input_model.weights, rcond
-    )
+    _, m = min_norm_factor(op.whitened(), np.eye(op.codomain.dim), rcond)
     return OperatorModel(
-        m,
+        (m / op.input_model.sqrt_weights[:, None]) * op.codomain.sqrt_weights[None, :],
         input_model=op.codomain,
         codomain=op.input_model,
         name=f"{op.name}^+" if op.name else "pinv",

@@ -19,13 +19,10 @@ import numpy as np
 
 from ._linalg import (
     _DEGENERATE_TOL,
-    _RANK_TOL,
     adjoint_matrix,
-    certified_row_factor_inverse,
     max_column_gap,
+    min_norm_factor,
     pencil_lower_bound,  # noqa: F401 - an import site perfbench's tracer tests wrap
-    rank_cut,
-    thin_svd,
     whiten_matrix,
 )
 from .errors import DegenerateOperator, InvalidDimension, RangeNotIncluded
@@ -60,27 +57,14 @@ def _coefficient_factor(seq: FrameSequence, K: OperatorModel, rcond=None, tol=RA
 
     By Douglas' lemma R(K) lies in R(D) exactly when K = D M; M = D+ K
     (N x dim_in, times W_in^(1/2); None without rcond) is the minimum-norm
-    one.  A certified R of D~^H = Q R gives D~^H R^-1 R^-H K~, corrected
-    once, and the gap of D~ M to K~; else one SVD D~ = U S V^H gives the gap
-    to U above _RANK_TOL sigma_max and V S^-1 U^H K~ above rcond sigma_max.
+    one, from ``min_norm_factor``, and residual is the gap of the projection
+    of K~ onto R(D~) to K~.
     """
     if K.codomain.dim != seq.model.dim:
         raise InvalidDimension("operator codomain must match the sequence model")
     w_in = K.input_model.weights
     kt = whiten_matrix(K.effective_matrix(), seq.model.weights, w_in)
-    y = seq.whitened()
-    r_inv = certified_row_factor_inverse(y, _RANK_TOL if rcond is None else rcond)
-    if r_inv is not None:  # the seminormal solve, then one corrective step
-        m = proj = 0.0
-        for _ in range(2):
-            m = m + y.conj().T @ (r_inv @ (r_inv.conj().T @ (kt - proj)))
-            proj = y @ m
-    else:
-        u, s, vh = thin_svd(y)
-        r = rank_cut(s, _RANK_TOL)
-        p = 0 if rcond is None else rank_cut(s, rcond)  # no M for range_inclusion
-        c = u[:, :max(r, p)].conj().T @ kt
-        proj, m = u[:, :r] @ c[:r], vh[:p].conj().T @ (c[:p] / s[:p, None])
+    proj, m = min_norm_factor(seq.whitened(), kt, rcond)
     residual = max_column_gap(proj, kt, np.ones(kt.shape[0]))
     if rcond is None:
         return residual, None

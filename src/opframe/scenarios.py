@@ -661,7 +661,3 @@ def load_bundled(name: str) -> dict:
     path = resources.files("opframe.data").joinpath(_BUNDLED_FILES[name])
     with path.open() as fh:
         return json.load(fh)
-
-
-def reproduce(name: str, seed: Optional[int] = None, tol_scale: float = 1.0):
-    return run_scenario(load_bundled(name), seed=seed, tol_scale=tol_scale)

@@ -22,6 +22,8 @@ from ._linalg import (
     gram_factor,
     hermitize,
     pencil_lower_bound,
+    rank_cut,
+    thin_svd,
 )
 from .errors import DegenerateOperator, InvalidDimension, InvalidIndex, NotAFrame
 from .hilbert import HilbertModel, Subspace
@@ -114,9 +116,9 @@ def frame_operator(seq: FrameSequence) -> OperatorModel:
     return OperatorModel(s, seq.model, seq.model, name="frame operator")
 
 
-def _whitened_spectrum(seq: FrameSequence) -> np.ndarray:
-    """Full spectrum of the frame operator, via the smaller Hermitian form."""
-    y = seq.whitened()
+def _whitened_spectrum(y) -> np.ndarray:
+    """Full spectrum of the frame operator Y Y^H of the whitened family Y
+    (dim x N, zero columns allowed), via the smaller Hermitian form."""
     d, n = y.shape
     if n <= d:
         vals = np.linalg.eigvalsh(hermitize(y.conj().T @ y))
@@ -128,7 +130,7 @@ def _whitened_spectrum(seq: FrameSequence) -> np.ndarray:
 
 def frame_bounds(seq: FrameSequence, frame_tol: float = FRAME_TOL) -> FrameBounds:
     """Optimal constants: alpha = lambda_min(S), beta = lambda_max(S)."""
-    spec = _whitened_spectrum(seq)
+    spec = _whitened_spectrum(seq.whitened())
     alpha, beta = float(spec[0]), float(spec[-1])
     kind = "frame" if alpha > frame_tol * max(beta, 1e-300) else "bessel_only"
     return FrameBounds(alpha, beta, kind)
@@ -151,10 +153,10 @@ def _operator_bounds(
     restricted whitened operator.  The rank of T, its singular values above
     _RANK_TOL * sigma_0, picks the path: at full rank (and not graph) the
     pencil runs on the triangular R^H of M^H = Q R and no singular vectors
-    are computed; otherwise the SVD of M (``op.whitened_svd()`` for a
-    factored operator over all of H) gives the support of T and the pencil
-    minimizes out ker(T) components of f.  The family is ``kind`` when
-    alpha > frame_tol.
+    are computed; otherwise the SVD of M (of that R^H when not graph,
+    ``op.whitened_svd()`` for a factored operator over all of H) gives the
+    support of T and the pencil minimizes out ker(T) components of f.  The
+    family is ``kind`` when alpha > frame_tol.
     """
     if op.codomain.dim != seq.model.dim:
         raise InvalidDimension("operator codomain must match the sequence model")
@@ -176,7 +178,8 @@ def _reference_factor(op: OperatorModel, v: Subspace, graph: bool):
             r_m = gram_factor(m)
             if _rank(np.linalg.svd(r_m, compute_uv=False)) == v.rank:
                 return None, r_m.conj().T  # ||T f|| = ||R f||
-        u, sv, _ = np.linalg.svd(m, full_matrices=False)
+            m = r_m.conj().T  # M = R^H Q^H: the left singular pairs of M
+        u, sv, _ = thin_svd(m)
     q = _rank(sv)
     if graph:
         sv = sv / np.sqrt(1.0 + sv**2)
@@ -187,7 +190,7 @@ def _rank(sv) -> int:
     """Singular values above _RANK_TOL * sigma_0; a numerically zero operator raises."""
     if sv.size == 0 or sv[0] <= _DEGENERATE_TOL:
         raise DegenerateOperator("operator is numerically zero")
-    return int(np.sum(sv > _RANK_TOL * sv[0]))
+    return rank_cut(sv, _RANK_TOL)
 
 
 def canonical_dual(seq: FrameSequence, frame_tol: float = FRAME_TOL) -> FrameSequence:

@@ -7,9 +7,9 @@ The lower bound quantifies only over the declared adjoint domain V = D(A*):
 
 The infimum is taken over all of V, so components of f in ker(A*) are
 minimized out (a Schur complement in factored form, see
-:func:`opframe._linalg.pencil_lower_bound`).  The constructive dual follows
-the minimum-norm factorization: restrict the analysis operator to V, extend
-its adjoint by the full synthesis matrix, and solve A = B* M for the
+:func:`opframe._linalg.pencil_lower_bound`).  The constructive dual is the
+K-dual's minimum-norm factorization (:func:`opframe._linalg.min_norm_factor`)
+taken in orthonormal coordinates of V: it solves P_V G M = P_V A for the
 minimum-norm M.  A strong expansion may still fail to converge; that is
 measured, never raised (see the ``strong_residual_min`` check), and only a
 failed *weak* factorization raises.
@@ -26,16 +26,22 @@ import numpy as np
 from ._linalg import (
     adjoint_matrix,
     as_complex_vector,
-    hermitize,
     max_column_gap,
+    min_norm_factor,
     pencil_lower_bound,  # noqa: F401 - an import site perfbench's tracer tests wrap
-    pinv_weighted,
     thin_svd,
 )
 from .errors import FactorizationFailed, InvalidDimension, NotSurjective
 from .hilbert import HilbertModel
 from .opmodel import OperatorModel, adjoint
-from .seqops import FRAME_TOL, FrameBounds, FrameSequence, _operator_bounds, analysis
+from .seqops import (
+    FRAME_TOL,
+    FrameBounds,
+    FrameSequence,
+    _operator_bounds,
+    _whitened_spectrum,
+    analysis,
+)
 
 PRODUCERS = ("weak_a_dual_thm", "k_dual_thm", "interchange_thm", "canonical", "user")
 
@@ -70,10 +76,7 @@ class DualSequence:
     @functools.cached_property
     def bessel_bound(self) -> float:
         """The optimal Bessel bound lambda_max of the Gram of the dual."""
-        y = self.whitened()
-        if not y.size:
-            return 0.0
-        return float(np.linalg.eigvalsh(hermitize(y.conj().T @ y))[-1])
+        return float(_whitened_spectrum(self.whitened())[-1])
 
     @property
     def n_vectors(self) -> int:
@@ -111,24 +114,24 @@ def weak_a_dual(seq: FrameSequence, A: OperatorModel, rcond=1e-10) -> DualSequen
     """Construct the Bessel weak dual {t_n} = {M* e_n} of a weak frame.
 
     M is the minimum-norm solution of P_V (G M - A) = 0, where V = D(A*).
+    In orthonormal coordinates of V (row slices for a selection subspace)
+    that is y M = kt with y and kt the restricted whitened family and
+    operator, solved by ``min_norm_factor`` as the K-dual factorization is.
     Raises FactorizationFailed when even this projected (weak) equation
     cannot be met, which signals that the weak lower bound was spurious.
     """
-    w = seq.model.weights
-    ones = np.ones(seq.n_vectors)
     v = A.adjoint_domain_subspace
-    # P_V applied to columns: a row mask for a selection subspace
-    g_v, a_v = v.project(seq.vectors), v.project(A.effective_matrix())
-    m = pinv_weighted(g_v, w, ones, rcond) @ a_v
-    wt = np.sqrt(w)[:, None]
-    weak_res = np.linalg.norm(wt * (g_v @ m - a_v))
-    weak_scale = np.linalg.norm(wt * a_v)
+    y = v.whitened_coords(seq.whitened())  # r x N
+    kt = v.whitened_coords(seq.model.sqrt_weights[:, None] * A.effective_matrix())
+    m = min_norm_factor(y, kt, rcond)[1]
+    weak_res, weak_scale = np.linalg.norm(y @ m - kt), np.linalg.norm(kt)
+    del y, kt  # freed before the certificate's larger sample arrays
     if weak_res > FACTORIZATION_TOL * max(weak_scale, 1e-300):
         raise FactorizationFailed(
             f"projected factorization residual {weak_res:.3e} exceeds "
             f"{FACTORIZATION_TOL:.1e} * {weak_scale:.3e}"
         )
-    t = adjoint_matrix(m, ones, w)  # d x N
+    t = adjoint_matrix(m, np.ones(seq.n_vectors), seq.model.weights)  # d x N
     dual = DualSequence(seq.model, t, "weak_a_dual_thm", float("nan"))
     return replace(dual, certificate_residual=verify_weak_duality(seq, dual, A))
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from opframe.hilbert import HilbertModel, l2_truncation
+from opframe.scenarios import load_bundled, run_scenario
 from opframe.seqops import FrameSequence
 
 
@@ -46,3 +47,8 @@ def random_frame(rng, dim, n_cols, model=None):
     """A random spanning family (full rank with probability one)."""
     model = model or l2_truncation(dim)
     return FrameSequence(model, random_matrix(rng, dim, n_cols))
+
+
+def reproduce(name):
+    """The report of a bundled scenario, as ``opframe reproduce <name>`` makes it."""
+    return run_scenario(load_bundled(name))

@@ -1,8 +1,11 @@
-"""The public surface: every exported name resolves, and none is listed twice."""
+"""The public surface: every exported name resolves, none is listed twice, and
+every top-level definition is used in the package or exported."""
 
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import opframe
 
@@ -30,3 +33,20 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_every_top_level_definition_is_used_or_exported():
+    """A top-level function or class of src/opframe must be referenced in
+    src/ apart from its own definition, or be listed in opframe.__all__: a
+    helper that only tests use does not belong in the package."""
+    trees = [ast.parse(path.read_text()) for path in Path(opframe.__file__).parent.glob("*.py")]
+    defined = {node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(defined - used - set(opframe.__all__)) == []

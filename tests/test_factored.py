@@ -13,11 +13,10 @@ from opframe.errors import InvalidDimension
 from opframe.hilbert import HilbertModel, interval_grid, orthonormalize
 from opframe.opmodel import OperatorModel, diff_operator
 from opframe.relframes import aframe_bounds_graph, kframe_bounds, range_inclusion
-from opframe.scenarios import reproduce
 from opframe.seqops import FrameSequence
 from opframe.weakframes import weak_aframe_bound
 
-from conftest import random_matrix, random_weighted_model
+from conftest import random_matrix, random_weighted_model, reproduce
 
 RTOL = 1e-10
 

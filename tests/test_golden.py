@@ -14,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from opframe.scenarios import REPRODUCE_NAMES, reproduce
+from opframe.scenarios import REPRODUCE_NAMES
+
+from conftest import reproduce
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 RTOL = 1e-12

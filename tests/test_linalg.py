@@ -10,16 +10,15 @@ from opframe._linalg import (
     max_column_gap,
     orthonormal_range,
     pencil_lower_bound,
-    pinv_weighted,
     thin_svd,
     triangular_inverse,
 )
-from opframe.hilbert import HilbertModel, l2_truncation, orthonormalize
-from opframe.opmodel import OperatorModel, identity_operator
+from opframe.hilbert import HilbertModel, Subspace, l2_truncation, orthonormalize
+from opframe.opmodel import OperatorModel, identity_operator, pseudo_inverse
 from opframe.relframes import a_dual_graph, k_dual, kframe_bounds, range_inclusion
 from opframe.scenarios import CHECKS
 from opframe.seqops import FrameSequence
-from opframe.weakframes import weak_aframe_bound
+from opframe.weakframes import weak_a_dual, weak_aframe_bound
 
 from conftest import random_matrix, random_weighted_model
 
@@ -171,9 +170,9 @@ def test_range_and_pinv_cuts_from_one_svd(d, wide, seed):
     # K = D M with the minimum-norm M = D+ K; the dual vectors are M^H
     m = k_dual(seq, K).vectors.conj().T
     assert _rel(m, np.linalg.pinv(y, rcond=1e-10) @ kt) <= 1e-10
-    pinv = pinv_weighted(seq.vectors, model.weights, np.ones(n))
+    pinv = pseudo_inverse(OperatorModel(seq.vectors, l2_truncation(n), model)).matrix
     assert _rel(pinv, np.linalg.pinv(y, rcond=1e-10) * sw[None, :]) <= 1e-10
-    zero = pinv_weighted(np.zeros((d, n)), model.weights, np.ones(n))
+    zero = pseudo_inverse(OperatorModel(np.zeros((d, n)), l2_truncation(n), model)).matrix
     assert zero.shape == (n, d) and not np.any(zero)
 
 
@@ -186,13 +185,15 @@ def test_range_and_pinv_cuts_from_one_svd(d, wide, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_coefficient_factor_matches_svd_oracles(d, shape, kind, decades, seed):
-    """Both paths of the coefficient factor against SVD oracles.
+    """Both paths of the minimum-norm factor against SVD oracles, through
+    k_dual, pseudo_inverse, range_inclusion, a_dual_graph and weak_a_dual.
 
-    sigma_min / sigma_max of the whitened D is planted between 1e-1 and
-    1e-9, so a family of full row rank falls on both sides of the
-    triangular-factor certificate (kappa_F <= 1e6).  The oracle
-    ``numpy.linalg.pinv`` is itself accurate only to about eps * kappa of the
-    singular values it keeps, so M is held to max(1e-10, 10 eps kappa).
+    sigma_min / sigma_max of the whitened D (for weak_a_dual: of the family
+    restricted to the adjoint domain) is planted between 1e-1 and 1e-9, so a
+    family of full row rank falls on both sides of the triangular-factor
+    certificate (kappa_F <= 1e6).  The oracle ``numpy.linalg.pinv`` is
+    itself accurate only to about eps * kappa of the singular values it
+    keeps, so M is held to max(1e-10, 10 eps kappa).
     """
     rng = np.random.default_rng(seed)
     model = random_weighted_model(rng, d)
@@ -214,13 +215,16 @@ def test_coefficient_factor_matches_svd_oracles(d, shape, kind, decades, seed):
     K = OperatorModel(kt / sw[:, None], l2_truncation(q), model)
     kt = sw[:, None] * K.dense()
 
+    D = OperatorModel(seq.vectors, l2_truncation(n), model)
     for rcond in (1e-10, 1e-3):
         if np.min(np.abs(np.log10(s / rcond))) < 1e-2:
             continue  # a singular value on the cut: either rank is right
         kappa = 1.0 / s[s > rcond][-1]
+        oracle = np.linalg.pinv(y, rcond=rcond)
         m = k_dual(seq, K, rcond=rcond).vectors.conj().T
         tol = max(1e-10, 10 * np.finfo(float).eps * kappa)
-        assert _rel(m, np.linalg.pinv(y, rcond=rcond) @ kt) <= tol
+        assert _rel(m, oracle @ kt) <= tol
+        assert _rel(pseudo_inverse(D, rcond).matrix, oracle * sw[None, :]) <= tol
 
     kappa = s[0] / s[-1]
     basis = orthonormal_range(y)
@@ -232,6 +236,35 @@ def test_coefficient_factor_matches_svd_oracles(d, shape, kind, decades, seed):
 
     A = OperatorModel((y @ random_matrix(rng, n, d)) / sw[:, None], model, model)
     assert a_dual_graph(seq, A).certificate_residual <= 1e-9
+
+    tol = max(1e-10, 10 * np.finfo(float).eps * kappa)
+    for form in ("selection", "basis"):
+        assert _weak_dual_gap(rng, y, form) <= tol
+
+
+def _weak_dual_gap(rng, y, form):
+    """weak_a_dual on a model with 1 to 3 more dimensions than y has rows,
+    whose family restricts to y on the adjoint domain V (a selection or a
+    basis subspace), against the oracle pinv(y_V) kt_V in coordinates of V."""
+    d, n = y.shape
+    big = random_weighted_model(rng, d + int(rng.integers(1, 4)))
+    sw = big.sqrt_weights
+    if form == "selection":
+        index = np.sort(rng.choice(big.dim, d, replace=False))
+        vw, v = np.eye(big.dim)[:, index], Subspace.selection(big, index)
+    else:
+        vw = np.linalg.qr(random_matrix(rng, big.dim, d))[0]
+        v = Subspace(big, vw / sw[:, None])
+    off = random_matrix(rng, big.dim, n)
+    yb = vw @ y + off - vw @ (vw.conj().T @ off)
+    seq = FrameSequence(big, yb / sw[:, None])
+    # A = G X, so P_V A lies in R(P_V G) and the weak factorization holds
+    A = OperatorModel((yb @ random_matrix(rng, n, big.dim)) / sw[:, None], big, big,
+                      adjoint_domain=v)
+    y_v = vw.conj().T @ (sw[:, None] * seq.vectors)
+    kt_v = vw.conj().T @ (sw[:, None] * A.dense())
+    m = (big.weights[:, None] * weak_a_dual(seq, A).vectors).conj().T
+    return _rel(m, np.linalg.pinv(y_v, rcond=1e-10) @ kt_v)
 
 
 @pytest.mark.parametrize("d", [1, 63, 64, 65, 200])

@@ -7,7 +7,13 @@ from opframe.errors import (
     InvalidDimension,
     NotSurjective,
 )
-from opframe.hilbert import HilbertModel, interval_grid, l2_truncation, orthonormalize
+from opframe.hilbert import (
+    HilbertModel,
+    Subspace,
+    interval_grid,
+    l2_truncation,
+    orthonormalize,
+)
 from opframe.opmodel import (
     OperatorModel,
     adjoint,
@@ -412,6 +418,61 @@ class TestKernelCounts:
         top = dual.bessel_bound
         assert len(calls) == 1 and top > 0.0
         assert dual.bessel_bound == top and len(calls) == 1  # cached
+
+    def test_bessel_bound_of_a_wide_dual_uses_the_smaller_gram(self, linalg_calls, rng):
+        m = random_weighted_model(rng, 6)
+        dual = user_dual(m, random_matrix(rng, 6, 40))
+        oracle = np.linalg.svd(dual.whitened(), compute_uv=False)[0] ** 2
+        calls = linalg_calls("eigvalsh")
+        assert dual.bessel_bound == pytest.approx(oracle, rel=1e-12)
+        assert len(calls) == 1 and calls[0][0][0].shape == (6, 6)
+
+    def test_rank_deficient_weak_bound_takes_vectors_of_the_square_factor(self, linalg_calls, rng):
+        # A* of rank 4 on an 8-dim adjoint domain of a 24-dim model: the SVD
+        # with vectors runs on the 8 x 8 R^H of M = R^H Q^H, not on M (8 x 24)
+        m = random_weighted_model(rng, 24)
+        v = orthonormalize(random_matrix(rng, 24, 8), m)
+        A = OperatorModel(random_matrix(rng, 24, 4) @ random_matrix(rng, 4, 24), m, m,
+                          adjoint_domain=v)
+        seq = random_frame(rng, 24, 30, model=m)
+        vw = m.sqrt_weights[:, None] * v.basis
+        x = seq.whitened().conj().T @ vw  # N x 8: the family on V
+        mv = vw.conj().T @ A.whitened()  # 8 x 24: T = M^H on V
+        calls = linalg_calls("svd")
+        alpha = weak_aframe_bound(seq, A).alpha
+        with_vectors = [a[0] for a, kw in calls if kw.get("compute_uv") is not False]
+        assert with_vectors and all(a.shape == (8, 8) for a in with_vectors)
+        # oracle: the Schur complement of ker(M M^H) in the pencil (X^H X, M M^H)
+        lam, q = np.linalg.eigh(mv @ mv.conj().T)
+        live = lam > 1e-10 * lam[-1]
+        su, sk = x @ q[:, live], x @ q[:, ~live]
+        schur = su.conj().T @ su - su.conj().T @ sk @ np.linalg.solve(
+            sk.conj().T @ sk, sk.conj().T @ su)
+        scale = 1.0 / np.sqrt(lam[live])
+        oracle = np.linalg.eigvalsh(scale[:, None] * schur * scale[None, :])[0]
+        assert alpha == pytest.approx(oracle, rel=1e-9)
+
+    def test_weak_a_dual_solves_one_certified_factor(self, linalg_calls, rng):
+        # the family restricted to V = D(A*) has full row rank: one QR of
+        # its row slice and no SVD, as for a well-conditioned K-dual
+        m = random_weighted_model(rng, 8)
+        v = Subspace.selection(m, np.arange(1, 7))
+        seq = random_frame(rng, 8, 10, model=m)
+        A = OperatorModel(random_matrix(rng, 8, 8), m, m, adjoint_domain=v)
+        svd, pinv, qr = linalg_calls("svd"), linalg_calls("pinv"), linalg_calls("qr")
+        assert weak_a_dual(seq, A).certificate_residual <= 1e-9
+        assert not svd and not pinv and len(qr) == 1
+        assert np.array_equal(qr[0][0][0], seq.whitened()[1:7].conj().T)
+
+    def test_rank_deficient_weak_a_dual_takes_one_svd(self, linalg_calls, rng):
+        m = random_weighted_model(rng, 8)
+        v = Subspace.selection(m, np.arange(1, 7))
+        vectors = random_matrix(rng, 8, 3) @ random_matrix(rng, 3, 10)  # rank 3 on V
+        seq = FrameSequence(m, vectors)
+        A = OperatorModel(vectors @ random_matrix(rng, 10, 8), m, m, adjoint_domain=v)
+        svd, pinv = linalg_calls("svd"), linalg_calls("pinv")
+        assert weak_a_dual(seq, A).certificate_residual <= 1e-9
+        assert len(svd) == 1 and not pinv
 
     def test_interchange_dual_factors_the_operator_once(self, linalg_calls, rng):
         d = 6
