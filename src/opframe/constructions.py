@@ -2,32 +2,32 @@
 
 Every generator is deterministic in its parameters: identical inputs give
 byte-identical columns.  Continuous systems live on uniform midpoint grids;
-translations act by exact periodic sample shifts, which keeps them unitary
-and the resulting frame operators exactly self-adjoint.
+exponential tables are exact gathers from roots of unity where the grid
+allows (see _exp_table).  Translations act by exact periodic sample shifts
+(one circulant gather), which keeps them unitary and the resulting frame
+operators exactly self-adjoint.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    GridMismatch,
-    InvalidDimension,
-    NotBiorthogonal,
-    WindowOverflow,
-)
+from .errors import GridMismatch, InvalidDimension, NotBiorthogonal, WindowOverflow
 from .hilbert import HilbertModel, l2_truncation
 from .opmodel import OperatorModel
 from .seqops import FrameSequence
 
 WindowLike = Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]
+_ROOTS_MAX = 2**22  # largest root-of-unity order an exponential table gathers from
 
 
 def _grid_geometry(grid: HilbertModel):
-    if grid.points is None:
-        raise InvalidDimension("construction requires a grid model with points")
+    if grid.points is None or grid.dim < 2:
+        raise InvalidDimension("construction requires a grid model with at least 2 points")
     pts = grid.points
     h = float(pts[1] - pts[0])
     x0 = float(pts[0] - 0.5 * h)
@@ -42,6 +42,37 @@ def _sample(window: WindowLike, pts) -> np.ndarray:
     if w.shape[0] != pts.shape[0]:
         raise InvalidDimension("sampled window length must match the grid")
     return w
+
+
+def _exp_table(pts, h: float, x0: float, c: float, ns) -> np.ndarray:
+    """exp(2 pi i c n x_k) for x_k = x0 + (k + 1/2) h (rows) and labels n (columns).
+
+    If c h / 2 and c x0 are fractions over one M <= 2**22 and every M c x_k
+    is an integer a_k to rounding, entry (k, n) is the M-th root of unity of
+    index n a_k mod M (int64 arithmetic); otherwise np.exp of the outer product.
+    """
+    M = math.lcm(*(Fraction(v).limit_denominator(_ROOTS_MAX).denominator
+                   for v in (c * h / 2, c * x0)))
+    r = (c * M) * pts
+    a = np.rint(r)
+    if M <= _ROOTS_MAX and np.max(np.abs(r - a)) <= 1e-14 * max(np.max(np.abs(r)), 1.0):
+        j = np.arange(M)
+        roots = np.exp((2j * np.pi / M) * np.where(2 * j > M, j - M, j))
+        idx = np.multiply.outer(a.astype(np.int64) % M, ns % M)
+        if M & (M - 1):
+            idx %= M
+        else:  # a power of two
+            idx &= M - 1
+        return roots.take(idx)
+    return np.exp(2j * np.pi * c * np.outer(pts, ns))
+
+
+def _translates(g: np.ndarray, shift: int, ms) -> np.ndarray:
+    """Columns g[..., (k - shift m) mod d] for m in ms, i.e. np.roll(g, shift m)
+    along the last axis: one gather from g repeated twice."""
+    d = g.shape[-1]
+    idx = np.add.outer(np.arange(d), (-shift * np.asarray(ms, dtype=np.int64)) % d)
+    return np.concatenate((g, g), axis=-1).take(idx, axis=-1)
 
 
 def _integer_shift(amount: float, h: float, what: str) -> int:
@@ -61,9 +92,9 @@ def exponential_system(
     """
     if not 0.0 < b <= 1.0:
         raise InvalidDimension("b must lie in (0, 1]")
-    pts, _, _, _ = _grid_geometry(grid)
+    pts, h, x0, _ = _grid_geometry(grid)
     ns = np.arange(-label_range, label_range + 1)
-    cols = np.exp(2j * np.pi * b * np.outer(pts, ns))
+    cols = _exp_table(pts, h, x0, b, ns)
     if derivative:
         cols = cols * (2.0 * np.pi * b * ns)[None, :]
     return FrameSequence(grid, cols, ns)
@@ -92,7 +123,7 @@ def gabor_system(
     """
     if a <= 0 or b <= 0:
         raise InvalidDimension("a and b must be positive")
-    pts, h, _, length = _grid_geometry(grid)
+    pts, h, x0, length = _grid_geometry(grid)
     if abs(b * length - round(b * length)) > 1e-9:
         raise GridMismatch("b times the window length must be an integer")
     shift = _integer_shift(a, h, "translation step a")
@@ -100,19 +131,15 @@ def gabor_system(
     gp = _sample(window_deriv, pts) if window_deriv is not None else None
     if derivative and gp is None:
         raise InvalidDimension("derivative system requires window_deriv")
-    ms = list(m_values) if m_values is not None else list(range(-m_range, m_range + 1))
-    ns = list(range(-n_range, n_range + 1))
-    cols = []
-    for m in ms:
-        tg = np.roll(g, shift * m)
-        tgp = np.roll(gp, shift * m) if gp is not None else None
-        for n in ns:
-            mod = np.exp(2j * np.pi * b * n * pts)
-            if derivative:
-                cols.append(2.0 * np.pi * b * n * mod * tg - 1j * mod * tgp)
-            else:
-                cols.append(mod * tg)
-    return FrameSequence(grid, np.column_stack(cols))
+    ms = list(m_values) if m_values is not None else range(-m_range, m_range + 1)
+    ns = np.arange(-n_range, n_range + 1)
+    mod = _exp_table(pts, h, x0, b, ns)[:, None, :]  # (point, -, n)
+    if derivative:
+        tg, tgp = _translates(np.stack((g, gp)), shift, ms)[..., None]  # (point, m, -)
+        cols = (2.0 * np.pi * b * ns) * mod * tg - 1j * mod * tgp
+    else:
+        cols = mod * _translates(g, shift, ms)[..., None]
+    return FrameSequence(grid, cols.reshape(grid.dim, -1))  # m-major, n-minor
 
 
 def translation_system(
@@ -123,8 +150,7 @@ def translation_system(
     shift = _integer_shift(c, h, "translation step c")
     g = _sample(window, pts)
     ks = np.arange(-k_range, k_range + 1)
-    cols = np.column_stack([np.roll(g, shift * k) for k in ks])
-    return FrameSequence(grid, cols, ks)
+    return FrameSequence(grid, _translates(g, shift, ks), ks)
 
 
 def wavelet_system(
@@ -151,7 +177,6 @@ def wavelet_system(
     if derivative and mother_deriv is None:
         raise InvalidDimension("derivative system requires mother_deriv")
     cols = []
-    labels = []
     for m in range(-m_range, m_range + 1):
         scale = a ** float(m)
         for n in range(-n_range, n_range + 1):
@@ -167,8 +192,7 @@ def wavelet_system(
             else:
                 col = scale ** (-0.5) * np.asarray(mother(arg), dtype=complex)
             cols.append(col)
-            labels.append(len(labels))
-    return FrameSequence(grid, np.column_stack(cols), labels)
+    return FrameSequence(grid, np.column_stack(cols))
 
 
 # -- band-limited projection example ---------------------------------------
@@ -196,39 +220,37 @@ def pw_example(grid: HilbertModel, taper: str = "linear"):
     quarter band {|gamma| <= 1/4}, phi has a tapered transfer profile (1 on
     the band, decaying to 0 on 1/4 <= |gamma| < 1/2), phi_n(x) = phi(x-n),
     and psi_n is the inverse transform of the band-limited exponential.
-    P is stored in factored form P = u (W u)^H, where the columns of u are
-    the band exponentials, weighted-orthonormal, so P.factor[0] is an
-    orthonormal basis of the band and no dim x dim array is ever formed.
-    Requires a power-of-two grid whose window length is divisible by 4 and
-    whose sample rate is an integer per unit length.
+    One exponential table over |gamma| < 1/2, exact on this grid, gives
+    phi_0 = table @ profile, and its band columns give psi_0 and u.  P is
+    stored in factored form P = u (W u)^H, where the columns of u are the band
+    exponentials, weighted-orthonormal, so P.factor[0] is an orthonormal
+    basis of the band and no dim x dim array is ever formed.  Requires a
+    power-of-two grid whose window length is divisible by 4 and whose sample
+    rate is an integer per unit length.
     """
-    pts, h, _, length = _grid_geometry(grid)
+    pts, h, x0, length = _grid_geometry(grid)
     d = grid.dim
     if d & (d - 1):
         raise GridMismatch("pw_example requires a power-of-two grid length")
     L = int(round(length))
     if abs(length - L) > 1e-9 or L % 4:
         raise GridMismatch("window length must be an integer divisible by 4")
-    _integer_shift(1.0, h, "unit translation")
-    band = np.arange(-L // 4, L // 4 + 1)  # |gamma| <= 1/4
+    shift = _integer_shift(1.0, h, "unit translation")
     half = np.arange(-(L // 2) + 1, L // 2)  # |gamma| < 1/2
-    prof = _band_profile(half / L, taper)
-    phi0 = (np.exp(2j * np.pi * np.outer(pts, half / L)) @ prof) / L
-    psi0 = np.exp(2j * np.pi * np.outer(pts, band / L)).sum(axis=1) / L
-    shift = int(round(1.0 / h))
+    table = _exp_table(pts, h, x0, 1.0 / L, half)
+    phi0 = (table @ _band_profile(half / L, taper)) / L
+    band = table[:, L // 4 - 1: 3 * L // 4]  # |gamma| <= 1/4
+    psi0 = band.sum(axis=1) / L
+    u = band / np.sqrt(L)
+    del table, band  # freed before the translates, which can then reuse its memory
     ns = np.arange(-L // 2, L // 2)
-    phi = np.column_stack([np.roll(phi0, shift * n) for n in ns])
-    psi = np.column_stack([np.roll(psi0, shift * n) for n in ns])
-    u = np.exp(2j * np.pi * np.outer(pts, band / L)) / np.sqrt(L)
+    phi = FrameSequence(grid, _translates(phi0, shift, ns), ns)
+    psi = FrameSequence(grid, _translates(psi0, shift, ns), ns)
     P = OperatorModel(
         None, grid, grid, name="quarter-band projection",
         factor=(u, grid.weights[:, None] * u),
     )
-    return (
-        FrameSequence(grid, phi, ns),
-        FrameSequence(grid, psi, ns),
-        P,
-    )
+    return phi, psi, P
 
 
 def pw_closed_form_gaps(psi: FrameSequence, grid: HilbertModel):
@@ -239,8 +261,7 @@ def pw_closed_form_gaps(psi: FrameSequence, grid: HilbertModel):
     x = 0.  Returned as relative L2 gaps {"sinc_half": ..., "sinc_4x": ...};
     recorded for reporting, not asserted.
     """
-    pts, _, _, _ = _grid_geometry(grid)
-    x = pts
+    x, _, _, _ = _grid_geometry(grid)
     with np.errstate(invalid="ignore", divide="ignore"):
         sinc_half = np.where(x != 0.0, np.sin(0.5 * np.pi * x) / (np.pi * x), 0.5)
     sinc_4x = np.where(x != 0.0, 4.0 * sinc_half, 1.0)
@@ -279,9 +300,7 @@ def riesz_multiplier(
         raise NotBiorthogonal(f"biorthogonality violated by {gap:.3e}")
     w = phis.model.weights
     mat = (phis.vectors * alphas[None, :]) @ (psis.vectors.conj().T * w[None, :])
-    return OperatorModel(
-        mat, phis.model, phis.model, name="riesz multiplier"
-    )
+    return OperatorModel(mat, phis.model, phis.model, name="riesz multiplier")
 
 
 # -- reusable windows -------------------------------------------------------

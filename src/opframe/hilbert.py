@@ -72,14 +72,12 @@ def l2_truncation(dim, label=None):
 
 def interval_grid(dim, x0=0.0, x1=1.0, label=None):
     """Uniform midpoint grid on [x0, x1) with uniform weights (x1-x0)/dim."""
+    if dim < 1:
+        raise InvalidDimension("model dimension must be positive")
     h = (x1 - x0) / dim
     pts = x0 + (np.arange(dim) + 0.5) * h
-    return HilbertModel(
-        dim,
-        np.full(dim, h),
-        label or f"L2({x0:g},{x1:g}) uniform grid d={dim}",
-        points=pts,
-    )
+    return HilbertModel(dim, np.full(dim, h),
+                        label or f"L2({x0:g},{x1:g}) uniform grid d={dim}", points=pts)
 
 
 def window_grid(dim, x0, x1, label=None):

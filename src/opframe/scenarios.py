@@ -34,7 +34,7 @@ from .opmodel import (
     truncation_trajectory,
 )
 from .relframes import aframe_bounds_graph, kframe_bounds, range_inclusion
-from .seqops import FrameSequence, analysis, frame_bounds, partial_synthesis
+from .seqops import FrameSequence, analysis, frame_bounds
 from .weakframes import (
     DualSequence,
     user_dual,
@@ -78,12 +78,25 @@ def _grid_from(params) -> HilbertModel:
     return interval_grid(d, x0, x1)
 
 
+def _exponentials(ctx, label_range: int, derivative=False) -> FrameSequence:
+    """exponential_system(b, label_range, grid, derivative) at the scenario's b
+    and grid, its columns taken from the widest table the scenario has built."""
+    b = float(ctx["params"].get("b", 1.0))
+    wide = ctx.get("exponentials")
+    if wide is None or wide.shape[1] <= 2 * label_range:
+        wide = ctx["exponentials"] = C.exponential_system(b, label_range, ctx["grid"]).vectors
+    ns = np.arange(-label_range, label_range + 1)
+    cols = wide[:, wide.shape[1] // 2 - label_range:][:, :ns.size]
+    if derivative:
+        cols = cols * (2.0 * np.pi * b * ns)[None, :]
+    return FrameSequence(ctx["grid"], cols, ns)
+
+
 def _build_exponential(params, rng):
-    grid = _grid_from(params)
-    b = float(params.get("b", 1.0))
-    label_range = int(params.get("label_range", 40))
-    seq = C.exponential_system(b, label_range, grid, derivative=params.get("derivative", False))
-    return {"grid": grid, "seq": seq, "params": params}
+    ctx = {"grid": _grid_from(params), "params": params}
+    ctx["seq"] = _exponentials(ctx, int(params.get("label_range", 40)),
+                               params.get("derivative", False))
+    return ctx
 
 
 def _build_gabor(params, rng, derivative=False):
@@ -283,25 +296,29 @@ def exm1_probe_functions(grid: HilbertModel):
     return hs, us
 
 
-def exm1_scaled_dual(b: float, label_range: int, grid: HilbertModel) -> DualSequence:
-    """The canonical dual of {e_nb} is {b e_nb}; pair it with {2 pi n b e_nb}."""
-    base = C.exponential_system(b, label_range, grid)
-    return user_dual(grid, b * base.vectors)
+def exm1_scaled_dual(b: float, label_range: int, grid: HilbertModel,
+                     plain=None) -> DualSequence:
+    """The canonical dual of {e_nb} is {b e_nb}; pair it with {2 pi n b e_nb}.
+    plain: the columns of exponential_system(b, label_range, grid), if built."""
+    if plain is None:
+        plain = C.exponential_system(b, label_range, grid).vectors
+    return user_dual(grid, b * plain)
 
 
-def exm1_decomposition_error(b: float, label_range: int, grid: HilbertModel) -> float:
+def exm1_decomposition_error(b: float, label_range: int, grid: HilbertModel,
+                             plain=None) -> float:
     """Relative gap of sum_n inner(u, g_n) t_n against the analytic -i u'.
 
     Probe u = sin^3(pi x): u and u' vanish at both interval ends, so the
     zero extension is C^1 and the truncation error decays cleanly while
-    staying above the quadrature floor.
+    staying above the quadrature floor.  plain is as in exm1_scaled_dual.
     """
     x = grid.points
     u = (np.sin(np.pi * x) ** 3).astype(complex)
     uprime = 3.0 * np.pi * np.sin(np.pi * x) ** 2 * np.cos(np.pi * x)
-    seq = C.exponential_system(b, label_range, grid, derivative=True)
-    dual = exm1_scaled_dual(b, label_range, grid)
-    vec = dual.vectors @ analysis(seq, u)
+    t = exm1_scaled_dual(b, label_range, grid, plain).vectors  # t_n = b e_nb
+    g = t * (2.0 * np.pi * np.arange(-label_range, label_range + 1))[None, :]  # 2 pi n b e_nb
+    vec = t @ analysis(FrameSequence(grid, g), u)
     ref = -1j * uprime
     w = grid.weights
     return float(
@@ -319,23 +336,23 @@ def exm1_decomposition_error(b: float, label_range: int, grid: HilbertModel) -> 
 
 def _chk_weak_duality_residual(ctx, params, rng):
     p, grid = ctx["params"], ctx["grid"]
-    dual = exm1_scaled_dual(float(p.get("b", 1.0)), int(p.get("label_range", 40)), grid)
+    r = int(p.get("label_range", 40))
+    dual = exm1_scaled_dual(float(p.get("b", 1.0)), r, grid, _exponentials(ctx, r).vectors)
     hs, us = exm1_probe_functions(grid)
     return verify_weak_duality(ctx["seq"], dual, ctx["op"], hs=hs, us=us)
 
 
 def _chk_adjoint_decomposition_error(ctx, params, rng):
-    p = ctx["params"]
-    return exm1_decomposition_error(
-        float(p.get("b", 1.0)), int(p.get("label_range", 40)), ctx["grid"]
-    )
+    r = int(ctx["params"].get("label_range", 40))
+    return exm1_decomposition_error(float(ctx["params"].get("b", 1.0)), r, ctx["grid"],
+                                    _exponentials(ctx, r).vectors)
 
 
 def _chk_decomposition_monotone(ctx, params, rng):
-    p = ctx["params"]
-    b = float(p.get("b", 1.0))
+    b = float(ctx["params"].get("b", 1.0))
     ranges = [int(r) for r in params.get("ranges", (20, 40, 80))]
-    errs = [exm1_decomposition_error(b, r, ctx["grid"]) for r in ranges]
+    errs = [exm1_decomposition_error(b, r, ctx["grid"], _exponentials(ctx, r).vectors)
+            for r in ranges]
     ctx.setdefault("extras", {})["decomposition_errors"] = dict(zip(ranges, errs))
     return max(errs[i + 1] / errs[i] for i in range(len(errs) - 1))
 
@@ -346,8 +363,7 @@ def _chk_weak_alpha(ctx, params, rng):
         # rebuild at a label range that resolves the grid: a truncated family
         # covering fewer modes than the quantifier space has dimensions gives
         # alpha = 0 by a rank count
-        p = dict(ctx["params"], label_range=int(params["label_range"]))
-        seq = _build_exponential(p, rng)["seq"]
+        seq = _exponentials(ctx, int(params["label_range"]), ctx["params"].get("derivative", False))
     return weak_aframe_bound(seq, ctx["op"]).alpha
 
 
@@ -387,16 +403,11 @@ def _chk_frame_ratio(ctx, params, rng):
 
 
 def _chk_partial_sum_identity(ctx, params, rng):
+    """max_n |sum_{k <= n} g_k / k - e_n|, every partial sum from one running sum."""
     seq = ctx["seq"]
     d = seq.n_vectors
-    c = 1.0 / np.arange(1, d + 1)
-    worst = 0.0
-    for n in range(1, d + 1):
-        vec = partial_synthesis(seq, c, n)
-        e_n = np.zeros(d)
-        e_n[n - 1] = 1.0
-        worst = max(worst, float(np.linalg.norm(vec - e_n)))
-    return worst
+    sums = np.cumsum(seq.vectors * (1.0 / np.arange(1, d + 1)), axis=1)
+    return float(np.max(np.linalg.norm(sums - np.eye(d), axis=0)))
 
 
 def _chk_weak_certificate(ctx, params, rng):
@@ -412,12 +423,8 @@ def _chk_strong_residual_min(ctx, params, rng):
     f = (1.0 / np.arange(1, d + 1)).astype(complex)
     dual = ctx.get("dual") or weak_a_dual(seq, A)
     coeffs = analysis(dual.as_frame_sequence(), f)
-    af = A.apply(f)
-    worst = np.inf
-    for n in range(1, d):
-        vec = partial_synthesis(seq, coeffs, n)
-        worst = min(worst, float(np.linalg.norm(vec - af)))
-    return worst
+    sums = np.cumsum(seq.vectors[:, :d - 1] * coeffs[:d - 1], axis=1)  # partial sums n < d
+    return float(np.min(np.linalg.norm(sums - A.apply(f)[:, None], axis=0)))
 
 
 def _chk_pw_reconstruction(ctx, params, rng):

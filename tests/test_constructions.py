@@ -295,3 +295,10 @@ class TestDeterminism:
         a = dumps(gabor_system(gaussian_window, 1.0, 0.25, 1, 1, grid), "frame_sequence")
         b = dumps(gabor_system(gaussian_window, 1.0, 0.25, 1, 1, grid), "frame_sequence")
         assert a == b
+
+    def test_pw_example_reproducible(self):
+        a = pw_example(window_grid(512, -8.0, 8.0))
+        b = pw_example(window_grid(512, -8.0, 8.0))
+        for x, y in zip((a[0].vectors, a[1].vectors, a[2].factor[0]),
+                        (b[0].vectors, b[1].vectors, b[2].factor[0])):
+            assert x.tobytes() == y.tobytes()
