@@ -155,46 +155,40 @@ def orthonormal_range(mat, rank_tol=_RANK_TOL, scale=None):
     return u[:, :rank_cut(s, rank_tol, scale)]
 
 
-def pencil_lower_bound(sqrt_s, b_basis, b_factor, rank_tol=_RANK_TOL):
-    """Optimal constants of the pencil (S, B), returned as (alpha, beta).
+def pencil_lower_bound(sqrt_s, b_basis, b_inv_h, rank_tol=_RANK_TOL):
+    """Optimal constants (alpha, beta) of the pencil (S, B); beta is a number
+    when the rank-deficient path has sigma_max, else a zero-argument callable
+    that takes a values-only SVD of its own:
 
-    alpha = inf <S f, f> / <B f, f> over f with <B f, f> != 0, and
-    beta = sigma_max(sqrt_s)^2 = sup <S f, f> / <f, f>, the upper (Bessel)
-    constant.
+        alpha = inf <S f, f> / <B f, f> over f with <B f, f> != 0,
+        beta = sigma_max(sqrt_s)^2 = sup <S f, f> / <f, f>.
 
-    Arguments are given in orthonormal coordinates of the quantifier space V
-    (dimension r):
-
-    sqrt_s   : (m, r) array X with S-form = X^H X (a low-rank factor of S|_V)
-    b_basis  : (r, q) orthonormal basis of supp(B) inside V, or None when B
-               has full rank on V (q == r, coordinates of V itself)
-    b_factor : (q, q) invertible triangular (or diagonal) factor L of the
-               B-form's Gram on supp(B), L L^H = Gram; no Gram is formed
+    In orthonormal coordinates of the quantifier space V (dimension r),
+    sqrt_s is the (m, r) X with S-form X^H X, b_basis the (r, q) orthonormal
+    basis of supp(B) (None when B has full rank on V), and b_inv_h is L^-H
+    for the B-form's Gram L L^H on supp(B): a (q, q) matrix or, for a
+    diagonal L, the vector 1 / diag(L), multiplied and never solved with.
 
     A tall X (at least twice as many rows as columns) is first row-reduced
-    to the r x r R_x of X = Q R_x (from ``gram_factor``), which keeps
-    ||X f|| for every f.  The infimum allows components of f in ker(B);
-    minimizing them out is a Schur complement, realized here in factored
-    form: with f = U c + v, v in ker(B),
+    to the r x r R_x of X = Q R_x (``gram_factor``), which keeps ||X f||.
+    Components of f in ker(B) are minimized out by a Schur complement in
+    factored form: with f = U c + v, v in ker(B),
 
         min_v ||X (U c + v)||^2 = || P_T_perp (X U) c ||^2,
 
-    where T is the column space of X restricted to ker(B), taken from one
-    row reduction of that restriction (ker(B) = {0} when q == r).  alpha is
-    sigma_min(P_T_perp X U L^-H)^2, the smallest squared singular value of
-    the B-scaled projected factor, and 0 when that factor has fewer than q
-    rows.  No Gram of X or of B is formed, so alpha keeps its accuracy for
-    ill-conditioned B instead of losing eps * kappa^2 to the normal
-    equations.
+    T the column space of X restricted to ker(B), from one row reduction of
+    that restriction.  alpha = sigma_min(P_T_perp X U L^-H)^2, and 0 when
+    that factor has fewer than q rows.  No Gram of X or of B is formed, so
+    alpha does not lose eps * kappa^2 to the normal equations.
     """
-    if b_basis is not None and b_basis.shape[1] == 0:
-        raise ValueError("empty B support")
     x = sqrt_s
     if x.shape[0] >= 2 * x.shape[1]:
         x = gram_factor(x.conj().T)
     if b_basis is None or b_basis.shape[1] == b_basis.shape[0]:
         xu = x if b_basis is None else x @ b_basis
-        xscale = float(np.linalg.svd(_row_reduced(x), compute_uv=False)[0])
+
+        def beta():
+            return float(np.linalg.svd(_row_reduced(x), compute_uv=False)[0]) ** 2
     else:
         # X restricted to ker(B) = X (I - U U^H) has the left singular pairs
         # of its row reduction x_k, so its column space T is that of x_k, and
@@ -205,16 +199,18 @@ def pencil_lower_bound(sqrt_s, b_basis, b_factor, rank_tol=_RANK_TOL):
         xu = x @ b_basis
         x_k = _row_reduced(x - xu @ b_basis.conj().T)
         stacked = np.concatenate([x_k, xu], axis=1)
-        xscale = float(np.linalg.svd(
+        smax = float(np.linalg.svd(
             stacked if stacked.shape[1] < x.shape[1] else x, compute_uv=False)[0])
-        t_basis = orthonormal_range(x_k, rank_tol, scale=xscale)
+        t_basis = orthonormal_range(x_k, rank_tol, scale=smax)
         if t_basis.shape[1]:
             xu = xu - t_basis @ (t_basis.conj().T @ xu)
+        beta = smax**2
+
     if xu.shape[0] < xu.shape[1]:
-        return 0.0, xscale**2
-    scaled = np.linalg.solve(b_factor, xu.conj().T).conj().T  # xu L^-H
+        return 0.0, beta
+    scaled = xu * b_inv_h if b_inv_h.ndim == 1 else xu @ b_inv_h  # xu L^-H
     smin = float(np.linalg.svd(scaled, compute_uv=False)[-1])
-    return smin**2, xscale**2
+    return smin**2, beta
 
 
 def max_column_gap(approx, reference, weights):

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import GridMismatch, InvalidDimension, NotBiorthogonal, WindowOverflow
-from .hilbert import HilbertModel, l2_truncation
+from .hilbert import HilbertModel, Subspace, l2_truncation
 from .opmodel import OperatorModel
 from .seqops import FrameSequence
 
@@ -221,12 +221,12 @@ def pw_example(grid: HilbertModel, taper: str = "linear"):
     the band, decaying to 0 on 1/4 <= |gamma| < 1/2), phi_n(x) = phi(x-n),
     and psi_n is the inverse transform of the band-limited exponential.
     One exponential table over |gamma| < 1/2, exact on this grid, gives
-    phi_0 = table @ profile, and its band columns give psi_0 and u.  P is
-    stored in factored form P = u (W u)^H, where the columns of u are the band
-    exponentials, weighted-orthonormal, so P.factor[0] is an orthonormal
-    basis of the band and no dim x dim array is ever formed.  Requires a
-    power-of-two grid whose window length is divisible by 4 and whose sample
-    rate is an integer per unit length.
+    phi_0 = table @ profile, and its band columns give psi_0 and u.  The
+    columns of u, the band exponentials, are weighted-orthonormal, so P is
+    the projection onto ``Subspace(grid, u)``: P.projection.basis is an
+    orthonormal basis of the band and no dim x dim array is ever formed.
+    Requires a power-of-two grid whose window length is divisible by 4 and
+    whose sample rate is an integer per unit length.
     """
     pts, h, x0, length = _grid_geometry(grid)
     d = grid.dim
@@ -246,10 +246,8 @@ def pw_example(grid: HilbertModel, taper: str = "linear"):
     ns = np.arange(-L // 2, L // 2)
     phi = FrameSequence(grid, _translates(phi0, shift, ns), ns)
     psi = FrameSequence(grid, _translates(psi0, shift, ns), ns)
-    P = OperatorModel(
-        None, grid, grid, name="quarter-band projection",
-        factor=(u, grid.weights[:, None] * u),
-    )
+    P = OperatorModel(None, grid, grid, name="quarter-band projection",
+                      projection=Subspace(grid, u))
     return phi, psi, P
 
 

@@ -6,11 +6,11 @@ A :class:`HilbertModel` is C^dim equipped with the inner product
 
 linear in the first slot.  Continuous spaces are modeled on uniform midpoint
 grids carrying uniform weights h = (interval length) / dim, which keeps the
-discrete orthogonality of sampled exponentials exact.  Domain restrictions
-(Dirichlet conditions, operator domains) are :class:`Subspace` values: a
-matrix of columns orthonormal with respect to the weighted inner product,
-or, for a coordinate subspace such as the Dirichlet one, just the selected
-indices, whose implied basis e_i / sqrt(w_i) is never stored.
+discrete orthogonality of sampled exponentials exact.  Domains (Dirichlet
+conditions, operator domains) and projection ranges are :class:`Subspace`
+values: a matrix of columns orthonormal with respect to the weighted inner
+product, or, for a coordinate subspace such as the Dirichlet one, just the
+selected indices, whose implied basis e_i / sqrt(w_i) is never stored.
 """
 
 from __future__ import annotations
@@ -101,12 +101,12 @@ def norm(model: HilbertModel, f) -> float:
 class Subspace:
     """A subspace of a model, in one of three forms.
 
-    basis is dim x r with basis^H W basis = I_r.  index (the selection form)
-    is a strictly increasing array of r coordinates whose implied basis is
-    e_i / sqrt(w_i); coords, project and samples are then slices and
-    scatters, and ``dense`` materializes the basis for the consumers that
-    need a matrix.  With neither, the subspace is the whole ambient space
-    (and keeps large models cheap).
+    basis is finite and dim x r with basis^H W basis = I_r.  index (the
+    selection form) is a strictly increasing array of r coordinates whose
+    implied basis is e_i / sqrt(w_i); coords, project and samples are then
+    slices and scatters, and ``dense`` materializes the basis for the
+    consumers that need a matrix.  With neither, the subspace is the whole
+    ambient space (and keeps large models cheap).
     """
 
     ambient: HilbertModel
@@ -120,6 +120,8 @@ class Subspace:
             b = np.asarray(self.basis, dtype=complex)
             if b.ndim != 2 or b.shape[0] != self.ambient.dim:
                 raise InvalidDimension("basis must be dim x r")
+            if not np.all(np.isfinite(b)):
+                raise InvalidDimension("basis must be finite")
             object.__setattr__(self, "basis", b)
         if self.index is not None:
             idx = np.asarray(self.index)

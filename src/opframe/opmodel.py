@@ -32,22 +32,22 @@ class OperatorModel:
     """A linear map between models, with domain bookkeeping.
 
     matrix         : dim_out x dim_in complex matrix, or None when the
-                     operator is given by ``factor`` or ``stencil``
+                     operator is given by ``projection`` or ``stencil``
     input_model    : model of the input space
     codomain       : model of the output space
     domain         : Subspace of input_model (None == everywhere defined)
     adjoint_domain : declared domain of the adjoint (None == full codomain)
-    factor         : optional low-rank form (L, R) with M = L R^H in plain
-                     coordinates, L of shape dim_out x q and R dim_in x q
+    projection     : optional Subspace V: the weighted-orthogonal projection onto V
     stencil        : optional banded form (cols, vals), both dim_out x w:
                      row i of M holds vals[i, k] at column cols[i, k], and
                      the columns within a row are distinct
 
-    Exactly one of ``matrix``, ``factor`` and ``stencil`` is given, and it
-    must be finite and match the models' dimensions.  Neither a factored
-    nor a stencil operator stores its dim_out x dim_in matrix.  A factored
-    operator's ``apply`` and ``apply_columns`` cost O(dim q) per column and
-    its ``whitened_svd`` O(dim q^2); a stencil operator's ``apply`` and
+    Exactly one of ``matrix``, ``projection`` and ``stencil`` is given, and
+    it must be finite and match the models' dimensions.  Neither a
+    projection nor a stencil operator stores its dim_out x dim_in matrix.
+    A projection's ``apply`` and ``apply_columns`` are ``Subspace.project``,
+    O(dim r) per column, and its ``whitened_svd`` is the whitened basis of V
+    with unit singular values; a stencil operator's ``apply`` and
     ``apply_columns`` cost O(dim w) per column.  Every other consumer forms
     the matrix on demand through ``dense``, which caches nothing.
     """
@@ -58,13 +58,13 @@ class OperatorModel:
     domain: Optional[Subspace] = None
     adjoint_domain: Optional[Subspace] = None
     name: str = ""
-    factor: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    projection: Optional[Subspace] = None
     stencil: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def __post_init__(self):
         d_out, d_in = self.codomain.dim, self.input_model.dim
-        if sum(f is not None for f in (self.matrix, self.factor, self.stencil)) != 1:
-            raise InvalidDimension("give exactly one of matrix, factor and stencil")
+        if sum(f is not None for f in (self.matrix, self.projection, self.stencil)) != 1:
+            raise InvalidDimension("give exactly one of matrix, projection and stencil")
         if self.stencil is not None:
             cols, vals = np.asarray(self.stencil[0]), np.asarray(self.stencil[1], dtype=complex)
             if cols.ndim != 2 or cols.shape != vals.shape or cols.shape[0] != d_out:
@@ -83,18 +83,13 @@ class OperatorModel:
                 raise InvalidDimension("operator stencil must be finite")
             object.__setattr__(self, "stencil", (cols.astype(np.intp), vals))
             return
-        if self.factor is not None:
-            left, right = (np.asarray(a, dtype=complex) for a in self.factor)
-            if left.ndim != 2 or right.ndim != 2 or left.shape[1] != right.shape[1]:
-                raise InvalidDimension("factor must be two 2-d arrays of equal width")
-            if left.shape[0] != d_out or right.shape[0] != d_in:
-                raise InvalidDimension(
-                    f"factor shapes {left.shape}, {right.shape} do not match models "
-                    f"({d_out}, {d_in})"
-                )
-            if not (np.all(np.isfinite(left)) and np.all(np.isfinite(right))):
-                raise InvalidDimension("operator factor must be finite")
-            object.__setattr__(self, "factor", (left, right))
+        if self.projection is not None:
+            sub = self.projection
+            if not isinstance(sub, Subspace):
+                raise InvalidDimension("projection must be a Subspace")
+            for m in (self.input_model, self.codomain):
+                if m.dim != sub.ambient.dim or not np.array_equal(m.weights, sub.ambient.weights):
+                    raise InvalidDimension("a projection maps the model of its subspace to itself")
             return
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2:
@@ -119,27 +114,25 @@ class OperatorModel:
         return Subspace.full(self.codomain)
 
     def dense(self) -> np.ndarray:
-        """The dim_out x dim_in matrix; a factored operator forms L R^H and a
-        stencil operator scatters its values into a new array here."""
+        """The dim_out x dim_in matrix; a projection onto V forms V V^H W and
+        a stencil operator scatters its values into a new array here."""
         if self.stencil is not None:
             cols, vals = self.stencil
             m = np.zeros((self.codomain.dim, self.input_model.dim), dtype=complex)
             np.put_along_axis(m, cols, vals, axis=1)
             return m
-        if self.factor is None:
-            return self.matrix
-        left, right = self.factor
-        return left @ right.conj().T
+        if self.projection is not None:
+            return self.projection.project(np.eye(self.input_model.dim, dtype=complex))
+        return self.matrix
 
     def _times(self, x) -> np.ndarray:
-        """M x without forming M when the operator is factored or a stencil."""
+        """M x, a new array, without forming M for a projection or a stencil."""
         if self.stencil is not None:
             cols, vals = self.stencil
             return np.einsum("ik,ik...->i...", vals, x[cols])
-        if self.factor is None:
-            return self.matrix @ x
-        left, right = self.factor
-        return left @ (right.conj().T @ x)
+        if self.projection is not None:
+            return x.copy() if self.projection.is_full else self.projection.project(x)
+        return self.matrix @ x
 
     def effective_matrix(self) -> np.ndarray:
         """matrix composed with the projection onto the domain."""
@@ -164,23 +157,15 @@ class OperatorModel:
         )
 
     def whitened_svd(self):
-        """(U, s): thin left singular vectors and singular values of whitened().
-
-        A factored operator takes them from thin QRs of its whitened factors
-        and a q x q SVD, in O(dim q^2), without forming the matrix.
-        """
-        if self.factor is None:
+        """(U, s): thin left singular vectors and singular values of whitened();
+        for a projection without a domain, the whitened basis of its subspace
+        (identity columns for a selection or the whole space) and unit s."""
+        sub = self.projection
+        if sub is None or self.domain is not None:
             return thin_svd(self.whitened())[:2]
-        left, right = self.factor
-        if self.domain is not None:
-            # M P_D = L (P_D^H R)^H with P_D the weighted domain projection,
-            # whose plain adjoint is P_D^H = W P_D W^-1
-            w = self.input_model.weights[:, None]
-            right = w * self.domain.project(right / w)
-        q_left, r_left = np.linalg.qr(self.codomain.sqrt_weights[:, None] * left)
-        r_right = np.linalg.qr(right / self.input_model.sqrt_weights[:, None], mode="r")
-        u, s, _ = thin_svd(r_left @ r_right.conj().T)
-        return q_left @ u, s
+        if sub.basis is None:
+            return sub.whitened_coords(np.eye(sub.ambient.dim)).T, np.ones(sub.rank)
+        return sub.ambient.sqrt_weights[:, None] * sub.basis, np.ones(sub.rank)
 
     def domain_whitened(self) -> np.ndarray:
         """Whitened matrix restricted to orthonormal domain coordinates."""
@@ -192,7 +177,8 @@ class OperatorModel:
 
 
 def identity_operator(model: HilbertModel, name="identity") -> OperatorModel:
-    return OperatorModel(np.eye(model.dim, dtype=complex), model, model, name=name)
+    """The projection onto the whole space: no dim x dim array is stored."""
+    return OperatorModel(None, model, model, name=name, projection=Subspace.full(model))
 
 
 def diagonal_operator(model: HilbertModel, diag, name="diagonal") -> OperatorModel:

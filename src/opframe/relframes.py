@@ -111,6 +111,13 @@ def aframe_bounds_graph(
     ||A# h||_A^2 = h~^H At (I + At^H At)^-1 At^H h~ with At the whitened
     domain-restricted matrix, so its support and Gram come straight from
     the SVD of At: sigma^2 / (1 + sigma^2) on its left singular vectors.
+
+    Closed form, exact at every d (b = 1, |n| <= d/2, ``minus_i_ddx_periodic``
+    on d points of [0, 1), h = 1/d): the distinct exponentials e_k are an
+    orthonormal eigenbasis of A, sigma_k = |sin(2 pi k/d)| / h, and n = +-d/2
+    alias to one vector, held twice.  The family's form is sum_k c_k |f_k|^2,
+    c_k in {1, 2} (beta = 2), the graph form sum_k sigma_k^2/(1 + sigma_k^2)
+    |f_k|^2, so alpha = min_k c_k (1 + 1/sigma_k^2) = 1 + h^2 at k = d/4.
     """
     return _operator_bounds(seq, A, "graph_a_frame", frame_tol, graph=True)
 

@@ -429,7 +429,7 @@ def _chk_strong_residual_min(ctx, params, rng):
 
 def _chk_pw_reconstruction(ctx, params, rng):
     seq, psi, P = ctx["seq"], ctx["psi"], ctx["op"]
-    u = P.factor[0]  # weighted-orthonormal basis of the band
+    u = P.projection.basis  # weighted-orthonormal basis of the band
     q = u.shape[1]
     count = int(params.get("signals", 20))
     if count < 1:

@@ -19,7 +19,7 @@ from ._linalg import (
     _DEGENERATE_TOL,
     _RANK_TOL,
     as_complex_vector,
-    gram_factor,
+    certified_row_factor_inverse,
     hermitize,
     pencil_lower_bound,
     rank_cut,
@@ -29,7 +29,8 @@ from .errors import DegenerateOperator, InvalidDimension, InvalidIndex, NotAFram
 from .hilbert import HilbertModel, Subspace
 from .opmodel import OperatorModel
 
-#: alpha > FRAME_TOL * beta decides frame vs bessel_only
+#: frame vs bessel_only: ``frame_bounds`` needs alpha > FRAME_TOL * beta
+#: (relative); the operator bounds need alpha > FRAME_TOL (absolute, no beta)
 FRAME_TOL = 1e-8
 
 BOUND_KINDS = ("frame", "bessel_only", "k_frame", "weak_a_frame", "graph_a_frame")
@@ -78,19 +79,24 @@ class FrameSequence:
         return self.model.sqrt_weights[:, None] * self.vectors
 
 
-@dataclass(frozen=True)
 class FrameBounds:
-    alpha: float
-    beta: float
-    kind: str
+    """Optimal constants alpha <= beta of a frame-type inequality and the kind
+    of family they make.  beta may be a zero-argument callable (the operator
+    bounds pass one), run on the first read of ``beta`` and then dropped."""
 
-    def __post_init__(self):
-        if self.kind not in BOUND_KINDS:
-            raise InvalidDimension(f"unknown bound kind {self.kind!r}")
-        if not (self.alpha >= 0.0 or np.isnan(self.alpha)):
-            raise InvalidDimension("alpha must be nonnegative")
-        if not (self.beta >= 0.0 or np.isnan(self.beta)):
-            raise InvalidDimension("beta must be nonnegative")
+    def __init__(self, alpha: float, beta, kind: str):
+        if kind not in BOUND_KINDS:
+            raise InvalidDimension(f"unknown bound kind {kind!r}")
+        for name, value in (("alpha", alpha), ("beta", 0.0 if callable(beta) else beta)):
+            if not (value >= 0.0 or np.isnan(value)):
+                raise InvalidDimension(f"{name} must be nonnegative")
+        self.alpha, self.kind, self._beta = alpha, kind, beta
+
+    @property
+    def beta(self) -> float:
+        if callable(self._beta):
+            self._beta = self._beta()
+        return self._beta
 
 
 def analysis(seq: FrameSequence, f) -> np.ndarray:
@@ -129,7 +135,8 @@ def _whitened_spectrum(y) -> np.ndarray:
 
 
 def frame_bounds(seq: FrameSequence, frame_tol: float = FRAME_TOL) -> FrameBounds:
-    """Optimal constants: alpha = lambda_min(S), beta = lambda_max(S)."""
+    """Optimal constants alpha = lambda_min(S), beta = lambda_max(S); a frame
+    when alpha > frame_tol * beta (relative; operator bounds: alpha > frame_tol)."""
     spec = _whitened_spectrum(seq.whitened())
     alpha, beta = float(spec[0]), float(spec[-1])
     kind = "frame" if alpha > frame_tol * max(beta, 1e-300) else "bessel_only"
@@ -147,16 +154,12 @@ def _operator_bounds(
     """Optimal constants of alpha ||T f||^2 <= sum_n |inner(f, g_n)|^2 <= beta ||f||^2.
 
     T = op* with f ranging over ``subspace`` (all of H when None), or the
-    graph adjoint op# when ``graph`` is set, whose Gram sigma^2 / (1 + sigma^2)
-    replaces sigma^2.  In orthonormal coordinates of the subspace (slices for
-    a selection subspace) the family is the factor X and T is M^H, M the
-    restricted whitened operator.  The rank of T, its singular values above
-    _RANK_TOL * sigma_0, picks the path: at full rank (and not graph) the
-    pencil runs on the triangular R^H of M^H = Q R and no singular vectors
-    are computed; otherwise the SVD of M (of that R^H when not graph,
-    ``op.whitened_svd()`` for a factored operator over all of H) gives the
-    support of T and the pencil minimizes out ker(T) components of f.  The
-    family is ``kind`` when alpha > frame_tol.
+    graph adjoint op# (Gram sigma^2 / (1 + sigma^2)) when ``graph`` is set.
+    In orthonormal coordinates of the subspace (slices for a selection) the
+    family is the factor X and T is M^H, M the restricted whitened operator;
+    the pencil multiplies by the inverse factor from ``_reference_factor``.
+    The family is ``kind`` when alpha > frame_tol, an absolute rule that
+    never reads beta; beta is computed on its first read.
     """
     if op.codomain.dim != seq.model.dim:
         raise InvalidDimension("operator codomain must match the sequence model")
@@ -167,30 +170,28 @@ def _operator_bounds(
 
 
 def _reference_factor(op: OperatorModel, v: Subspace, graph: bool):
-    """(U, L): the support of T in coordinates of v (None for all of v) and
-    a triangular factor L of the Gram of ||T f||^2 there, as the pencil
-    takes them."""
-    if v.is_full and op.factor is not None:
+    """(U, L^-H) for the pencil, with U the support of T in coordinates of v
+    (None for all of v) and L L^H the Gram of ||T f||^2 there: a projection's
+    whitened basis with unit singular values; outside the graph bound, the
+    certified R^-1 of M^H = Q R (kappa_F <= _DIRECT_COND proves full rank),
+    tried only when ||M||_F > sqrt(r) _DEGENERATE_TOL so that a numerically
+    zero operator still raises; else one ``thin_svd`` of M and 1/sigma above
+    the rank cut (sigma / sqrt(1 + sigma^2) for the graph bound)."""
+    if v.is_full and op.projection is not None and op.domain is None:
         u, sv = op.whitened_svd()
     else:
         m = v.whitened_coords(op.whitened())  # r x dim_in; T = M^H
-        if not graph:
-            r_m = gram_factor(m)
-            if _rank(np.linalg.svd(r_m, compute_uv=False)) == v.rank:
-                return None, r_m.conj().T  # ||T f|| = ||R f||
-            m = r_m.conj().T  # M = R^H Q^H: the left singular pairs of M
+        if not graph and np.linalg.norm(m) > np.sqrt(v.rank) * _DEGENERATE_TOL:
+            r_inv = certified_row_factor_inverse(m, _RANK_TOL)
+            if r_inv is not None:
+                return None, r_inv
         u, sv, _ = thin_svd(m)
-    q = _rank(sv)
-    if graph:
-        sv = sv / np.sqrt(1.0 + sv**2)
-    return u[:, :q], np.diag(sv[:q])
-
-
-def _rank(sv) -> int:
-    """Singular values above _RANK_TOL * sigma_0; a numerically zero operator raises."""
     if sv.size == 0 or sv[0] <= _DEGENERATE_TOL:
         raise DegenerateOperator("operator is numerically zero")
-    return rank_cut(sv, _RANK_TOL)
+    q = rank_cut(sv, _RANK_TOL)
+    if graph:
+        sv = sv / np.sqrt(1.0 + sv**2)
+    return u[:, :q], 1.0 / sv[:q]
 
 
 def canonical_dual(seq: FrameSequence, frame_tol: float = FRAME_TOL) -> FrameSequence:

@@ -168,7 +168,7 @@ def test_criterion_04_quarter_band_projection():
         assert kb.alpha > 1e-8
         fb = frame_bounds(phi)
         assert fb.alpha / fb.beta <= 1e-3
-        u = P.factor[0]
+        u = P.projection.basis
         w = grid.weights
         worst = 0.0
         for _ in range(20):

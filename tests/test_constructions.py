@@ -172,7 +172,7 @@ class TestPwExample:
 
     def test_band_limited_reconstruction(self, pw, rng):
         grid, phi, psi, P = pw
-        u = P.factor[0]
+        u = P.projection.basis
         w = grid.weights
         for _ in range(5):
             f = u @ (rng.standard_normal(u.shape[1]) + 1j * rng.standard_normal(u.shape[1]))
@@ -299,6 +299,6 @@ class TestDeterminism:
     def test_pw_example_reproducible(self):
         a = pw_example(window_grid(512, -8.0, 8.0))
         b = pw_example(window_grid(512, -8.0, 8.0))
-        for x, y in zip((a[0].vectors, a[1].vectors, a[2].factor[0]),
-                        (b[0].vectors, b[1].vectors, b[2].factor[0])):
+        for x, y in zip((a[0].vectors, a[1].vectors, a[2].projection.basis),
+                        (b[0].vectors, b[1].vectors, b[2].projection.basis)):
             assert x.tobytes() == y.tobytes()

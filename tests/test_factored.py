@@ -1,4 +1,9 @@
-"""Factored operators M = L R^H against their materialized dense twins."""
+"""Operators held in factored form against their materialized dense twins.
+
+A projection P onto a subspace V is held by V alone: P = V (W V)^H is never
+formed, and ``apply`` is ``Subspace.project``.  Its twin is the dense matrix
+from ``dense()``, the one materializing accessor.
+"""
 
 import dataclasses
 import tracemalloc
@@ -10,8 +15,8 @@ from hypothesis import strategies as st
 
 from opframe import serialize
 from opframe.errors import InvalidDimension
-from opframe.hilbert import HilbertModel, interval_grid, orthonormalize
-from opframe.opmodel import OperatorModel, diff_operator
+from opframe.hilbert import HilbertModel, Subspace, interval_grid, orthonormalize
+from opframe.opmodel import OperatorModel, diff_operator, identity_operator
 from opframe.relframes import aframe_bounds_graph, kframe_bounds, range_inclusion
 from opframe.seqops import FrameSequence
 from opframe.weakframes import weak_aframe_bound
@@ -19,6 +24,7 @@ from opframe.weakframes import weak_aframe_bound
 from conftest import random_matrix, random_weighted_model, reproduce
 
 RTOL = 1e-10
+FORMS = ("basis", "selection", "full")
 
 
 def _rel(a, b):
@@ -32,80 +38,96 @@ def _alpha_rtol(op):
     return max(RTOL, 1e-12 * (s[0] / s[-1]) ** 2)
 
 
-def _pair(rng, d, q, domain_rank=None):
-    """A factored operator on a randomly weighted model and its dense twin."""
+def _subspace(rng, model, form):
+    """A random subspace of about half the model in the given form."""
+    d = model.dim
+    r = max(1, d // 2)
+    if form == "basis":
+        return orthonormalize(random_matrix(rng, d, r), model)
+    if form == "selection":
+        return Subspace.selection(model, np.sort(rng.choice(d, size=r, replace=False)))
+    return Subspace.full(model)
+
+
+def _pair(rng, d, form, domain_rank=None):
+    """A projection on a randomly weighted model and its dense twin."""
     model = random_weighted_model(rng, d)
     dom = None
     if domain_rank is not None:
         dom = orthonormalize(random_matrix(rng, d, domain_rank), model)
-    fac = OperatorModel(
-        None, model, model, domain=dom,
-        factor=(random_matrix(rng, d, q), random_matrix(rng, d, q)),
-    )
-    return fac, OperatorModel(fac.dense(), model, model, domain=dom)
+    proj = OperatorModel(None, model, model, domain=dom,
+                         projection=_subspace(rng, model, form))
+    return proj, OperatorModel(proj.dense(), model, model, domain=dom)
 
 
 @settings(max_examples=40, deadline=None)
-@given(d=st.integers(2, 64), q=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
-def test_factored_agrees_with_dense_twin(d, q, seed):
+@given(d=st.integers(2, 64), form=st.sampled_from(FORMS), seed=st.integers(0, 2**32 - 1))
+def test_factored_agrees_with_dense_twin(d, form, seed):
     rng = np.random.default_rng(seed)
-    fac, twin = _pair(rng, d, q)
-    model = fac.input_model
+    proj, twin = _pair(rng, d, form)
+    model = proj.input_model
 
     fs = random_matrix(rng, d, 5)
-    assert _rel(fac.apply_columns(fs), twin.apply_columns(fs)) <= RTOL
+    assert _rel(proj.apply_columns(fs), twin.apply_columns(fs)) <= RTOL
+    assert _rel(proj.apply(fs[:, 0]), twin.apply(fs[:, 0])) <= RTOL
+    # whitened_svd reads the basis off the subspace: unit singular values on
+    # an orthonormal basis of the range of the whitened twin
+    u, s = proj.whitened_svd()
+    assert np.array_equal(s, np.ones(proj.projection.rank))
+    assert _rel(u @ u.conj().T, twin.whitened()) <= RTOL
 
     frame = FrameSequence(model, random_matrix(rng, d, d + 3))
-    kb_fac, kb_twin = kframe_bounds(frame, fac), kframe_bounds(frame, twin)
-    assert kb_fac.alpha == pytest.approx(kb_twin.alpha, rel=RTOL)
-    assert kb_fac.beta == pytest.approx(kb_twin.beta, rel=RTOL)
+    kb_proj, kb_twin = kframe_bounds(frame, proj), kframe_bounds(frame, twin)
+    assert kb_proj.kind == kb_twin.kind
+    assert kb_proj.alpha == pytest.approx(kb_twin.alpha, rel=RTOL)
+    assert kb_proj.beta == pytest.approx(kb_twin.beta, rel=RTOL)
 
     # a family spanning less than the model, so the residual is not roundoff
     thin = FrameSequence(model, random_matrix(rng, d, max(1, d // 2)))
-    inc_fac, res_fac = range_inclusion(fac, thin)
+    inc_proj, res_proj = range_inclusion(proj, thin)
     inc_twin, res_twin = range_inclusion(twin, thin)
-    assert inc_fac == inc_twin
-    assert res_fac == pytest.approx(res_twin, rel=RTOL)
+    assert inc_proj == inc_twin
+    assert res_proj == pytest.approx(res_twin, rel=RTOL)
 
-    back = serialize.loads(serialize.dumps(fac, "operator"), "operator")
-    assert back.factor is None
+    back = serialize.loads(serialize.dumps(proj, "operator"), "operator")
+    assert back.projection is None
     assert _rel(back.dense(), twin.dense()) <= RTOL
 
 
 @settings(max_examples=20, deadline=None)
-@given(d=st.integers(3, 32), q=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
-def test_factored_domain_agrees_with_dense_twin(d, q, seed):
+@given(d=st.integers(3, 32), form=st.sampled_from(FORMS), seed=st.integers(0, 2**32 - 1))
+def test_factored_domain_agrees_with_dense_twin(d, form, seed):
     rng = np.random.default_rng(seed)
-    fac, twin = _pair(rng, d, q, domain_rank=d - 1)
+    proj, twin = _pair(rng, d, form, domain_rank=d - 1)
     fs = random_matrix(rng, d, 4)
-    assert _rel(fac.apply_columns(fs), twin.apply_columns(fs)) <= RTOL
-    assert _rel(fac.effective_matrix(), twin.effective_matrix()) <= RTOL
-    frame = FrameSequence(fac.input_model, random_matrix(rng, d, d + 3))
-    kb_fac, kb_twin = kframe_bounds(frame, fac), kframe_bounds(frame, twin)
-    assert kb_fac.alpha == pytest.approx(kb_twin.alpha, rel=RTOL)
+    assert _rel(proj.apply_columns(fs), twin.apply_columns(fs)) <= RTOL
+    assert _rel(proj.effective_matrix(), twin.effective_matrix()) <= RTOL
+    frame = FrameSequence(proj.input_model, random_matrix(rng, d, d + 3))
+    kb_proj, kb_twin = kframe_bounds(frame, proj), kframe_bounds(frame, twin)
+    assert kb_proj.alpha == pytest.approx(kb_twin.alpha, rel=_alpha_rtol(twin))
 
 
 @settings(max_examples=30, deadline=None)
-@given(d=st.integers(3, 64), q=st.integers(1, 8), with_domain=st.booleans(),
+@given(d=st.integers(3, 64), form=st.sampled_from(FORMS), with_domain=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
-def test_graph_and_weak_bounds_agree_with_dense_twin(d, q, with_domain, seed):
+def test_graph_and_weak_bounds_agree_with_dense_twin(d, form, with_domain, seed):
     rng = np.random.default_rng(seed)
-    fac, twin = _pair(rng, d, q, domain_rank=d - 1 if with_domain else None)
-    model = fac.input_model
+    proj, twin = _pair(rng, d, form, domain_rank=d - 1 if with_domain else None)
+    model = proj.input_model
     frame = FrameSequence(model, random_matrix(rng, d, d + 3))
     v = orthonormalize(random_matrix(rng, d, d - 1), model)
     cases = [
-        (aframe_bounds_graph, fac, twin),
-        (weak_aframe_bound, fac, twin),
+        (aframe_bounds_graph, proj, twin),
+        (weak_aframe_bound, proj, twin),
         # the weak bound over a declared adjoint domain
-        (weak_aframe_bound, dataclasses.replace(fac, adjoint_domain=v),
+        (weak_aframe_bound, dataclasses.replace(proj, adjoint_domain=v),
          dataclasses.replace(twin, adjoint_domain=v)),
     ]
-    for bound, a_fac, a_twin in cases:
-        b_fac, b_twin = bound(frame, a_fac), bound(frame, a_twin)
-        assert b_fac.kind == b_twin.kind
-        assert b_fac.alpha == pytest.approx(b_twin.alpha, rel=_alpha_rtol(twin))
-        assert b_fac.beta == pytest.approx(b_twin.beta, rel=RTOL)
+    for bound, a_proj, a_twin in cases:
+        b_proj, b_twin = bound(frame, a_proj), bound(frame, a_twin)
+        assert b_proj.kind == b_twin.kind
+        assert b_proj.alpha == pytest.approx(b_twin.alpha, rel=_alpha_rtol(twin))
+        assert b_proj.beta == pytest.approx(b_twin.beta, rel=RTOL)
 
 
 @settings(max_examples=30, deadline=None)
@@ -171,6 +193,22 @@ def test_dirichlet_operator_stays_small():
     assert peak < 2**20
 
 
+def test_identity_operator_stays_small():
+    """The identity is the projection onto the whole space: building it on a
+    d = 4096 grid and applying it stores no 256 MB d x d matrix."""
+    identity_operator(interval_grid(64)).apply(np.ones(64))  # finish lazy imports
+    f = np.ones(4096, dtype=complex)
+    tracemalloc.start()
+    try:
+        op = identity_operator(interval_grid(4096))
+        out = op.apply(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, f)
+    assert peak < 2**20
+
+
 class TestBoundaryValidation:
     model = HilbertModel(3, np.ones(3))
 
@@ -181,32 +219,42 @@ class TestBoundaryValidation:
         with pytest.raises(InvalidDimension):
             OperatorModel(m, self.model, self.model)
 
-    @pytest.mark.parametrize("side", [0, 1])
-    def test_factor_must_be_finite(self, side):
-        factor = [np.ones((3, 2), dtype=complex), np.ones((3, 2), dtype=complex)]
-        factor[side][0, 1] = np.nan
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_projection_basis_must_be_finite(self, bad):
+        basis = np.ones((3, 1), dtype=complex) / np.sqrt(3.0)
+        basis[1, 0] = bad
         with pytest.raises(InvalidDimension):
-            OperatorModel(None, self.model, self.model, factor=tuple(factor))
+            OperatorModel(None, self.model, self.model, projection=Subspace(self.model, basis))
 
-    @pytest.mark.parametrize("shapes", [((4, 2), (3, 2)), ((3, 2), (2, 2)),
-                                        ((3, 2), (3, 1)), ((3,), (3,))])
-    def test_factor_shapes_must_match_models(self, shapes):
-        left, right = (np.ones(s, dtype=complex) for s in shapes)
+    @pytest.mark.parametrize("models", [
+        (HilbertModel(4, np.ones(4)), model, model),  # subspace of another model
+        (model, model, HilbertModel(2, np.ones(2))),  # a rectangular map
+        (model, model, HilbertModel(3, np.full(3, 2.0))),  # codomain weights differ
+        (None, model, model),  # a matrix, not a Subspace
+    ], ids=["ambient_dim", "codomain_dim", "codomain_weights", "not_a_subspace"])
+    def test_projection_models_must_match(self, models):
+        ambient, model_in, model_out = models
+        sub = np.eye(3, dtype=complex) if ambient is None else Subspace.full(ambient)
         with pytest.raises(InvalidDimension):
-            OperatorModel(None, self.model, self.model, factor=(left, right))
+            OperatorModel(None, model_in, model_out, projection=sub)
 
     def test_exactly_one_form(self):
         f = np.ones((3, 1), dtype=complex)
         with pytest.raises(InvalidDimension):
             OperatorModel(None, self.model, self.model)
         with pytest.raises(InvalidDimension):
-            OperatorModel(f @ f.T, self.model, self.model, factor=(f, f))
+            OperatorModel(f @ f.T, self.model, self.model,
+                          projection=Subspace.full(self.model))
 
-    def test_rectangular_factor_applies(self):
-        out = HilbertModel(2, np.array([0.5, 2.0]))
-        left = np.array([[1.0], [2.0]], dtype=complex)
-        right = np.array([[1.0], [0.0], [1j]], dtype=complex)
-        op = OperatorModel(None, self.model, out, factor=(left, right))
-        np.testing.assert_allclose(op.dense(), left @ right.conj().T)
+    def test_projection_applies(self):
+        model = HilbertModel(3, np.array([0.5, 2.0, 1.0]))
         f = np.array([1.0, 5.0, 2.0], dtype=complex)
-        np.testing.assert_allclose(op.apply(f), left[:, 0] * (1.0 - 2j))
+        # V = span{(1, 1, 0)}: P f = (1, 1, 0) (0.5 f_0 + 2 f_1) / 2.5
+        line = Subspace(model, np.array([[1.0], [1.0], [0.0]]) / np.sqrt(2.5))
+        cases = [(line, [4.2, 4.2, 0.0]), (Subspace.selection(model, [2]), [0.0, 0.0, 2.0]),
+                 (Subspace.full(model), f)]
+        for sub, expected in cases:
+            op = OperatorModel(None, model, model, projection=sub)
+            np.testing.assert_allclose(op.apply(f), expected, rtol=1e-15)
+            np.testing.assert_allclose(op.dense() @ f, expected, rtol=1e-15, atol=1e-15)
+        assert op.apply(f) is not f  # the whole-space projection returns a new array

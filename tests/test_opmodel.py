@@ -356,7 +356,7 @@ class TestStencil:
 
     @pytest.mark.parametrize("other", [
         {"matrix": np.eye(4)},
-        {"matrix": None, "factor": (np.ones((4, 1)), np.ones((4, 1)))},
+        {"matrix": None, "projection": Subspace.full(model)},
     ])
     def test_two_forms_at_once(self, other):
         with pytest.raises(InvalidDimension):
