@@ -72,19 +72,20 @@ def triangular_inverse(r):
 
 
 def certified_row_factor_inverse(mat, rcond):
-    """R^-1 for the R of ``gram_factor`` when kappa_F = ||R||_F ||R^-1||_F,
-    an upper bound on sigma_max / sigma_min of a mat of full row rank, is at
-    most _DIRECT_COND and below 1 / max(rcond, _RANK_TOL); else None."""
+    """(R, R^-1) for the R of ``gram_factor``, R^-1 None unless kappa_F =
+    ||R||_F ||R^-1||_F, an upper bound on sigma_max / sigma_min of a mat of full
+    row rank, is at most _DIRECT_COND and below 1 / max(rcond, _RANK_TOL); no QR
+    and (None, None) for a mat with more rows than columns."""
     if mat.shape[1] < mat.shape[0]:
-        return None
+        return None, None
     r = gram_factor(mat)
     with np.errstate(all="ignore"):
         try:
             r_inv = triangular_inverse(r)
         except np.linalg.LinAlgError:  # an exactly singular R
-            return None
+            return r, None
         kappa = np.linalg.norm(r) * np.linalg.norm(r_inv)  # NaN or inf fails below
-    return r_inv if kappa <= _DIRECT_COND and kappa * max(rcond, _RANK_TOL) < 1 else None
+    return r, (r_inv if kappa <= _DIRECT_COND and kappa * max(rcond, _RANK_TOL) < 1 else None)
 
 
 def _is_wide(mat):
@@ -92,10 +93,10 @@ def _is_wide(mat):
     return 2 * mat.shape[0] <= mat.shape[1]
 
 
-def _row_reduced(mat):
+def _row_reduced(mat, r=None):
     """mat, or for a wide mat the m x m R^H of ``gram_factor`` (mat = R^H Q^H),
-    which has the same left singular pairs."""
-    return gram_factor(mat).conj().T if _is_wide(mat) else mat
+    which has the same left singular pairs; r is that R when already taken."""
+    return (gram_factor(mat) if r is None else r).conj().T if _is_wide(mat) else mat
 
 
 def thin_svd(mat):
@@ -126,17 +127,19 @@ def min_norm_factor(y, kt, rcond=None):
     R of y^H = Q R gives y^H R^-1 R^-H kt, corrected once (without the step
     the error grows with kappa^2, as in the normal equations), and
     proj = y M.  Else one ``thin_svd`` y = U S V^H gives proj from U above
-    _RANK_TOL sigma_max and M = V S^-1 U^H kt above rcond sigma_max (None
-    without rcond).  An all-zero y gives zero; nothing raises.
+    _RANK_TOL sigma_max and M = V S^-1 U^H kt above rcond sigma_max (without
+    rcond M is None and a wide y's refused R^H, which has U, stands in for y).
+    An all-zero y gives zero; nothing raises.
     """
-    r_inv = certified_row_factor_inverse(y, _RANK_TOL if rcond is None else rcond)
+    r_fac, r_inv = certified_row_factor_inverse(y, _RANK_TOL if rcond is None else rcond)
     if r_inv is not None:  # the seminormal solve, then one corrective step
         m = proj = 0.0
         for _ in range(2):
             m = m + y.conj().T @ (r_inv @ (r_inv.conj().T @ (kt - proj)))
             proj = y @ m
         return proj, m
-    u, s, vh = thin_svd(y)
+    # M needs V = Q W: V = y^H U S^-1 would cost the residual eps kappa^2
+    u, s, vh = thin_svd(_row_reduced(y, r_fac) if rcond is None else y)
     r = rank_cut(s, _RANK_TOL)
     p = 0 if rcond is None else rank_cut(s, rcond)
     c = u[:, :max(r, p)].conj().T @ kt
@@ -164,13 +167,15 @@ def pencil_lower_bound(sqrt_s, b_basis, b_inv_h, rank_tol=_RANK_TOL):
         beta = sigma_max(sqrt_s)^2 = sup <S f, f> / <f, f>.
 
     In orthonormal coordinates of the quantifier space V (dimension r),
-    sqrt_s is the (m, r) X with S-form X^H X, b_basis the (r, q) orthonormal
-    basis of supp(B) (None when B has full rank on V), and b_inv_h is L^-H
-    for the B-form's Gram L L^H on supp(B): a (q, q) matrix or, for a
-    diagonal L, the vector 1 / diag(L), multiplied and never solved with.
+    sqrt_s is the (r, m) family Y (``Subspace.coords``), S-form ||X f||^2
+    with X = Y^H; b_basis the (r, q) orthonormal basis of supp(B) (None when
+    B has full rank on V), and b_inv_h is L^-H for the B-form's Gram L L^H
+    on supp(B): a (q, q) matrix or, for a diagonal L, the vector
+    1 / diag(L), multiplied and never solved with.
 
-    A tall X (at least twice as many rows as columns) is first row-reduced
-    to the r x r R_x of X = Q R_x (``gram_factor``), which keeps ||X f||.
+    A wide Y (at least twice as many columns as rows) is first reduced to
+    the r x r R^H of Y^H = Q R (``gram_factor``), which keeps ||X f||; X
+    itself is formed only from U^H Y (q x m) and matrices of at most 2r x r.
     Components of f in ker(B) are minimized out by a Schur complement in
     factored form: with f = U c + v, v in ker(B),
 
@@ -181,14 +186,11 @@ def pencil_lower_bound(sqrt_s, b_basis, b_inv_h, rank_tol=_RANK_TOL):
     that factor has fewer than q rows.  No Gram of X or of B is formed, so
     alpha does not lose eps * kappa^2 to the normal equations.
     """
-    x = sqrt_s
-    if x.shape[0] >= 2 * x.shape[1]:
-        x = gram_factor(x.conj().T)
+    y = gram_factor(sqrt_s).conj().T if _is_wide(sqrt_s) else sqrt_s  # r x m, m < 2r
+    uy = y if b_basis is None else b_basis.conj().T @ y  # (X U)^H, q x m
     if b_basis is None or b_basis.shape[1] == b_basis.shape[0]:
-        xu = x if b_basis is None else x @ b_basis
-
         def beta():
-            return float(np.linalg.svd(_row_reduced(x), compute_uv=False)[0]) ** 2
+            return float(np.linalg.svd(y, compute_uv=False)[0]) ** 2
     else:
         # X restricted to ker(B) = X (I - U U^H) has the left singular pairs
         # of its row reduction x_k, so its column space T is that of x_k, and
@@ -196,33 +198,39 @@ def pencil_lower_bound(sqrt_s, b_basis, b_inv_h, rank_tol=_RANK_TOL):
         # narrower of X and [x_k | X U].  The rank cut is taken relative to X
         # itself: when ker(B) is numerically trivial the restriction is
         # roundoff and must not produce spurious directions.
-        xu = x @ b_basis
-        x_k = _row_reduced(x - xu @ b_basis.conj().T)
-        stacked = np.concatenate([x_k, xu], axis=1)
+        y_k = b_basis @ uy
+        np.subtract(y, y_k, out=y_k)  # (X (I - U U^H))^H; a tall one is reduced to R
+        x_k = (np.linalg.qr(_real_form(y_k)[0], mode="r") if _is_wide(y_k.T) else y_k).conj().T
+        stacked = np.concatenate([x_k, uy.conj().T], axis=1)
         smax = float(np.linalg.svd(
-            stacked if stacked.shape[1] < x.shape[1] else x, compute_uv=False)[0])
+            stacked if stacked.shape[1] < y.shape[0] else y, compute_uv=False)[0])
         t_basis = orthonormal_range(x_k, rank_tol, scale=smax)
         if t_basis.shape[1]:
-            xu = xu - t_basis @ (t_basis.conj().T @ xu)
+            uy = uy - (uy @ t_basis) @ t_basis.conj().T  # (P_T_perp X U)^H
         beta = smax**2
 
-    if xu.shape[0] < xu.shape[1]:
+    if uy.shape[1] < uy.shape[0]:
         return 0.0, beta
-    scaled = xu * b_inv_h if b_inv_h.ndim == 1 else xu @ b_inv_h  # xu L^-H
+    # (X U L^-H)^H = L^-1 U^H Y has the same singular values
+    scaled = np.conj(b_inv_h)[:, None] * uy if b_inv_h.ndim == 1 else b_inv_h.conj().T @ uy
     smin = float(np.linalg.svd(scaled, compute_uv=False)[-1])
     return smin**2, beta
 
 
-def max_column_gap(approx, reference, weights):
-    """Largest relative column gap max_j ||approx_j - ref_j|| / ||ref_j||.
+def sampled(mat, coeffs):
+    """mat [I | coeffs]: mat on a basis, applied to the basis and the members coeffs."""
+    return mat if coeffs is None else np.concatenate([mat, mat @ coeffs], axis=1)
 
-    Norms are weighted by the model weights.  Only live reference columns
-    count, those with norm above 1e-14 times the largest; the gap is 0.0
-    when no column is live.
+
+def max_column_gap(gap, reference, weights):
+    """Largest relative column gap max_j ||gap_j|| / ||ref_j||, gap = approx - ref.
+
+    Norms are weighted by the model weights (one |.|^2 array, one matvec
+    each).  Only live reference columns count, those with norm above 1e-14
+    times the largest; the gap is 0.0 when no column is live.
     """
-    w = weights[:, None]
-    errs = np.sqrt(np.sum(w * np.abs(approx - reference) ** 2, axis=0))
-    norms = np.sqrt(np.sum(w * np.abs(reference) ** 2, axis=0))
+    sq = np.abs(reference)
+    norms = np.sqrt(weights @ np.square(sq, out=sq))
+    errs = np.sqrt(weights @ np.square(np.abs(gap, out=sq), out=sq))
     live = norms > 1e-14 * max(float(np.max(norms)), 1e-300)
     return float(np.max(errs[live] / norms[live])) if np.any(live) else 0.0
-

@@ -103,10 +103,11 @@ class Subspace:
 
     basis is finite and dim x r with basis^H W basis = I_r.  index (the
     selection form) is a strictly increasing array of r coordinates whose
-    implied basis is e_i / sqrt(w_i); coords, project and samples are then
-    slices and scatters, and ``dense`` materializes the basis for the
-    consumers that need a matrix.  With neither, the subspace is the whole
-    ambient space (and keeps large models cheap).
+    implied basis is e_i / sqrt(w_i); coords and project are then slices
+    and scatters, and ``dense`` materializes the basis for the consumers
+    that need a matrix.  With neither, the subspace is the whole ambient
+    space, implied basis e_i / sqrt(w_i) for all i (large models stay cheap).
+    Certificates sample basis @ [I | R] (``sample_coords``) in coordinates.
     """
 
     ambient: HilbertModel
@@ -158,41 +159,33 @@ class Subspace:
         scatters e_i / sqrt(w_i) into a new array here."""
         if self.index is None:
             return self.basis
-        return self._scatter(np.zeros((self.index.size, 0)))
-
-    def _scatter(self, c) -> np.ndarray:
-        """[basis | basis @ c] for the selection form, with no matrix product."""
-        r = self.index.size
-        inv = 1.0 / self.ambient.sqrt_weights[self.index]
-        out = np.zeros((self.ambient.dim, r + c.shape[1]), dtype=complex)
-        out[self.index, np.arange(r)] = inv
-        out[self.index, r:] = inv[:, None] * c
+        out = np.zeros((self.ambient.dim, self.index.size), dtype=complex)
+        out[self.index, np.arange(self.index.size)] = 1.0 / self.ambient.sqrt_weights[self.index]
         return out
 
-    def samples(self, rng=None, trials=0):
-        """Basis columns plus ``trials`` random members, as ambient vectors."""
+    def whitened_basis(self) -> np.ndarray:
+        """Vw = W^(1/2) basis (dim x r, l2-orthonormal; identity columns if implied)."""
+        if self.basis is not None:
+            return self.ambient.sqrt_weights[:, None] * self.basis
+        pos = np.arange(self.ambient.dim)  # no dim x dim identity for a selection
+        return (pos[:, None] == (pos if self.index is None else self.index)).astype(float)
+
+    def sample_coords(self, rng, trials) -> np.ndarray:
+        """Complex Gaussian coordinates (rank x trials, real parts drawn first)."""
         shape = (self.rank, trials)
-        rand = np.zeros(shape)
-        if trials:
-            rand = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        if self.index is not None:
-            return self._scatter(rand)
-        basis = self.basis
-        if basis is None:
-            basis = np.eye(self.ambient.dim, dtype=complex)
-        return np.concatenate([basis, basis @ rand], axis=1) if trials else basis
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     def coords(self, f):
         """Orthonormal coordinates of the projection of f onto the subspace."""
         f = self._as_columns_or_vector(f)
+        if self.basis is not None:  # weights (a copy of) the basis, never f
+            wb = self.basis.conj().T
+            wb *= self.ambient.weights
+            return wb @ f
+        sw = self.ambient.sqrt_weights
         if self.index is not None:
-            sw = self.ambient.sqrt_weights[self.index]
-            return (sw if f.ndim == 1 else sw[:, None]) * f[self.index]
-        if self.basis is None:
-            return f
-        if f.ndim == 1:
-            return self.basis.conj().T @ (self.ambient.weights * f)
-        return self.basis.conj().T @ (self.ambient.weights[:, None] * f)
+            sw, f = sw[self.index], f[self.index]
+        return (sw if f.ndim == 1 else sw[:, None]) * f
 
     def whitened_coords(self, mat) -> np.ndarray:
         """Vw^H mat with Vw = W^(1/2) basis: orthonormal coordinates of the

@@ -163,17 +163,15 @@ class OperatorModel:
         sub = self.projection
         if sub is None or self.domain is not None:
             return thin_svd(self.whitened())[:2]
-        if sub.basis is None:
-            return sub.whitened_coords(np.eye(sub.ambient.dim)).T, np.ones(sub.rank)
-        return sub.ambient.sqrt_weights[:, None] * sub.basis, np.ones(sub.rank)
+        return sub.whitened_basis(), np.ones(sub.rank)
 
     def domain_whitened(self) -> np.ndarray:
         """Whitened matrix restricted to orthonormal domain coordinates."""
         m = whiten_matrix(self.dense(), self.codomain.weights, self.input_model.weights)
-        basis = self.domain_subspace.dense()
-        if basis is None:
-            return m
-        return m @ (self.input_model.sqrt_weights[:, None] * basis)
+        sub = self.domain_subspace
+        if sub.basis is None:  # identity columns: a slice, or all of m
+            return m if sub.index is None else m[:, sub.index]
+        return m @ sub.whitened_basis()
 
 
 def identity_operator(model: HilbertModel, name="identity") -> OperatorModel:

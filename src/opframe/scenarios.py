@@ -174,8 +174,9 @@ def _build_multiplier(params, rng):
     qa, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     qb, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     sing = 1.0 + (cond_max - 1.0) * rng.random(d)
-    phi = qa @ np.diag(sing) @ qb.conj().T
-    psi = qa @ np.diag(1.0 / sing) @ qb.conj().T  # (phi^-1)^H: biorthogonal pair
+    qbh = qb.conj().T
+    phi = (qa * sing) @ qbh
+    psi = (qa * (1.0 / sing)) @ qbh  # (phi^-1)^H: biorthogonal pair
     alphas = np.arange(1, d + 1) * (0.5 + 0.5 * rng.random(d)) * np.exp(
         2j * np.pi * rng.random(d)
     )
@@ -320,11 +321,7 @@ def exm1_decomposition_error(b: float, label_range: int, grid: HilbertModel,
     g = t * (2.0 * np.pi * np.arange(-label_range, label_range + 1))[None, :]  # 2 pi n b e_nb
     vec = t @ analysis(FrameSequence(grid, g), u)
     ref = -1j * uprime
-    w = grid.weights
-    return float(
-        np.sqrt(np.sum(w * np.abs(vec - ref) ** 2))
-        / np.sqrt(np.sum(w * np.abs(ref) ** 2))
-    )
+    return max_column_gap((vec - ref)[:, None], ref[:, None], grid.weights)
 
 
 # --------------------------------------------------------------------------
@@ -371,8 +368,8 @@ def _derivative_gap(ctx, rng, build):
     """Relative gap between A applied to the plain family that ``build``
     rebuilds from the scenario params and the derivative family."""
     plain = build(dict(ctx["params"]), rng, derivative=False)["seq"]
-    return max_column_gap(ctx["op"].apply_columns(plain.vectors), ctx["seq"].vectors,
-                          ctx["grid"].weights)
+    gap = ctx["op"].apply_columns(plain.vectors) - ctx["seq"].vectors
+    return max_column_gap(gap, ctx["seq"].vectors, ctx["grid"].weights)
 
 
 def _chk_derivative_match(ctx, params, rng):
@@ -436,8 +433,8 @@ def _chk_pw_reconstruction(ctx, params, rng):
         return 0.0
     coeffs = [rng.standard_normal(q) + 1j * rng.standard_normal(q) for _ in range(count)]
     fs = u @ np.column_stack(coeffs)
-    rec = seq.vectors @ (psi.whitened().conj().T @ (seq.model.sqrt_weights[:, None] * fs))
-    return max_column_gap(rec, fs, seq.model.weights)
+    rec = seq.vectors @ ((seq.model.weights[:, None] * fs).conj().T @ psi.vectors).conj().T
+    return max_column_gap(rec - fs, fs, seq.model.weights)
 
 
 def _chk_kframe_alpha(ctx, params, rng):
@@ -448,7 +445,9 @@ def _chk_kframe_alpha(ctx, params, rng):
 
 def _chk_psi_in_range(ctx, params, rng):
     psi, P = ctx["psi"], ctx["op"]
-    return max_column_gap(P.apply_columns(psi.vectors), psi.vectors, psi.model.weights)
+    gap = P.apply_columns(psi.vectors)  # a new array
+    gap -= psi.vectors
+    return max_column_gap(gap, psi.vectors, psi.model.weights)
 
 
 def _chk_multiplier_weak_duality(ctx, params, rng):

@@ -18,9 +18,11 @@ import numpy as np
 from ._linalg import (
     _DEGENERATE_TOL,
     _RANK_TOL,
+    _row_reduced,
     as_complex_vector,
     certified_row_factor_inverse,
     hermitize,
+    max_column_gap,
     pencil_lower_bound,
     rank_cut,
     thin_svd,
@@ -164,8 +166,8 @@ def _operator_bounds(
     if op.codomain.dim != seq.model.dim:
         raise InvalidDimension("operator codomain must match the sequence model")
     v = subspace if subspace is not None else Subspace.full(op.codomain)
-    x = v.whitened_coords(seq.whitened()).conj().T  # N x r; S-form = ||x c||^2
-    alpha, beta = pencil_lower_bound(x, *_reference_factor(op, v, graph))
+    y = v.coords(seq.vectors)  # r x N; S-form = ||y^H c||^2
+    alpha, beta = pencil_lower_bound(y, *_reference_factor(op, v, graph))
     return FrameBounds(alpha, beta, kind if alpha > frame_tol else "bessel_only")
 
 
@@ -175,17 +177,17 @@ def _reference_factor(op: OperatorModel, v: Subspace, graph: bool):
     whitened basis with unit singular values; outside the graph bound, the
     certified R^-1 of M^H = Q R (kappa_F <= _DIRECT_COND proves full rank),
     tried only when ||M||_F > sqrt(r) _DEGENERATE_TOL so that a numerically
-    zero operator still raises; else one ``thin_svd`` of M and 1/sigma above
-    the rank cut (sigma / sqrt(1 + sigma^2) for the graph bound)."""
+    zero operator still raises; else one ``thin_svd`` of M (of a wide M's R^H)
+    and 1/sigma above the rank cut (sigma / sqrt(1 + sigma^2) for the graph bound)."""
     if v.is_full and op.projection is not None and op.domain is None:
         u, sv = op.whitened_svd()
     else:
-        m = v.whitened_coords(op.whitened())  # r x dim_in; T = M^H
+        m, r = v.whitened_coords(op.whitened()), None  # r x dim_in; T = M^H
         if not graph and np.linalg.norm(m) > np.sqrt(v.rank) * _DEGENERATE_TOL:
-            r_inv = certified_row_factor_inverse(m, _RANK_TOL)
+            r, r_inv = certified_row_factor_inverse(m, _RANK_TOL)
             if r_inv is not None:
                 return None, r_inv
-        u, sv, _ = thin_svd(m)
+        u, sv, _ = thin_svd(_row_reduced(m, r))
     if sv.size == 0 or sv[0] <= _DEGENERATE_TOL:
         raise DegenerateOperator("operator is numerically zero")
     q = rank_cut(sv, _RANK_TOL)
@@ -219,10 +221,7 @@ def reconstruct(seq: FrameSequence, dual: FrameSequence, f):
         raise InvalidDimension("sequence and dual must share model and length")
     f = as_complex_vector(f, seq.model.dim)
     rec = synthesis(seq, analysis(dual, f))
-    nf = np.sqrt(np.sum(seq.model.weights * np.abs(f) ** 2))
-    err = np.sqrt(np.sum(seq.model.weights * np.abs(rec - f) ** 2))
-    residual = float(err / nf) if nf > 0 else float(err)
-    return rec, residual
+    return rec, max_column_gap((rec - f)[:, None], f[:, None], seq.model.weights)
 
 
 def partial_synthesis(seq: FrameSequence, c, upto: int) -> np.ndarray:

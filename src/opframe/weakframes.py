@@ -29,10 +29,11 @@ from ._linalg import (
     max_column_gap,
     min_norm_factor,
     pencil_lower_bound,  # noqa: F401 - an import site perfbench's tracer tests wrap
+    sampled,
     thin_svd,
 )
 from .errors import FactorizationFailed, InvalidDimension, NotSurjective
-from .hilbert import HilbertModel
+from .hilbert import HilbertModel, norm
 from .opmodel import OperatorModel, adjoint
 from .seqops import (
     FRAME_TOL,
@@ -129,11 +130,10 @@ def weak_a_dual(seq: FrameSequence, A: OperatorModel, rcond=1e-10) -> DualSequen
     cannot be met, which signals that the weak lower bound was spurious.
     """
     v = A.adjoint_domain_subspace
-    y = v.whitened_coords(seq.whitened())  # r x N
-    kt = v.whitened_coords(seq.model.sqrt_weights[:, None] * A.effective_matrix())
+    y, kt = v.coords(seq.vectors), v.coords(A.effective_matrix())  # r x N, r x d
     m = min_norm_factor(y, kt, rcond)[1]
     weak_res, weak_scale = np.linalg.norm(y @ m - kt), np.linalg.norm(kt)
-    del y, kt  # freed before the certificate's larger sample arrays
+    del y, kt  # freed before the certificate
     if weak_res > FACTORIZATION_TOL * max(weak_scale, 1e-300):
         raise FactorizationFailed(
             f"projected factorization residual {weak_res:.3e} exceeds "
@@ -164,25 +164,28 @@ def verify_weak_duality(
         |inner(Ah, u) - sum_n inner(h, t_n) inner(g_n, u)|
         --------------------------------------------------
                      (||Ah|| ||u|| + eps)
+
+    Samples are V [I | R] (V the basis, R from ``Subspace.sample_coords``),
+    or the probes; the defect Vu^H W A Vh - (Vu^H W G)(Vh^H W T)^H is formed
+    once and read through both coefficient blocks, from the dual's vectors.
     """
-    rng = np.random.default_rng(seed)
-    hs = A.domain_subspace.samples(rng, trials) if hs is None else np.asarray(hs, dtype=complex)
+    rng, dom, adom = np.random.default_rng(seed), A.domain_subspace, A.adjoint_domain_subspace
+    if hs is None:
+        rh, ah, th = dom.sample_coords(rng, trials), A.domain_whitened(), dom.coords(dual.vectors)
+    else:  # the probes act as the basis, with no random members
+        hs, w = np.asarray(hs, dtype=complex), seq.model.weights
+        rh, ah = None, seq.model.sqrt_weights[:, None] * A.apply_columns(hs)
+        th = (w[:, None] * hs).conj().T @ dual.vectors
+    defect = sampled(adom.whitened_coords(ah) - adom.coords(seq.vectors) @ th.conj().T, rh)
     if us is None:
-        us = A.adjoint_domain_subspace.samples(rng, trials)
-    else:
-        us = np.asarray(us, dtype=complex).reshape(seq.model.dim, -1)
-        us = A.adjoint_domain_subspace.project(us)
-    w = seq.model.weights
-    wh = np.sqrt(w)
-    ah = A.apply_columns(hs)
-    lhs = (wh[:, None] * us).conj().T @ (wh[:, None] * ah)  # nu x nh
-    ch = dual.whitened().conj().T @ (wh[:, None] * hs)  # N x nh: inner(h, t_n)
-    cg = seq.whitened().conj().T @ (wh[:, None] * us)  # N x nu: inner(u, g_n)
-    rhs = cg.conj().T @ ch  # sum_n inner(h,t_n) inner(g_n,u)
-    n_ah = np.sqrt(np.sum(w[:, None] * np.abs(ah) ** 2, axis=0))
-    n_u = np.sqrt(np.sum(w[:, None] * np.abs(us) ** 2, axis=0))
-    den = np.outer(n_u, n_ah) + 1e-300
-    return float(np.max(np.abs(lhs - rhs) / den))
+        ru = adom.sample_coords(rng, trials)
+        res = np.concatenate([defect, ru.conj().T @ defect])
+        n_u = np.concatenate([np.ones(adom.rank), np.linalg.norm(ru, axis=0)])
+    else:  # u = Vu cu, us projected onto D(A*)
+        cu = adom.coords(np.asarray(us, dtype=complex).reshape(seq.model.dim, -1))
+        res, n_u = cu.conj().T @ defect, np.linalg.norm(cu, axis=0)
+    n_ah = np.linalg.norm(sampled(ah, rh), axis=0)
+    return float(np.max(np.abs(res) / (np.outer(n_u, n_ah) + 1e-300)))
 
 
 def adjoint_decomposition(seq: FrameSequence, dual: DualSequence, A: OperatorModel, u):
@@ -192,10 +195,8 @@ def adjoint_decomposition(seq: FrameSequence, dual: DualSequence, A: OperatorMod
     u = as_complex_vector(u, seq.model.dim)
     vec = dual.vectors @ analysis(seq, u)
     ref = adjoint(A).apply(u)
-    w = seq.model.weights
-    num = np.sqrt(np.sum(w * np.abs(vec - ref) ** 2))
-    den = np.sqrt(np.sum(w * np.abs(ref) ** 2))
-    return vec, float(num / den) if den > 0 else float(num)
+    num, den = norm(seq.model, vec - ref), norm(seq.model, ref)
+    return vec, num / den if den > 0 else num
 
 
 def interchange_dual(
@@ -214,10 +215,10 @@ def interchange_dual(
                             f"sigma_max={s[0]:.3e})")
     # (A+)* = W_out^(-1/2) U S^-1 V^H Bw^H W_in^(1/2) from at = U S V^H, with
     # Bw the whitened domain basis
-    t = A.domain_subspace.whitened_coords(A.input_model.sqrt_weights[:, None] * dual.vectors)
+    t = A.domain_subspace.coords(dual.vectors)
     h = ((u / s) @ (vh @ t)) / A.codomain.sqrt_weights[:, None]
-    # certificate: reconstruct the adjoint-domain basis through {h_n}
-    basis = A.adjoint_domain_subspace.samples()
-    coeffs = seq.whitened().conj().T @ (seq.model.sqrt_weights[:, None] * basis)
-    cert = max_column_gap(h @ coeffs, basis, seq.model.weights)
+    # certificate: rebuild the whitened basis Vw of D(A*) from (Vw^H Yw)^H
+    sub, vw = A.adjoint_domain_subspace, A.adjoint_domain_subspace.whitened_basis()
+    rec = seq.model.sqrt_weights[:, None] * (h @ sub.coords(seq.vectors).conj().T)
+    cert = max_column_gap(rec - vw, vw, np.ones(seq.model.dim))
     return DualSequence(seq.model, h, "interchange_thm", cert)

@@ -18,7 +18,7 @@ from opframe.relframes import (
 )
 from opframe.seqops import FrameSequence, canonical_dual, frame_bounds
 
-from conftest import random_frame, random_matrix, random_vector
+from conftest import random_frame, random_matrix, random_vector, random_weighted_model
 
 
 def projection_onto_e1():
@@ -337,6 +337,18 @@ class TestKernelCounts:
         assert not svd and not pinv
         assert len(qr) == 1
         assert np.array_equal(qr[0][0][0], seq.whitened().conj().T)
+
+    def test_refused_wide_range_test_factors_once(self, rng, linalg_calls):
+        # a wide whitened D (6 x 16) of rank 3 refuses the certificate; the
+        # range test needs only U, which the SVD of the refused R^H gives
+        model = random_weighted_model(rng, 6)
+        vectors = random_matrix(rng, 6, 3) @ random_matrix(rng, 3, 16)
+        seq = FrameSequence(model, vectors)
+        K = OperatorModel(vectors @ random_matrix(rng, 16, 2), l2_truncation(2), model)
+        svd, _, qr = self._counts(linalg_calls)
+        included, residual = range_inclusion(K, seq)
+        assert included and residual <= 1e-12
+        assert len(qr) == 1 and [a[0].shape for a, _ in svd] == [(6, 6)]
 
     def _svd_once(self, seq, K, linalg_calls):
         svd, pinv, _ = self._counts(linalg_calls)

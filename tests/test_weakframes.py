@@ -452,6 +452,19 @@ class TestKernelCounts:
         oracle = np.linalg.eigvalsh(scale[:, None] * schur * scale[None, :])[0]
         assert alpha == pytest.approx(oracle, rel=1e-9)
 
+    def test_refused_factor_of_a_wide_operator_feeds_the_svd(self, linalg_calls, rng):
+        # the refused certificate's R of M^H = Q R (M the 8 x 24 restricted
+        # operator, rank 4) gives the support through the SVD of R^H: M is
+        # factored once, and the only other QR row-reduces the family (8 x 30)
+        m = random_weighted_model(rng, 24)
+        v = orthonormalize(random_matrix(rng, 24, 8), m)
+        A = OperatorModel(random_matrix(rng, 24, 4) @ random_matrix(rng, 4, 24), m, m,
+                          adjoint_domain=v)
+        seq = random_frame(rng, 24, 30, model=m)
+        qr = linalg_calls("qr")
+        assert weak_aframe_bound(seq, A).alpha >= 0.0
+        assert sorted(a[0].shape for a, _ in qr) == [(24, 8), (30, 8)]
+
     def test_weak_a_dual_solves_one_certified_factor(self, linalg_calls, rng):
         # the family restricted to V = D(A*) has full row rank: one QR of
         # its row slice and no SVD, as for a well-conditioned K-dual
