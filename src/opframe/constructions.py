@@ -50,6 +50,7 @@ def _exp_table(pts, h: float, x0: float, c: float, ns) -> np.ndarray:
     If c h / 2 and c x0 are fractions over one M <= 2**22 and every M c x_k
     is an integer a_k to rounding, entry (k, n) is the M-th root of unity of
     index n a_k mod M (int64 arithmetic); otherwise np.exp of the outer product.
+    Root M/2 is exactly -1: the columns of labels n and -n are conjugates bit for bit.
     """
     M = math.lcm(*(Fraction(v).limit_denominator(_ROOTS_MAX).denominator
                    for v in (c * h / 2, c * x0)))
@@ -58,6 +59,8 @@ def _exp_table(pts, h: float, x0: float, c: float, ns) -> np.ndarray:
     if M <= _ROOTS_MAX and np.max(np.abs(r - a)) <= 1e-14 * max(np.max(np.abs(r)), 1.0):
         j = np.arange(M)
         roots = np.exp((2j * np.pi / M) * np.where(2 * j > M, j - M, j))
+        if M % 2 == 0:
+            roots[M // 2] = -1.0
         idx = np.multiply.outer(a.astype(np.int64) % M, ns % M)
         if M & (M - 1):
             idx %= M

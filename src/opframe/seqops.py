@@ -61,7 +61,13 @@ class FrameSequence:
             raise InvalidDimension("all sequence columns are zero")
         object.__setattr__(self, "vectors", v)
         labels = range(v.shape[1]) if self.index_labels is None else self.index_labels
-        labels = tuple(int(k) for k in labels)
+        if isinstance(labels, np.ndarray) and labels.ndim == 1 and labels.dtype.kind in "iu":
+            labels = tuple(labels.tolist())
+        elif isinstance(labels, range) or np.iterable(labels) and all(
+                isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in labels):
+            labels = tuple(map(int, labels))
+        else:  # a bool is no label, and a float or a string is not truncated to one
+            raise InvalidDimension(f"index_labels must be integers, got {labels!r:.80}")
         if len(labels) != v.shape[1]:
             raise InvalidDimension("index_labels length must equal N")
         object.__setattr__(self, "index_labels", labels)
@@ -72,7 +78,7 @@ class FrameSequence:
 
     def column(self, label: int) -> np.ndarray:
         try:
-            j = self.index_labels.index(int(label))
+            j = self.index_labels.index(label)  # 1.9 is no label, not label 1
         except ValueError:
             raise InvalidIndex(f"label {label} not present") from None
         return self.vectors[:, j]

@@ -230,3 +230,31 @@ class TestOnePointGrids:
         assert main(["run", str(f), "--out", str(tmp_path / "r.json")]) != 0
         err = capsys.readouterr().err
         assert "at least 2 points" in err and "out of bounds" not in err
+
+
+@pytest.mark.parametrize("b", [0.25, 0.5, 1.0])
+def test_tables_mirror_as_conjugates_on_interval_grids(b):
+    # entries of labels n and -n gather roots j and M - j, and root M/2 is
+    # exactly -1: the columns are conjugates bit for bit at every size
+    for d in range(2, 601):
+        grid, ns = interval_grid(d), np.arange(1, d // 2 + 4)
+        assert np.array_equal(_table(grid, b, -ns), _table(grid, b, ns).conj()), d
+
+
+@pytest.mark.parametrize("grid", [interval_grid(d) for d in (48, 96, 255, 384)]
+                         + [window_grid(d, -2.0, 2.0) for d in (64, 100, 384, 1024)],
+                         ids=lambda g: g.label)
+@pytest.mark.parametrize("b", [0.25, 0.5, 1.0])
+def test_exponential_families_mirror_as_conjugates(grid, b):
+    """v[:, ::-1] == conj(v) bitwise, and == -conj(v) for the derivative
+    family (the real form of the Gram factor reads this)."""
+    for derivative, sign in ((False, 1.0), (True, -1.0)):
+        v = C.exponential_system(b, grid.dim // 2 + 3, grid, derivative).vectors
+        assert np.array_equal(v[:, ::-1], sign * v.conj())
+
+
+def test_half_turn_root_is_exactly_minus_one():
+    # M = 192 and every a_k is odd, so label 96 gathers index 96 on every row:
+    # exp(i pi), which np.exp rounds to -1 + 1.2e-16 i
+    col = _table(interval_grid(96, -2.0, 3.0), 1.0, [96])[:, 0]
+    assert np.all(col == -1.0)

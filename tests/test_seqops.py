@@ -272,3 +272,26 @@ class TestFrameSequenceValidation:
         np.testing.assert_allclose(seq.column(1), [1, 0, 0, 0])
         with pytest.raises(InvalidIndex):
             seq.column(99)
+        np.testing.assert_array_equal(seq.column(np.int64(2)), seq.column(2))
+        with pytest.raises(InvalidIndex):
+            seq.column(1.9)  # not label 1
+
+    @pytest.mark.parametrize("labels", [
+        [0.5, 1.7, 1.2], ["x", 1, 2], [True, 1, 2], np.array([0.0, 1.0, 2.0]),
+        np.array([True, False, True]), np.arange(3)[:, None], 7, "abc",
+    ], ids=["floats", "string", "bool", "float_array", "bool_array", "2d", "scalar", "text"])
+    def test_non_integer_labels_are_refused(self, labels):
+        # nothing is truncated: [0.5, 1.7, 1.2] is not (0, 1, 1)
+        with pytest.raises(InvalidDimension, match="index_labels"):
+            FrameSequence(l2_truncation(3), np.eye(3), labels)
+
+    @pytest.mark.parametrize("labels, expected", [
+        ([4, -1, 9], (4, -1, 9)),
+        ((np.int64(4), np.int8(-1), 9), (4, -1, 9)),
+        (np.array([4, -1, 9], dtype=np.int32), (4, -1, 9)),
+        (np.array([4, 0, 9], dtype=np.uint16), (4, 0, 9)),
+        (range(2, 5), (2, 3, 4)),
+    ], ids=["list", "numpy_scalars", "int32_array", "uint16_array", "range"])
+    def test_integer_labels_become_python_ints(self, labels, expected):
+        out = FrameSequence(l2_truncation(3), np.eye(3), labels).index_labels
+        assert out == expected and all(type(k) is int for k in out)

@@ -157,6 +157,16 @@ def test_malformed_payload_names_the_field(text, kind, field):
         loads(text, kind)
 
 
+@pytest.mark.parametrize("labels", [[0.9, "1", True], [0.0, 1.0, 2.0], ["x", 1, 2]],
+                         ids=["mixed", "floats", "string"])
+def test_non_integer_labels_are_refused_on_load(rng, labels):
+    # [0.9, "1", true] does not load as (0, 1, 1)
+    data = frame_sequence_to_dict(FrameSequence(l2_truncation(2), random_matrix(rng, 2, 3)))
+    data["labels"] = labels
+    with pytest.raises(InvalidDimension, match="index_labels"):
+        loads(json.dumps(data), "frame_sequence")
+
+
 def test_list_payload_is_not_read(rng):
     # the per-entry "re"/"im" float lists of the earlier layout
     def to_lists(payload, m):
