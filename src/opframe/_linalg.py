@@ -53,27 +53,26 @@ def _real_form(mat):
 
 
 def _real_rows(mat):
-    """A real z with z z^T = mat mat^H, else mat: ``_real_form``'s, or, when
-    mat[:, ::-1] == s conj(mat) bitwise for s = +-1 (outer columns compared
-    first), [sqrt2 Re a | sqrt2 Im a | middle column as real] for a the first
-    N // 2 columns, as c c^H + conj(c) conj(c)^H = 2 Re(c c^H) for each pair."""
+    """A real z, z z^T = mat mat^H, else mat: ``_real_form``'s, or, if mat[:, ::-1] == s conj(mat)
+    bitwise, s = +-1 (outer columns first), sqrt2 [Re a | Im a] for a the first N // 2 columns and
+    the real or imaginary middle column: each pair g, s conj(g) gives 2 Re(g g^H) in mat mat^H."""
     h = mat.shape[1] // 2
-    a, m = mat[:, :h], mat[:, :-h - 1:-1]
+    a, m, c = mat[:, :h], mat[:, :-h - 1:-1], mat[:, h:mat.shape[1] - h]
     for s in (1.0, -1.0) if np.iscomplexobj(mat) and h else ():
-        if np.array_equal(m[:, 0], s * a[:, 0].conj()) and np.array_equal(m, s * a.conj()):
+        if np.array_equal(m[:, 0], s * a[:, 0].conj()) and np.array_equal(m, s * a.conj()) \
+                and np.array_equal(c, s * c.conj()):  # so c is real or imaginary
             z = np.empty(mat.shape)
             np.multiply(a.real, np.sqrt(2.0), out=z[:, :h])
             np.multiply(a.imag, np.sqrt(2.0), out=z[:, h:2 * h])
-            np.add(mat[:, h:-h].real, mat[:, h:-h].imag, out=z[:, 2 * h:])
+            np.add(c.real, c.imag, out=z[:, 2 * h:])
             return z
     return _real_form(mat)[0]
 
 
 def gram_factor(mat):
-    """Upper-triangular R with R^H R = mat mat^H, from the thin QR z^H = Q R
-    of ``_real_rows(mat)``: real for a real, purely imaginary or conjugate-mirrored
-    mat, where it is the R of mat^H up to a diagonal unitary, so kappa_F and every
-    rank cut read from it are those of mat in exact arithmetic."""
+    """Upper-triangular R, R^H R = mat mat^H, from the thin QR z^H = Q R, z = ``_real_rows(mat)``:
+    real for a real, imaginary or conjugate-mirrored mat, where it is mat^H's R up to a diagonal
+    unitary, so kappa_F and every rank cut read from it are mat's in exact arithmetic."""
     return np.linalg.qr(_real_rows(mat).conj().T, mode="r")
 
 
@@ -129,9 +128,8 @@ def thin_svd(mat):
     """(U, s, V^H) with mat = U diag(s) V^H, s descending: every SVD with
     vectors in opframe runs here.
 
-    A wide mat is row-reduced: with mat^H = Q R (R bit for bit that of
-    ``gram_factor`` unless mat's columns mirror) the SVD runs on
-    R^H = U diag(s) W^H, and V^H = W^H Q^H.
+    A wide mat is row-reduced: with mat^H = Q R (R bit for bit that of ``gram_factor`` unless
+    mat's columns mirror) the SVD runs on R^H = U diag(s) W^H, and V^H = W^H Q^H.
     """
     if not _is_wide(mat):
         return np.linalg.svd(mat, full_matrices=False)
@@ -150,14 +148,12 @@ def rank_cut(s, tol, scale=None):
 def min_norm_factor(y, kt, rcond=None):
     """(proj, M): the projection of kt onto R(y) and the minimum-norm M = y+ kt.
 
-    By Douglas' lemma R(kt) lies in R(y) exactly when kt = y M.  A certified
-    R of y^H = Q R (real for a conjugate-mirrored y, see ``gram_factor``)
-    gives M = (w^H y)^H, w = R^-1 R^-H kt, with no conjugate copy of y,
-    corrected once (without the step the error grows with kappa^2, as in the
-    normal equations), and proj = y M.  Else one ``thin_svd`` y = U S V^H
-    gives proj from U above _RANK_TOL sigma_max and M = V S^-1 U^H kt above
-    rcond sigma_max (without rcond M is None and a wide y's refused R^H,
-    which has U, stands in for y).
+    By Douglas' lemma R(kt) lies in R(y) exactly when kt = y M.  A certified R of y^H = Q R
+    (real for a conjugate-mirrored y, see ``gram_factor``) gives M = (w^H y)^H,
+    w = R^-1 R^-H kt, with no conjugate copy of y, corrected once (without the step the error
+    grows with kappa^2, as in the normal equations), and proj = y M.  Else one ``thin_svd``
+    y = U S V^H gives proj from U above _RANK_TOL sigma_max and M = V S^-1 U^H kt above rcond
+    sigma_max (without rcond M is None and a wide y's refused R^H, which has U, stands in for y).
     An all-zero y gives zero; nothing raises.
     """
     r_fac, r_inv = certified_row_factor_inverse(y, _RANK_TOL if rcond is None else rcond)

@@ -38,6 +38,11 @@ FRAME_TOL = 1e-8
 BOUND_KINDS = ("frame", "bessel_only", "k_frame", "weak_a_frame", "graph_a_frame")
 
 
+def _is_label(k) -> bool:
+    """A Python or numpy integer: a bool is none, and a float or string is not truncated to one."""
+    return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+
+
 @dataclass(frozen=True)
 class FrameSequence:
     """An indexed finite family stored as matrix columns."""
@@ -64,9 +69,9 @@ class FrameSequence:
         if isinstance(labels, np.ndarray) and labels.ndim == 1 and labels.dtype.kind in "iu":
             labels = tuple(labels.tolist())
         elif isinstance(labels, range) or np.iterable(labels) and all(
-                isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in labels):
+                map(_is_label, labels := tuple(labels))):  # one pass, so a generator works
             labels = tuple(map(int, labels))
-        else:  # a bool is no label, and a float or a string is not truncated to one
+        else:
             raise InvalidDimension(f"index_labels must be integers, got {labels!r:.80}")
         if len(labels) != v.shape[1]:
             raise InvalidDimension("index_labels length must equal N")
@@ -78,7 +83,7 @@ class FrameSequence:
 
     def column(self, label: int) -> np.ndarray:
         try:
-            j = self.index_labels.index(label)  # 1.9 is no label, not label 1
+            j = self.index_labels.index(label if _is_label(label) else None)  # not 1.9 as 1
         except ValueError:
             raise InvalidIndex(f"label {label} not present") from None
         return self.vectors[:, j]

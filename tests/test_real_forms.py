@@ -86,6 +86,27 @@ def test_outer_columns_alone_do_not_select_the_mirror(rng):
         vectors) ** 2
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_a_complex_middle_column_does_not_select_the_mirror(rng, sign):
+    vectors = _mirrored(rng, 6, 9, sign)
+    vectors[:, 4] = random_matrix(rng, 6, 1)[:, 0]  # every outer pair still mirrors
+    assert _real_rows(vectors) is vectors
+    r = gram_factor(vectors)
+    assert r.dtype == np.complex128
+    assert np.linalg.norm(r.conj().T @ r - vectors @ vectors.conj().T) <= 1e-13 * np.linalg.norm(
+        vectors) ** 2
+
+
+def test_exponential_system_with_a_complex_label_zero_column_stays_complex(rng):
+    seq = exponential_system(1.0, 9, interval_grid(16))
+    vectors = seq.vectors.copy()
+    vectors[:, seq.index_labels.index(0)] = random_matrix(rng, 16, 1)[:, 0]
+    y = FrameSequence(seq.model, vectors, seq.index_labels).whitened()
+    r = gram_factor(y)
+    assert r.dtype == np.complex128
+    assert np.linalg.norm(r.conj().T @ r - y @ y.conj().T) <= 1e-13 * np.linalg.norm(y) ** 2
+
+
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_real_times_complex_runs_on_the_float_view(rng, order):
     a, b = rng.standard_normal((5, 7)), np.asarray(random_matrix(rng, 7, 3), order=order)

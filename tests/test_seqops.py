@@ -273,8 +273,9 @@ class TestFrameSequenceValidation:
         with pytest.raises(InvalidIndex):
             seq.column(99)
         np.testing.assert_array_equal(seq.column(np.int64(2)), seq.column(2))
-        with pytest.raises(InvalidIndex):
-            seq.column(1.9)  # not label 1
+        for label in (1.9, 2.0, True, "1"):  # none of them is label 1 or 2
+            with pytest.raises(InvalidIndex):
+                seq.column(label)
 
     @pytest.mark.parametrize("labels", [
         [0.5, 1.7, 1.2], ["x", 1, 2], [True, 1, 2], np.array([0.0, 1.0, 2.0]),
@@ -291,7 +292,8 @@ class TestFrameSequenceValidation:
         (np.array([4, -1, 9], dtype=np.int32), (4, -1, 9)),
         (np.array([4, 0, 9], dtype=np.uint16), (4, 0, 9)),
         (range(2, 5), (2, 3, 4)),
-    ], ids=["list", "numpy_scalars", "int32_array", "uint16_array", "range"])
+        (iter([4, -1, 9]), (4, -1, 9)),
+    ], ids=["list", "numpy_scalars", "int32_array", "uint16_array", "range", "one_shot_iterator"])
     def test_integer_labels_become_python_ints(self, labels, expected):
         out = FrameSequence(l2_truncation(3), np.eye(3), labels).index_labels
         assert out == expected and all(type(k) is int for k in out)
