@@ -45,9 +45,7 @@ from .opmodel import (
     diagonal_operator,
     diff_operator,
     dirichlet_subspace,
-    graph_adjoint,
     identity_operator,
-    pseudo_inverse,
     truncation_trajectory,
 )
 from .seqops import (
@@ -56,9 +54,6 @@ from .seqops import (
     analysis,
     canonical_dual,
     frame_bounds,
-    frame_operator,
-    gram,
-    partial_synthesis,
     reconstruct,
     synthesis,
 )
@@ -71,7 +66,6 @@ from .relframes import (
 )
 from .weakframes import (
     DualSequence,
-    adjoint_decomposition,
     interchange_dual,
     user_dual,
     verify_weak_duality,
@@ -98,13 +92,13 @@ __all__ = [
     "HilbertModel", "Subspace", "graph_inner", "inner",
     "interval_grid", "l2_truncation", "norm", "orthonormalize", "window_grid",
     "OperatorModel", "TruncationFamily", "adjoint", "block_multiplier",
-    "diagonal_operator", "diff_operator", "dirichlet_subspace", "graph_adjoint",
-    "identity_operator", "pseudo_inverse", "truncation_trajectory",
+    "diagonal_operator", "diff_operator", "dirichlet_subspace", "identity_operator",
+    "truncation_trajectory",
     "FrameBounds", "FrameSequence", "analysis", "canonical_dual", "frame_bounds",
-    "frame_operator", "gram", "partial_synthesis", "reconstruct", "synthesis",
+    "reconstruct", "synthesis",
     "a_dual_graph", "aframe_bounds_graph", "k_dual", "kframe_bounds",
     "range_inclusion",
-    "DualSequence", "adjoint_decomposition", "interchange_dual", "user_dual",
+    "DualSequence", "interchange_dual", "user_dual",
     "verify_weak_duality", "weak_a_dual", "weak_aframe_bound",
     "difference_sequence", "exponential_system", "gabor_system", "pw_example",
     "riesz_multiplier", "translation_system", "wavelet_system",

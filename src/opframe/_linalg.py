@@ -52,10 +52,13 @@ def _real_form(mat):
     return mat, 1.0
 
 
-def _real_rows(mat):
-    """A real z, z z^T = mat mat^H, else mat: ``_real_form``'s, or, if mat[:, ::-1] == s conj(mat)
-    bitwise, s = +-1 (outer columns first), sqrt2 [Re a | Im a] for a the first N // 2 columns and
-    the real or imaginary middle column: each pair g, s conj(g) gives 2 Re(g g^H) in mat mat^H."""
+def gram_factor(mat):
+    """Upper-triangular R, R^H R = mat mat^H, from the thin QR z^H = Q R, z z^T = mat mat^H:
+    ``_real_form``'s, or, if mat[:, ::-1] == s conj(mat) bitwise, s = +-1 (outer columns first),
+    sqrt2 [Re a | Im a] for a the first N // 2 columns and the real or imaginary middle column:
+    each pair g, s conj(g) gives 2 Re(g g^H) in mat mat^H.  R is real for a real, imaginary or
+    conjugate-mirrored mat, where it is mat^H's R up to a diagonal unitary, so kappa_F and every
+    rank cut read from it are mat's in exact arithmetic."""
     h = mat.shape[1] // 2
     a, m, c = mat[:, :h], mat[:, :-h - 1:-1], mat[:, h:mat.shape[1] - h]
     for s in (1.0, -1.0) if np.iscomplexobj(mat) and h else ():
@@ -65,15 +68,10 @@ def _real_rows(mat):
             np.multiply(a.real, np.sqrt(2.0), out=z[:, :h])
             np.multiply(a.imag, np.sqrt(2.0), out=z[:, h:2 * h])
             np.add(c.real, c.imag, out=z[:, 2 * h:])
-            return z
-    return _real_form(mat)[0]
-
-
-def gram_factor(mat):
-    """Upper-triangular R, R^H R = mat mat^H, from the thin QR z^H = Q R, z = ``_real_rows(mat)``:
-    real for a real, imaginary or conjugate-mirrored mat, where it is mat^H's R up to a diagonal
-    unitary, so kappa_F and every rank cut read from it are mat's in exact arithmetic."""
-    return np.linalg.qr(_real_rows(mat).conj().T, mode="r")
+            break
+    else:
+        z = _real_form(mat)[0]
+    return np.linalg.qr(z.conj().T, mode="r")
 
 
 def _real_matmul(a, b):
@@ -173,18 +171,18 @@ def min_norm_factor(y, kt, rcond=None):
     return u[:, :r] @ c[:r], m
 
 
-def orthonormal_range(mat, rank_tol=_RANK_TOL, scale=None):
+def orthonormal_range(mat, scale=None):
     """Orthonormal basis (plain l2) of the column space of mat; may be empty.
 
-    The rank cut is rank_tol * scale with scale defaulting to sigma_max(mat).
+    The rank cut is _RANK_TOL * scale with scale defaulting to sigma_max(mat).
     Pass an external scale when mat itself may be numerical noise (e.g. a
     residual that is exactly zero in exact arithmetic).
     """
     u, s, _ = thin_svd(mat)
-    return u[:, :rank_cut(s, rank_tol, scale)]
+    return u[:, :rank_cut(s, _RANK_TOL, scale)]
 
 
-def pencil_lower_bound(sqrt_s, b_basis, b_inv_h, rank_tol=_RANK_TOL):
+def pencil_lower_bound(sqrt_s, b_basis, b_inv_h):
     """Optimal constants (alpha, beta) of the pencil (S, B); beta is a number
     when the rank-deficient path has sigma_max, else a zero-argument callable
     that takes a values-only SVD of its own:
@@ -230,7 +228,7 @@ def pencil_lower_bound(sqrt_s, b_basis, b_inv_h, rank_tol=_RANK_TOL):
         stacked = np.concatenate([x_k, uy.conj().T], axis=1)
         smax = float(np.linalg.svd(
             stacked if stacked.shape[1] < y.shape[0] else y, compute_uv=False)[0])
-        t_basis = orthonormal_range(x_k, rank_tol, scale=smax)
+        t_basis = orthonormal_range(x_k, scale=smax)
         if t_basis.shape[1]:
             uy = uy - (uy @ t_basis) @ t_basis.conj().T  # (P_T_perp X U)^H
         beta = smax**2

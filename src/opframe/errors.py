@@ -27,7 +27,7 @@ class NotAFrame(OpframeError):
 
 
 class InvalidIndex(OpframeError):
-    """Raised for out-of-range partial-sum or label indices."""
+    """Raised for a label that the sequence does not carry."""
 
 
 class DegenerateOperator(OpframeError):

@@ -29,6 +29,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: relative tolerance deciding approximate membership f in a Subspace
 MEMBERSHIP_RTOL = 1e-8
 
+#: ``orthonormalize`` drops a column with residual below this times the largest column norm
+_DROP_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class HilbertModel:
@@ -231,38 +234,35 @@ class Subspace:
             raise DomainViolation(f"{what} lies outside the declared subspace")
 
 
-def orthonormalize(vectors, model: HilbertModel, drop_tol=1e-10) -> Subspace:
-    """Gram-Schmidt with reorthogonalization against the model inner product.
+def orthonormalize(vectors, model: HilbertModel) -> Subspace:
+    """Gram-Schmidt against the model inner product, as thin QRs of W^(1/2) V.
 
-    Columns whose residual norm after projection falls below drop_tol
-    (relative to the largest input column norm) are dropped, so
-    rank-deficient inputs are reduced rather than rejected.
+    |R_jj| is column j's residual against the columns before it.  The first
+    column whose residual is below _DROP_TOL (relative to the largest input
+    column norm) is dropped and the QR retaken: the QR gives a dropped column
+    a roundoff direction, which could absorb a later column Gram-Schmidt
+    keeps.  A full-rank input costs one QR; columns keep Gram-Schmidt's phase.
     """
     v = np.asarray(vectors, dtype=complex)
     if v.ndim == 1:
         v = v[:, None]
     if v.shape[0] != model.dim:
         raise InvalidDimension("vectors must have model.dim rows")
-    w = model.weights
-    scale = max(
-        (float(np.sqrt(np.sum(w * np.abs(v[:, j]) ** 2))) for j in range(v.shape[1])),
-        default=0.0,
-    )
+    if not np.all(np.isfinite(v)):  # LAPACK returns NaN rather than raising
+        raise InvalidDimension("vectors must be finite")
+    vw = model.sqrt_weights[:, None] * v
+    scale = float(np.max(np.linalg.norm(vw, axis=0), initial=0.0))
     if scale <= 0.0:
         raise EmptySpan("all input columns are zero")
-    kept = []
-    for j in range(v.shape[1]):
-        x = v[:, j].copy()
-        for _ in range(2):  # two projection sweeps keep orthogonality to ~1e-15
-            for q in kept:
-                x = x - q * np.sum(w * x * np.conj(q))
-        nx = float(np.sqrt(np.sum(w * np.abs(x) ** 2)))
-        if nx < drop_tol * scale:
-            continue
-        kept.append(x / nx)
-    if not kept:
-        raise EmptySpan("input columns are numerically zero")
-    return Subspace(model, np.column_stack(kept))
+    while vw.shape[1]:
+        q, r = np.linalg.qr(vw)
+        residual = np.diagonal(r)
+        small = np.flatnonzero(np.abs(residual) < _DROP_TOL * scale)
+        if not small.size:
+            q *= residual / np.abs(residual)
+            return Subspace(model, q / model.sqrt_weights[:, None])
+        vw = np.delete(vw, small[0], axis=1)
+    raise EmptySpan("input columns are numerically zero")
 
 
 def graph_inner(A: "OperatorModel", f, g) -> complex:

@@ -19,7 +19,6 @@ from ._linalg import (
     adjoint_matrix,
     as_complex_vector,
     hermitize,
-    min_norm_factor,
     thin_svd,
     whiten_matrix,
 )
@@ -206,23 +205,6 @@ def adjoint(op: OperatorModel) -> OperatorModel:
     )
 
 
-def pseudo_inverse(op: OperatorModel, rcond=1e-10) -> OperatorModel:
-    """Moore-Penrose inverse with singular values below rcond*sigma_max zeroed.
-
-    Satisfies, in the weighted geometry: N(W+) = R(W)^perp, R(W+) = N(W)^perp
-    (within the domain), and W W+ f = f for f in R(W).  The whitened inverse
-    is the minimum-norm factor of the identity (``min_norm_factor``), the
-    solve behind the K-duals and the weak dual.
-    """
-    _, m = min_norm_factor(op.whitened(), np.eye(op.codomain.dim), rcond)
-    return OperatorModel(
-        (m / op.input_model.sqrt_weights[:, None]) * op.codomain.sqrt_weights[None, :],
-        input_model=op.codomain,
-        codomain=op.input_model,
-        name=f"{op.name}^+" if op.name else "pinv",
-    )
-
-
 def _graph_solve(A: OperatorModel, x) -> np.ndarray:
     """Graph-space representers of the rows of x, as dim_in x k columns.
 
@@ -241,20 +223,6 @@ def _graph_solve(A: OperatorModel, x) -> np.ndarray:
     # I + A^H A has every eigenvalue >= 1, so plain LU is backward stable
     y = np.linalg.solve(np.eye(at.shape[1]) + gram, rhs)
     return y / A.input_model.sqrt_weights[:, None] if basis is None else basis @ y
-
-
-def graph_adjoint(A: OperatorModel) -> OperatorModel:
-    """The adjoint of A viewed as a bounded map from its graph space into H.
-
-    Solves (I + A^H A) y = A^H h in orthonormal domain coordinates, i.e.
-    inner(A f, h) = graph_inner(f, A_sharp h) for all f in D(A).
-    """
-    return OperatorModel(
-        _graph_solve(A, A.codomain.weights[:, None] * A.dense()),
-        input_model=A.codomain,
-        codomain=A.input_model,
-        name=f"{A.name}#" if A.name else "graph adjoint",
-    )
 
 
 def _stencil_gap_is_zero(op: OperatorModel) -> bool:

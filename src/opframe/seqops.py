@@ -1,5 +1,5 @@
-"""Sequence-level operator machinery: analysis, synthesis, frame operator,
-optimal bounds, canonical duals, reconstruction, partial sums.
+"""Sequence-level operator machinery: analysis, synthesis, optimal bounds,
+canonical duals, reconstruction.
 
 A :class:`FrameSequence` stores the family {g_n} as the columns of a
 dim x N complex matrix over a weighted model.  All spectra are computed on
@@ -124,17 +124,6 @@ def synthesis(seq: FrameSequence, c) -> np.ndarray:
     return seq.vectors @ c
 
 
-def gram(seq: FrameSequence) -> np.ndarray:
-    y = seq.whitened()
-    return y.conj().T @ y
-
-
-def frame_operator(seq: FrameSequence) -> OperatorModel:
-    """S = (synthesis) o (analysis); matrix G G^H W in plain coordinates."""
-    s = seq.vectors @ (seq.vectors.conj().T * seq.model.weights[None, :])
-    return OperatorModel(s, seq.model, seq.model, name="frame operator")
-
-
 def _whitened_spectrum(y) -> np.ndarray:
     """Full spectrum of the frame operator Y Y^H of the whitened family Y
     (dim x N, zero columns allowed), via the smaller Hermitian form."""
@@ -233,11 +222,3 @@ def reconstruct(seq: FrameSequence, dual: FrameSequence, f):
     f = as_complex_vector(f, seq.model.dim)
     rec = synthesis(seq, analysis(dual, f))
     return rec, max_column_gap((rec - f)[:, None], f[:, None], seq.model.weights)
-
-
-def partial_synthesis(seq: FrameSequence, c, upto: int) -> np.ndarray:
-    """sum_{k <= upto} c_k g_k (1-based cutoff in storage order)."""
-    c = as_complex_vector(c, seq.n_vectors)
-    if not 1 <= upto <= seq.n_vectors:
-        raise InvalidIndex(f"upto must be in 1..{seq.n_vectors}, got {upto}")
-    return seq.vectors[:, :upto] @ c[:upto]

@@ -25,7 +25,6 @@ import numpy as np
 
 from ._linalg import (
     adjoint_matrix,
-    as_complex_vector,
     max_column_gap,
     min_norm_factor,
     pencil_lower_bound,  # noqa: F401 - an import site perfbench's tracer tests wrap
@@ -33,15 +32,14 @@ from ._linalg import (
     thin_svd,
 )
 from .errors import FactorizationFailed, InvalidDimension, NotSurjective
-from .hilbert import HilbertModel, norm
-from .opmodel import OperatorModel, adjoint
+from .hilbert import HilbertModel
+from .opmodel import OperatorModel
 from .seqops import (
     FRAME_TOL,
     FrameBounds,
     FrameSequence,
     _operator_bounds,
     _whitened_spectrum,
-    analysis,
 )
 
 PRODUCERS = ("weak_a_dual_thm", "k_dual_thm", "interchange_thm", "canonical", "user")
@@ -76,7 +74,11 @@ class DualSequence:
 
     @functools.cached_property
     def bessel_bound(self) -> float:
-        """The optimal Bessel bound lambda_max of the Gram of the dual."""
+        """The optimal Bessel bound lambda_max of the dual's Gram, sup over f in H
+        of sum_n |inner(f, t_n)|^2 / ||f||^2.  A ``graph_space`` dual
+        (``a_dual_graph``) gets it in H's geometry too, not over D(A) in the
+        graph norm ||f||_A, so its alpha * bessel_bound is not 1 as in the
+        K-frame and weak forms (0.5990 * 0.3579 = 0.214 at ``not_frame``)."""
         return float(_whitened_spectrum(self.whitened())[-1])
 
     @property
@@ -186,17 +188,6 @@ def verify_weak_duality(
         res, n_u = cu.conj().T @ defect, np.linalg.norm(cu, axis=0)
     n_ah = np.linalg.norm(sampled(ah, rh), axis=0)
     return float(np.max(np.abs(res) / (np.outer(n_u, n_ah) + 1e-300)))
-
-
-def adjoint_decomposition(seq: FrameSequence, dual: DualSequence, A: OperatorModel, u):
-    """sum_n inner(u, g_n) t_n and its relative error against A* u."""
-    v = A.adjoint_domain_subspace
-    v.require_member(u, "u")
-    u = as_complex_vector(u, seq.model.dim)
-    vec = dual.vectors @ analysis(seq, u)
-    ref = adjoint(A).apply(u)
-    num, den = norm(seq.model, vec - ref), norm(seq.model, ref)
-    return vec, num / den if den > 0 else num
 
 
 def interchange_dual(

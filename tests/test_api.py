@@ -1,7 +1,9 @@
-"""The public surface: every exported name resolves, none is listed twice, and
-every top-level definition is used in the package or exported."""
+"""The public surface: every exported name resolves, none is listed twice,
+every top-level definition is used in the package or exported, and every
+exported function is reached from the package or the benchmark workloads."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -50,3 +52,39 @@ def test_every_top_level_definition_is_used_or_exported():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert sorted(defined - used - set(opframe.__all__)) == []
+
+
+#: exported though no code path calls them: the weighted adjoint A* and the
+#: graph inner product on D(A), definitions the solvers apply in factored form
+#: and the tests' oracles
+DEFINITIONS = {"adjoint", "graph_inner"}
+
+
+def test_every_exported_function_is_reached():
+    """An exported function must be referenced from src/ or from
+    perfbench/workloads.py or perfbench/sweep.py, outside its own definition: a
+    public helper that only tests reach does not belong in the package.  A bare
+    name counts in the module that defines it, elsewhere an import or an
+    attribute access does."""
+    pkg = Path(opframe.__file__).parent
+    bench = pkg.parent.parent / "perfbench"
+    functions = {name: getattr(opframe, name).__module__ for name in opframe.__all__
+                 if inspect.isfunction(getattr(opframe, name))}
+    sources = {f"opframe.{path.stem}": path for path in pkg.glob("*.py")
+               if path.name != "__init__.py"}
+    sources.update({name: bench / f"{name}.py" for name in ("workloads", "sweep")})
+    reached = set()
+    for module, path in sources.items():
+        for stmt in ast.parse(path.read_text()).body:
+            refs = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and functions.get(node.id) == module:
+                    refs.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    refs.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    refs.update(alias.name for alias in node.names)
+            if isinstance(stmt, ast.FunctionDef) and functions.get(stmt.name) == module:
+                refs.discard(stmt.name)  # a call in its own body does not reach it
+            reached |= refs
+    assert sorted(set(functions) - reached - DEFINITIONS) == []

@@ -146,6 +146,91 @@ class TestOrthonormalize:
         np.testing.assert_allclose(second.basis, first.basis, atol=1e-10)
 
 
+def _gram_schmidt(vectors, model, drop_tol=1e-10):
+    """The reference basis: Gram-Schmidt with two projection sweeps, one column
+    at a time, dropping each column whose residual is below drop_tol times the
+    largest input column norm."""
+    v = np.asarray(vectors, dtype=complex)
+    w = model.weights
+    scale = max((float(np.sqrt(np.sum(w * np.abs(v[:, j]) ** 2))) for j in range(v.shape[1])),
+                default=0.0)
+    if scale <= 0.0:
+        raise EmptySpan("all input columns are zero")
+    kept = []
+    for j in range(v.shape[1]):
+        x = v[:, j].copy()
+        for _ in range(2):
+            for q in kept:
+                x = x - q * np.sum(w * x * np.conj(q))
+        nx = float(np.sqrt(np.sum(w * np.abs(x) ** 2)))
+        if nx >= drop_tol * scale:
+            kept.append(x / nx)
+    if not kept:
+        raise EmptySpan("input columns are numerically zero")
+    return np.column_stack(kept)
+
+
+def _planned_columns(rng, d, plan):
+    """d x len(plan): "new" is the next of d well-conditioned columns (a random
+    one once they are used up), "dep" a combination of the "new" columns so
+    far (zero before the first), "zero" a zero column."""
+    u, _ = np.linalg.qr(random_matrix(rng, d, d))
+    pool = u @ (np.eye(d) + 0.2 * random_matrix(rng, d, d) / np.sqrt(d))  # kappa below 4
+    cols, used = [], 0
+    for kind in plan:
+        if kind == "new":
+            cols.append(pool[:, used] if used < d else random_matrix(rng, d, 1)[:, 0])
+            used += 1
+        elif kind == "dep" and used:
+            cols.append(pool[:, :min(used, d)] @ random_matrix(rng, min(used, d), 1)[:, 0])
+        else:
+            cols.append(np.zeros(d, dtype=complex))
+    return np.column_stack(cols)
+
+
+class TestOrthonormalizeAgainstGramSchmidt:
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 12), weighted=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           plan=st.lists(st.sampled_from(["new", "dep", "zero"]), min_size=1, max_size=20))
+    def test_matches_the_reference(self, d, weighted, seed, plan):
+        rng = np.random.default_rng(seed)
+        model = random_weighted_model(rng, d) if weighted else l2_truncation(d)
+        v = _planned_columns(rng, d, plan)
+        try:
+            expected = _gram_schmidt(v, model)
+        except EmptySpan:
+            with pytest.raises(EmptySpan):
+                orthonormalize(v, model)
+            return
+        basis = orthonormalize(v, model).basis
+        assert basis.shape == expected.shape == (d, min(d, plan.count("new")))
+        assert np.max(np.abs(basis - expected)) <= 1e-12
+
+    def test_a_dropped_column_between_two_kept_ones(self, rng):
+        # the QR's direction for the dropped copy of e_0 is e_1, which would
+        # absorb the third column if every small residual dropped at once
+        m = random_weighted_model(rng, 3)
+        v = np.array([[1, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
+        basis = orthonormalize(v, m).basis
+        np.testing.assert_allclose(basis, _gram_schmidt(v, m), rtol=0, atol=1e-12)
+        assert basis.shape == (3, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_refused(self, rng, bad):
+        v = random_matrix(rng, 6, 3)
+        v[4, 1] = bad
+        with pytest.raises(InvalidDimension):
+            orthonormalize(v, random_weighted_model(rng, 6))
+
+    @pytest.mark.parametrize("shape", [(24, 10), (6, 9)])
+    def test_full_rank_input_takes_one_qr(self, rng, linalg_calls, shape):
+        m = random_weighted_model(rng, shape[0])
+        v = random_matrix(rng, *shape)
+        calls = linalg_calls("qr")
+        assert orthonormalize(v, m).rank == min(shape)
+        assert len(calls) == 1
+
+
 class TestSubspace:
     def test_full_subspace_is_cheap_identity(self, rng):
         m = l2_truncation(5)

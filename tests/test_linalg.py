@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from opframe._linalg import (
     certified_row_factor_inverse,
     max_column_gap,
+    min_norm_factor,
     orthonormal_range,
     pencil_lower_bound,
     thin_svd,
     triangular_inverse,
 )
 from opframe.hilbert import HilbertModel, Subspace, l2_truncation, orthonormalize
-from opframe.opmodel import OperatorModel, identity_operator, pseudo_inverse
+from opframe.opmodel import OperatorModel, identity_operator
 from opframe.relframes import a_dual_graph, k_dual, kframe_bounds, range_inclusion
 from opframe.scenarios import CHECKS
 from opframe.seqops import FrameSequence
@@ -170,9 +171,9 @@ def test_range_and_pinv_cuts_from_one_svd(d, wide, seed):
     # K = D M with the minimum-norm M = D+ K; the dual vectors are M^H
     m = k_dual(seq, K).vectors.conj().T
     assert _rel(m, np.linalg.pinv(y, rcond=1e-10) @ kt) <= 1e-10
-    pinv = pseudo_inverse(OperatorModel(seq.vectors, l2_truncation(n), model)).matrix
-    assert _rel(pinv, np.linalg.pinv(y, rcond=1e-10) * sw[None, :]) <= 1e-10
-    zero = pseudo_inverse(OperatorModel(np.zeros((d, n)), l2_truncation(n), model)).matrix
+    pinv = min_norm_factor(seq.whitened(), np.eye(d), 1e-10)[1]  # D+ is the factor of I
+    assert _rel(pinv, np.linalg.pinv(y, rcond=1e-10)) <= 1e-10
+    zero = min_norm_factor(np.zeros((d, n), dtype=complex), np.eye(d), 1e-10)[1]
     assert zero.shape == (n, d) and not np.any(zero)
 
 
@@ -186,7 +187,8 @@ def test_range_and_pinv_cuts_from_one_svd(d, wide, seed):
 )
 def test_coefficient_factor_matches_svd_oracles(d, shape, kind, decades, seed):
     """Both paths of the minimum-norm factor against SVD oracles, through
-    k_dual, pseudo_inverse, range_inclusion, a_dual_graph and weak_a_dual.
+    k_dual, the identity case of ``min_norm_factor`` (D+), range_inclusion,
+    a_dual_graph and weak_a_dual.
 
     sigma_min / sigma_max of the whitened D (for weak_a_dual: of the family
     restricted to the adjoint domain) is planted between 1e-1 and 1e-9, so a
@@ -215,7 +217,6 @@ def test_coefficient_factor_matches_svd_oracles(d, shape, kind, decades, seed):
     K = OperatorModel(kt / sw[:, None], l2_truncation(q), model)
     kt = sw[:, None] * K.dense()
 
-    D = OperatorModel(seq.vectors, l2_truncation(n), model)
     for rcond in (1e-10, 1e-3):
         if np.min(np.abs(np.log10(s / rcond))) < 1e-2:
             continue  # a singular value on the cut: either rank is right
@@ -224,7 +225,7 @@ def test_coefficient_factor_matches_svd_oracles(d, shape, kind, decades, seed):
         m = k_dual(seq, K, rcond=rcond).vectors.conj().T
         tol = max(1e-10, 10 * np.finfo(float).eps * kappa)
         assert _rel(m, oracle @ kt) <= tol
-        assert _rel(pseudo_inverse(D, rcond).matrix, oracle * sw[None, :]) <= tol
+        assert _rel(min_norm_factor(y, np.eye(d), rcond)[1], oracle) <= tol
 
     kappa = s[0] / s[-1]
     basis = orthonormal_range(y)
