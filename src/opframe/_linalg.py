@@ -4,6 +4,15 @@ Everything here works in "whitened" coordinates: a model with weight vector w
 is mapped to plain l2 by x -> sqrt(w) * x.  Hermitian structure is exact in
 those coordinates, so eigensolvers and SVDs keep self-adjointness at machine
 precision.
+
+Every lower bound and every dual is one minimum-norm factorization, and
+``factor`` alone decides how a matrix mat is factored:
+
+- certified, by the R^-1 of ``gram_factor``'s R, when mat has no more rows
+  than columns, kappa_F = ||R||_F ||R^-1||_F <= 1e6 and
+  kappa_F max(rcond, 1e-12) < 1;
+- otherwise a thin SVD, row-reduced by the refused R unless V is needed,
+  with the support cut at 1e-12 sigma_0 and M cut at rcond sigma_0.
 """
 
 from __future__ import annotations
@@ -94,32 +103,9 @@ def triangular_inverse(r):
     return out
 
 
-def certified_row_factor_inverse(mat, rcond):
-    """(R, R^-1) for the R of ``gram_factor``, R^-1 None unless kappa_F =
-    ||R||_F ||R^-1||_F, an upper bound on sigma_max / sigma_min of a mat of full
-    row rank, is at most _DIRECT_COND and below 1 / max(rcond, _RANK_TOL); no QR
-    and (None, None) for a mat with more rows than columns."""
-    if mat.shape[1] < mat.shape[0]:
-        return None, None
-    r = gram_factor(mat)
-    with np.errstate(all="ignore"):
-        try:
-            r_inv = triangular_inverse(r)
-        except np.linalg.LinAlgError:  # an exactly singular R
-            return r, None
-        kappa = np.linalg.norm(r) * np.linalg.norm(r_inv)  # NaN or inf fails below
-    return r, (r_inv if kappa <= _DIRECT_COND and kappa * max(rcond, _RANK_TOL) < 1 else None)
-
-
 def _is_wide(mat):
     """The row-reduction rule: mat has at most half as many rows as columns."""
     return 2 * mat.shape[0] <= mat.shape[1]
-
-
-def _row_reduced(mat, r=None):
-    """mat, or for a wide mat the m x m R^H of ``gram_factor`` (mat = R^H Q^H),
-    which has the same left singular pairs; r is that R when already taken."""
-    return (gram_factor(mat) if r is None else r).conj().T if _is_wide(mat) else mat
 
 
 def thin_svd(mat):
@@ -143,18 +129,41 @@ def rank_cut(s, tol, scale=None):
     return int(np.sum(s > tol * (s[0] if scale is None else scale))) if s.size else 0
 
 
-def min_norm_factor(y, kt, rcond=None):
-    """(proj, M): the projection of kt onto R(y) and the minimum-norm M = y+ kt.
+def factor(mat, rcond=None, certify=True):
+    """(R^-1, U, s, V^H) of mat by the module's rule: R^-1 of the certified R, or None and the
+    SVD, with every singular value in s, U cut at min(rcond, _RANK_TOL) sigma_0 (the support,
+    or M's cut below it) and V^H None when a row-reduced mat gave U and s.  certify=False
+    takes the SVD path."""
+    tol = _RANK_TOL if rcond is None else rcond
+    r = None
+    if certify and mat.shape[1] >= mat.shape[0]:
+        r = gram_factor(mat)
+        with np.errstate(all="ignore"):
+            try:
+                r_inv = triangular_inverse(r)
+                kappa = np.linalg.norm(r) * np.linalg.norm(r_inv)  # NaN or inf fails below
+            except np.linalg.LinAlgError:  # an exactly singular R
+                kappa = np.inf
+        if kappa <= _DIRECT_COND and kappa * max(tol, _RANK_TOL) < 1:
+            return r_inv, None, None, None
+    # M needs mat's V: V = mat^H U S^-1 from the U of R^H would cost eps kappa^2
+    reduce = rcond is None and _is_wide(mat)
+    u, s, vh = thin_svd((gram_factor(mat) if r is None else r).conj().T if reduce else mat)
+    return None, u[:, :rank_cut(s, min(tol, _RANK_TOL))], s, None if reduce else vh
+
+
+def min_norm_factor(y, kt, rcond=None, fac=None):
+    """(proj, M): the projection of kt onto R(y) and the minimum-norm M = y+ kt, from
+    ``factor(y, rcond)`` or the fac it gave.
 
     By Douglas' lemma R(kt) lies in R(y) exactly when kt = y M.  A certified R of y^H = Q R
     (real for a conjugate-mirrored y, see ``gram_factor``) gives M = (w^H y)^H,
     w = R^-1 R^-H kt, with no conjugate copy of y, corrected once (without the step the error
-    grows with kappa^2, as in the normal equations), and proj = y M.  Else one ``thin_svd``
-    y = U S V^H gives proj from U above _RANK_TOL sigma_max and M = V S^-1 U^H kt above rcond
-    sigma_max (without rcond M is None and a wide y's refused R^H, which has U, stands in for y).
-    An all-zero y gives zero; nothing raises.
+    grows with kappa^2, as in the normal equations), and proj = y M.  Else y = U S V^H gives
+    proj from U above _RANK_TOL sigma_0 and M = V S^-1 U^H kt above rcond sigma_0 (None
+    without rcond).  An all-zero y gives zero; nothing raises.
     """
-    r_fac, r_inv = certified_row_factor_inverse(y, _RANK_TOL if rcond is None else rcond)
+    r_inv, u, s, vh = factor(y, rcond) if fac is None else fac
     if r_inv is not None:  # the seminormal solve, then one corrective step
         m = proj = 0.0
         for _ in range(2):
@@ -162,11 +171,9 @@ def min_norm_factor(y, kt, rcond=None):
             m = m + (w.conj().T @ y).conj().T
             proj = y @ m
         return proj, m
-    # M needs V = Q W: V = y^H U S^-1 would cost the residual eps kappa^2
-    u, s, vh = thin_svd(_row_reduced(y, r_fac) if rcond is None else y)
     r = rank_cut(s, _RANK_TOL)
     p = 0 if rcond is None else rank_cut(s, rcond)
-    c = u[:, :max(r, p)].conj().T @ kt
+    c = u.conj().T @ kt  # u has max(r, p) columns
     m = None if rcond is None else vh[:p].conj().T @ (c[:p] / s[:p, None])
     return u[:, :r] @ c[:r], m
 

@@ -19,7 +19,6 @@ from ._linalg import (
     adjoint_matrix,
     as_complex_vector,
     hermitize,
-    thin_svd,
     whiten_matrix,
 )
 from .errors import GridTooCoarse, InvalidDimension, InvalidProbe
@@ -45,8 +44,8 @@ class OperatorModel:
     it must be finite and match the models' dimensions.  Neither a
     projection nor a stencil operator stores its dim_out x dim_in matrix.
     A projection's ``apply`` and ``apply_columns`` are ``Subspace.project``,
-    O(dim r) per column, and its ``whitened_svd`` is the whitened basis of V
-    with unit singular values; a stencil operator's ``apply`` and
+    O(dim r) per column, and the bounds read its singular vectors off the
+    whitened basis of V; a stencil operator's ``apply`` and
     ``apply_columns`` cost O(dim w) per column.  Every other consumer forms
     the matrix on demand through ``dense``, which caches nothing.
     """
@@ -154,15 +153,6 @@ class OperatorModel:
         return whiten_matrix(
             self.effective_matrix(), self.codomain.weights, self.input_model.weights
         )
-
-    def whitened_svd(self):
-        """(U, s): thin left singular vectors and singular values of whitened();
-        for a projection without a domain, the whitened basis of its subspace
-        (identity columns for a selection or the whole space) and unit s."""
-        sub = self.projection
-        if sub is None or self.domain is not None:
-            return thin_svd(self.whitened())[:2]
-        return sub.whitened_basis(), np.ones(sub.rank)
 
     def domain_whitened(self) -> np.ndarray:
         """Whitened matrix restricted to orthonormal domain coordinates."""

@@ -348,6 +348,8 @@ def _chk_adjoint_decomposition_error(ctx, params, rng):
 def _chk_decomposition_monotone(ctx, params, rng):
     b = float(ctx["params"].get("b", 1.0))
     ranges = [int(r) for r in params.get("ranges", (20, 40, 80))]
+    if len(ranges) < 2:  # the ratio of successive errors needs a pair
+        raise InvalidScenario(f"decomposition_error_monotone needs two or more ranges: {ranges}")
     errs = [exm1_decomposition_error(b, r, ctx["grid"], _exponentials(ctx, r).vectors)
             for r in ranges]
     ctx.setdefault("extras", {})["decomposition_errors"] = dict(zip(ranges, errs))

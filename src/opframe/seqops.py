@@ -17,15 +17,11 @@ import numpy as np
 
 from ._linalg import (
     _DEGENERATE_TOL,
-    _RANK_TOL,
-    _row_reduced,
     as_complex_vector,
-    certified_row_factor_inverse,
+    factor,
     hermitize,
     max_column_gap,
     pencil_lower_bound,
-    rank_cut,
-    thin_svd,
 )
 from .errors import DegenerateOperator, InvalidDimension, InvalidIndex, NotAFrame
 from .hilbert import HilbertModel, Subspace
@@ -174,26 +170,25 @@ def _operator_bounds(
 def _reference_factor(op: OperatorModel, v: Subspace, graph: bool):
     """(U, L^-H) for the pencil, with U the support of T in coordinates of v
     (None for all of v) and L L^H the Gram of ||T f||^2 there: a projection's
-    whitened basis with unit singular values; outside the graph bound, the
-    certified R^-1 of M^H = Q R (kappa_F <= _DIRECT_COND proves full rank),
-    tried only when ||M||_F > sqrt(r) _DEGENERATE_TOL so that a numerically
-    zero operator still raises; else one ``thin_svd`` of M (of a wide M's R^H)
-    and 1/sigma above the rank cut (sigma / sqrt(1 + sigma^2) for the graph bound)."""
-    if v.is_full and op.projection is not None and op.domain is None:
-        u, sv = op.whitened_svd()
+    whitened basis with unit singular values; else ``factor`` of M, T = M^H:
+    its certified R^-1 (kappa_F <= _DIRECT_COND proves full rank), not tried
+    for the graph bound nor when ||M||_F <= sqrt(r) _DEGENERATE_TOL, so that a
+    numerically zero operator still raises; or M's support U and 1/sigma there
+    (sigma / sqrt(1 + sigma^2) for the graph bound)."""
+    sub = op.projection
+    if v.is_full and sub is not None and op.domain is None:
+        u, sv = sub.whitened_basis(), np.ones(sub.rank)
     else:
-        m, r = v.whitened_coords(op.whitened()), None  # r x dim_in; T = M^H
-        if not graph and np.linalg.norm(m) > np.sqrt(v.rank) * _DEGENERATE_TOL:
-            r, r_inv = certified_row_factor_inverse(m, _RANK_TOL)
-            if r_inv is not None:
-                return None, r_inv
-        u, sv, _ = thin_svd(_row_reduced(m, r))
+        m = v.whitened_coords(op.whitened())  # r x dim_in
+        certify = not graph and np.linalg.norm(m) > np.sqrt(v.rank) * _DEGENERATE_TOL
+        r_inv, u, sv, _ = factor(m, certify=certify)
+        if r_inv is not None:
+            return None, r_inv
     if sv.size == 0 or sv[0] <= _DEGENERATE_TOL:
         raise DegenerateOperator("operator is numerically zero")
-    q = rank_cut(sv, _RANK_TOL)
     if graph:
         sv = sv / np.sqrt(1.0 + sv**2)
-    return u[:, :q], 1.0 / sv[:q]
+    return u, 1.0 / sv[:u.shape[1]]
 
 
 def canonical_dual(seq: FrameSequence, frame_tol: float = FRAME_TOL) -> FrameSequence:

@@ -25,11 +25,11 @@ import numpy as np
 
 from ._linalg import (
     adjoint_matrix,
+    factor,
     max_column_gap,
     min_norm_factor,
     pencil_lower_bound,  # noqa: F401 - an import site perfbench's tracer tests wrap
     sampled,
-    thin_svd,
 )
 from .errors import FactorizationFailed, InvalidDimension, NotSurjective
 from .hilbert import HilbertModel
@@ -194,20 +194,24 @@ def interchange_dual(
     seq: FrameSequence, dual: DualSequence, A: OperatorModel, sigma_tol: float = 1e-8
 ) -> DualSequence:
     """h_n = (A+)* t_n; reconstructs every u in D(A*) when A is surjective,
-    which fails (NotSurjective) when sigma_min <= sigma_tol * sigma_max."""
+    which fails (NotSurjective) when sigma_min <= sigma_tol * sigma_max.
+
+    With At the whitened A on orthonormal coordinates of D(A), (A+)* t_n is
+    W^(-1/2) (At^H)+ t_n, the minimum-norm solve of At^H h = t_n
+    (``min_norm_factor``).  A certified factor of At^H needs no sigma_min:
+    sigma_min / sigma_max >= 1 / kappa_F > max(sigma_tol, 1e-12) >= sigma_tol
+    is what ``factor`` certifies with rcond = sigma_tol; else its s decides."""
     if A.codomain.dim != seq.model.dim or A.input_model.dim != seq.model.dim:
         raise InvalidDimension("interchange dual expects an endomorphism model")
-    at = A.domain_whitened()
-    if at.shape[1] < at.shape[0]:
-        raise NotSurjective(f"operator not surjective: dim D(A) = {at.shape[1]} < {at.shape[0]}")
-    u, s, vh = thin_svd(at)
-    if s[-1] <= sigma_tol * s[0]:
+    ath = A.domain_whitened().conj().T  # At^H: dim D(A) x dim
+    if ath.shape[0] < ath.shape[1]:
+        raise NotSurjective(f"operator not surjective: dim D(A) = {ath.shape[0]} < {ath.shape[1]}")
+    r_inv, _, s, _ = fac = factor(ath, sigma_tol)
+    if r_inv is None and s[-1] <= sigma_tol * s[0]:
         raise NotSurjective(f"operator is not surjective (sigma_min={s[-1]:.3e}, "
                             f"sigma_max={s[0]:.3e})")
-    # (A+)* = W_out^(-1/2) U S^-1 V^H Bw^H W_in^(1/2) from at = U S V^H, with
-    # Bw the whitened domain basis
     t = A.domain_subspace.coords(dual.vectors)
-    h = ((u / s) @ (vh @ t)) / A.codomain.sqrt_weights[:, None]
+    h = min_norm_factor(ath, t, sigma_tol, fac)[1] / A.codomain.sqrt_weights[:, None]
     # certificate: rebuild the whitened basis Vw of D(A*) from (Vw^H Yw)^H
     sub, vw = A.adjoint_domain_subspace, A.adjoint_domain_subspace.whitened_basis()
     rec = seq.model.sqrt_weights[:, None] * (h @ sub.coords(seq.vectors).conj().T)

@@ -88,3 +88,30 @@ def test_every_exported_function_is_reached():
                 refs.discard(stmt.name)  # a call in its own body does not reach it
             reached |= refs
     assert sorted(set(functions) - reached - DEFINITIONS) == []
+
+
+#: how a matrix is factored: the SVD, its rank cut and the certificate
+#: (R from ``gram_factor``, its inverse and the kappa_F ceiling)
+DECISION = {"thin_svd", "rank_cut", "gram_factor", "triangular_inverse", "_DIRECT_COND"}
+
+
+def test_factorization_is_decided_in_linalg_only():
+    """Whether a matrix takes the certified triangular factor or an SVD, and
+    where its singular values are cut, is ``_linalg.factor``'s decision: no
+    other module of src/opframe imports or names what it decides with."""
+    found = {}
+    for path in Path(opframe.__file__).parent.glob("*.py"):
+        if path.name == "_linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            for name in names & DECISION:
+                found.setdefault(path.stem, set()).add(name)
+    assert found == {}

@@ -158,6 +158,21 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "'diff_ddx_periodic'" in err and "at least 16 grid points" in err
 
+    @pytest.mark.parametrize("ranges", [[], [20]])
+    def test_decomposition_monotone_with_fewer_than_two_ranges_exits_two(
+            self, tmp_path, capsys, ranges):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps({
+            "name": "one_range",
+            "construction": {"name": "exponential",
+                             "params": {"b": 0.5, "label_range": 40, "d": 64, "derivative": True}},
+            "operator": {"name": "diff_minus_i_H1"},
+            "checks": [{"name": "decomposition_error_monotone", "tolerance": 1.0,
+                        "params": {"ranges": ranges}}],
+        }))
+        assert main(["run", str(f), "--out", str(tmp_path / "r.json")]) == 2
+        assert "ranges" in capsys.readouterr().err
+
 
 class TestReproduceCommand:
     def test_unknown_name_exits_two_listing_valid(self, capsys, tmp_path, monkeypatch):

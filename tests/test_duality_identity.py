@@ -4,16 +4,18 @@ minimum-norm M with K = D M, and ||M||^2 is the Bessel bound of the dual
 {M* e_n}.  alpha comes from the pencil (``pencil_lower_bound``), the Bessel
 bound from ``min_norm_factor`` and an eigvalsh, so their product, 1 in exact
 arithmetic, checks one kernel against the other.  The weak form is the same
-lemma in orthonormal coordinates of D(A*)."""
+lemma in orthonormal coordinates of D(A*); the graph form is the lemma in the
+graph space D(A), whose dual's Bessel bound is taken in the graph norm."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opframe.constructions import exponential_system
-from opframe.hilbert import Subspace, interval_grid
+from opframe.hilbert import Subspace, interval_grid, orthonormalize
 from opframe.opmodel import OperatorModel, diff_operator
-from opframe.relframes import k_dual, kframe_bounds
+from opframe.relframes import a_dual_graph, aframe_bounds_graph, k_dual, kframe_bounds
+from opframe.scenarios import CONSTRUCTIONS, load_bundled
 from opframe.weakframes import weak_a_dual, weak_aframe_bound
 
 from conftest import random_frame, random_matrix, random_weighted_model
@@ -52,3 +54,44 @@ def test_exm1_weak_bound_at_label_range_256():
     alpha, bessel = weak_aframe_bound(seq, A).alpha, weak_a_dual(seq, A).bessel_bound
     assert abs(alpha - 2.0) <= 1e-3  # 1 / b up to the h^2 discretization error
     assert abs(alpha * bessel - 1.0) <= TOL
+
+
+def _graph_bessel_bound(dual, A):
+    """sup over f in D(A) of sum_n |inner(f, k_n)_A|^2 / ||f||_A^2.  In orthonormal
+    coordinates c of D(A), with k_n = B kappa_n and At = ``A.domain_whitened()``,
+    inner(f, k_n)_A = kappa_n^H G c and ||f||_A^2 = c^H G c for G = I + At^H At,
+    so the bound is the top eigenvalue of the pencil (G kappa kappa^H G, G):
+    sigma_max(L^H kappa)^2 with G = L L^H."""
+    kappa, at = A.domain_subspace.coords(dual.vectors), A.domain_whitened()
+    chol = np.linalg.cholesky(np.eye(at.shape[1]) + at.conj().T @ at)
+    return float(np.linalg.svd(chol.conj().T @ kappa, compute_uv=False)[0]) ** 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 24), extra=st.integers(0, 8), a_rank=st.integers(1, 24),
+       r=st.integers(1, 24), domain=st.sampled_from(["full", "basis", "selection"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_graph_alpha_times_graph_bessel_bound_is_one(d, extra, a_rank, r, domain, seed):
+    """Weighted models and a random A of full or deficient rank on all of H, a
+    random subspace or a selection as D(A); the family spans H, so R(A) lies in R(D)."""
+    rng = np.random.default_rng(seed)
+    model = random_weighted_model(rng, d)
+    seq = random_frame(rng, d, d + extra, model=model)
+    dom, r = None, min(r, d)
+    if domain == "basis":
+        dom = orthonormalize(random_matrix(rng, d, r), model)
+    elif domain == "selection":
+        dom = Subspace.selection(model, np.sort(rng.permutation(d)[:r]))
+    A = OperatorModel(_low_rank(rng, d, d, min(a_rank, d)), model, model, domain=dom)
+    alpha = aframe_bounds_graph(seq, A).alpha
+    assert abs(alpha * _graph_bessel_bound(a_dual_graph(seq, A), A) - 1.0) <= TOL
+
+
+def test_not_frame_graph_bound():
+    data = load_bundled("not_frame")
+    ctx = CONSTRUCTIONS[data["construction"]["name"]](
+        data["construction"]["params"], np.random.default_rng(data["seed"]))
+    seq, A = ctx["seq"], ctx["op"]
+    alpha = aframe_bounds_graph(seq, A).alpha
+    assert abs(alpha - 0.5990) <= 1e-4  # the bundled report's aframe_alpha
+    assert abs(alpha * _graph_bessel_bound(a_dual_graph(seq, A), A) - 1.0) <= TOL

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from opframe.errors import (
     DomainViolation,
@@ -362,6 +364,39 @@ class TestInterchange:
         assert inter.certificate_residual <= 1e-9
 
 
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 12), log_ratio=st.floats(-10.0, 0.0), with_domain=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(d=6, log_ratio=0.0, with_domain=False, seed=0)  # certified
+@example(d=6, log_ratio=-7.0, with_domain=True, seed=1)  # kappa_F > 1e6, surjective
+@example(d=6, log_ratio=-9.0, with_domain=False, seed=2)  # not surjective
+def test_interchange_dual_against_svd_oracles(d, log_ratio, with_domain, seed):
+    """sigma_min / sigma_max of the whitened A from 1e-10 to 1, on both sides of
+    sigma_tol = 1e-8 and of 1 / kappa_F = 1e-6: NotSurjective exactly when the
+    SVD gives sigma_min <= 1e-8 sigma_max, else the vectors of the pinv oracle
+    (A+)* t_n = W^(-1/2) pinv(At)^H W^(1/2) t_n to 1e-9 kappa relative."""
+    rng = np.random.default_rng(seed)
+    m = random_weighted_model(rng, d)
+    u, _ = np.linalg.qr(random_matrix(rng, d, d))
+    v, _ = np.linalg.qr(random_matrix(rng, d, d))
+    s = 10.0 ** (log_ratio * np.sort(np.r_[0.0, 1.0, rng.random(max(d - 2, 0))])[:d])
+    sw = m.sqrt_weights[:, None]
+    at = 10.0 ** rng.uniform(-3.0, 3.0) * (u * s) @ v.conj().T
+    dom = orthonormalize(random_matrix(rng, d, d), m) if with_domain else None
+    A = OperatorModel(at / sw * sw.T, m, m, domain=dom)
+    seq = random_frame(rng, d, d + 3, model=m)
+    dual = user_dual(m, random_matrix(rng, d, d + 3))
+    sv = np.linalg.svd(A.whitened(), compute_uv=False)
+    assume(abs(sv[-1] / sv[0] / 1e-8 - 1.0) > 1e-6)  # a tie that roundoff decides
+    if sv[-1] <= 1e-8 * sv[0]:
+        with pytest.raises(NotSurjective):
+            interchange_dual(seq, dual, A)
+        return
+    ref = (np.linalg.pinv(A.whitened()).conj().T @ (sw * dual.vectors)) / sw
+    h = interchange_dual(seq, dual, A).vectors
+    assert np.linalg.norm(h - ref) <= 1e-9 * (sv[0] / sv[-1]) * np.linalg.norm(ref)
+
+
 class TestTheoremTriangle:
     def test_chain_on_random_instances(self, rng):
         # alpha > tol  =>  dual exists with small certificate  =>  the
@@ -488,16 +523,24 @@ class TestKernelCounts:
         assert len(svd) == 1 and not pinv
 
     def test_interchange_dual_factors_the_operator_once(self, linalg_calls, rng):
+        # a well-conditioned A is certified by one QR and solved with no SVD;
+        # at sigma_min / sigma_max = 1e-7 (kappa_F > 1e6, still surjective)
+        # the refused QR is followed by one SVD
         d = 6
         m = random_weighted_model(rng, d)
         A = OperatorModel(np.eye(d) + 0.3 * random_matrix(rng, d, d) / np.sqrt(d), m, m)
+        u, _ = np.linalg.qr(random_matrix(rng, d, d))
+        sw = m.sqrt_weights
+        C = OperatorModel((u * np.logspace(0.0, -7.0, d)) / sw[:, None] * sw[None, :], m, m)
+        B = OperatorModel(A.matrix, m, m, domain=orthonormalize(random_matrix(rng, d, d - 1), m))
         seq = random_frame(rng, d, 9, model=m)
         dual = weak_a_dual(seq, A)
-        svd, pinv = linalg_calls("svd"), linalg_calls("pinv")
+        svd, pinv, qr = linalg_calls("svd"), linalg_calls("pinv"), linalg_calls("qr")
         assert interchange_dual(seq, dual, A).certificate_residual <= 1e-9
-        assert len(svd) == 1 and not pinv
+        assert len(qr) == 1 and not svd and not pinv
+        interchange_dual(seq, dual, C)
+        assert len(qr) == 2 and len(svd) == 1 and not pinv
         # a domain of too small a dimension is rejected before any factorization
-        B = OperatorModel(A.matrix, m, m, domain=orthonormalize(random_matrix(rng, d, d - 1), m))
         with pytest.raises(NotSurjective):
             interchange_dual(seq, dual, B)
-        assert len(svd) == 1 and not pinv
+        assert len(qr) == 2 and len(svd) == 1 and not pinv
