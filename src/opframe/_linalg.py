@@ -8,9 +8,9 @@ precision.
 Every lower bound and every dual is one minimum-norm factorization, and
 ``factor`` alone decides how a matrix mat is factored:
 
-- certified, by the R^-1 of ``gram_factor``'s R, when mat has no more rows
-  than columns, kappa_F = ||R||_F ||R^-1||_F <= 1e6 and
-  kappa_F max(rcond, 1e-12) < 1;
+- certified, by the R^-1 of ``gram_factor``'s R (two half-size R's under reflection parity,
+  ``_parity_factor``), when mat has no more rows than columns, kappa_F = ||R||_F ||R^-1||_F
+  <= 1e6 and kappa_F max(rcond, 1e-12) < 1;
 - otherwise a thin SVD, row-reduced by the refused R unless V is needed,
   with the support cut at 1e-12 sigma_0 and M cut at rcond sigma_0.
 """
@@ -61,13 +61,11 @@ def _real_form(mat):
     return mat, 1.0
 
 
-def gram_factor(mat):
-    """Upper-triangular R, R^H R = mat mat^H, from the thin QR z^H = Q R, z z^T = mat mat^H:
-    ``_real_form``'s, or, if mat[:, ::-1] == s conj(mat) bitwise, s = +-1 (outer columns first),
-    sqrt2 [Re a | Im a] for a the first N // 2 columns and the real or imaginary middle column:
-    each pair g, s conj(g) gives 2 Re(g g^H) in mat mat^H.  R is real for a real, imaginary or
-    conjugate-mirrored mat, where it is mat^H's R up to a diagonal unitary, so kappa_F and every
-    rank cut read from it are mat's in exact arithmetic."""
+def gram_form(mat):
+    """(z, s) with z z^T = mat mat^H: if mat[:, ::-1] == s conj(mat) bitwise, s = +-1 (outer
+    columns first), z = sqrt2 [Re a | Im a] for a the first N // 2 columns and the real or
+    imaginary middle column, as each pair g, s conj(g) gives 2 Re(g g^H) in mat mat^H; else
+    ``_real_form``'s b (mat itself when complex) and s = 0."""
     h = mat.shape[1] // 2
     a, m, c = mat[:, :h], mat[:, :-h - 1:-1], mat[:, h:mat.shape[1] - h]
     for s in (1.0, -1.0) if np.iscomplexobj(mat) and h else ():
@@ -77,10 +75,27 @@ def gram_factor(mat):
             np.multiply(a.real, np.sqrt(2.0), out=z[:, :h])
             np.multiply(a.imag, np.sqrt(2.0), out=z[:, h:2 * h])
             np.add(c.real, c.imag, out=z[:, 2 * h:])
-            break
-    else:
-        z = _real_form(mat)[0]
-    return np.linalg.qr(z.conj().T, mode="r")
+            return z, s
+    return _real_form(mat)[0], 0.0
+
+
+def gram_factor(mat):
+    """Upper-triangular R, R^H R = mat mat^H, from the thin QR z^H = Q R of ``gram_form``'s z:
+    real, and mat^H's R up to a diagonal unitary, when z is (kappa_F and rank cuts unchanged)."""
+    return np.linalg.qr(gram_form(mat)[0].conj().T, mode="r")
+
+
+def _pair(x):
+    """Q x in place, for Q the orthogonal involution of reflection parity: row k < d // 2 of
+    Q x is (x_k + x_(d-1-k)) / sqrt2, row d-1-k is (x_k - x_(d-1-k)) / sqrt2."""
+    h = x.shape[0] // 2
+    top, bottom = x[:h], x[:-h - 1:-1]
+    top += bottom
+    bottom *= -2.0
+    bottom += top
+    for half in top, bottom:
+        half *= np.sqrt(0.5)
+    return x
 
 
 def _real_matmul(a, b):
@@ -129,27 +144,71 @@ def rank_cut(s, tol, scale=None):
     return int(np.sum(s > tol * (s[0] if scale is None else scale))) if s.size else 0
 
 
+def _certified(rs, tol):
+    """The R^-1 of each upper-triangular R in rs, if diag(rs) has kappa_F <= _DIRECT_COND and
+    kappa_F max(tol, _RANK_TOL) < 1 (||.||_F^2 adds over the blocks); else None."""
+    with np.errstate(all="ignore"):
+        try:
+            r_invs = [triangular_inverse(r) for r in rs]
+        except np.linalg.LinAlgError:  # an exactly singular R
+            return None
+        kappa = np.hypot.reduce([np.linalg.norm(r) for r in rs]) * np.hypot.reduce(
+            [np.linalg.norm(r) for r in r_invs])  # NaN or inf fails below
+    return r_invs if kappa <= _DIRECT_COND and kappa * max(tol, _RANK_TOL) < 1 else None
+
+
+def _parity_factor(z, sign, tol):
+    """``factor``'s record if each column of the mirror form z is bitwise even or odd under
+    k -> d-1-k: Q z (``_pair``) is diag(B_E, B_O) up to a column order, so z z^T = G^T G,
+    G = diag(R_E, R_O) Q, from B_b^T = Q_b R_b, and G^-1 G^-T = (z z^T)^-1.  None (the unsplit
+    factor) when a block has fewer columns than rows or ``_certified`` refuses."""
+    d, h = z.shape[0], z.shape[0] // 2
+    top, bottom = z[:h], z[:-h - 1:-1]
+    even = np.all(top == bottom, axis=0)
+    odd = np.all(top == -bottom, axis=0) & ~np.any(z[h:d - h], axis=0)  # 0 on an odd d's middle
+    if not h or not np.all(even | odd) or np.sum(even) < d - h or np.sum(~even) < h:
+        return None
+    blocks = [z[:d - h, even], z[d - h:, ~even]]  # copies, scaled in place to the blocks of Q z
+    blocks[0][:h] *= np.sqrt(2.0)
+    blocks[1] *= -np.sqrt(2.0)
+    r_invs = _certified([np.linalg.qr(b.T, mode="r") for b in blocks], tol)
+    if r_invs is None:
+        return None
+    g_inv = np.zeros((d, d))
+    g_inv[:d - h, :d - h], g_inv[d - h:, d - h:] = r_invs
+    return _pair(g_inv), None, None, None, (even, blocks, r_invs, sign)
+
+
 def factor(mat, rcond=None, certify=True):
-    """(R^-1, U, s, V^H) of mat by the module's rule: R^-1 of the certified R, or None and the
-    SVD, with every singular value in s, U cut at min(rcond, _RANK_TOL) sigma_0 (the support,
-    or M's cut below it) and V^H None when a row-reduced mat gave U and s.  certify=False
-    takes the SVD path."""
+    """(R^-1, U, s, V^H, parity) of mat by the module's rule: R^-1 of the certified R, or None
+    and the SVD, with every singular value in s, U cut at min(rcond, _RANK_TOL) sigma_0 (the
+    support, or M's cut below it) and V^H None when a row-reduced mat gave U and s.  For a
+    mirrored mat with reflection parity R^-1 is ``_parity_factor``'s G^-1 and parity its blocks,
+    else parity is None.  certify=False takes the SVD path."""
     tol = _RANK_TOL if rcond is None else rcond
     r = None
     if certify and mat.shape[1] >= mat.shape[0]:
-        r = gram_factor(mat)
-        with np.errstate(all="ignore"):
-            try:
-                r_inv = triangular_inverse(r)
-                kappa = np.linalg.norm(r) * np.linalg.norm(r_inv)  # NaN or inf fails below
-            except np.linalg.LinAlgError:  # an exactly singular R
-                kappa = np.inf
-        if kappa <= _DIRECT_COND and kappa * max(tol, _RANK_TOL) < 1:
-            return r_inv, None, None, None
+        z, sign = gram_form(mat)
+        if sign and (fac := _parity_factor(z, sign, tol)) is not None:
+            return fac
+        r = np.linalg.qr(z.conj().T, mode="r")  # gram_factor(mat)
+        r_invs = _certified([r], tol)
+        if r_invs is not None:
+            return r_invs[0], None, None, None, None
     # M needs mat's V: V = mat^H U S^-1 from the U of R^H would cost eps kappa^2
     reduce = rcond is None and _is_wide(mat)
     u, s, vh = thin_svd((gram_factor(mat) if r is None else r).conj().T if reduce else mat)
-    return None, u[:, :rank_cut(s, min(tol, _RANK_TOL))], s, None if reduce else vh
+    return None, u[:, :rank_cut(s, min(tol, _RANK_TOL))], s, None if reduce else vh, None
+
+
+def _corrected_solve(y, r_inv, kt):
+    """(y M, M) for M = y^H w, w = R^-1 R^-H kt, corrected once; a real y stays real."""
+    m = proj = 0.0
+    for _ in range(2):
+        w = _real_matmul(r_inv, _real_matmul(r_inv.conj().T, kt - proj))
+        m = m + (_real_matmul(y.T, w) if np.isrealobj(y) else (w.conj().T @ y).conj().T)
+        proj = _real_matmul(y, m)
+    return proj, m
 
 
 def min_norm_factor(y, kt, rcond=None, fac=None):
@@ -159,18 +218,24 @@ def min_norm_factor(y, kt, rcond=None, fac=None):
     By Douglas' lemma R(kt) lies in R(y) exactly when kt = y M.  A certified R of y^H = Q R
     (real for a conjugate-mirrored y, see ``gram_factor``) gives M = (w^H y)^H,
     w = R^-1 R^-H kt, with no conjugate copy of y, corrected once (without the step the error
-    grows with kappa^2, as in the normal equations), and proj = y M.  Else y = U S V^H gives
-    proj from U above _RANK_TOL sigma_0 and M = V S^-1 U^H kt above rcond sigma_0 (None
-    without rcond).  An all-zero y gives zero; nothing raises.
+    grows with kappa^2, as in the normal equations), and proj = y M, or, with reflection parity,
+    on each block against Q kt.  Else y = U S V^H gives proj from U above _RANK_TOL sigma_0 and
+    M = V S^-1 U^H kt above rcond sigma_0 (None without rcond).  An all-zero y gives zero;
+    nothing raises.
     """
-    r_inv, u, s, vh = factor(y, rcond) if fac is None else fac
+    r_inv, u, s, vh, parity = factor(y, rcond) if fac is None else fac
+    if parity is not None:
+        del r_inv  # the dense G^-1 is the pencil's; the blocks solve without it
+        even, blocks, r_invs, sign = parity
+        rotated, n = _pair(kt.copy()), blocks[0].shape[0]
+        (p_e, m_e), (p_o, m_o) = map(_corrected_solve, blocks, r_invs, (rotated[:n], rotated[n:]))
+        c = np.empty((even.size, kt.shape[1]), np.result_type(m_e, m_o))  # M = C c, y = z C^H
+        c[even], c[~even], h = m_e, m_o, even.size // 2
+        re, im = c[:h] * np.sqrt(0.5), c[h:2 * h] * (1j * np.sqrt(0.5))
+        m = np.concatenate([re - im, c[2 * h:] * (1.0 if sign > 0 else -1j), sign * (re + im)[::-1]])
+        return _pair(np.concatenate([p_e, p_o])), m
     if r_inv is not None:  # the seminormal solve, then one corrective step
-        m = proj = 0.0
-        for _ in range(2):
-            w = _real_matmul(r_inv, _real_matmul(r_inv.conj().T, kt - proj))
-            m = m + (w.conj().T @ y).conj().T
-            proj = y @ m
-        return proj, m
+        return _corrected_solve(y, r_inv, kt)
     r = rank_cut(s, _RANK_TOL)
     p = 0 if rcond is None else rank_cut(s, rcond)
     c = u.conj().T @ kt  # u has max(r, p) columns

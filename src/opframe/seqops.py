@@ -19,6 +19,7 @@ from ._linalg import (
     _DEGENERATE_TOL,
     as_complex_vector,
     factor,
+    gram_form,
     hermitize,
     max_column_gap,
     pencil_lower_bound,
@@ -181,7 +182,7 @@ def _reference_factor(op: OperatorModel, v: Subspace, graph: bool):
     else:
         m = v.whitened_coords(op.whitened())  # r x dim_in
         certify = not graph and np.linalg.norm(m) > np.sqrt(v.rank) * _DEGENERATE_TOL
-        r_inv, u, sv, _ = factor(m, certify=certify)
+        r_inv, u, sv, _, _ = factor(m, certify=certify)
         if r_inv is not None:
             return None, r_inv
     if sv.size == 0 or sv[0] <= _DEGENERATE_TOL:
@@ -197,14 +198,16 @@ def canonical_dual(seq: FrameSequence, frame_tol: float = FRAME_TOL) -> FrameSeq
     d, n = y.shape
     if n < d:
         raise NotAFrame("sequence has fewer columns than the model dimension")
-    s_w = hermitize(y @ y.conj().T)
+    z = gram_form(y)[0]  # real for a mirrored, real or imaginary family, and so are S and solve
+    s_w = hermitize(z @ z.conj().T)
     vals = np.linalg.eigvalsh(s_w)
     if vals[0] <= frame_tol * max(vals[-1], 1e-300):
         raise NotAFrame(
             f"frame operator nearly singular (lambda_min={vals[0]:.3e}, "
             f"lambda_max={vals[-1]:.3e})"
         )
-    dual_w = np.linalg.solve(s_w, y)
+    dual_w = np.linalg.solve(s_w, y) if np.iscomplexobj(s_w) else np.linalg.solve(
+        s_w, np.ascontiguousarray(y).view(np.float64)).view(np.complex128)
     return FrameSequence(
         seq.model, dual_w / seq.model.sqrt_weights[:, None], seq.index_labels
     )

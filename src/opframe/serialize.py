@@ -124,7 +124,9 @@ def dual_sequence_from_dict(data: dict) -> DualSequence:
 def dumps(obj, kind: str) -> str:
     encode = {"frame_sequence": frame_sequence_to_dict, "operator": operator_to_dict,
               "dual_sequence": dual_sequence_to_dict}[kind]
-    return json.dumps(encode(obj), sort_keys=True, allow_nan=False)
+    payload = encode(obj)
+    z = payload.pop("z")  # base64 needs no JSON escaping, and "z" sorts after every other key
+    return f'{json.dumps(payload, sort_keys=True, allow_nan=False)[:-1]}, "z": "{z}"}}'
 
 
 def loads(text: str, kind: str):

@@ -206,7 +206,7 @@ def interchange_dual(
     ath = A.domain_whitened().conj().T  # At^H: dim D(A) x dim
     if ath.shape[0] < ath.shape[1]:
         raise NotSurjective(f"operator not surjective: dim D(A) = {ath.shape[0]} < {ath.shape[1]}")
-    r_inv, _, s, _ = fac = factor(ath, sigma_tol)
+    r_inv, _, s, _, _ = fac = factor(ath, sigma_tol)
     if r_inv is None and s[-1] <= sigma_tol * s[0]:
         raise NotSurjective(f"operator is not surjective (sigma_min={s[-1]:.3e}, "
                             f"sigma_max={s[0]:.3e})")

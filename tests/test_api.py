@@ -37,6 +37,24 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+#: what src/opframe may import besides the standard library and itself; scipy is a
+#: test-only extra, however close its LAPACK wrappers are at hand
+THIRD_PARTY = {"numpy", "jsonschema"}
+
+
+def test_imports_only_the_stdlib_numpy_and_jsonschema():
+    """Every import in src/opframe, at module level or inside a function, is of the standard
+    library, numpy, jsonschema or opframe itself."""
+    found = set()
+    for path in Path(opframe.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    assert sorted(found - set(sys.stdlib_module_names) - THIRD_PARTY - {"opframe"}) == []
+
+
 def test_every_top_level_definition_is_used_or_exported():
     """A top-level function or class of src/opframe must be referenced in
     src/ apart from its own definition, or be listed in opframe.__all__: a

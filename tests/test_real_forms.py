@@ -1,19 +1,21 @@
 """Conjugate-mirrored families, whose column -n is +-conj of column n, run
 their Gram factor in real arithmetic.  A column permutation keeps the family's
-S-form and sends it down the complex path, so both paths must agree."""
+S-form and sends it down the complex path, so both paths must agree.  When each
+column of the real form is also even or odd under the grid reflection
+k -> d-1-k, the factor splits into two half-size blocks."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from opframe._linalg import _real_matmul, gram_factor
+from opframe._linalg import _real_matmul, factor, gram_factor, gram_form, min_norm_factor
 from opframe.constructions import exponential_system
-from opframe.hilbert import Subspace, interval_grid, l2_truncation
+from opframe.hilbert import HilbertModel, Subspace, interval_grid, l2_truncation
 from opframe.opmodel import OperatorModel, diff_operator
 from opframe.relframes import k_dual, kframe_bounds, range_inclusion
 from opframe.seqops import FrameSequence
-from opframe.weakframes import weak_aframe_bound
+from opframe.weakframes import interchange_dual, weak_a_dual, weak_aframe_bound
 
 from conftest import random_frame, random_matrix, random_weighted_model
 
@@ -131,13 +133,14 @@ class TestKernelDtypes:
 
     @pytest.mark.parametrize("d", [48, 96])
     def test_k_dual_on_exponentials_runs_real(self, rng, linalg_calls, d):
-        # not powers of two: the tables gather the exact root -1
+        # not powers of two: the tables gather the exact root -1; each column of the mirror
+        # form is even or odd on the midpoint grid, so the factor is two half-size QRs
         seq = exponential_system(1.0, d // 2 + 5, interval_grid(d))
         J = l2_truncation(8)
         K = OperatorModel(random_matrix(rng, d, 8), J, seq.model)
         qr, inv = linalg_calls("qr"), linalg_calls("inv")
         assert k_dual(seq, K).certificate_residual <= 1e-10
-        assert len(qr) == 1 and inv
+        assert [args[0].shape[1] for args, _ in qr] == [d // 2, d // 2] and inv
         assert self._dtypes(qr) == self._dtypes(inv) == {np.dtype(np.float64)}
 
     def test_random_family_runs_complex(self, rng, linalg_calls):
@@ -147,3 +150,120 @@ class TestKernelDtypes:
         assert k_dual(seq, K).certificate_residual <= 1e-10
         assert len(qr) == 1 and inv
         assert self._dtypes(qr) == self._dtypes(inv) == {np.dtype(np.complex128)}
+
+
+def _symmetric_model(rng, d):
+    """The midpoint grid of [0, 1) with random weights mirrored bit for bit, w[::-1] == w."""
+    half = (0.25 + rng.random(d - d // 2)) / d
+    return HilbertModel(d, np.concatenate([half, half[:d // 2][::-1]]), "mirrored weights",
+                        points=interval_grid(d).points)
+
+
+def _parity_family(model, n, derivative=False):
+    """The whitened b = 1 exponentials (or their -i d/dx images) with n columns: labels
+    |k| <= n // 2, without label 0 when n is even."""
+    vectors = exponential_system(1.0, n // 2, model, derivative).vectors
+    if n % 2 == 0:
+        vectors = np.delete(vectors, n // 2, axis=1)
+    return model.sqrt_weights[:, None] * vectors
+
+
+def _assert_solve_matches_pinv(y, kt, rcond=1e-10, tol=1e-12):
+    proj, m = min_norm_factor(y, kt, rcond)
+    pinv = np.linalg.pinv(y, rcond=rcond)
+    assert np.linalg.norm(m - pinv @ kt) <= tol * np.linalg.norm(pinv @ kt)
+    assert np.linalg.norm(proj - y @ (pinv @ kt)) <= tol * np.linalg.norm(kt)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 40), extra=st.integers(0, 33), derivative=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_parity_solve_matches_pinv_and_cond(d, extra, derivative, seed):
+    """The split solve against numpy's pinv, and its certified-or-SVD decision against the
+    kappa_F = ||y||_F ||y+||_F and sigma_max / sigma_min (``numpy.linalg.cond``) it stands for.
+    The images drop the constant direction unless a label +-d is present, so they also take
+    the SVD path."""
+    rng = np.random.default_rng(seed)
+    y = _parity_family(_symmetric_model(rng, d), d + extra, derivative)
+    kt = random_matrix(rng, d, 3)
+    r_inv, _, _, _, parity = factor(y, 1e-10)
+    cond = np.linalg.cond(y)
+    if cond > 1e12:
+        assert r_inv is None
+    else:
+        kappa = np.linalg.norm(y) * np.linalg.norm(np.linalg.pinv(y))
+        assume(abs(np.log10(kappa / 1e6)) > 0.01)
+        assert (r_inv is not None) == (kappa <= 1e6)
+        assert (parity is not None) == (r_inv is not None)
+    _assert_solve_matches_pinv(y, kt)
+
+
+class TestParityFallback:
+    """What leaves a mirrored family to the unsplit factor, counted by its QRs."""
+
+    def test_one_perturbed_entry_breaks_parity(self, rng, linalg_calls):
+        y = _parity_family(interval_grid(16), 21)
+        y[3, 2] += 0.1 + 0.2j
+        y[3, -3] = np.conj(y[3, 2])
+        assert gram_form(y)[1] == 1.0  # the family still mirrors
+        qr = linalg_calls("qr")
+        r_inv, _, _, _, parity = factor(y, 1e-10)
+        assert r_inv is not None and parity is None
+        assert [args[0].shape for args, _ in qr] == [(21, 16)]
+        _assert_solve_matches_pinv(y, random_matrix(rng, 16, 3))
+
+    def test_a_block_with_fewer_columns_than_rows(self, rng, linalg_calls):
+        # Re a and Im a even: the odd block has no columns, and y is singular
+        d, h = 8, 5
+        even = rng.standard_normal((d // 2, 2 * h))
+        a = (even + 1j * np.roll(even, h, axis=1))[:, :h]
+        a = np.concatenate([a, a[::-1]])
+        y = np.concatenate([a, a[:, ::-1].conj()], axis=1)
+        assert gram_form(y)[1] == 1.0
+        qr = linalg_calls("qr")
+        assert factor(y, 1e-10)[0] is None
+        assert len(qr) == 1
+        _assert_solve_matches_pinv(y, random_matrix(rng, d, 2))
+
+    def test_an_odd_grid_puts_its_middle_row_in_the_even_block(self, rng, linalg_calls):
+        y = _parity_family(_symmetric_model(rng, 15), 17)
+        qr = linalg_calls("qr")
+        assert factor(y, 1e-10)[4] is not None
+        assert [args[0].shape[1] for args, _ in qr] == [8, 7]
+        kt = random_matrix(rng, 15, 3)
+        _assert_solve_matches_pinv(y, kt)
+        # an odd column must vanish on the middle row
+        y[7, 1] += 0.5j
+        y[7, -2] = np.conj(y[7, 1])
+        assert gram_form(y)[1] == 1.0
+        del qr[:]
+        assert factor(y, 1e-10)[4] is None
+        assert len(qr) == 1
+        _assert_solve_matches_pinv(y, kt)
+
+    def test_the_pencil_reads_the_dense_inverse(self, rng):
+        """K's whitened matrix has the parity, so the pencil's b_inv_h is G^-1; a column
+        permutation of K keeps K K^H, the K-frame bound and nothing of the parity."""
+        model = interval_grid(12)
+        y = _parity_family(model, 13)
+        K = OperatorModel(y / model.sqrt_weights[:, None], l2_truncation(13), model)
+        perm = OperatorModel(K.matrix[:, rng.permutation(13)], K.input_model, model)
+        assert factor(K.whitened())[4] is not None and factor(perm.whitened())[4] is None
+        seq = FrameSequence(model, random_matrix(rng, 12, 30))
+        bounds, reference = kframe_bounds(seq, K), kframe_bounds(seq, perm)
+        assert _rel(bounds.alpha, reference.alpha) <= RTOL
+        assert _rel(bounds.beta, reference.beta) <= RTOL
+
+    def test_interchange_dual_solves_on_the_blocks(self, rng):
+        """At^H of A = y^H is the square parity family y: h_n = W^-1/2 y^-1 t_n."""
+        model = interval_grid(13)
+        A = OperatorModel(_parity_family(model, 13).conj().T, model, model)
+        ath = A.domain_whitened().conj().T
+        assert factor(ath, 1e-8)[4] is not None
+        seq = FrameSequence(model, random_matrix(rng, 13, 20))
+        dual = weak_a_dual(seq, A)
+        h = interchange_dual(seq, dual, A)
+        assert h.certificate_residual <= 1e-12
+        oracle = np.linalg.solve(ath, dual.vectors * model.sqrt_weights[:, None])
+        gap = h.vectors * model.sqrt_weights[:, None] - oracle
+        assert np.linalg.norm(gap) <= RTOL * np.linalg.norm(oracle)

@@ -93,6 +93,26 @@ def test_loads_inverts_dumps(rng):
     np.testing.assert_allclose(back.vectors, seq.vectors)
 
 
+def test_dumps_is_the_plain_encoder_byte_for_byte(rng):
+    """dumps writes the top-level base64 "z" after the rest of the payload; the text is the
+    one json.dumps of the whole payload gives, for each kind, with a NaN certificate and a
+    name that needs escaping."""
+    grid = interval_grid(8)
+    dom = dirichlet_subspace(grid)
+    op = OperatorModel(random_matrix(rng, 8, 8), grid, grid, domain=dom, adjoint_domain=dom,
+                       name='say "hi" \\ d/dx \u2202 \u00fc')
+    cases = [
+        (op, "operator", operator_to_dict),
+        (user_dual(l2_truncation(3), random_matrix(rng, 3, 4)), "dual_sequence",
+         dual_sequence_to_dict),
+        (FrameSequence(random_weighted_model(rng, 3), random_matrix(rng, 3, 5), [4, -1, 0, 2, 9]),
+         "frame_sequence", frame_sequence_to_dict),
+    ]
+    for obj, kind, encode in cases:
+        assert dumps(obj, kind) == json.dumps(encode(obj), sort_keys=True, allow_nan=False)
+    assert loads(dumps(op, "operator"), "operator").name == op.name
+
+
 def _strict(text):
     """json.loads that rejects the NaN and Infinity tokens JSON does not have."""
 
