@@ -10,8 +10,10 @@ in the report, so identical files give identical reports up to wall clock.
 from __future__ import annotations
 
 import functools
+import inspect
 import json
 import operator
+import sys
 import time
 from dataclasses import dataclass, field
 from importlib import resources
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import constructions as C
 from ._linalg import max_column_gap
-from .errors import GridTooCoarse, InvalidScenario
+from .errors import InvalidScenario, OpframeError
 from .hilbert import HilbertModel, interval_grid, l2_truncation, window_grid
 from .opmodel import (
     OperatorModel,
@@ -60,30 +62,25 @@ WINDOWS = {
 }
 
 
-def _window(name):
-    if name not in WINDOWS:
-        raise InvalidScenario(f"unknown window {name!r}; valid: {sorted(WINDOWS)}")
-    return WINDOWS[name]
+def _lookup(kind: str, registry: dict, name):
+    """registry[name], else InvalidScenario listing the valid names."""
+    if name not in registry:
+        raise InvalidScenario(f"unknown {kind} {name!r}; valid: {sorted(registry)}")
+    return registry[name]
 
 
 # --------------------------------------------------------------------------
-# constructions: name -> fn(params, rng) -> ctx dict
+# constructions: name -> fn(rng, **params) -> ctx dict.  A scenario may set
+# each keyword param that has a default (validate_scenario); keyword-only
+# params are fixed by the construction name.
 # --------------------------------------------------------------------------
 
 
-def _grid_from(params) -> HilbertModel:
-    d = int(params.get("d", 256))
-    x0 = float(params.get("x0", 0.0))
-    x1 = float(params.get("x1", 1.0))
-    return interval_grid(d, x0, x1)
-
-
-def _exponentials(ctx, label_range: int, derivative=False) -> FrameSequence:
-    """exponential_system(b, label_range, grid, derivative) at the scenario's b
-    and grid, its columns taken from the widest table the scenario has built."""
-    b = float(ctx["params"].get("b", 1.0))
-    wide = ctx.get("exponentials")
-    if wide is None or wide.shape[1] <= 2 * label_range:
+def _exponentials(ctx, b: float, label_range: int, derivative=False) -> FrameSequence:
+    """exponential_system(b, label_range, grid, derivative) on the scenario's
+    grid, its columns taken from the widest table the scenario has built."""
+    wide = ctx["exponentials"]
+    if wide.shape[1] <= 2 * label_range:
         wide = ctx["exponentials"] = C.exponential_system(b, label_range, ctx["grid"]).vectors
     ns = np.arange(-label_range, label_range + 1)
     cols = wide[:, wide.shape[1] // 2 - label_range:][:, :ns.size]
@@ -92,84 +89,56 @@ def _exponentials(ctx, label_range: int, derivative=False) -> FrameSequence:
     return FrameSequence(ctx["grid"], cols, ns)
 
 
-def _build_exponential(params, rng):
-    ctx = {"grid": _grid_from(params), "params": params}
-    ctx["seq"] = _exponentials(ctx, int(params.get("label_range", 40)),
-                               params.get("derivative", False))
+def _build_exponential(rng, d=256, x0=0.0, x1=1.0, b=1.0, label_range=40, derivative=False):
+    grid = interval_grid(d, x0, x1)
+    ctx = {"grid": grid, "exponentials": C.exponential_system(b, label_range, grid).vectors}
+    ctx["seq"] = _exponentials(ctx, b, label_range, derivative)
     return ctx
 
 
-def _build_gabor(params, rng, derivative=False):
-    grid = window_grid(int(params.get("d", 1024)), float(params.get("x0", -8.0)),
-                       float(params.get("x1", 8.0)))
-    win, win_d = _window(params.get("window", "gaussian"))
-    seq = C.gabor_system(
-        win,
-        float(params.get("a", 1.0)),
-        float(params.get("b", 0.125)),
-        int(params.get("m_range", 2)),
-        int(params.get("n_range", 2)),
-        grid,
-        window_deriv=win_d,
-        derivative=derivative,
-        m_values=params.get("m_values"),
-    )
-    return {"grid": grid, "seq": seq, "params": params}
+def _build_gabor(rng, d=1024, x0=-8.0, x1=8.0, window="gaussian", a=1.0, b=0.125,
+                 m_range=2, n_range=2, m_values=None, *, derivative):
+    grid = window_grid(d, x0, x1)
+    win, win_d = _lookup("window", WINDOWS, window)
+    family = functools.partial(C.gabor_system, win, a, b, m_range, n_range, grid,
+                               window_deriv=win_d, m_values=m_values)
+    plain = family()  # what the derivative checks map onto seq
+    return {"grid": grid, "plain": plain, "seq": family(derivative=True) if derivative else plain}
 
 
-def _build_wavelet(params, rng, derivative=False):
-    grid = window_grid(int(params.get("d", 2048)), float(params.get("x0", -8.0)),
-                       float(params.get("x1", 8.0)))
-    mother, mother_d = _window(params.get("mother", "cosine_bump"))
-    seq = C.wavelet_system(
-        mother,
-        float(params.get("a", 2.0)),
-        float(params.get("b", 1.0)),
-        int(params.get("m_range", 1)),
-        int(params.get("n_range", 2)),
-        grid,
-        support=tuple(params.get("support", (-1.0, 1.0))),
-        mother_deriv=mother_d,
-        derivative=derivative,
-    )
-    return {"grid": grid, "seq": seq, "params": params}
+def _build_wavelet(rng, d=2048, x0=-8.0, x1=8.0, mother="cosine_bump", a=2.0, b=1.0,
+                   m_range=1, n_range=2, support=(-1.0, 1.0), *, derivative):
+    grid = window_grid(d, x0, x1)
+    win, win_d = _lookup("mother window", WINDOWS, mother)
+    family = functools.partial(C.wavelet_system, win, a, b, m_range, n_range, grid,
+                               support=support, mother_deriv=win_d)
+    plain = family()
+    return {"grid": grid, "plain": plain, "seq": family(derivative=True) if derivative else plain}
 
 
-def _build_translation(params, rng):
-    grid = window_grid(int(params.get("d", 512)), float(params.get("x0", -8.0)),
-                       float(params.get("x1", 8.0)))
-    win, _ = _window(params.get("window", "gaussian"))
-    seq = C.translation_system(win, float(params.get("c", 1.0)),
-                               int(params.get("k_range", 4)), grid)
-    return {"grid": grid, "seq": seq, "params": params}
+def _build_translation(rng, d=512, x0=-8.0, x1=8.0, window="gaussian", c=1.0, k_range=4):
+    grid = window_grid(d, x0, x1)
+    seq = C.translation_system(_lookup("window", WINDOWS, window)[0], c, k_range, grid)
+    return {"grid": grid, "seq": seq}
 
 
-def _build_pw(params, rng):
-    d = int(params.get("d", 4096))
-    L = int(params.get("L", 64))
+def _build_pw(rng, d=4096, L=64, taper="linear"):
     grid = window_grid(d, -L / 2.0, L / 2.0)
-    phi, psi, P = C.pw_example(grid, taper=params.get("taper", "linear"))
-    return {
-        "grid": grid,
-        "seq": phi,
-        "psi": psi,
-        "op": P,
-        "params": params,
-        "extras": {"psi_closed_form_gaps": C.pw_closed_form_gaps(psi, grid)},
-    }
+    phi, psi, P = C.pw_example(grid, taper=taper)
+    return {"grid": grid, "seq": phi, "psi": psi, "op": P,
+            "extras": {"psi_closed_form_gaps": C.pw_closed_form_gaps(psi, grid)}}
 
 
-def _build_difference(params, rng):
-    d = int(params.get("d", 200))
+def _build_difference(rng, d=200):
     seq = C.difference_sequence(d)
     # A = C* o I at truncation: the matrix whose columns are the g_n
     A = OperatorModel(seq.vectors.copy(), seq.model, seq.model, name="difference A")
-    return {"seq": seq, "op": A, "params": params}
+    return {"seq": seq, "op": A}
 
 
-def _build_multiplier(params, rng):
-    d = int(params.get("d", 64))
-    cond_max = float(params.get("cond_max", 10.0))
+def _build_multiplier(rng, d=64, cond_max=10.0):
+    if cond_max < 1.0:  # the singular values 1 + (cond_max - 1) U(0, 1) stay >= 1
+        raise InvalidScenario(f"multiplier param 'cond_max' must be >= 1, got {cond_max!r}")
     model = l2_truncation(d)
     qa, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     qb, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
@@ -180,52 +149,41 @@ def _build_multiplier(params, rng):
     alphas = np.arange(1, d + 1) * (0.5 + 0.5 * rng.random(d)) * np.exp(
         2j * np.pi * rng.random(d)
     )
-    phis = FrameSequence(model, phi)
-    psis = FrameSequence(model, psi)
-    H = C.riesz_multiplier(phis, psis, alphas)
+    H = C.riesz_multiplier(FrameSequence(model, phi), FrameSequence(model, psi), alphas)
     seq = FrameSequence(model, phi * alphas[None, :])
-    dual = user_dual(model, psi)
-    return {"seq": seq, "dual": dual, "op": H, "phis": phis, "psis": psis,
-            "alphas": alphas, "params": params}
+    return {"seq": seq, "dual": user_dual(model, psi), "op": H}
 
 
-def _build_not_frame(params, rng):
-    cells = int(params.get("cells", 2))
-    p = int(params.get("pts_per_cell", 32))
-    lo, hi = params.get("alpha_range", (1.0, 2.0))
+def _build_not_frame(rng, cells=2, pts_per_cell=32, alpha_range=(1.0, 2.0),
+                     window="fold_symmetric", n_range=None):
+    lo, hi = alpha_range
     mags = lo + (hi - lo) * rng.random(cells)
     phases = np.exp(2j * np.pi * rng.random(cells))
-    A = block_multiplier(mags * phases, p)
+    A = block_multiplier(mags * phases, pts_per_cell)
     grid = A.input_model
-    win, _ = _window(params.get("window", "fold_symmetric"))
-    n_range = int(params.get("n_range", p // 2))
-    seq = C.gabor_system(win, 2.0, 1.0, 0, n_range, grid,
-                         m_values=list(range(cells)))
-    return {"grid": grid, "seq": seq, "op": A, "params": params}
+    win, _ = _lookup("window", WINDOWS, window)
+    if n_range is None:  # every modulation a cell resolves
+        n_range = pts_per_cell // 2
+    seq = C.gabor_system(win, 2.0, 1.0, 0, n_range, grid, m_values=list(range(cells)))
+    return {"grid": grid, "seq": seq, "op": A}
 
 
-def _parseval_family(sizes):
+def _build_parseval(rng, sizes=(8, 16, 32, 64, 128)):
     def gen(n):
         model = l2_truncation(n)
         diag = np.arange(1, n + 1, dtype=complex)
         A = diagonal_operator(model, diag, name=f"diag(1..{n})")
-        seq = FrameSequence(model, np.diag(diag))
-        return A, seq
+        return A, FrameSequence(model, np.diag(diag))
 
-    return TruncationFamily(gen, sizes)
-
-
-def _build_parseval(params, rng):
-    sizes = [int(s) for s in params.get("sizes", (8, 16, 32, 64, 128))]
-    return {"family": _parseval_family(sizes), "sizes": sizes, "params": params}
+    return {"family": TruncationFamily(gen, sizes)}
 
 
 CONSTRUCTIONS: Dict[str, Callable] = {
     "exponential": _build_exponential,
-    "gabor": lambda p, r: _build_gabor(p, r, derivative=False),
-    "gabor_derivative": lambda p, r: _build_gabor(p, r, derivative=True),
-    "wavelet": lambda p, r: _build_wavelet(p, r, derivative=False),
-    "wavelet_derivative": lambda p, r: _build_wavelet(p, r, derivative=True),
+    "gabor": functools.partial(_build_gabor, derivative=False),
+    "gabor_derivative": functools.partial(_build_gabor, derivative=True),
+    "wavelet": functools.partial(_build_wavelet, derivative=False),
+    "wavelet_derivative": functools.partial(_build_wavelet, derivative=True),
     "translation": _build_translation,
     "pw_quarter": _build_pw,
     "difference": _build_difference,
@@ -236,23 +194,26 @@ CONSTRUCTIONS: Dict[str, Callable] = {
 
 
 # --------------------------------------------------------------------------
-# operators: name -> fn(ctx, params) -> OperatorModel
+# operators: name -> fn(ctx) -> OperatorModel; operators take no params
 # --------------------------------------------------------------------------
 
 
 def _diff_factory(name, variant):
-    def build(ctx, params):
+    def build(ctx):
         if "grid" not in ctx:
             raise InvalidScenario(f"operator {name!r} needs a construction with a grid")
-        try:
-            return diff_operator(ctx["grid"], variant)
-        except GridTooCoarse as exc:
-            raise InvalidScenario(f"operator {name!r}: {exc}") from exc
+        return diff_operator(ctx["grid"], variant)
 
     return build
 
 
-OPERATORS: Dict[str, Callable] = {
+def _identity(ctx):
+    if "seq" not in ctx:
+        raise InvalidScenario("operator 'identity' needs a construction with a sequence")
+    return identity_operator(ctx["seq"].model)
+
+
+OPERATORS: Dict[str, Callable] = {"identity": _identity} | {
     name: _diff_factory(name, variant)
     for name, variant in (
         ("diff_minus_i_H1", "minus_i_ddx_H1"),
@@ -262,15 +223,6 @@ OPERATORS: Dict[str, Callable] = {
         ("diff_ddx_periodic", "ddx_periodic"),
     )
 }
-
-
-def _identity(ctx, params):
-    if "seq" not in ctx:
-        raise InvalidScenario("operator 'identity' needs a construction with a sequence")
-    return identity_operator(ctx["seq"].model)
-
-
-OPERATORS["identity"] = _identity
 
 
 # --------------------------------------------------------------------------
@@ -325,83 +277,81 @@ def exm1_decomposition_error(b: float, label_range: int, grid: HilbertModel,
 
 
 # --------------------------------------------------------------------------
-# checks: registry entries are (direction, fn(ctx, params, rng) -> value)
+# checks: registry entries are (direction, fn(ctx, rng, **params) -> value);
+# ctx["params"] holds the construction's params with defaults filled in
 # direction: "le" pass iff value <= tol; "ge" iff value >= tol;
 #            "lt" iff value < tol
 # --------------------------------------------------------------------------
 
 
-def _chk_weak_duality_residual(ctx, params, rng):
+def _chk_weak_duality_residual(ctx, rng):
     p, grid = ctx["params"], ctx["grid"]
-    r = int(p.get("label_range", 40))
-    dual = exm1_scaled_dual(float(p.get("b", 1.0)), r, grid, _exponentials(ctx, r).vectors)
+    b, r = p["b"], p["label_range"]
+    dual = exm1_scaled_dual(b, r, grid, _exponentials(ctx, b, r).vectors)
     hs, us = exm1_probe_functions(grid)
     return verify_weak_duality(ctx["seq"], dual, ctx["op"], hs=hs, us=us)
 
 
-def _chk_adjoint_decomposition_error(ctx, params, rng):
-    r = int(ctx["params"].get("label_range", 40))
-    return exm1_decomposition_error(float(ctx["params"].get("b", 1.0)), r, ctx["grid"],
-                                    _exponentials(ctx, r).vectors)
+def _chk_adjoint_decomposition_error(ctx, rng):
+    b, r = ctx["params"]["b"], ctx["params"]["label_range"]
+    return exm1_decomposition_error(b, r, ctx["grid"], _exponentials(ctx, b, r).vectors)
 
 
-def _chk_decomposition_monotone(ctx, params, rng):
-    b = float(ctx["params"].get("b", 1.0))
-    ranges = [int(r) for r in params.get("ranges", (20, 40, 80))]
+def _chk_decomposition_monotone(ctx, rng, ranges=(20, 40, 80)):
+    b = ctx["params"]["b"]
     if len(ranges) < 2:  # the ratio of successive errors needs a pair
         raise InvalidScenario(f"decomposition_error_monotone needs two or more ranges: {ranges}")
-    errs = [exm1_decomposition_error(b, r, ctx["grid"], _exponentials(ctx, r).vectors)
+    errs = [exm1_decomposition_error(b, r, ctx["grid"], _exponentials(ctx, b, r).vectors)
             for r in ranges]
     ctx.setdefault("extras", {})["decomposition_errors"] = dict(zip(ranges, errs))
     return max(errs[i + 1] / errs[i] for i in range(len(errs) - 1))
 
 
-def _chk_weak_alpha(ctx, params, rng):
+def _chk_weak_alpha(ctx, rng, label_range=None):
     seq = ctx["seq"]
-    if "label_range" in params:
+    if label_range is not None:
         # rebuild at a label range that resolves the grid: a truncated family
         # covering fewer modes than the quantifier space has dimensions gives
         # alpha = 0 by a rank count
-        seq = _exponentials(ctx, int(params["label_range"]), ctx["params"].get("derivative", False))
+        p = ctx["params"]
+        seq = _exponentials(ctx, p["b"], label_range, p["derivative"])
     return weak_aframe_bound(seq, ctx["op"]).alpha
 
 
-def _derivative_gap(ctx, rng, build):
-    """Relative gap between A applied to the plain family that ``build``
-    rebuilds from the scenario params and the derivative family."""
-    plain = build(dict(ctx["params"]), rng, derivative=False)["seq"]
-    gap = ctx["op"].apply_columns(plain.vectors) - ctx["seq"].vectors
+def _chk_derivative_gap(ctx, rng):
+    """Relative gap between A applied to the plain family and the derivative family."""
+    gap = ctx["op"].apply_columns(ctx["plain"].vectors) - ctx["seq"].vectors
     return max_column_gap(gap, ctx["seq"].vectors, ctx["grid"].weights)
 
 
-def _chk_derivative_match(ctx, params, rng):
-    value = _derivative_gap(ctx, rng, _build_gabor)
+def _chk_derivative_match(ctx, rng):
+    value = _chk_derivative_gap(ctx, rng)
     h = float(ctx["grid"].points[1] - ctx["grid"].points[0])
     ctx.setdefault("extras", {})["derivative_match_C_h2"] = value / h**2
     return value
 
 
-def _chk_self_adjoint_gap(ctx, params, rng):
+def _chk_self_adjoint_gap(ctx, rng):
     return self_adjoint_gap(ctx["op"])
 
 
-def _chk_range_inclusion_residual(ctx, params, rng):
+def _chk_range_inclusion_residual(ctx, rng):
     included, residual = range_inclusion(ctx["op"], ctx["seq"])
     ctx.setdefault("extras", {})["range_included"] = bool(included)
     return residual
 
 
-def _chk_aframe_alpha(ctx, params, rng):
+def _chk_aframe_alpha(ctx, rng):
     return aframe_bounds_graph(ctx["seq"], ctx["op"]).alpha
 
 
-def _chk_frame_ratio(ctx, params, rng):
+def _chk_frame_ratio(ctx, rng):
     fb = frame_bounds(ctx["seq"])
     ctx.setdefault("bounds", {})["frame"] = fb
     return fb.alpha / fb.beta if fb.beta > 0 else 0.0
 
 
-def _chk_partial_sum_identity(ctx, params, rng):
+def _chk_partial_sum_identity(ctx, rng):
     """max_n |sum_{k <= n} g_k / k - e_n|, every partial sum from one running sum."""
     seq = ctx["seq"]
     d = seq.n_vectors
@@ -409,13 +359,13 @@ def _chk_partial_sum_identity(ctx, params, rng):
     return float(np.max(np.linalg.norm(sums - np.eye(d), axis=0)))
 
 
-def _chk_weak_certificate(ctx, params, rng):
+def _chk_weak_certificate(ctx, rng):
     dual = weak_a_dual(ctx["seq"], ctx["op"])
     ctx["dual"] = dual
     return dual.certificate_residual
 
 
-def _chk_strong_residual_min(ctx, params, rng):
+def _chk_strong_residual_min(ctx, rng):
     seq = ctx["seq"]
     A = ctx["op"]
     d = seq.n_vectors
@@ -426,52 +376,46 @@ def _chk_strong_residual_min(ctx, params, rng):
     return float(np.min(np.linalg.norm(sums - A.apply(f)[:, None], axis=0)))
 
 
-def _chk_pw_reconstruction(ctx, params, rng):
+def _chk_pw_reconstruction(ctx, rng, signals=20):
     seq, psi, P = ctx["seq"], ctx["psi"], ctx["op"]
     u = P.projection.basis  # weighted-orthonormal basis of the band
     q = u.shape[1]
-    count = int(params.get("signals", 20))
-    if count < 1:
+    if signals < 1:
         return 0.0
-    coeffs = [rng.standard_normal(q) + 1j * rng.standard_normal(q) for _ in range(count)]
+    coeffs = [rng.standard_normal(q) + 1j * rng.standard_normal(q) for _ in range(signals)]
     fs = u @ np.column_stack(coeffs)
     rec = seq.vectors @ ((seq.model.weights[:, None] * fs).conj().T @ psi.vectors).conj().T
     return max_column_gap(rec - fs, fs, seq.model.weights)
 
 
-def _chk_kframe_alpha(ctx, params, rng):
+def _chk_kframe_alpha(ctx, rng):
     fb = kframe_bounds(ctx["seq"], ctx["op"])
     ctx.setdefault("bounds", {})["k_frame"] = fb
     return fb.alpha
 
 
-def _chk_psi_in_range(ctx, params, rng):
+def _chk_psi_in_range(ctx, rng):
     psi, P = ctx["psi"], ctx["op"]
     gap = P.apply_columns(psi.vectors)  # a new array
     gap -= psi.vectors
     return max_column_gap(gap, psi.vectors, psi.model.weights)
 
 
-def _chk_multiplier_weak_duality(ctx, params, rng):
-    pairs = int(params.get("pairs", 20))
-    p = ctx["params"]
+def _chk_multiplier_weak_duality(ctx, rng, pairs=20):
     worst = verify_weak_duality(ctx["seq"], ctx["dual"], ctx["op"], trials=20)
     for _ in range(pairs - 1):
-        fresh = _build_multiplier(p, rng)
-        worst = max(
-            worst,
-            verify_weak_duality(fresh["seq"], fresh["dual"], fresh["op"], trials=20),
-        )
+        fresh = _build_multiplier(rng, **ctx["params"])
+        worst = max(worst, verify_weak_duality(fresh["seq"], fresh["dual"], fresh["op"], trials=20))
     return worst
 
 
-def _chk_parseval_alpha_deviation(ctx, params, rng):
+def _chk_parseval_alpha_deviation(ctx, rng):
     traj = truncation_trajectory(ctx["family"], "weak_alpha")
     ctx.setdefault("trajectories", {})["weak_alpha"] = traj
     return max(abs(v - 1.0) for _, v in traj)
 
 
-def _chk_bessel_square_deviation(ctx, params, rng):
+def _chk_bessel_square_deviation(ctx, rng):
     traj = truncation_trajectory(ctx["family"], "bessel_bound")
     ctx.setdefault("trajectories", {})["bessel_bound"] = traj
     return max(abs(v - n**2) for n, v in traj)
@@ -483,9 +427,7 @@ CHECKS: Dict[str, tuple] = {
     "decomposition_error_monotone": ("lt", _chk_decomposition_monotone),
     "weak_alpha": ("ge", _chk_weak_alpha),
     "derivative_match": ("le", _chk_derivative_match),
-    "wavelet_derivative_match": (
-        "le", lambda ctx, params, rng: _derivative_gap(ctx, rng, _build_wavelet)
-    ),
+    "wavelet_derivative_match": ("le", _chk_derivative_gap),
     "self_adjoint_gap": ("le", _chk_self_adjoint_gap),
     "range_inclusion_residual": ("le", _chk_range_inclusion_residual),
     "aframe_alpha": ("ge", _chk_aframe_alpha),
@@ -523,27 +465,76 @@ def _schema_validator():
     return cls(schema)
 
 
+class _Missing(LookupError):
+    """A context key that neither the construction nor the operator gave."""
+
+
+class _Context(dict):
+    """A scenario's context: reading a key that nothing gave raises _Missing."""
+
+    def __missing__(self, key):
+        raise _Missing(key)
+
+
+@functools.cache
+def _defaults(fn) -> dict:
+    """The params a scenario may give fn: those with a default, not keyword-only."""
+    return {p.name: p.default for p in inspect.signature(fn).parameters.values()
+            if p.kind is p.POSITIONAL_OR_KEYWORD and p.default is not p.empty}
+
+
+def _typed(field: str, default, value):
+    """value as a param with this default: of its exact type (a bool is never a
+    number), save that a float takes an int or float that a finite float holds,
+    stored as a float, a tuple a list of its element's type, and None anything."""
+    if isinstance(default, tuple) and isinstance(value, (list, tuple)):
+        return tuple(_typed(f"{field} item", default[0], v) for v in value)
+    if type(default) is float:
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return float(value)
+    elif default is None or type(value) is type(default):
+        return value
+    raise InvalidScenario(
+        f"{field} must be {type(default).__name__} like its default {default!r}, got {value!r}")
+
+
+def _filled(where: str, fn, given: dict) -> _Context:
+    """fn's defaults, overridden by the given params once each name and type checks."""
+    defaults = _defaults(fn)
+    params = _Context(defaults)
+    for key, value in given.items():
+        if key not in defaults:
+            raise InvalidScenario(f"{where} has no param {key!r}; valid: {sorted(defaults)}")
+        params[key] = _typed(f"{where} param {key!r}", defaults[key], value)
+    return params
+
+
 def validate_scenario(data: dict):
+    """Check a scenario against the schema, the registries and each named function's
+    params, before anything is built; return the filled construction and check params."""
     import jsonschema
 
     # the error jsonschema.validate would raise, without re-checking the schema
     error = jsonschema.exceptions.best_match(_schema_validator().iter_errors(data))
     if error is not None:
         raise InvalidScenario(f"scenario schema violation: {error.message}")
-    cname = data["construction"]["name"]
-    if cname not in CONSTRUCTIONS:
-        raise InvalidScenario(
-            f"unknown construction {cname!r}; valid: {sorted(CONSTRUCTIONS)}"
-        )
-    if "operator" in data and data["operator"]["name"] not in OPERATORS:
-        raise InvalidScenario(
-            f"unknown operator {data['operator']['name']!r}; valid: {sorted(OPERATORS)}"
-        )
-    for chk in data["checks"]:
-        if chk["name"] not in CHECKS:
-            raise InvalidScenario(
-                f"unknown check {chk['name']!r}; valid: {sorted(CHECKS)}"
-            )
+    spec = data["construction"]
+    given = spec.get("params", {})
+    if "sizes" in data:
+        if "sizes" in given:
+            raise InvalidScenario("'sizes' is given both at the top level and as a param")
+        given = dict(given, sizes=data["sizes"])
+    params = _filled(f"construction {spec['name']!r}",
+                     _lookup("construction", CONSTRUCTIONS, spec["name"]), given)
+    if "operator" in data:
+        spec = data["operator"]
+        _filled(f"operator {spec['name']!r}", _lookup("operator", OPERATORS, spec["name"]),
+                spec.get("params", {}))
+    return params, [
+        _filled(f"check {chk['name']!r}", _lookup("check", CHECKS, chk["name"])[1],
+                chk.get("params", {}))
+        for chk in data["checks"]
+    ]
 
 
 @dataclass
@@ -578,16 +569,8 @@ class ScenarioReport:
             "report_version": self.report_version,
             "seed": self.seed,
             "wall_clock_s": self.wall_clock_s,
-            "checks": [
-                {
-                    "name": c.name,
-                    "value": c.value,
-                    "tolerance": c.tolerance,
-                    "direction": c.direction,
-                    "pass": c.passed,
-                }
-                for c in self.checks
-            ],
+            "checks": [{"name": c.name, "value": c.value, "tolerance": c.tolerance,
+                        "direction": c.direction, "pass": c.passed} for c in self.checks],
             "bounds": self.bounds,
             "trajectories": self.trajectories,
             "extras": self.extras,
@@ -604,22 +587,34 @@ def run_scenario(
     data: dict, seed: Optional[int] = None, tol_scale: float = 1.0
 ) -> ScenarioReport:
     """Execute a validated scenario dict and return its report."""
-    validate_scenario(data)
+    params, check_params = validate_scenario(data)
     start = time.perf_counter()
     used_seed = int(data.get("seed", 0) if seed is None else seed)
     rng = np.random.default_rng(used_seed)
-    params = data["construction"].get("params", {})
-    if "sizes" in data:
-        params = dict(params, sizes=data["sizes"])
-    ctx = CONSTRUCTIONS[data["construction"]["name"]](params, rng)
-    if "operator" in data:
-        op_spec = data["operator"]
-        ctx["op"] = OPERATORS[op_spec["name"]](ctx, op_spec.get("params", {}))
+    name = data["construction"]["name"]
+    given = f"construction {name!r}"
+    building = f"{given} with params {params}"
+    try:  # an OpframeError here is a scenario's, named by what was being built
+        ctx = _Context(CONSTRUCTIONS[name](rng, **params), params=params)
+        if "operator" in data:
+            name = data["operator"]["name"]
+            building = f"operator {name!r}"
+            ctx["op"] = OPERATORS[name](ctx)
+            given += f" with operator {name!r}"
+    except InvalidScenario:
+        raise
+    except OpframeError as exc:
+        raise InvalidScenario(f"{building}: {exc}") from exc
     results = []
-    for chk in data["checks"]:
+    for chk, chk_params in zip(data["checks"], check_params):
         direction, fn = CHECKS[chk["name"]]
         tol = float(chk["tolerance"]) * tol_scale
-        value = float(fn(ctx, chk.get("params", {}), rng))
+        try:
+            value = float(fn(ctx, rng, **chk_params))
+        except _Missing as exc:
+            raise InvalidScenario(
+                f"check {chk['name']!r} needs {exc.args[0]!r}, which {given} does not give"
+            ) from None
         results.append(
             CheckResult(chk["name"], value, tol, direction, _PASSES[direction](value, tol))
         )
@@ -662,10 +657,6 @@ REPRODUCE_NAMES = tuple(_BUNDLED_FILES)
 
 
 def load_bundled(name: str) -> dict:
-    if name not in _BUNDLED_FILES:
-        raise InvalidScenario(
-            f"unknown example {name!r}; valid: {', '.join(REPRODUCE_NAMES)}"
-        )
-    path = resources.files("opframe.data").joinpath(_BUNDLED_FILES[name])
+    path = resources.files("opframe.data").joinpath(_lookup("example", _BUNDLED_FILES, name))
     with path.open() as fh:
         return json.load(fh)

@@ -158,7 +158,7 @@ def test_planted_defect_is_reported():
 def test_multiplier_certificate_is_exact(seed):
     """riesz_multiplier forms A as the product G T^H that the defect subtracts,
     so the coordinate certificate of the multiplier pair reads exactly zero."""
-    ctx = _build_multiplier({"d": 64}, np.random.default_rng(seed))
+    ctx = _build_multiplier(np.random.default_rng(seed), d=64)
     assert verify_weak_duality(ctx["seq"], ctx["dual"], ctx["op"], trials=20) == 0.0
     wrong = user_dual(ctx["dual"].model, ctx["dual"].vectors.conj())
     assert verify_weak_duality(ctx["seq"], wrong, ctx["op"], trials=20) >= 1e-2
@@ -183,10 +183,10 @@ class TestMemoryBudget:
         assert _peak_bytes(lambda: verify_weak_duality(seq, dual, A)) <= 6.5e6
 
     def test_pw_reconstruction_at_4096_points(self):
-        ctx = CONSTRUCTIONS["pw_quarter"]({"d": 4096, "L": 64}, np.random.default_rng(0))
+        ctx = CONSTRUCTIONS["pw_quarter"](np.random.default_rng(0), d=4096, L=64)
         check = CHECKS["pw_reconstruction"][1]
         rng = np.random.default_rng(0)
-        assert _peak_bytes(lambda: check(ctx, {"signals": 20}, rng)) <= 5e6
+        assert _peak_bytes(lambda: check(ctx, rng, signals=20)) <= 5e6
 
     def test_whole_space_samples_form_no_square_array(self):
         sub = Subspace.full(interval_grid(4096))

@@ -1,8 +1,17 @@
+import contextlib
+import functools
+import importlib
+import io
 import json
+from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from opframe import scenarios as S
 from opframe.cli import main
 from opframe.errors import InvalidScenario
 from opframe.scenarios import (
@@ -12,6 +21,8 @@ from opframe.scenarios import (
     run_scenario,
     validate_scenario,
 )
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.fixture
@@ -49,6 +60,18 @@ class TestSchema:
         tiny_scenario["construction"]["name"] = "nonsense"
         with pytest.raises(InvalidScenario):
             validate_scenario(tiny_scenario)
+
+    def test_bundled_and_benchmark_stream_scenarios_validate(self, monkeypatch):
+        """The bundled files and every scenario the benchmark's scenario_stream
+        makes for seeds 0-9 validate; the benchmark counts a rejected one as a
+        failed operation."""
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        workloads = importlib.import_module("workloads")
+        stream = [data for seed in range(10)
+                  for _, data in workloads.ScenarioStream(seed, None).ops]
+        assert stream
+        for data in [load_bundled(name) for name in REPRODUCE_NAMES] + stream:
+            validate_scenario(data)
 
 
 class TestRunCommand:
@@ -235,3 +258,110 @@ class TestDeterminism:
     def test_seed_recorded_and_overridable(self):
         r = run_scenario(load_bundled("difference"), seed=42)
         assert r.seed == 42
+
+
+def _scenario(construction, params=None, operator=None, checks=("frame_ratio",), check_params=None):
+    data = {"name": "probe", "construction": {"name": construction, "params": params or {}},
+            "checks": [{"name": name, "tolerance": 1.0} for name in checks]}
+    if operator:
+        data["operator"] = {"name": operator}
+    if check_params:
+        data["checks"][0]["params"] = check_params
+    return data
+
+
+#: each input that once ran with a silently wrong param or exited 3, and the
+#: field its exit-2 message names
+PROBES = [
+    ("op", _scenario("gabor_derivative", checks=["weak_certificate"])),
+    ("label_range", _scenario("gabor_derivative", operator="diff_minus_i_H1",
+                              checks=["weak_duality_residual"])),
+    ("d", _scenario("difference", {"d": "abc"})),
+    ("d", _scenario("difference", {"d": -5})),
+    ("d", _scenario("difference", {"d": True})),
+    ("psi", _scenario("gabor_derivative", operator="identity", checks=["pw_reconstruction"])),
+    ("L", _scenario("pw_quarter", {"L": 0})),
+    ("d", _scenario("difference", {"d": 30.7})),
+    ("dd", _scenario("difference", {"dd": 30})),
+    ("bogus", _scenario("difference", {"d": 30}, checks=["partial_sum_identity"],
+                        check_params={"bogus": 1})),
+    ("cond_max", _scenario("multiplier", {"cond_max": -1})),
+    ("d", _scenario("exponential", {"d": 1})),
+    ("d", _scenario("exponential", {"d": 0})),
+]
+
+
+def _run(data, workdir):
+    """(exit code, stderr) of opframe run on the scenario dict."""
+    path = workdir / "scenario.json"
+    path.write_text(json.dumps(data))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["run", str(path), "--out", str(workdir / "report.json")])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("field, data", PROBES, ids=[f"{i}-{f}" for i, (f, _) in enumerate(PROBES)])
+def test_probe_exits_two_naming_the_field(tmp_path, field, data):
+    code, err = _run(data, tmp_path)
+    assert code == 2
+    assert repr(field) in err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400])
+def test_float_param_refuses_a_value_no_float_holds(tmp_path, value):
+    code, err = _run(_scenario("exponential", {"b": value}), tmp_path)
+    assert code == 2
+    assert "'b'" in err
+
+
+#: values of every JSON kind, for a param given the wrong type
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-10, 10), st.floats(-10, 10), st.text(max_size=4),
+    st.lists(st.one_of(st.integers(0, 9), st.text(max_size=2)), max_size=3))
+
+
+def _fits(default, value):
+    """The params rule restated: whether a JSON value may stand for a param
+    with this non-None default."""
+    if isinstance(default, tuple):
+        return isinstance(value, list) and all(_fits(default[0], v) for v in value)
+    if type(default) is float:
+        return type(value) in (int, float)
+    return type(value) is type(default)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_unknown_or_mistyped_param_exits_two_before_building(tmp_path_factory, data):
+    scenario = load_bundled(data.draw(st.sampled_from(REPRODUCE_NAMES)))
+    cname = scenario["construction"]["name"]
+    specs = [(scenario["construction"], S.CONSTRUCTIONS[cname])]
+    if "operator" in scenario:
+        specs.append((scenario["operator"], S.OPERATORS[scenario["operator"]["name"]]))
+    specs += [(chk, S.CHECKS[chk["name"]][1]) for chk in scenario["checks"]]
+    spec, fn = data.draw(st.sampled_from(specs))
+    defaults = S._defaults(fn)
+    typed = sorted(key for key, default in defaults.items() if default is not None)
+    if typed and data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(typed))
+        value = data.draw(JSON_VALUES.filter(lambda v: not _fits(defaults[key], v)))
+    else:
+        key = data.draw(st.text(min_size=1, max_size=6).filter(lambda k: k not in defaults))
+        value = data.draw(JSON_VALUES)
+    spec.setdefault("params", {})[key] = value
+
+    calls = []
+    build = S.CONSTRUCTIONS[cname]
+
+    @functools.wraps(build)
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return build(*args, **kwargs)
+
+    with mock.patch.dict(S.CONSTRUCTIONS, {cname: counted}):
+        code, err = _run(scenario, tmp_path_factory.mktemp("fuzz"))
+    assert code == 2
+    assert repr(key) in err
+    assert calls == []

@@ -90,7 +90,7 @@ def test_graph_alpha_times_graph_bessel_bound_is_one(d, extra, a_rank, r, domain
 def test_not_frame_graph_bound():
     data = load_bundled("not_frame")
     ctx = CONSTRUCTIONS[data["construction"]["name"]](
-        data["construction"]["params"], np.random.default_rng(data["seed"]))
+        np.random.default_rng(data["seed"]), **data["construction"]["params"])
     seq, A = ctx["seq"], ctx["op"]
     alpha = aframe_bounds_graph(seq, A).alpha
     assert abs(alpha - 0.5990) <= 1e-4  # the bundled report's aframe_alpha

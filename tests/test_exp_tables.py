@@ -177,28 +177,28 @@ class TestExm1Families:
     def test_sliced_families_equal_rebuilt_ones(self):
         grid = interval_grid(128)
         ctx = S.CONSTRUCTIONS["exponential"](
-            {"b": 0.5, "label_range": 50, "d": 128, "derivative": True}, None)
+            None, b=0.5, label_range=50, d=128, derivative=True)
         assert np.array_equal(ctx["seq"].vectors,
                               C.exponential_system(0.5, 50, grid, derivative=True).vectors)
         for r in (10, 50):
-            plain = S._exponentials(ctx, r)
+            plain = S._exponentials(ctx, 0.5, r)
             assert np.array_equal(plain.vectors, C.exponential_system(0.5, r, grid).vectors)
             assert plain.index_labels == tuple(range(-r, r + 1))
-        assert S.exm1_decomposition_error(0.5, 20, grid, S._exponentials(ctx, 20).vectors) \
+        assert S.exm1_decomposition_error(0.5, 20, grid, S._exponentials(ctx, 0.5, 20).vectors) \
             == S.exm1_decomposition_error(0.5, 20, grid)
 
 
 class TestRunningSums:
     def test_partial_sum_checks_match_one_sum_per_cutoff(self):
         rng = np.random.default_rng(0)
-        ctx = S.CONSTRUCTIONS["difference"]({"d": 40}, rng)
+        ctx = S.CONSTRUCTIONS["difference"](rng, d=40)
         seq = ctx["seq"]
         d = seq.n_vectors
         c = 1.0 / np.arange(1, d + 1)
         worst = max(np.linalg.norm(seq.vectors[:, :n] @ c[:n] - np.eye(d)[n - 1])
                     for n in range(1, d + 1))
-        assert S.CHECKS["partial_sum_identity"][1](ctx, {}, rng) == pytest.approx(worst, abs=1e-14)
-        value = S.CHECKS["strong_residual_min"][1](ctx, {}, rng)
+        assert S.CHECKS["partial_sum_identity"][1](ctx, rng) == pytest.approx(worst, abs=1e-14)
+        value = S.CHECKS["strong_residual_min"][1](ctx, rng)
         f = 1.0 / np.arange(1, d + 1)
         coeffs = analysis(weak_a_dual(seq, ctx["op"]).as_frame_sequence(), f)
         af = ctx["op"].apply(f)

@@ -49,7 +49,7 @@ def test_psi_in_range_with_zero_column():
     ctx = {"psi": psi, "op": identity_operator(model)}
     _, check = CHECKS["psi_in_range"]
     with np.errstate(all="raise"):
-        assert check(ctx, {}, None) == 0.0
+        assert check(ctx, None) == 0.0
 
 
 def _unitary(rng, d):

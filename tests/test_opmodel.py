@@ -208,7 +208,7 @@ class TestDiffOperator:
         gap = a.whitened() - adjoint(a).whitened()
         oracle = np.linalg.svd(gap, compute_uv=False)[0]
         _, check = CHECKS["self_adjoint_gap"]
-        assert check({"op": a}, {}, None) == pytest.approx(oracle, rel=1e-10)
+        assert check({"op": a}, None) == pytest.approx(oracle, rel=1e-10)
         assert oracle > 1.0
 
     def test_too_coarse(self):
