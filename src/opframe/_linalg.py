@@ -8,8 +8,9 @@ precision.
 Every lower bound and every dual is one minimum-norm factorization, and
 ``factor`` alone decides how a matrix mat is factored:
 
-- certified, by the R^-1 of ``gram_factor``'s R (two half-size R's under reflection parity,
-  ``_parity_factor``), when mat has no more rows than columns, kappa_F = ||R||_F ||R^-1||_F
+- certified, by the R^-1 of ``gram_factor``'s R (under reflection parity two half-size real
+  blocks read from the raw columns and sqrt(w), and their R^-1: ``_parity_factor``; their dense
+  G^-1 is the pencil's), when mat has no more rows than columns, kappa_F = ||R||_F ||R^-1||_F
   <= 1e6 and kappa_F max(rcond, 1e-12) < 1;
 - otherwise a thin SVD, row-reduced by the refused R unless V is needed,
   with the support cut at 1e-12 sigma_0 and M cut at rcond sigma_0.
@@ -61,22 +62,38 @@ def _real_form(mat):
     return mat, 1.0
 
 
-def gram_form(mat):
-    """(z, s) with z z^T = mat mat^H: if mat[:, ::-1] == s conj(mat) bitwise, s = +-1 (outer
-    columns first), z = sqrt2 [Re a | Im a] for a the first N // 2 columns and the real or
-    imaginary middle column, as each pair g, s conj(g) gives 2 Re(g g^H) in mat mat^H; else
-    ``_real_form``'s b (mat itself when complex) and s = 0."""
+def _mirror(mat):
+    """(s, parts) with s = +-1 if mat[:, ::-1] == s conj(mat) bitwise (outer columns first) and
+    parts (Re a, Im a, Re c + Im c), a the first N // 2 columns, c the real or imaginary middle;
+    (0, None) when mat does not mirror."""
     h = mat.shape[1] // 2
     a, m, c = mat[:, :h], mat[:, :-h - 1:-1], mat[:, h:mat.shape[1] - h]
     for s in (1.0, -1.0) if np.iscomplexobj(mat) and h else ():
-        if np.array_equal(m[:, 0], s * a[:, 0].conj()) and np.array_equal(m, s * a.conj()) \
-                and np.array_equal(c, s * c.conj()):  # so c is real or imaginary
-            z = np.empty(mat.shape)
-            np.multiply(a.real, np.sqrt(2.0), out=z[:, :h])
-            np.multiply(a.imag, np.sqrt(2.0), out=z[:, h:2 * h])
-            np.add(c.real, c.imag, out=z[:, 2 * h:])
-            return z, s
-    return _real_form(mat)[0], 0.0
+        if np.array_equal(m[:, 0], s * a[:, 0].conj()) and np.array_equal(c, s * c.conj()) \
+                and np.array_equal(m.real, s * a.real) and np.array_equal(m.imag, -s * a.imag):
+            return s, (a.real, a.imag, c.real + c.imag)
+    return 0.0, None
+
+
+def _mirror_form(parts, scale, rows=slice(None), cols=None):
+    """The rows, and the columns of mask cols (all when None), of the mirror form
+    z = [sqrt2 Re a | sqrt2 Im a | c] of y = scale mat, from mat's ``_mirror`` parts in y's
+    arithmetic order."""
+    h = parts[0].shape[1]
+    cols = np.ones(2 * h + parts[2].shape[1], bool) if cols is None else cols
+    z = np.concatenate([np.compress(c, p[rows], axis=1)  # C order, as p[rows, c] is not
+                        for p, c in zip(parts, np.split(cols, [h, 2 * h]))], axis=1)
+    if scale is not None:
+        z *= scale[rows, None]
+    z[:, :np.sum(cols[:2 * h])] *= np.sqrt(2.0)
+    return z
+
+
+def gram_form(mat):
+    """(z, s) with z z^T = mat mat^H: ``_mirror_form``'s z if mat mirrors, as each pair g, s conj(g)
+    gives 2 Re(g g^H), else ``_real_form``'s b (mat itself when complex) and s = 0."""
+    s, parts = _mirror(mat)
+    return (_mirror_form(parts, None), s) if s else (_real_form(mat)[0], 0.0)
 
 
 def gram_factor(mat):
@@ -157,47 +174,48 @@ def _certified(rs, tol):
     return r_invs if kappa <= _DIRECT_COND and kappa * max(tol, _RANK_TOL) < 1 else None
 
 
-def _parity_factor(z, sign, tol):
-    """``factor``'s record if each column of the mirror form z is bitwise even or odd under
-    k -> d-1-k: Q z (``_pair``) is diag(B_E, B_O) up to a column order, so z z^T = G^T G,
-    G = diag(R_E, R_O) Q, from B_b^T = Q_b R_b, and G^-1 G^-T = (z z^T)^-1.  None (the unsplit
-    factor) when a block has fewer columns than rows or ``_certified`` refuses."""
-    d, h = z.shape[0], z.shape[0] // 2
-    top, bottom = z[:h], z[:-h - 1:-1]
-    even = np.all(top == bottom, axis=0)
-    odd = np.all(top == -bottom, axis=0) & ~np.any(z[h:d - h], axis=0)  # 0 on an odd d's middle
-    if not h or not np.all(even | odd) or np.sum(even) < d - h or np.sum(~even) < h:
+def _parity_factor(mat, scale, tol):
+    """``factor``'s record if mat mirrors, scale too, and each column of z is bitwise even or odd
+    under k -> d-1-k, tested on mat's parts: Q z (``_pair``) is diag(B_E, B_O) up to a column
+    order, so z z^T = G^T G, G = diag(R_E, R_O) Q, from B_b^T = Q_b R_b, with the blocks built
+    from the parts, not from y or z.  None when a block has fewer columns than rows or
+    ``_certified`` refuses."""
+    sign, parts = _mirror(mat)
+    d, h = mat.shape[0], mat.shape[0] // 2
+    if not (sign and h) or scale is not None and not np.array_equal(scale[:h], scale[:-h - 1:-1]):
         return None
-    blocks = [z[:d - h, even], z[d - h:, ~even]]  # copies, scaled in place to the blocks of Q z
-    blocks[0][:h] *= np.sqrt(2.0)
-    blocks[1] *= -np.sqrt(2.0)
+    even = np.concatenate([np.all(p[:h] == p[:-h - 1:-1], axis=0) for p in parts])
+    odd = np.concatenate([np.all(p[:h] == -p[:-h - 1:-1], axis=0) & ~np.any(p[h:d - h], axis=0)
+                          for p in parts])  # 0 on an odd d's middle row
+    if not np.all(even | odd) or np.sum(even) < d - h or np.sum(~even) < h:
+        return None
+    blocks = [_mirror_form(parts, scale, slice(0, d - h), even),
+              _mirror_form(parts, scale, slice(d - h, d), ~even) * -np.sqrt(2.0)]
+    blocks[0][:h] *= np.sqrt(2.0)  # now the blocks of Q z
     r_invs = _certified([np.linalg.qr(b.T, mode="r") for b in blocks], tol)
-    if r_invs is None:
-        return None
-    g_inv = np.zeros((d, d))
-    g_inv[:d - h, :d - h], g_inv[d - h:, d - h:] = r_invs
-    return _pair(g_inv), None, None, None, (even, blocks, r_invs, sign)
+    return None if r_invs is None else (None, None, None, None, (even, blocks, r_invs, sign))
 
 
-def factor(mat, rcond=None, certify=True):
-    """(R^-1, U, s, V^H, parity) of mat by the module's rule: R^-1 of the certified R, or None
-    and the SVD, with every singular value in s, U cut at min(rcond, _RANK_TOL) sigma_0 (the
-    support, or M's cut below it) and V^H None when a row-reduced mat gave U and s.  For a
-    mirrored mat with reflection parity R^-1 is ``_parity_factor``'s G^-1 and parity its blocks,
-    else parity is None.  certify=False takes the SVD path."""
-    tol = _RANK_TOL if rcond is None else rcond
-    r = None
-    if certify and mat.shape[1] >= mat.shape[0]:
-        z, sign = gram_form(mat)
-        if sign and (fac := _parity_factor(z, sign, tol)) is not None:
-            return fac
-        r = np.linalg.qr(z.conj().T, mode="r")  # gram_factor(mat)
+def factor(mat, rcond=None, certify=True, scale=None):
+    """(R^-1, U, s, V^H, parity) of y = scale mat (mat when scale is None) by the module's rule.
+    Certified (s None): parity ``_parity_factor``'s (even, blocks, their R^-1, sign) and R^-1
+    None (the dense G^-1 is the pencil's, ``seqops._reference_factor``), or the unsplit R^-1 and
+    parity None.  Else the SVD, with every singular value in s, U cut at min(rcond, _RANK_TOL)
+    sigma_0 (the support, or M's cut below it) and V^H None when a row-reduced y gave U and s.
+    certify=False takes the SVD path."""
+    tol, r = _RANK_TOL if rcond is None else rcond, None
+    certify = certify and mat.shape[1] >= mat.shape[0]  # no more rows than columns
+    if certify and (fac := _parity_factor(mat, scale, tol)) is not None:
+        return fac
+    y = mat if scale is None else scale[:, None] * mat  # formed off the parity path only
+    if certify:
+        r = gram_factor(y)
         r_invs = _certified([r], tol)
         if r_invs is not None:
             return r_invs[0], None, None, None, None
-    # M needs mat's V: V = mat^H U S^-1 from the U of R^H would cost eps kappa^2
-    reduce = rcond is None and _is_wide(mat)
-    u, s, vh = thin_svd((gram_factor(mat) if r is None else r).conj().T if reduce else mat)
+    # M needs y's V: V = y^H U S^-1 from the U of R^H would cost eps kappa^2
+    reduce = rcond is None and _is_wide(y)
+    u, s, vh = thin_svd((gram_factor(y) if r is None else r).conj().T if reduce else y)
     return None, u[:, :rank_cut(s, min(tol, _RANK_TOL))], s, None if reduce else vh, None
 
 
@@ -211,31 +229,31 @@ def _corrected_solve(y, r_inv, kt):
     return proj, m
 
 
-def min_norm_factor(y, kt, rcond=None, fac=None):
-    """(proj, M): the projection of kt onto R(y) and the minimum-norm M = y+ kt, from
-    ``factor(y, rcond)`` or the fac it gave.
+def min_norm_factor(y, kt, rcond=None, fac=None, scale=None):
+    """(proj, M): the projection of kt onto R(y~) and the minimum-norm M = y~+ kt for the whitened
+    y~ = scale y (y when scale is None), from ``factor(y, rcond, scale=scale)`` or its fac.
 
-    By Douglas' lemma R(kt) lies in R(y) exactly when kt = y M.  A certified R of y^H = Q R
-    (real for a conjugate-mirrored y, see ``gram_factor``) gives M = (w^H y)^H,
-    w = R^-1 R^-H kt, with no conjugate copy of y, corrected once (without the step the error
-    grows with kappa^2, as in the normal equations), and proj = y M, or, with reflection parity,
-    on each block against Q kt.  Else y = U S V^H gives proj from U above _RANK_TOL sigma_0 and
-    M = V S^-1 U^H kt above rcond sigma_0 (None without rcond).  An all-zero y gives zero;
-    nothing raises.
+    By Douglas' lemma R(kt) lies in R(y~) exactly when kt = y~ M.  A certified R of y~^H = Q R
+    (real for a conjugate-mirrored y, see ``gram_factor``) gives M = (w^H y~)^H,
+    w = R^-1 R^-H kt, with no conjugate copy of y~, corrected once (without the step the error
+    grows with kappa^2, as in the normal equations), and proj = y~ M; with reflection parity
+    the same solve runs on each block of the record against Q kt, with neither G^-1 nor y~.  Else
+    y~ = U S V^H gives proj from U above _RANK_TOL sigma_0 and M = V S^-1 U^H kt above
+    rcond sigma_0 (None without rcond).  An all-zero y gives zero; nothing raises.
     """
-    r_inv, u, s, vh, parity = factor(y, rcond) if fac is None else fac
+    r_inv, u, s, vh, parity = factor(y, rcond, scale=scale) if fac is None else fac
     if parity is not None:
-        del r_inv  # the dense G^-1 is the pencil's; the blocks solve without it
         even, blocks, r_invs, sign = parity
         rotated, n = _pair(kt.copy()), blocks[0].shape[0]
         (p_e, m_e), (p_o, m_o) = map(_corrected_solve, blocks, r_invs, (rotated[:n], rotated[n:]))
-        c = np.empty((even.size, kt.shape[1]), np.result_type(m_e, m_o))  # M = C c, y = z C^H
+        del parity, blocks, r_invs  # freed before M is assembled, unless the caller holds fac
+        c = np.empty((even.size, kt.shape[1]), np.result_type(m_e, m_o))  # M = C c, y~ = z C^H
         c[even], c[~even], h = m_e, m_o, even.size // 2
         re, im = c[:h] * np.sqrt(0.5), c[h:2 * h] * (1j * np.sqrt(0.5))
         m = np.concatenate([re - im, c[2 * h:] * (1.0 if sign > 0 else -1j), sign * (re + im)[::-1]])
         return _pair(np.concatenate([p_e, p_o])), m
     if r_inv is not None:  # the seminormal solve, then one corrective step
-        return _corrected_solve(y, r_inv, kt)
+        return _corrected_solve(y if scale is None else scale[:, None] * y, r_inv, kt)
     r = rank_cut(s, _RANK_TOL)
     p = 0 if rcond is None else rank_cut(s, rcond)
     c = u.conj().T @ kt  # u has max(r, p) columns

@@ -239,9 +239,11 @@ def orthonormalize(vectors, model: HilbertModel) -> Subspace:
 
     |R_jj| is column j's residual against the columns before it.  The first
     column whose residual is below _DROP_TOL (relative to the largest input
-    column norm) is dropped and the QR retaken: the QR gives a dropped column
-    a roundoff direction, which could absorb a later column Gram-Schmidt
-    keeps.  A full-rank input costs one QR; columns keep Gram-Schmidt's phase.
+    column norm) is dropped, as the QR gives it a roundoff direction that could
+    absorb a later column Gram-Schmidt keeps; the columns after it, projected
+    twice off those before it, are refactored in a window as wide as the last
+    step advanced (twice that after no drop).  A full-rank input costs one QR;
+    columns keep Gram-Schmidt's phase.
     """
     v = np.asarray(vectors, dtype=complex)
     if v.ndim == 1:
@@ -250,19 +252,25 @@ def orthonormalize(vectors, model: HilbertModel) -> Subspace:
         raise InvalidDimension("vectors must have model.dim rows")
     if not np.all(np.isfinite(v)):  # LAPACK returns NaN rather than raising
         raise InvalidDimension("vectors must be finite")
-    vw = model.sqrt_weights[:, None] * v
-    scale = float(np.max(np.linalg.norm(vw, axis=0), initial=0.0))
+    rest = model.sqrt_weights[:, None] * v
+    scale = float(np.max(np.linalg.norm(rest, axis=0), initial=0.0))
     if scale <= 0.0:
         raise EmptySpan("all input columns are zero")
-    while vw.shape[1]:
-        q, r = np.linalg.qr(vw)
-        residual = np.diagonal(r)
-        small = np.flatnonzero(np.abs(residual) < _DROP_TOL * scale)
-        if not small.size:
-            q *= residual / np.abs(residual)
-            return Subspace(model, q / model.sqrt_weights[:, None])
-        vw = np.delete(vw, small[0], axis=1)
-    raise EmptySpan("input columns are numerically zero")
+    basis, width = rest[:, :0], rest.shape[1]
+    while rest.shape[1] and basis.shape[1] < model.dim:
+        block = rest[:, :width]
+        for _ in range(2 if basis.shape[1] else 0):
+            block = block - basis @ (basis.conj().T @ block)
+        q, r = np.linalg.qr(block)
+        small = np.flatnonzero(np.abs(np.diagonal(r)) < _DROP_TOL * scale)
+        keep = small[0] if small.size else q.shape[1]
+        phase = np.diagonal(r)[:keep]
+        basis = np.hstack([basis, q[:, :keep] * (phase / np.abs(phase))])
+        rest = rest[:, keep + 1 if small.size else block.shape[1]:]
+        width = min(keep + 1 if small.size else 2 * width, model.dim - basis.shape[1])
+    if not basis.shape[1]:
+        raise EmptySpan("input columns are numerically zero")
+    return Subspace(model, basis / model.sqrt_weights[:, None])
 
 
 def graph_inner(A: "OperatorModel", f, g) -> complex:

@@ -156,6 +156,8 @@ def _build_multiplier(rng, d=64, cond_max=10.0):
 
 def _build_not_frame(rng, cells=2, pts_per_cell=32, alpha_range=(1.0, 2.0),
                      window="fold_symmetric", n_range=None):
+    if cells < 1:
+        raise InvalidScenario(f"not_frame_gabor param 'cells' must be at least 1, got {cells}")
     lo, hi = alpha_range
     mags = lo + (hi - lo) * rng.random(cells)
     phases = np.exp(2j * np.pi * rng.random(cells))
@@ -484,10 +486,12 @@ def _defaults(fn) -> dict:
 
 
 def _typed(field: str, default, value):
-    """value as a param with this default: of its exact type (a bool is never a
-    number), save that a float takes an int or float that a finite float holds,
-    stored as a float, a tuple a list of its element's type, and None anything."""
+    """value as a param with this default: of its exact type (a bool is never a number), save
+    that a float takes an int or float that a finite float holds, stored as a float, a tuple a
+    list of its items' type (and length, for floats), and None anything."""
     if isinstance(default, tuple) and isinstance(value, (list, tuple)):
+        if type(default[0]) is float and len(value) != len(default):
+            raise InvalidScenario(f"{field} must have {len(default)} items, got {value!r}")
         return tuple(_typed(f"{field} item", default[0], v) for v in value)
     if type(default) is float:
         if type(value) in (int, float) and abs(value) <= sys.float_info.max:

@@ -17,6 +17,7 @@ import numpy as np
 
 from ._linalg import (
     _DEGENERATE_TOL,
+    _pair,
     as_complex_vector,
     factor,
     gram_form,
@@ -182,7 +183,11 @@ def _reference_factor(op: OperatorModel, v: Subspace, graph: bool):
     else:
         m = v.whitened_coords(op.whitened())  # r x dim_in
         certify = not graph and np.linalg.norm(m) > np.sqrt(v.rank) * _DEGENERATE_TOL
-        r_inv, u, sv, _, _ = factor(m, certify=certify)
+        r_inv, u, sv, _, parity = factor(m, certify=certify)
+        if parity is not None:  # G^-1 = Q diag(R_E^-1, R_O^-1), formed for the pencil alone
+            r_inv, h = np.zeros((m.shape[0],) * 2), m.shape[0] - m.shape[0] // 2
+            r_inv[:h, :h], r_inv[h:, h:] = parity[2]
+            r_inv = _pair(r_inv)
         if r_inv is not None:
             return None, r_inv
     if sv.size == 0 or sv[0] <= _DEGENERATE_TOL:

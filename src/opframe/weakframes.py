@@ -133,9 +133,11 @@ def weak_a_dual(seq: FrameSequence, A: OperatorModel, rcond=1e-10) -> DualSequen
     """
     v = A.adjoint_domain_subspace
     y, kt = v.coords(seq.vectors), v.coords(A.effective_matrix())  # r x N, r x d
-    m = min_norm_factor(y, kt, rcond)[1]
-    weak_res, weak_scale = np.linalg.norm(y @ m - kt), np.linalg.norm(kt)
-    del y, kt  # freed before the certificate
+    fac = factor(y, rcond)
+    proj, m = min_norm_factor(y, kt, rcond, fac)
+    ym = proj if fac[2] is None else y @ m  # y M, unless the SVD's proj projects onto R(y)
+    weak_res, weak_scale = np.linalg.norm(ym - kt), np.linalg.norm(kt)
+    del y, kt, proj, ym, fac  # freed before the certificate
     if weak_res > FACTORIZATION_TOL * max(weak_scale, 1e-300):
         raise FactorizationFailed(
             f"projected factorization residual {weak_res:.3e} exceeds "
@@ -198,16 +200,16 @@ def interchange_dual(
 
     With At the whitened A on orthonormal coordinates of D(A), (A+)* t_n is
     W^(-1/2) (At^H)+ t_n, the minimum-norm solve of At^H h = t_n
-    (``min_norm_factor``).  A certified factor of At^H needs no sigma_min:
-    sigma_min / sigma_max >= 1 / kappa_F > max(sigma_tol, 1e-12) >= sigma_tol
-    is what ``factor`` certifies with rcond = sigma_tol; else its s decides."""
+    (``min_norm_factor``).  A certified factor of At^H (its record has no s)
+    needs no sigma_min: sigma_min / sigma_max >= 1 / kappa_F > max(sigma_tol, 1e-12)
+    >= sigma_tol is what ``factor`` certifies with rcond = sigma_tol; else s decides."""
     if A.codomain.dim != seq.model.dim or A.input_model.dim != seq.model.dim:
         raise InvalidDimension("interchange dual expects an endomorphism model")
     ath = A.domain_whitened().conj().T  # At^H: dim D(A) x dim
     if ath.shape[0] < ath.shape[1]:
         raise NotSurjective(f"operator not surjective: dim D(A) = {ath.shape[0]} < {ath.shape[1]}")
-    r_inv, _, s, _, _ = fac = factor(ath, sigma_tol)
-    if r_inv is None and s[-1] <= sigma_tol * s[0]:
+    s = (fac := factor(ath, sigma_tol))[2]
+    if s is not None and s[-1] <= sigma_tol * s[0]:
         raise NotSurjective(f"operator is not surjective (sigma_min={s[-1]:.3e}, "
                             f"sigma_max={s[0]:.3e})")
     t = A.domain_subspace.coords(dual.vectors)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from opframe import constructions as C
 from opframe.hilbert import HilbertModel, Subspace, interval_grid, l2_truncation, orthonormalize
 from opframe.opmodel import OperatorModel
-from opframe.relframes import _expansion_certificate
+from opframe.relframes import _expansion_certificate, k_dual
 from opframe.scenarios import CHECKS, CONSTRUCTIONS, _build_multiplier
 from opframe.seqops import FrameSequence
 from opframe.weakframes import user_dual, verify_weak_duality, weak_a_dual
@@ -181,6 +181,15 @@ class TestMemoryBudget:
         A = OperatorModel(seq.vectors.copy(), seq.model, seq.model)
         dual = weak_a_dual(seq, A)
         assert _peak_bytes(lambda: verify_weak_duality(seq, dual, A)) <= 6.5e6
+
+    def test_k_dual_of_a_parity_family_at_512_points(self, rng):
+        # the family is factored as two half-size real blocks read from its raw columns: no
+        # whitened copy, mirror form or dense d x d inverse (11.3 MB when all were formed)
+        seq = C.exponential_system(1.0, 266, interval_grid(512))
+        J = l2_truncation(48)
+        K = OperatorModel(random_matrix(rng, 512, 48), J, seq.model,
+                          domain=orthonormalize(random_matrix(rng, 48, 24), J))
+        assert _peak_bytes(lambda: k_dual(seq, K)) <= 6.5e6
 
     def test_pw_reconstruction_at_4096_points(self):
         ctx = CONSTRUCTIONS["pw_quarter"](np.random.default_rng(0), d=4096, L=64)

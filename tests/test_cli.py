@@ -288,6 +288,9 @@ PROBES = [
     ("cond_max", _scenario("multiplier", {"cond_max": -1})),
     ("d", _scenario("exponential", {"d": 1})),
     ("d", _scenario("exponential", {"d": 0})),
+    ("alpha_range", _scenario("not_frame_gabor", {"alpha_range": [1, 2, 3]})),
+    ("support", _scenario("wavelet", {"support": [-1, 0, 1]})),
+    ("cells", _scenario("not_frame_gabor", {"cells": -1})),
 ]
 
 

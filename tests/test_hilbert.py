@@ -222,6 +222,17 @@ class TestOrthonormalizeAgainstGramSchmidt:
         with pytest.raises(InvalidDimension):
             orthonormalize(v, random_weighted_model(rng, 6))
 
+    def test_dense_drops_qr_each_column_about_twice(self, rng, linalg_calls):
+        # each column followed by its copy: refactoring every column after each drop would
+        # QR 6240 columns at d = 128
+        d = 128
+        m = random_weighted_model(rng, d)
+        v = np.repeat(random_matrix(rng, d, d // 2), 2, axis=1)
+        calls = linalg_calls("qr")
+        basis = orthonormalize(v, m).basis
+        assert sum(args[0].shape[1] for args, _ in calls) <= 2 * d
+        np.testing.assert_allclose(basis, _gram_schmidt(v, m), rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("shape", [(24, 10), (6, 9)])
     def test_full_rank_input_takes_one_qr(self, rng, linalg_calls, shape):
         m = random_weighted_model(rng, shape[0])

@@ -4,11 +4,15 @@ S-form and sends it down the complex path, so both paths must agree.  When each
 column of the real form is also even or odd under the grid reflection
 k -> d-1-k, the factor splits into two half-size blocks."""
 
+import tracemalloc
+import types
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from opframe import _linalg
 from opframe._linalg import _real_matmul, factor, gram_factor, gram_form, min_norm_factor
 from opframe.constructions import exponential_system
 from opframe.hilbert import HilbertModel, Subspace, interval_grid, l2_truncation
@@ -159,13 +163,16 @@ def _symmetric_model(rng, d):
                         points=interval_grid(d).points)
 
 
-def _parity_family(model, n, derivative=False):
-    """The whitened b = 1 exponentials (or their -i d/dx images) with n columns: labels
-    |k| <= n // 2, without label 0 when n is even."""
+def _raw_parity_family(model, n, derivative=False):
+    """The b = 1 exponentials (or their -i d/dx images) with n columns: labels |k| <= n // 2,
+    without label 0 when n is even."""
     vectors = exponential_system(1.0, n // 2, model, derivative).vectors
-    if n % 2 == 0:
-        vectors = np.delete(vectors, n // 2, axis=1)
-    return model.sqrt_weights[:, None] * vectors
+    return np.delete(vectors, n // 2, axis=1) if n % 2 == 0 else vectors
+
+
+def _parity_family(model, n, derivative=False):
+    """``_raw_parity_family``, whitened."""
+    return model.sqrt_weights[:, None] * _raw_parity_family(model, n, derivative)
 
 
 def _assert_solve_matches_pinv(y, kt, rcond=1e-10, tol=1e-12):
@@ -186,16 +193,90 @@ def test_parity_solve_matches_pinv_and_cond(d, extra, derivative, seed):
     rng = np.random.default_rng(seed)
     y = _parity_family(_symmetric_model(rng, d), d + extra, derivative)
     kt = random_matrix(rng, d, 3)
-    r_inv, _, _, _, parity = factor(y, 1e-10)
+    _, _, s, _, parity = factor(y, 1e-10)
+    certified = s is None  # the SVD path's record holds the singular values
     cond = np.linalg.cond(y)
     if cond > 1e12:
-        assert r_inv is None
+        assert not certified
     else:
         kappa = np.linalg.norm(y) * np.linalg.norm(np.linalg.pinv(y))
         assume(abs(np.log10(kappa / 1e6)) > 0.01)
-        assert (r_inv is not None) == (kappa <= 1e6)
-        assert (parity is not None) == (r_inv is not None)
+        assert certified == (kappa <= 1e6)
+        assert (parity is not None) == certified
     _assert_solve_matches_pinv(y, kt)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 64), extra=st.integers(0, 4), odd_n=st.booleans(),
+       sign=st.sampled_from([1.0, -1.0]), seed=st.integers(0, 2**32 - 1))
+def test_blocks_from_the_raw_family_are_the_whitened_ones(d, extra, odd_n, sign, seed):
+    """The parity blocks ``factor`` builds from D's columns and the row scale sqrt(w) are, bit
+    for bit, those cut from the mirror form z of the whitened family, with z formed whole as
+    ``gram_form`` forms it and cut to Q z's blocks as the whole-z factor did.  Only a zero's
+    sign may differ: numpy multiplies sqrt(w) into a complex entry as sqrt(w) + 0j, so
+    Re(sqrt(w) v) = sqrt(w) Re v - 0 Im v, which is +0 where sqrt(w) Re v is -0.  An even N drops
+    label 0, so it spans only with the alias +-d of the constant."""
+    model = _symmetric_model(np.random.default_rng(seed), d)
+    n = 2 * (d // 2 + extra) + 1 if odd_n else 2 * (d + extra)
+    raw = _raw_parity_family(model, n) * (1.0 if sign > 0 else 1j)  # s = -1: i e_k
+    record = factor(raw, 1e-10, scale=model.sqrt_weights)[4]
+    assert record is not None
+    even, blocks, _, s = record
+    assert s == sign
+    y = model.sqrt_weights[:, None] * raw
+    h, half = d // 2, y.shape[1] // 2
+    a, c = y[:, :half], y[:, half:y.shape[1] - half]
+    z = np.concatenate([a.real * np.sqrt(2.0), a.imag * np.sqrt(2.0), c.real + c.imag], axis=1)
+    assert gram_form(y)[0].tobytes() == z.tobytes()
+    assert np.array_equal(even, np.all(z[:h] == z[:-h - 1:-1], axis=0))
+    expected = [z[:d - h, even], z[d - h:, ~even] * -np.sqrt(2.0)]
+    expected[0][:h] *= np.sqrt(2.0)
+    for got, want in zip(blocks, expected):  # == on floats: every bit, save a zero's sign
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+class _ShapeLog:
+    """numpy as seen from a module: every array a numpy function returns has its shape logged."""
+
+    def __init__(self, target, shapes):
+        self._target, self._shapes = target, shapes
+
+    def __getattr__(self, name):
+        attr = getattr(self._target, name)
+        wrap = isinstance(attr, types.ModuleType) or callable(attr) and not isinstance(attr, type)
+        return _ShapeLog(attr, self._shapes) if wrap else attr
+
+    def __call__(self, *args, **kwargs):
+        out = self._target(*args, **kwargs)
+        self._shapes.extend(a.shape for a in (out if isinstance(out, tuple) else (out,))
+                            if isinstance(a, np.ndarray))
+        return out
+
+
+def test_parity_solve_forms_no_whitened_family_or_square_array(rng, monkeypatch):
+    """The blocks solve without the dense d x d G^-1, which only the pencil forms, and from the
+    raw columns, without a d x N mirror form or whitened copy: the traced peak stays below the
+    16 d N bytes of the copy alone."""
+    d, n = 64, 129
+    model = _symmetric_model(rng, d)
+    raw, kt = _raw_parity_family(model, n), random_matrix(rng, d, 3)
+    assert factor(raw, 1e-10, scale=model.sqrt_weights)[4] is not None
+    shapes = []
+    monkeypatch.setattr(_linalg, "np", _ShapeLog(np, shapes))
+    tracemalloc.start()
+    try:
+        proj, m = min_norm_factor(raw, kt, 1e-10, scale=model.sqrt_weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        monkeypatch.undo()
+    assert (d - d // 2, d // 2) in shapes  # the even block's R^-1, so the log sees the solve
+    assert (d, d) not in shapes and (d, n) not in shapes
+    assert peak < 16 * d * n
+    y = model.sqrt_weights[:, None] * raw
+    pinv = np.linalg.pinv(y, rcond=1e-10)
+    assert np.linalg.norm(m - pinv @ kt) <= 1e-12 * np.linalg.norm(pinv @ kt)
+    assert np.linalg.norm(proj - y @ (pinv @ kt)) <= 1e-12 * np.linalg.norm(kt)
 
 
 class TestParityFallback:
