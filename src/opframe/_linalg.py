@@ -6,17 +6,18 @@ those coordinates, so eigensolvers and SVDs keep self-adjointness at machine
 precision.
 
 Every lower bound and every dual is one minimum-norm factorization, and
-``factor`` alone decides how a matrix mat is factored:
+``factor`` alone decides how a matrix mat is factored, into a record that solves:
 
-- certified, by the R^-1 of ``gram_factor``'s R (under reflection parity two half-size real
-  blocks read from the raw columns and sqrt(w), and their R^-1: ``_parity_factor``; their dense
-  G^-1 is the pencil's), when mat has no more rows than columns, kappa_F = ||R||_F ||R^-1||_F
-  <= 1e6 and kappa_F max(rcond, 1e-12) < 1;
+- certified, by the R^-1 of ``gram_factor``'s R (under reflection parity, of two half-size real
+  blocks cut from the raw columns and sqrt(w) by ``_parity_blocks``), when mat has no more rows
+  than columns, kappa_F = ||R||_F ||R^-1||_F <= 1e6 and kappa_F max(rcond, 1e-12) < 1;
 - otherwise a thin SVD, row-reduced by the refused R unless V is needed,
   with the support cut at 1e-12 sigma_0 and M cut at rcond sigma_0.
 """
 
 from __future__ import annotations
+
+import types
 
 import numpy as np
 
@@ -90,16 +91,16 @@ def _mirror_form(parts, scale, rows=slice(None), cols=None):
 
 
 def gram_form(mat):
-    """(z, s) with z z^T = mat mat^H: ``_mirror_form``'s z if mat mirrors, as each pair g, s conj(g)
-    gives 2 Re(g g^H), else ``_real_form``'s b (mat itself when complex) and s = 0."""
+    """z with z z^T = mat mat^H: ``_mirror_form``'s z if mat mirrors, as each pair g, s conj(g)
+    gives 2 Re(g g^H), else ``_real_form``'s b (mat itself when complex)."""
     s, parts = _mirror(mat)
-    return (_mirror_form(parts, None), s) if s else (_real_form(mat)[0], 0.0)
+    return _mirror_form(parts, None) if s else _real_form(mat)[0]
 
 
 def gram_factor(mat):
     """Upper-triangular R, R^H R = mat mat^H, from the thin QR z^H = Q R of ``gram_form``'s z:
     real, and mat^H's R up to a diagonal unitary, when z is (kappa_F and rank cuts unchanged)."""
-    return np.linalg.qr(gram_form(mat)[0].conj().T, mode="r")
+    return np.linalg.qr(gram_form(mat).conj().T, mode="r")
 
 
 def _pair(x):
@@ -174,12 +175,11 @@ def _certified(rs, tol):
     return r_invs if kappa <= _DIRECT_COND and kappa * max(tol, _RANK_TOL) < 1 else None
 
 
-def _parity_factor(mat, scale, tol):
-    """``factor``'s record if mat mirrors, scale too, and each column of z is bitwise even or odd
+def _parity_blocks(mat, scale):
+    """(even, blocks, sign) if mat mirrors, scale too, and each column of z is bitwise even or odd
     under k -> d-1-k, tested on mat's parts: Q z (``_pair``) is diag(B_E, B_O) up to a column
-    order, so z z^T = G^T G, G = diag(R_E, R_O) Q, from B_b^T = Q_b R_b, with the blocks built
-    from the parts, not from y or z.  None when a block has fewer columns than rows or
-    ``_certified`` refuses."""
+    order, so z z^T = G^T G, G = diag(R_E, R_O) Q, from B_b^T = Q_b R_b.  The blocks are built
+    from the parts, not from y or z; None when one has fewer columns than rows."""
     sign, parts = _mirror(mat)
     d, h = mat.shape[0], mat.shape[0] // 2
     if not (sign and h) or scale is not None and not np.array_equal(scale[:h], scale[:-h - 1:-1]):
@@ -192,31 +192,31 @@ def _parity_factor(mat, scale, tol):
     blocks = [_mirror_form(parts, scale, slice(0, d - h), even),
               _mirror_form(parts, scale, slice(d - h, d), ~even) * -np.sqrt(2.0)]
     blocks[0][:h] *= np.sqrt(2.0)  # now the blocks of Q z
-    r_invs = _certified([np.linalg.qr(b.T, mode="r") for b in blocks], tol)
-    return None if r_invs is None else (None, None, None, None, (even, blocks, r_invs, sign))
+    return even, blocks, sign
 
 
 def factor(mat, rcond=None, certify=True, scale=None):
-    """(R^-1, U, s, V^H, parity) of y = scale mat (mat when scale is None) by the module's rule.
-    Certified (s None): parity ``_parity_factor``'s (even, blocks, their R^-1, sign) and R^-1
-    None (the dense G^-1 is the pencil's, ``seqops._reference_factor``), or the unsplit R^-1 and
-    parity None.  Else the SVD, with every singular value in s, U cut at min(rcond, _RANK_TOL)
-    sigma_0 (the support, or M's cut below it) and V^H None when a row-reduced y gave U and s.
+    """The ``_Factor`` of y = scale mat (mat when scale is None) by the module's rule.
     certify=False takes the SVD path."""
     tol, r = _RANK_TOL if rcond is None else rcond, None
     certify = certify and mat.shape[1] >= mat.shape[0]  # no more rows than columns
-    if certify and (fac := _parity_factor(mat, scale, tol)) is not None:
-        return fac
+    if certify and (parity := _parity_blocks(mat, scale)) is not None:
+        even, blocks, sign = parity
+        r_invs = _certified([np.linalg.qr(b.T, mode="r") for b in blocks], tol)
+        if r_invs is not None:
+            return _Factor(r_invs=r_invs, blocks=blocks, parity=(even, sign))
+        del parity, blocks  # refused: freed before y is formed
     y = mat if scale is None else scale[:, None] * mat  # formed off the parity path only
     if certify:
         r = gram_factor(y)
         r_invs = _certified([r], tol)
         if r_invs is not None:
-            return r_invs[0], None, None, None, None
+            return _Factor(r_invs=r_invs, y=y)
     # M needs y's V: V = y^H U S^-1 from the U of R^H would cost eps kappa^2
     reduce = rcond is None and _is_wide(y)
     u, s, vh = thin_svd((gram_factor(y) if r is None else r).conj().T if reduce else y)
-    return None, u[:, :rank_cut(s, min(tol, _RANK_TOL))], s, None if reduce else vh, None
+    u = u[:, :rank_cut(s, min(tol, _RANK_TOL))]
+    return _Factor(u=u, s=s, vh=None if reduce else vh, rcond=rcond)
 
 
 def _corrected_solve(y, r_inv, kt):
@@ -229,36 +229,51 @@ def _corrected_solve(y, r_inv, kt):
     return proj, m
 
 
-def min_norm_factor(y, kt, rcond=None, fac=None, scale=None):
-    """(proj, M): the projection of kt onto R(y~) and the minimum-norm M = y~+ kt for the whitened
-    y~ = scale y (y when scale is None), from ``factor(y, rcond, scale=scale)`` or its fac.
+class _Factor(types.SimpleNamespace):
+    """``factor``'s record of y, with what its path needs.  Certified (s None): R^-1 in r_invs
+    and y, formed once, or under parity the blocks, their R^-1 and (even, sign), and no y,
+    mirror form or d x d array.  Else the SVD: U cut at min(rcond, _RANK_TOL) sigma_0, every
+    singular value in s, V^H (None when a row-reduced y gave U and s) and rcond."""
 
-    By Douglas' lemma R(kt) lies in R(y~) exactly when kt = y~ M.  A certified R of y~^H = Q R
-    (real for a conjugate-mirrored y, see ``gram_factor``) gives M = (w^H y~)^H,
-    w = R^-1 R^-H kt, with no conjugate copy of y~, corrected once (without the step the error
-    grows with kappa^2, as in the normal equations), and proj = y~ M; with reflection parity
-    the same solve runs on each block of the record against Q kt, with neither G^-1 nor y~.  Else
-    y~ = U S V^H gives proj from U above _RANK_TOL sigma_0 and M = V S^-1 U^H kt above
-    rcond sigma_0 (None without rcond).  An all-zero y gives zero; nothing raises.
-    """
-    r_inv, u, s, vh, parity = factor(y, rcond, scale=scale) if fac is None else fac
-    if parity is not None:
-        even, blocks, r_invs, sign = parity
+    r_invs = y = blocks = parity = u = s = vh = rcond = None  # what the path does not give
+
+    def solve(self, kt):
+        """(proj, M): the projection of kt onto R(y) and the minimum-norm M = y+ kt.
+
+        By Douglas' lemma R(kt) lies in R(y) exactly when kt = y M.  A certified R of y^H = Q R
+        (real for a conjugate-mirrored y, see ``gram_factor``) gives M = (w^H y)^H,
+        w = R^-1 R^-H kt, with no conjugate copy of y, corrected once (without the step the
+        error grows with kappa^2, as in the normal equations), and proj = y M; under parity the
+        same solve runs on each block against Q kt, with neither G^-1 nor y.  Else y = U S V^H
+        gives proj from U above _RANK_TOL sigma_0 and M = V S^-1 U^H kt above rcond sigma_0
+        (None without rcond).  An all-zero y gives zero; nothing raises.
+        """
+        if self.s is not None:
+            r = rank_cut(self.s, _RANK_TOL)
+            p = 0 if self.rcond is None else rank_cut(self.s, self.rcond)
+            c = self.u.conj().T @ kt  # u has max(r, p) columns
+            m = None if self.rcond is None else self.vh[:p].conj().T @ (c[:p] / self.s[:p, None])
+            return self.u[:, :r] @ c[:r], m
+        if self.parity is None:  # the seminormal solve, then one corrective step
+            return _corrected_solve(self.y, self.r_invs[0], kt)
+        (even, sign), blocks, r_invs = self.parity, self.blocks, self.r_invs
+        self.blocks = self.r_invs = None  # given up, so a record solves once
         rotated, n = _pair(kt.copy()), blocks[0].shape[0]
         (p_e, m_e), (p_o, m_o) = map(_corrected_solve, blocks, r_invs, (rotated[:n], rotated[n:]))
-        del parity, blocks, r_invs  # freed before M is assembled, unless the caller holds fac
-        c = np.empty((even.size, kt.shape[1]), np.result_type(m_e, m_o))  # M = C c, y~ = z C^H
+        del blocks, r_invs  # freed before M is assembled
+        c = np.empty((even.size, kt.shape[1]), np.result_type(m_e, m_o))  # M = C c, y = z C^H
         c[even], c[~even], h = m_e, m_o, even.size // 2
         re, im = c[:h] * np.sqrt(0.5), c[h:2 * h] * (1j * np.sqrt(0.5))
         m = np.concatenate([re - im, c[2 * h:] * (1.0 if sign > 0 else -1j), sign * (re + im)[::-1]])
         return _pair(np.concatenate([p_e, p_o])), m
-    if r_inv is not None:  # the seminormal solve, then one corrective step
-        return _corrected_solve(y if scale is None else scale[:, None] * y, r_inv, kt)
-    r = rank_cut(s, _RANK_TOL)
-    p = 0 if rcond is None else rank_cut(s, rcond)
-    c = u.conj().T @ kt  # u has max(r, p) columns
-    m = None if rcond is None else vh[:p].conj().T @ (c[:p] / s[:p, None])
-    return u[:, :r] @ c[:r], m
+
+    def inverse(self):
+        """The dense R^-1 of a certified record, G^-1 = Q diag(R_E^-1, R_O^-1) under parity."""
+        if self.parity is None:
+            return self.r_invs[0]
+        g_inv, h = np.zeros((sum(map(len, self.r_invs)),) * 2), len(self.r_invs[0])
+        g_inv[:h, :h], g_inv[h:, h:] = self.r_invs
+        return _pair(g_inv)
 
 
 def orthonormal_range(mat, scale=None):

@@ -20,8 +20,8 @@ import numpy as np
 from ._linalg import (
     _DEGENERATE_TOL,
     adjoint_matrix,
+    factor,
     max_column_gap,
-    min_norm_factor,
     pencil_lower_bound,  # noqa: F401 - an import site perfbench's tracer tests wrap
     sampled,
     whiten_matrix,
@@ -57,14 +57,14 @@ def _coefficient_factor(seq: FrameSequence, K: OperatorModel, rcond=None, tol=RA
 
     By Douglas' lemma R(K) lies in R(D) exactly when K = D M; M = D+ K
     (N x dim_in, times W_in^(1/2); None without rcond) is the minimum-norm
-    one, from ``min_norm_factor``, and residual is the gap of the projection
+    one, from ``factor``'s record, and residual is the gap of the projection
     of K~ onto R(D~) to K~.  D~ is passed as D and W^(1/2), unformed under parity.
     """
     if K.codomain.dim != seq.model.dim:
         raise InvalidDimension("operator codomain must match the sequence model")
     w_in = K.input_model.weights
     kt = whiten_matrix(K.effective_matrix(), seq.model.weights, w_in)
-    proj, m = min_norm_factor(seq.vectors, kt, rcond, scale=seq.model.sqrt_weights)
+    proj, m = factor(seq.vectors, rcond, scale=seq.model.sqrt_weights).solve(kt)
     residual = max_column_gap(proj - kt, kt, np.ones(kt.shape[0]))
     if rcond is None:
         return residual, None

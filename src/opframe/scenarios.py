@@ -17,7 +17,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple, get_args, get_origin
 
 import numpy as np
 
@@ -97,7 +97,7 @@ def _build_exponential(rng, d=256, x0=0.0, x1=1.0, b=1.0, label_range=40, deriva
 
 
 def _build_gabor(rng, d=1024, x0=-8.0, x1=8.0, window="gaussian", a=1.0, b=0.125,
-                 m_range=2, n_range=2, m_values=None, *, derivative):
+                 m_range=2, n_range=2, m_values: Optional[Tuple[int, ...]] = None, *, derivative):
     grid = window_grid(d, x0, x1)
     win, win_d = _lookup("window", WINDOWS, window)
     family = functools.partial(C.gabor_system, win, a, b, m_range, n_range, grid,
@@ -146,16 +146,14 @@ def _build_multiplier(rng, d=64, cond_max=10.0):
     qbh = qb.conj().T
     phi = (qa * sing) @ qbh
     psi = (qa * (1.0 / sing)) @ qbh  # (phi^-1)^H: biorthogonal pair
-    alphas = np.arange(1, d + 1) * (0.5 + 0.5 * rng.random(d)) * np.exp(
-        2j * np.pi * rng.random(d)
-    )
+    alphas = np.arange(1, d + 1) * (0.5 + 0.5 * rng.random(d)) * np.exp(2j * np.pi * rng.random(d))
     H = C.riesz_multiplier(FrameSequence(model, phi), FrameSequence(model, psi), alphas)
     seq = FrameSequence(model, phi * alphas[None, :])
     return {"seq": seq, "dual": user_dual(model, psi), "op": H}
 
 
 def _build_not_frame(rng, cells=2, pts_per_cell=32, alpha_range=(1.0, 2.0),
-                     window="fold_symmetric", n_range=None):
+                     window="fold_symmetric", n_range: Optional[int] = None):
     if cells < 1:
         raise InvalidScenario(f"not_frame_gabor param 'cells' must be at least 1, got {cells}")
     lo, hi = alpha_range
@@ -251,8 +249,7 @@ def exm1_probe_functions(grid: HilbertModel):
     return hs, us
 
 
-def exm1_scaled_dual(b: float, label_range: int, grid: HilbertModel,
-                     plain=None) -> DualSequence:
+def exm1_scaled_dual(b: float, label_range: int, grid: HilbertModel, plain=None) -> DualSequence:
     """The canonical dual of {e_nb} is {b e_nb}; pair it with {2 pi n b e_nb}.
     plain: the columns of exponential_system(b, label_range, grid), if built."""
     if plain is None:
@@ -260,8 +257,7 @@ def exm1_scaled_dual(b: float, label_range: int, grid: HilbertModel,
     return user_dual(grid, b * plain)
 
 
-def exm1_decomposition_error(b: float, label_range: int, grid: HilbertModel,
-                             plain=None) -> float:
+def exm1_decomposition_error(b: float, label_range: int, grid: HilbertModel, plain=None) -> float:
     """Relative gap of sum_n inner(u, g_n) t_n against the analytic -i u'.
 
     Probe u = sin^3(pi x): u and u' vanish at both interval ends, so the
@@ -309,12 +305,13 @@ def _chk_decomposition_monotone(ctx, rng, ranges=(20, 40, 80)):
     return max(errs[i + 1] / errs[i] for i in range(len(errs) - 1))
 
 
-def _chk_weak_alpha(ctx, rng, label_range=None):
+def _chk_weak_alpha(ctx, rng, label_range: Optional[int] = None):
     seq = ctx["seq"]
     if label_range is not None:
-        # rebuild at a label range that resolves the grid: a truncated family
-        # covering fewer modes than the quantifier space has dimensions gives
-        # alpha = 0 by a rank count
+        # rebuild at a label range that resolves the grid: a truncated family covering fewer
+        # modes than the quantifier space has dimensions gives alpha = 0 by a rank count
+        if label_range < 1:  # no family to rebuild, or (derivative) only a zero column
+            raise InvalidScenario(f"weak_alpha param 'label_range' must be >= 1, got {label_range}")
         p = ctx["params"]
         seq = _exponentials(ctx, p["b"], label_range, p["derivative"])
     return weak_aframe_bound(seq, ctx["op"]).alpha
@@ -487,8 +484,8 @@ def _defaults(fn) -> dict:
 
 def _typed(field: str, default, value):
     """value as a param with this default: of its exact type (a bool is never a number), save
-    that a float takes an int or float that a finite float holds, stored as a float, a tuple a
-    list of its items' type (and length, for floats), and None anything."""
+    that a float takes an int or float that a finite float holds, stored as a float, and a tuple
+    a list of its items' type (and length, for floats)."""
     if isinstance(default, tuple) and isinstance(value, (list, tuple)):
         if type(default[0]) is float and len(value) != len(default):
             raise InvalidScenario(f"{field} must have {len(default)} items, got {value!r}")
@@ -496,20 +493,25 @@ def _typed(field: str, default, value):
     if type(default) is float:
         if type(value) in (int, float) and abs(value) <= sys.float_info.max:
             return float(value)
-    elif default is None or type(value) is type(default):
+    elif type(value) is type(default):
         return value
     raise InvalidScenario(
-        f"{field} must be {type(default).__name__} like its default {default!r}, got {value!r}")
+        f"{field} must be {type(default).__name__} like {default!r}, got {value!r}")
 
 
 def _filled(where: str, fn, given: dict) -> _Context:
-    """fn's defaults, overridden by the given params once each name and type checks."""
+    """fn's defaults, overridden by the given params once each name and type checks; a None
+    default annotated Optional[X] takes null, or what ``_typed`` takes for X's zero value."""
     defaults = _defaults(fn)
     params = _Context(defaults)
     for key, value in given.items():
         if key not in defaults:
             raise InvalidScenario(f"{where} has no param {key!r}; valid: {sorted(defaults)}")
-        params[key] = _typed(f"{where} param {key!r}", defaults[key], value)
+        default = defaults[key]
+        if default is None and value is not None:  # Optional[X] is Union[X, None]
+            x = get_args(inspect.signature(fn, eval_str=True).parameters[key].annotation)[0]
+            default = (get_args(x)[0](),) if get_origin(x) is tuple else x()
+        params[key] = _typed(f"{where} param {key!r}", default, value)
     return params
 
 
@@ -587,9 +589,7 @@ class ScenarioReport:
 _PASSES = {"le": operator.le, "ge": operator.ge, "lt": operator.lt}
 
 
-def run_scenario(
-    data: dict, seed: Optional[int] = None, tol_scale: float = 1.0
-) -> ScenarioReport:
+def run_scenario(data: dict, seed: Optional[int] = None, tol_scale: float = 1.0) -> ScenarioReport:
     """Execute a validated scenario dict and return its report."""
     params, check_params = validate_scenario(data)
     start = time.perf_counter()

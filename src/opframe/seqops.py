@@ -17,7 +17,6 @@ import numpy as np
 
 from ._linalg import (
     _DEGENERATE_TOL,
-    _pair,
     as_complex_vector,
     factor,
     gram_form,
@@ -126,12 +125,8 @@ def _whitened_spectrum(y) -> np.ndarray:
     """Full spectrum of the frame operator Y Y^H of the whitened family Y
     (dim x N, zero columns allowed), via the smaller Hermitian form."""
     d, n = y.shape
-    if n <= d:
-        vals = np.linalg.eigvalsh(hermitize(y.conj().T @ y))
-        pad = np.zeros(d - n)
-        return np.sort(np.concatenate([pad, np.clip(vals, 0.0, None)]))
-    vals = np.linalg.eigvalsh(hermitize(y @ y.conj().T))
-    return np.sort(np.clip(vals, 0.0, None))
+    vals = np.linalg.eigvalsh(hermitize(y.conj().T @ y if n <= d else y @ y.conj().T))
+    return np.sort(np.concatenate([np.zeros(max(d - n, 0)), np.clip(vals, 0.0, None)]))
 
 
 def frame_bounds(seq: FrameSequence, frame_tol: float = FRAME_TOL) -> FrameBounds:
@@ -170,26 +165,22 @@ def _operator_bounds(
 
 
 def _reference_factor(op: OperatorModel, v: Subspace, graph: bool):
-    """(U, L^-H) for the pencil, with U the support of T in coordinates of v
-    (None for all of v) and L L^H the Gram of ||T f||^2 there: a projection's
-    whitened basis with unit singular values; else ``factor`` of M, T = M^H:
-    its certified R^-1 (kappa_F <= _DIRECT_COND proves full rank), not tried
-    for the graph bound nor when ||M||_F <= sqrt(r) _DEGENERATE_TOL, so that a
-    numerically zero operator still raises; or M's support U and 1/sigma there
-    (sigma / sqrt(1 + sigma^2) for the graph bound)."""
+    """(U, L^-H) for the pencil, with U the support of T in coordinates of v (None for all
+    of v) and L L^H the Gram of ||T f||^2 there: a projection's whitened basis with unit
+    singular values; else, from ``factor`` of M, T = M^H, the certified record's dense inverse
+    (kappa_F <= _DIRECT_COND proves full rank), not tried for the graph bound nor when
+    ||M||_F <= sqrt(r) _DEGENERATE_TOL, so that a numerically zero operator still raises; or
+    M's support U and 1/sigma there (sigma / sqrt(1 + sigma^2) for the graph bound)."""
     sub = op.projection
     if v.is_full and sub is not None and op.domain is None:
         u, sv = sub.whitened_basis(), np.ones(sub.rank)
     else:
         m = v.whitened_coords(op.whitened())  # r x dim_in
         certify = not graph and np.linalg.norm(m) > np.sqrt(v.rank) * _DEGENERATE_TOL
-        r_inv, u, sv, _, parity = factor(m, certify=certify)
-        if parity is not None:  # G^-1 = Q diag(R_E^-1, R_O^-1), formed for the pencil alone
-            r_inv, h = np.zeros((m.shape[0],) * 2), m.shape[0] - m.shape[0] // 2
-            r_inv[:h, :h], r_inv[h:, h:] = parity[2]
-            r_inv = _pair(r_inv)
-        if r_inv is not None:
-            return None, r_inv
+        fac = factor(m, certify=certify)
+        if fac.s is None:  # the dense R^-1, or G^-1 under reflection parity
+            return None, fac.inverse()
+        u, sv = fac.u, fac.s
     if sv.size == 0 or sv[0] <= _DEGENERATE_TOL:
         raise DegenerateOperator("operator is numerically zero")
     if graph:
@@ -203,19 +194,15 @@ def canonical_dual(seq: FrameSequence, frame_tol: float = FRAME_TOL) -> FrameSeq
     d, n = y.shape
     if n < d:
         raise NotAFrame("sequence has fewer columns than the model dimension")
-    z = gram_form(y)[0]  # real for a mirrored, real or imaginary family, and so are S and solve
+    z = gram_form(y)  # real for a mirrored, real or imaginary family, and so are S and solve
     s_w = hermitize(z @ z.conj().T)
     vals = np.linalg.eigvalsh(s_w)
     if vals[0] <= frame_tol * max(vals[-1], 1e-300):
-        raise NotAFrame(
-            f"frame operator nearly singular (lambda_min={vals[0]:.3e}, "
-            f"lambda_max={vals[-1]:.3e})"
-        )
+        raise NotAFrame(f"frame operator nearly singular (lambda_min={vals[0]:.3e}, "
+                        f"lambda_max={vals[-1]:.3e})")
     dual_w = np.linalg.solve(s_w, y) if np.iscomplexobj(s_w) else np.linalg.solve(
         s_w, np.ascontiguousarray(y).view(np.float64)).view(np.complex128)
-    return FrameSequence(
-        seq.model, dual_w / seq.model.sqrt_weights[:, None], seq.index_labels
-    )
+    return FrameSequence(seq.model, dual_w / seq.model.sqrt_weights[:, None], seq.index_labels)
 
 
 def reconstruct(seq: FrameSequence, dual: FrameSequence, f):

@@ -8,7 +8,7 @@ The lower bound quantifies only over the declared adjoint domain V = D(A*):
 The infimum is taken over all of V, so components of f in ker(A*) are
 minimized out (a Schur complement in factored form, see
 :func:`opframe._linalg.pencil_lower_bound`).  The constructive dual is the
-K-dual's minimum-norm factorization (:func:`opframe._linalg.min_norm_factor`)
+K-dual's minimum-norm factorization (:func:`opframe._linalg.factor`)
 taken in orthonormal coordinates of V: it solves P_V G M = P_V A for the
 minimum-norm M.  A strong expansion may still fail to converge; that is
 measured, never raised (see the ``strong_residual_min`` check), and only a
@@ -27,7 +27,6 @@ from ._linalg import (
     adjoint_matrix,
     factor,
     max_column_gap,
-    min_norm_factor,
     pencil_lower_bound,  # noqa: F401 - an import site perfbench's tracer tests wrap
     sampled,
 )
@@ -127,15 +126,15 @@ def weak_a_dual(seq: FrameSequence, A: OperatorModel, rcond=1e-10) -> DualSequen
     M is the minimum-norm solution of P_V (G M - A) = 0, where V = D(A*).
     In orthonormal coordinates of V (row slices for a selection subspace)
     that is y M = kt with y and kt the restricted whitened family and
-    operator, solved by ``min_norm_factor`` as the K-dual factorization is.
+    operator, solved by ``factor``'s record as the K-dual factorization is.
     Raises FactorizationFailed when even this projected (weak) equation
     cannot be met, which signals that the weak lower bound was spurious.
     """
     v = A.adjoint_domain_subspace
     y, kt = v.coords(seq.vectors), v.coords(A.effective_matrix())  # r x N, r x d
     fac = factor(y, rcond)
-    proj, m = min_norm_factor(y, kt, rcond, fac)
-    ym = proj if fac[2] is None else y @ m  # y M, unless the SVD's proj projects onto R(y)
+    proj, m = fac.solve(kt)
+    ym = proj if fac.s is None else y @ m  # y M, unless the SVD's proj projects onto R(y)
     weak_res, weak_scale = np.linalg.norm(ym - kt), np.linalg.norm(kt)
     del y, kt, proj, ym, fac  # freed before the certificate
     if weak_res > FACTORIZATION_TOL * max(weak_scale, 1e-300):
@@ -198,22 +197,21 @@ def interchange_dual(
     """h_n = (A+)* t_n; reconstructs every u in D(A*) when A is surjective,
     which fails (NotSurjective) when sigma_min <= sigma_tol * sigma_max.
 
-    With At the whitened A on orthonormal coordinates of D(A), (A+)* t_n is
-    W^(-1/2) (At^H)+ t_n, the minimum-norm solve of At^H h = t_n
-    (``min_norm_factor``).  A certified factor of At^H (its record has no s)
-    needs no sigma_min: sigma_min / sigma_max >= 1 / kappa_F > max(sigma_tol, 1e-12)
-    >= sigma_tol is what ``factor`` certifies with rcond = sigma_tol; else s decides."""
+    With At the whitened A on orthonormal coordinates of D(A), (A+)* t_n is W^(-1/2) (At^H)+ t_n,
+    the minimum-norm solve of At^H h = t_n by ``factor``'s record.  A certified record (s None)
+    needs no sigma_min: sigma_min / sigma_max >= 1 / kappa_F > max(sigma_tol, 1e-12) >= sigma_tol
+    is what ``factor`` certifies with rcond = sigma_tol; else s decides."""
     if A.codomain.dim != seq.model.dim or A.input_model.dim != seq.model.dim:
         raise InvalidDimension("interchange dual expects an endomorphism model")
     ath = A.domain_whitened().conj().T  # At^H: dim D(A) x dim
     if ath.shape[0] < ath.shape[1]:
         raise NotSurjective(f"operator not surjective: dim D(A) = {ath.shape[0]} < {ath.shape[1]}")
-    s = (fac := factor(ath, sigma_tol))[2]
-    if s is not None and s[-1] <= sigma_tol * s[0]:
-        raise NotSurjective(f"operator is not surjective (sigma_min={s[-1]:.3e}, "
-                            f"sigma_max={s[0]:.3e})")
+    fac = factor(ath, sigma_tol)
+    if fac.s is not None and fac.s[-1] <= sigma_tol * fac.s[0]:
+        raise NotSurjective(f"operator is not surjective (sigma_min={fac.s[-1]:.3e}, "
+                            f"sigma_max={fac.s[0]:.3e})")
     t = A.domain_subspace.coords(dual.vectors)
-    h = min_norm_factor(ath, t, sigma_tol, fac)[1] / A.codomain.sqrt_weights[:, None]
+    h = fac.solve(t)[1] / A.codomain.sqrt_weights[:, None]
     # certificate: rebuild the whitened basis Vw of D(A*) from (Vw^H Yw)^H
     sub, vw = A.adjoint_domain_subspace, A.adjoint_domain_subspace.whitened_basis()
     rec = seq.model.sqrt_weights[:, None] * (h @ sub.coords(seq.vectors).conj().T)

@@ -108,9 +108,11 @@ def test_every_exported_function_is_reached():
     assert sorted(set(functions) - reached - DEFINITIONS) == []
 
 
-#: how a matrix is factored: the SVD, its rank cut and the certificate
-#: (R from ``gram_factor``, its inverse and the kappa_F ceiling)
-DECISION = {"thin_svd", "rank_cut", "gram_factor", "triangular_inverse", "_DIRECT_COND"}
+#: how a matrix is factored: the SVD, its rank cut, the certificate (R from
+#: ``gram_factor``, its inverse and the kappa_F ceiling) and the reflection-parity
+#: layout of the blocks (``_pair``)
+DECISION = {"thin_svd", "rank_cut", "gram_factor", "triangular_inverse", "_DIRECT_COND",
+            "_pair"}
 
 
 def test_factorization_is_decided_in_linalg_only():

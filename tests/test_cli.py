@@ -1,8 +1,10 @@
 import contextlib
 import functools
 import importlib
+import inspect
 import io
 import json
+import typing
 from pathlib import Path
 from unittest import mock
 
@@ -291,6 +293,12 @@ PROBES = [
     ("alpha_range", _scenario("not_frame_gabor", {"alpha_range": [1, 2, 3]})),
     ("support", _scenario("wavelet", {"support": [-1, 0, 1]})),
     ("cells", _scenario("not_frame_gabor", {"cells": -1})),
+    *[("label_range", _scenario("exponential", {"b": 0.5, "derivative": True},
+                                operator="diff_minus_i_H1", checks=["weak_alpha"],
+                                check_params={"label_range": value}))
+      for value in ("abc", 2.5, -5, 0)],
+    *[("n_range", _scenario("not_frame_gabor", {"n_range": value})) for value in ("x", 1.5, True)],
+    *[("m_values", _scenario("gabor", {"m_values": value})) for value in ("x", 3, [0.5], [True])],
 ]
 
 
@@ -310,6 +318,15 @@ def test_probe_exits_two_naming_the_field(tmp_path, field, data):
     assert code == 2
     assert repr(field) in err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_every_none_default_param_is_annotated_optional():
+    """A given None-default param is typed by the X of its Optional[X] annotation."""
+    fns = [*S.CONSTRUCTIONS.values(), *S.OPERATORS.values(), *(fn for _, fn in S.CHECKS.values())]
+    for fn in fns:
+        params = inspect.signature(fn, eval_str=True).parameters
+        for key in [key for key, default in S._defaults(fn).items() if default is None]:
+            assert typing.get_args(params[key].annotation)[1:] == (type(None),), (fn, key)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400])

@@ -2,7 +2,7 @@
 alpha in alpha ||K* f||^2 <= sum_n |inner(f, g_n)|^2 is 1 / ||M||^2 for the
 minimum-norm M with K = D M, and ||M||^2 is the Bessel bound of the dual
 {M* e_n}.  alpha comes from the pencil (``pencil_lower_bound``), the Bessel
-bound from ``min_norm_factor`` and an eigvalsh, so their product, 1 in exact
+bound from ``factor``'s solve and an eigvalsh, so their product, 1 in exact
 arithmetic, checks one kernel against the other.  The weak form is the same
 lemma in orthonormal coordinates of D(A*); the graph form is the lemma in the
 graph space D(A), whose dual's Bessel bound is taken in the graph norm."""

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from opframe._linalg import (
     factor,
     max_column_gap,
-    min_norm_factor,
     orthonormal_range,
     pencil_lower_bound,
     thin_svd,
@@ -171,9 +170,9 @@ def test_range_and_pinv_cuts_from_one_svd(d, wide, seed):
     # K = D M with the minimum-norm M = D+ K; the dual vectors are M^H
     m = k_dual(seq, K).vectors.conj().T
     assert _rel(m, np.linalg.pinv(y, rcond=1e-10) @ kt) <= 1e-10
-    pinv = min_norm_factor(seq.whitened(), np.eye(d), 1e-10)[1]  # D+ is the factor of I
+    pinv = factor(seq.whitened(), 1e-10).solve(np.eye(d))[1]  # D+ is the factor of I
     assert _rel(pinv, np.linalg.pinv(y, rcond=1e-10)) <= 1e-10
-    zero = min_norm_factor(np.zeros((d, n), dtype=complex), np.eye(d), 1e-10)[1]
+    zero = factor(np.zeros((d, n), dtype=complex), 1e-10).solve(np.eye(d))[1]
     assert zero.shape == (n, d) and not np.any(zero)
 
 
@@ -187,7 +186,7 @@ def test_range_and_pinv_cuts_from_one_svd(d, wide, seed):
 )
 def test_coefficient_factor_matches_svd_oracles(d, shape, kind, decades, seed):
     """Both paths of the minimum-norm factor against SVD oracles, through
-    k_dual, the identity case of ``min_norm_factor`` (D+), range_inclusion,
+    k_dual, the identity case of ``factor``'s solve (D+), range_inclusion,
     a_dual_graph and weak_a_dual.
 
     sigma_min / sigma_max of the whitened D (for weak_a_dual: of the family
@@ -225,7 +224,7 @@ def test_coefficient_factor_matches_svd_oracles(d, shape, kind, decades, seed):
         m = k_dual(seq, K, rcond=rcond).vectors.conj().T
         tol = max(1e-10, 10 * np.finfo(float).eps * kappa)
         assert _rel(m, oracle @ kt) <= tol
-        assert _rel(min_norm_factor(y, np.eye(d), rcond)[1], oracle) <= tol
+        assert _rel(factor(y, rcond).solve(np.eye(d))[1], oracle) <= tol
 
     kappa = s[0] / s[-1]
     basis = orthonormal_range(y)
@@ -287,7 +286,7 @@ def test_singular_factor_takes_the_svd_path(rng, linalg_calls):
     vectors = random_matrix(rng, 5, 8)
     vectors[2] = 0.0
     seq = FrameSequence(model, vectors)
-    assert factor(seq.whitened(), 1e-10)[0] is None
+    assert factor(seq.whitened(), 1e-10).r_invs is None
     K = OperatorModel(vectors @ random_matrix(rng, 8, 3), l2_truncation(3), model)
     svd = linalg_calls("svd")
     assert k_dual(seq, K).certificate_residual <= 1e-10

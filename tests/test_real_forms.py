@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from opframe import _linalg
-from opframe._linalg import _real_matmul, factor, gram_factor, gram_form, min_norm_factor
+from opframe._linalg import _mirror, _real_matmul, factor, gram_factor, gram_form
 from opframe.constructions import exponential_system
 from opframe.hilbert import HilbertModel, Subspace, interval_grid, l2_truncation
 from opframe.opmodel import OperatorModel, diff_operator
@@ -176,7 +176,7 @@ def _parity_family(model, n, derivative=False):
 
 
 def _assert_solve_matches_pinv(y, kt, rcond=1e-10, tol=1e-12):
-    proj, m = min_norm_factor(y, kt, rcond)
+    proj, m = factor(y, rcond).solve(kt)
     pinv = np.linalg.pinv(y, rcond=rcond)
     assert np.linalg.norm(m - pinv @ kt) <= tol * np.linalg.norm(pinv @ kt)
     assert np.linalg.norm(proj - y @ (pinv @ kt)) <= tol * np.linalg.norm(kt)
@@ -193,8 +193,8 @@ def test_parity_solve_matches_pinv_and_cond(d, extra, derivative, seed):
     rng = np.random.default_rng(seed)
     y = _parity_family(_symmetric_model(rng, d), d + extra, derivative)
     kt = random_matrix(rng, d, 3)
-    _, _, s, _, parity = factor(y, 1e-10)
-    certified = s is None  # the SVD path's record holds the singular values
+    fac = factor(y, 1e-10)
+    certified = fac.s is None  # the SVD path's record holds the singular values
     cond = np.linalg.cond(y)
     if cond > 1e12:
         assert not certified
@@ -202,7 +202,7 @@ def test_parity_solve_matches_pinv_and_cond(d, extra, derivative, seed):
         kappa = np.linalg.norm(y) * np.linalg.norm(np.linalg.pinv(y))
         assume(abs(np.log10(kappa / 1e6)) > 0.01)
         assert certified == (kappa <= 1e6)
-        assert (parity is not None) == certified
+        assert (fac.parity is not None) == certified
     _assert_solve_matches_pinv(y, kt)
 
 
@@ -219,15 +219,15 @@ def test_blocks_from_the_raw_family_are_the_whitened_ones(d, extra, odd_n, sign,
     model = _symmetric_model(np.random.default_rng(seed), d)
     n = 2 * (d // 2 + extra) + 1 if odd_n else 2 * (d + extra)
     raw = _raw_parity_family(model, n) * (1.0 if sign > 0 else 1j)  # s = -1: i e_k
-    record = factor(raw, 1e-10, scale=model.sqrt_weights)[4]
-    assert record is not None
-    even, blocks, _, s = record
+    record = factor(raw, 1e-10, scale=model.sqrt_weights)
+    assert record.parity is not None
+    (even, s), blocks = record.parity, record.blocks
     assert s == sign
     y = model.sqrt_weights[:, None] * raw
     h, half = d // 2, y.shape[1] // 2
     a, c = y[:, :half], y[:, half:y.shape[1] - half]
     z = np.concatenate([a.real * np.sqrt(2.0), a.imag * np.sqrt(2.0), c.real + c.imag], axis=1)
-    assert gram_form(y)[0].tobytes() == z.tobytes()
+    assert gram_form(y).tobytes() == z.tobytes()
     assert np.array_equal(even, np.all(z[:h] == z[:-h - 1:-1], axis=0))
     expected = [z[:d - h, even], z[d - h:, ~even] * -np.sqrt(2.0)]
     expected[0][:h] *= np.sqrt(2.0)
@@ -260,12 +260,12 @@ def test_parity_solve_forms_no_whitened_family_or_square_array(rng, monkeypatch)
     d, n = 64, 129
     model = _symmetric_model(rng, d)
     raw, kt = _raw_parity_family(model, n), random_matrix(rng, d, 3)
-    assert factor(raw, 1e-10, scale=model.sqrt_weights)[4] is not None
+    assert factor(raw, 1e-10, scale=model.sqrt_weights).parity is not None
     shapes = []
     monkeypatch.setattr(_linalg, "np", _ShapeLog(np, shapes))
     tracemalloc.start()
     try:
-        proj, m = min_norm_factor(raw, kt, 1e-10, scale=model.sqrt_weights)
+        proj, m = factor(raw, 1e-10, scale=model.sqrt_weights).solve(kt)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -279,6 +279,43 @@ def test_parity_solve_forms_no_whitened_family_or_square_array(rng, monkeypatch)
     assert np.linalg.norm(proj - y @ (pinv @ kt)) <= 1e-12 * np.linalg.norm(kt)
 
 
+@pytest.mark.parametrize("decades", [1.0, 9.0])
+def test_scaled_record_solves_with_its_own_whitened_family(rng, decades):
+    """A row scale is applied once: the record of (mat, scale) holds y = scale mat, and its
+    solve is bit for bit that of the record of y, certified (1 decade of singular values) or
+    not (9 decades)."""
+    u, _ = np.linalg.qr(random_matrix(rng, 12, 12))
+    v, _ = np.linalg.qr(random_matrix(rng, 20, 12))
+    mat = (u * np.geomspace(1.0, 10.0**-decades, 12)) @ v.conj().T
+    scale, kt = 0.5 + rng.random(12), random_matrix(rng, 12, 3)
+    record, reference = factor(mat, 1e-10, scale=scale), factor(scale[:, None] * mat, 1e-10)
+    assert record.parity is None and (record.s is None) == (decades < 5)
+    if record.s is None:
+        assert record.y.tobytes() == (scale[:, None] * mat).tobytes()
+    for got, want in zip(record.solve(kt), reference.solve(kt)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_parity_record_holds_blocks_not_the_family(rng):
+    """A parity record keeps the two blocks and their R^-1, and neither y nor a d x N or d x d
+    array; its dense inverse is the G^-1 with G^-T y y^H G^-1 = I, and a solve gives the
+    blocks up."""
+    d, n = 16, 21
+    model = _symmetric_model(rng, d)
+    raw = _raw_parity_family(model, n)
+    record = factor(raw, 1e-10, scale=model.sqrt_weights)
+    assert record.parity is not None and record.y is None and len(record.blocks) == 2
+    arrays = [a for value in vars(record).values()
+              for a in (value if isinstance(value, (list, tuple)) else [value])
+              if isinstance(a, np.ndarray)]
+    assert arrays and all(a.shape not in {(d, n), (d, d)} for a in arrays)
+    y = model.sqrt_weights[:, None] * raw
+    g_inv = record.inverse()
+    assert np.linalg.norm(g_inv.T @ (y @ y.conj().T) @ g_inv - np.eye(d)) <= 1e-12 * d
+    record.solve(random_matrix(rng, d, 2))
+    assert record.blocks is None and record.r_invs is None
+
+
 class TestParityFallback:
     """What leaves a mirrored family to the unsplit factor, counted by its QRs."""
 
@@ -286,10 +323,10 @@ class TestParityFallback:
         y = _parity_family(interval_grid(16), 21)
         y[3, 2] += 0.1 + 0.2j
         y[3, -3] = np.conj(y[3, 2])
-        assert gram_form(y)[1] == 1.0  # the family still mirrors
+        assert _mirror(y)[0] == 1.0  # the family still mirrors
         qr = linalg_calls("qr")
-        r_inv, _, _, _, parity = factor(y, 1e-10)
-        assert r_inv is not None and parity is None
+        fac = factor(y, 1e-10)
+        assert fac.r_invs is not None and fac.parity is None
         assert [args[0].shape for args, _ in qr] == [(21, 16)]
         _assert_solve_matches_pinv(y, random_matrix(rng, 16, 3))
 
@@ -300,25 +337,25 @@ class TestParityFallback:
         a = (even + 1j * np.roll(even, h, axis=1))[:, :h]
         a = np.concatenate([a, a[::-1]])
         y = np.concatenate([a, a[:, ::-1].conj()], axis=1)
-        assert gram_form(y)[1] == 1.0
+        assert _mirror(y)[0] == 1.0
         qr = linalg_calls("qr")
-        assert factor(y, 1e-10)[0] is None
+        assert factor(y, 1e-10).r_invs is None
         assert len(qr) == 1
         _assert_solve_matches_pinv(y, random_matrix(rng, d, 2))
 
     def test_an_odd_grid_puts_its_middle_row_in_the_even_block(self, rng, linalg_calls):
         y = _parity_family(_symmetric_model(rng, 15), 17)
         qr = linalg_calls("qr")
-        assert factor(y, 1e-10)[4] is not None
+        assert factor(y, 1e-10).parity is not None
         assert [args[0].shape[1] for args, _ in qr] == [8, 7]
         kt = random_matrix(rng, 15, 3)
         _assert_solve_matches_pinv(y, kt)
         # an odd column must vanish on the middle row
         y[7, 1] += 0.5j
         y[7, -2] = np.conj(y[7, 1])
-        assert gram_form(y)[1] == 1.0
+        assert _mirror(y)[0] == 1.0
         del qr[:]
-        assert factor(y, 1e-10)[4] is None
+        assert factor(y, 1e-10).parity is None
         assert len(qr) == 1
         _assert_solve_matches_pinv(y, kt)
 
@@ -329,7 +366,7 @@ class TestParityFallback:
         y = _parity_family(model, 13)
         K = OperatorModel(y / model.sqrt_weights[:, None], l2_truncation(13), model)
         perm = OperatorModel(K.matrix[:, rng.permutation(13)], K.input_model, model)
-        assert factor(K.whitened())[4] is not None and factor(perm.whitened())[4] is None
+        assert factor(K.whitened()).parity is not None and factor(perm.whitened()).parity is None
         seq = FrameSequence(model, random_matrix(rng, 12, 30))
         bounds, reference = kframe_bounds(seq, K), kframe_bounds(seq, perm)
         assert _rel(bounds.alpha, reference.alpha) <= RTOL
@@ -340,7 +377,7 @@ class TestParityFallback:
         model = interval_grid(13)
         A = OperatorModel(_parity_family(model, 13).conj().T, model, model)
         ath = A.domain_whitened().conj().T
-        assert factor(ath, 1e-8)[4] is not None
+        assert factor(ath, 1e-8).parity is not None
         seq = FrameSequence(model, random_matrix(rng, 13, 20))
         dual = weak_a_dual(seq, A)
         h = interchange_dual(seq, dual, A)
