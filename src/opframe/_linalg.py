@@ -90,11 +90,16 @@ def _mirror_form(parts, scale, rows=slice(None), cols=None):
     return z
 
 
-def gram_form(mat):
-    """z with z z^T = mat mat^H: ``_mirror_form``'s z if mat mirrors, as each pair g, s conj(g)
-    gives 2 Re(g g^H), else ``_real_form``'s b (mat itself when complex)."""
+def gram_form(mat, scale=None):
+    """z with z z^T = y y^H, y = scale mat (mat when scale is None), y itself unformed:
+    ``_mirror_form``'s z if mat mirrors, as each pair g, s conj(g) gives 2 Re(g g^H), else scale
+    times ``_real_form``'s b (y when complex).  Only rows are scaled, so y mirrors and is real
+    or imaginary as mat is, and z is bit for bit ``gram_form(scale[:, None] * mat)``."""
     s, parts = _mirror(mat)
-    return _mirror_form(parts, None) if s else _real_form(mat)[0]
+    if s:
+        return _mirror_form(parts, scale)
+    b = _real_form(mat)[0]
+    return b if scale is None else scale[:, None] * b
 
 
 def gram_factor(mat):
@@ -296,9 +301,10 @@ def pencil_lower_bound(sqrt_s, b_basis, b_inv_h):
         beta = sigma_max(sqrt_s)^2 = sup <S f, f> / <f, f>.
 
     In orthonormal coordinates of the quantifier space V (dimension r),
-    sqrt_s is the (r, m) family Y (``Subspace.coords``), S-form ||X f||^2
-    with X = Y^H; b_basis the (r, q) orthonormal basis of supp(B) (None when
-    B has full rank on V), and b_inv_h is L^-H for the B-form's Gram L L^H
+    sqrt_s is the (r, m) family Y (``Subspace.coords``, or any z with
+    z z^H = Y Y^H, such as ``gram_form``'s), S-form ||X f||^2 with X = Y^H;
+    b_basis the (r, q) orthonormal basis of supp(B) (None when B has full
+    rank on V), and b_inv_h is L^-H for the B-form's Gram L L^H
     on supp(B): a (q, q) matrix or, for a diagonal L, the vector
     1 / diag(L), multiplied and never solved with.
 

@@ -224,7 +224,11 @@ def pw_example(grid: HilbertModel, taper: str = "linear"):
     the band, decaying to 0 on 1/4 <= |gamma| < 1/2), phi_n(x) = phi(x-n),
     and psi_n is the inverse transform of the band-limited exponential.
     One exponential table over |gamma| < 1/2, exact on this grid, gives
-    phi_0 = table @ profile, and its band columns give psi_0 and u.  The
+    phi_0 = Re(table @ profile), and its band columns give psi_0 (the real
+    part of their sum) and u.  Columns -n and n of the table are conjugate
+    bit for bit and the profile is even, so both sums are real but for
+    roundoff, and phi and psi are real families, cast to complex before
+    their translates so that no real d x N copy is formed.  The
     columns of u, the band exponentials, are weighted-orthonormal, so P is
     the projection onto ``Subspace(grid, u)``: P.projection.basis is an
     orthonormal basis of the band and no dim x dim array is ever formed.
@@ -241,14 +245,14 @@ def pw_example(grid: HilbertModel, taper: str = "linear"):
     shift = _integer_shift(1.0, h, "unit translation")
     half = np.arange(-(L // 2) + 1, L // 2)  # |gamma| < 1/2
     table = _exp_table(pts, h, x0, 1.0 / L, half)
-    phi0 = (table @ _band_profile(half / L, taper)) / L
+    phi0 = (table @ _band_profile(half / L, taper)).real / L
     band = table[:, L // 4 - 1: 3 * L // 4]  # |gamma| <= 1/4
-    psi0 = band.sum(axis=1) / L
+    psi0 = band.sum(axis=1).real / L
     u = band / np.sqrt(L)
     del table, band  # freed before the translates, which can then reuse its memory
     ns = np.arange(-L // 2, L // 2)
-    phi = FrameSequence(grid, _translates(phi0, shift, ns), ns)
-    psi = FrameSequence(grid, _translates(psi0, shift, ns), ns)
+    phi = FrameSequence(grid, _translates(phi0.astype(complex), shift, ns), ns)
+    psi = FrameSequence(grid, _translates(psi0.astype(complex), shift, ns), ns)
     P = OperatorModel(None, grid, grid, name="quarter-band projection",
                       projection=Subspace(grid, u))
     return phi, psi, P

@@ -297,8 +297,8 @@ def _chk_adjoint_decomposition_error(ctx, rng):
 
 def _chk_decomposition_monotone(ctx, rng, ranges=(20, 40, 80)):
     b = ctx["params"]["b"]
-    if len(ranges) < 2:  # the ratio of successive errors needs a pair
-        raise InvalidScenario(f"decomposition_error_monotone needs two or more ranges: {ranges}")
+    if len(ranges) < 2 or min(ranges) < 1:  # a ratio of successive errors needs a pair
+        raise InvalidScenario(f"decomposition_error_monotone 'ranges' needs 2+ ints >= 1: {ranges}")
     errs = [exm1_decomposition_error(b, r, ctx["grid"], _exponentials(ctx, b, r).vectors)
             for r in ranges]
     ctx.setdefault("extras", {})["decomposition_errors"] = dict(zip(ranges, errs))
@@ -376,11 +376,11 @@ def _chk_strong_residual_min(ctx, rng):
 
 
 def _chk_pw_reconstruction(ctx, rng, signals=20):
+    if signals < 1:  # no signal to reconstruct, so nothing would be tested
+        raise InvalidScenario(f"pw_reconstruction param 'signals' must be >= 1, got {signals}")
     seq, psi, P = ctx["seq"], ctx["psi"], ctx["op"]
     u = P.projection.basis  # weighted-orthonormal basis of the band
     q = u.shape[1]
-    if signals < 1:
-        return 0.0
     coeffs = [rng.standard_normal(q) + 1j * rng.standard_normal(q) for _ in range(signals)]
     fs = u @ np.column_stack(coeffs)
     rec = seq.vectors @ ((seq.model.weights[:, None] * fs).conj().T @ psi.vectors).conj().T

@@ -121,18 +121,20 @@ def synthesis(seq: FrameSequence, c) -> np.ndarray:
     return seq.vectors @ c
 
 
-def _whitened_spectrum(y) -> np.ndarray:
-    """Full spectrum of the frame operator Y Y^H of the whitened family Y
-    (dim x N, zero columns allowed), via the smaller Hermitian form."""
-    d, n = y.shape
-    vals = np.linalg.eigvalsh(hermitize(y.conj().T @ y if n <= d else y @ y.conj().T))
+def _whitened_spectrum(mat, scale=None) -> np.ndarray:
+    """Full spectrum of the frame operator Y Y^H of the whitened family Y = scale mat (dim x N,
+    zero columns allowed), via the smaller Gram of ``gram_form``'s z, z z^T = Y Y^H: real for a
+    mirrored, real or imaginary family, whose conj() is itself, not a copy of Y."""
+    z = gram_form(mat, scale)
+    d, n = z.shape
+    vals = np.linalg.eigvalsh(hermitize(z.conj().T @ z if n <= d else z @ z.conj().T))
     return np.sort(np.concatenate([np.zeros(max(d - n, 0)), np.clip(vals, 0.0, None)]))
 
 
 def frame_bounds(seq: FrameSequence, frame_tol: float = FRAME_TOL) -> FrameBounds:
     """Optimal constants alpha = lambda_min(S), beta = lambda_max(S); a frame
     when alpha > frame_tol * beta (relative; operator bounds: alpha > frame_tol)."""
-    spec = _whitened_spectrum(seq.whitened())
+    spec = _whitened_spectrum(seq.vectors, seq.model.sqrt_weights)
     alpha, beta = float(spec[0]), float(spec[-1])
     kind = "frame" if alpha > frame_tol * max(beta, 1e-300) else "bessel_only"
     return FrameBounds(alpha, beta, kind)
@@ -150,30 +152,37 @@ def _operator_bounds(
 
     T = op* with f ranging over ``subspace`` (all of H when None), or the
     graph adjoint op# (Gram sigma^2 / (1 + sigma^2)) when ``graph`` is set.
-    In orthonormal coordinates of the subspace (slices for a selection) the
-    family is the factor X and T is M^H, M the restricted whitened operator;
-    the pencil multiplies by the inverse factor from ``_reference_factor``.
+    In orthonormal coordinates of the subspace the family is the factor X,
+    as ``gram_form``'s z (z z^T = X^H X; real for a mirrored, real or
+    imaginary family) over all of H or a selection, which only scale or slice
+    its rows, and T is M^H, M the restricted whitened operator; the pencil
+    multiplies by the inverse factor from ``_reference_factor``.
     The family is ``kind`` when alpha > frame_tol, an absolute rule that
     never reads beta; beta is computed on its first read.
     """
     if op.codomain.dim != seq.model.dim:
         raise InvalidDimension("operator codomain must match the sequence model")
     v = subspace if subspace is not None else Subspace.full(op.codomain)
-    y = v.coords(seq.vectors)  # r x N; S-form = ||y^H c||^2
+    if v.basis is None:  # rows scaled or sliced keep the column mirror and the real form
+        rows = slice(None) if v.index is None else v.index
+        y = gram_form(seq.vectors[rows], seq.model.sqrt_weights[rows])
+    else:
+        y = v.coords(seq.vectors)  # r x N; S-form = ||y^H c||^2
     alpha, beta = pencil_lower_bound(y, *_reference_factor(op, v, graph))
     return FrameBounds(alpha, beta, kind if alpha > frame_tol else "bessel_only")
 
 
 def _reference_factor(op: OperatorModel, v: Subspace, graph: bool):
-    """(U, L^-H) for the pencil, with U the support of T in coordinates of v (None for all
-    of v) and L L^H the Gram of ||T f||^2 there: a projection's whitened basis with unit
-    singular values; else, from ``factor`` of M, T = M^H, the certified record's dense inverse
-    (kappa_F <= _DIRECT_COND proves full rank), not tried for the graph bound nor when
-    ||M||_F <= sqrt(r) _DEGENERATE_TOL, so that a numerically zero operator still raises; or
-    M's support U and 1/sigma there (sigma / sqrt(1 + sigma^2) for the graph bound)."""
+    """(U, L^-H) for the pencil, with U the support of T in coordinates of v (None for all of v)
+    and L L^H the Gram of ||T f||^2 there: a projection's whitened basis as ``gram_form``'s z, an
+    orthonormal basis of the same range (real for a conjugate-closed basis such as the band
+    exponentials), with unit singular values; else, from ``factor`` of M, T = M^H, the certified
+    record's dense inverse (kappa_F <= _DIRECT_COND proves full rank), not tried for the graph
+    bound nor when ||M||_F <= sqrt(r) _DEGENERATE_TOL, so that a numerically zero operator still
+    raises; or M's support U and 1/sigma there (sigma / sqrt(1 + sigma^2) for the graph bound)."""
     sub = op.projection
     if v.is_full and sub is not None and op.domain is None:
-        u, sv = sub.whitened_basis(), np.ones(sub.rank)
+        u, sv = gram_form(sub.whitened_basis()), np.ones(sub.rank)
     else:
         m = v.whitened_coords(op.whitened())  # r x dim_in
         certify = not graph and np.linalg.norm(m) > np.sqrt(v.rank) * _DEGENERATE_TOL

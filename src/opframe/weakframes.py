@@ -78,14 +78,11 @@ class DualSequence:
         (``a_dual_graph``) gets it in H's geometry too, not over D(A) in the
         graph norm ||f||_A, so its alpha * bessel_bound is not 1 as in the
         K-frame and weak forms (0.5990 * 0.3579 = 0.214 at ``not_frame``)."""
-        return float(_whitened_spectrum(self.whitened())[-1])
+        return float(_whitened_spectrum(self.vectors, self.model.sqrt_weights)[-1])
 
     @property
     def n_vectors(self) -> int:
         return self.vectors.shape[1]
-
-    def whitened(self) -> np.ndarray:
-        return self.model.sqrt_weights[:, None] * self.vectors
 
     def as_frame_sequence(self) -> FrameSequence:
         return FrameSequence(self.model, self.vectors)

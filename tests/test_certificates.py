@@ -43,7 +43,7 @@ def ambient_weak_duality(seq, dual, A, hs, us):
     us = A.adjoint_domain_subspace.project(us)
     ah = A.apply_columns(hs)
     lhs = (wh[:, None] * us).conj().T @ (wh[:, None] * ah)  # nu x nh
-    ch = dual.whitened().conj().T @ (wh[:, None] * hs)  # N x nh: inner(h, t_n)
+    ch = (wh[:, None] * dual.vectors).conj().T @ (wh[:, None] * hs)  # N x nh: inner(h, t_n)
     cg = seq.whitened().conj().T @ (wh[:, None] * us)  # N x nu: inner(u, g_n)
     rhs = cg.conj().T @ ch
     n_ah = np.sqrt(np.sum(w[:, None] * np.abs(ah) ** 2, axis=0))

@@ -299,6 +299,11 @@ PROBES = [
       for value in ("abc", 2.5, -5, 0)],
     *[("n_range", _scenario("not_frame_gabor", {"n_range": value})) for value in ("x", 1.5, True)],
     *[("m_values", _scenario("gabor", {"m_values": value})) for value in ("x", 3, [0.5], [True])],
+    *[("signals", _scenario("pw_quarter", {"d": 256, "L": 16}, checks=["pw_reconstruction"],
+                            check_params={"signals": value})) for value in (-4, 0)],
+    *[("ranges", _scenario("exponential", {"b": 0.5, "derivative": True},
+                           operator="diff_minus_i_H1", checks=["decomposition_error_monotone"],
+                           check_params={"ranges": value})) for value in ([-3, 20], [0, 20])],
 ]
 
 

@@ -6,6 +6,7 @@ The closed forms are derived in the docstrings of ``weak_aframe_bound`` and
 """
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from opframe.errors import DegenerateOperator
 from opframe.hilbert import Subspace, interval_grid, l2_truncation, window_grid
 from opframe.opmodel import OperatorModel, diff_operator
 from opframe.relframes import aframe_bounds_graph, kframe_bounds
-from opframe.seqops import FrameSequence
+from opframe.seqops import FrameSequence, frame_bounds
 from opframe.weakframes import weak_aframe_bound
 
 from conftest import random_frame, random_matrix, random_weighted_model
@@ -127,6 +128,28 @@ class TestKernelCounts:
         qr, solve = linalg_calls("qr"), linalg_calls("solve")
         assert kframe_bounds(phi, P).alpha > 1e-8
         assert len(qr) == 1 and not solve
+
+    def test_projection_bound_runs_its_qr_real(self, linalg_calls):
+        # the generators are real (an even profile over conjugate columns -n, n), and so is
+        # gram_form's basis of the conjugate-closed band: the one QR runs in real arithmetic
+        phi, psi, P = pw_example(window_grid(512, -8.0, 8.0))
+        assert not np.any(phi.vectors.imag) and not np.any(psi.vectors.imag)
+        qr = linalg_calls("qr")
+        assert kframe_bounds(phi, P).alpha > 1e-8
+        assert len(qr) == 1 and qr[0][0][0].dtype == np.float64
+
+    def test_pw_bounds_form_no_complex_family_copy(self):
+        # traced peaks against the d x N complex family: real working arrays are half its size
+        phi, _, P = pw_example(window_grid(1024, -32.0, 32.0))
+        for bound, ceiling in ((lambda: kframe_bounds(phi, P).alpha, 2.0),
+                               (lambda: frame_bounds(phi), 1.0)):
+            tracemalloc.start()
+            try:
+                bound()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= ceiling * phi.vectors.nbytes
 
     @pytest.mark.parametrize("case", ["uncertified", "rank_deficient"])
     def test_uncertified_bound_runs_one_thin_svd(self, rng, linalg_calls, monkeypatch, case):

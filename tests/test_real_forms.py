@@ -118,6 +118,29 @@ def test_real_times_complex_runs_on_the_float_view(rng, order):
     assert _real_matmul(a, b.real).dtype == np.float64
 
 
+@pytest.mark.parametrize("kind, n", [("real", 9), ("imaginary", 9), ("mirror+", 9),
+                                     ("mirror+", 8), ("mirror-", 9), ("mirror-", 8),
+                                     ("complex", 9)])
+def test_scaled_gram_form_is_that_of_the_scaled_family(rng, kind, n):
+    """gram_form(mat, scale) is gram_form(y), y = scale mat, formed whole: every bit, save a
+    zero's sign (numpy multiplies scale into a complex entry as scale + 0j), and z z^T = y y^H.
+    Each kind keeps its arithmetic: real for the real, imaginary and mirrored families."""
+    d = 7
+    mat = {"real": lambda: random_matrix(rng, d, n).real + 0j,
+           "imaginary": lambda: 1j * random_matrix(rng, d, n).imag,
+           "mirror+": lambda: _mirrored(rng, d, n, 1.0),
+           "mirror-": lambda: _mirrored(rng, d, n, -1.0),
+           "complex": lambda: random_matrix(rng, d, n)}[kind]()
+    scale = np.sqrt(random_weighted_model(rng, d).weights)
+    y = scale[:, None] * mat
+    z, whole = gram_form(mat, scale), gram_form(y)
+    assert z.dtype == whole.dtype == (np.complex128 if kind == "complex" else np.float64)
+    assert z.shape == whole.shape == (d, n)
+    assert (z + 0.0).tobytes() == (whole + 0.0).tobytes()  # + 0.0 turns -0 into +0
+    gram = y @ y.conj().T
+    assert np.linalg.norm(z @ z.conj().T - gram) <= 1e-13 * np.linalg.norm(gram)
+
+
 class TestKernelDtypes:
     """Which arithmetic each path asks LAPACK for, counted by wrapping numpy.linalg."""
 
