@@ -10,7 +10,6 @@ reproduces the worked examples with machine-checked reports.
 
 from .errors import (
     DegenerateOperator,
-    DomainViolation,
     EmptySpan,
     FactorizationFailed,
     GridMismatch,
@@ -29,8 +28,6 @@ from .errors import (
 from .hilbert import (
     HilbertModel,
     Subspace,
-    graph_inner,
-    inner,
     interval_grid,
     l2_truncation,
     norm,
@@ -40,7 +37,6 @@ from .hilbert import (
 from .opmodel import (
     OperatorModel,
     TruncationFamily,
-    adjoint,
     block_multiplier,
     diagonal_operator,
     diff_operator,
@@ -85,13 +81,13 @@ from .constructions import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DegenerateOperator", "DomainViolation", "EmptySpan", "FactorizationFailed",
-    "GridMismatch", "GridTooCoarse", "InvalidDimension", "InvalidIndex",
-    "InvalidProbe", "InvalidScenario", "NotAFrame", "NotBiorthogonal",
-    "NotSurjective", "OpframeError", "RangeNotIncluded", "WindowOverflow",
-    "HilbertModel", "Subspace", "graph_inner", "inner",
-    "interval_grid", "l2_truncation", "norm", "orthonormalize", "window_grid",
-    "OperatorModel", "TruncationFamily", "adjoint", "block_multiplier",
+    "DegenerateOperator", "EmptySpan", "FactorizationFailed", "GridMismatch",
+    "GridTooCoarse", "InvalidDimension", "InvalidIndex", "InvalidProbe",
+    "InvalidScenario", "NotAFrame", "NotBiorthogonal", "NotSurjective",
+    "OpframeError", "RangeNotIncluded", "WindowOverflow",
+    "HilbertModel", "Subspace", "interval_grid", "l2_truncation", "norm",
+    "orthonormalize", "window_grid",
+    "OperatorModel", "TruncationFamily", "block_multiplier",
     "diagonal_operator", "diff_operator", "dirichlet_subspace", "identity_operator",
     "truncation_trajectory",
     "FrameBounds", "FrameSequence", "analysis", "canonical_dual", "frame_bounds",

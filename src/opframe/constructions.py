@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import GridMismatch, InvalidDimension, NotBiorthogonal, WindowOverflow
-from .hilbert import HilbertModel, Subspace, l2_truncation
+from .hilbert import HilbertModel, Subspace, l2_truncation, norm
 from .opmodel import OperatorModel
 from .seqops import FrameSequence
 
@@ -271,9 +271,8 @@ def pw_closed_form_gaps(psi: FrameSequence, grid: HilbertModel):
         sinc_half = np.where(x != 0.0, np.sin(0.5 * np.pi * x) / (np.pi * x), 0.5)
     sinc_4x = np.where(x != 0.0, 4.0 * sinc_half, 1.0)
     psi0 = psi.column(0)
-    w = grid.weights
-    scale = np.sqrt(np.sum(w * np.abs(psi0) ** 2))
-    return {name: float(np.sqrt(np.sum(w * np.abs(psi0 - ref) ** 2)) / scale)
+    scale = norm(grid, psi0)
+    return {name: norm(grid, psi0 - ref) / scale
             for name, ref in (("sinc_half", sinc_half), ("sinc_4x", sinc_4x))}
 
 

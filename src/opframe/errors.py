@@ -14,10 +14,6 @@ class InvalidDimension(OpframeError):
     """Raised when vector/matrix dimensions do not match a model."""
 
 
-class DomainViolation(OpframeError):
-    """Raised when a vector lies outside a declared operator domain."""
-
-
 class EmptySpan(OpframeError):
     """Raised when orthonormalization receives numerically zero input."""
 

@@ -16,18 +16,12 @@ selected indices, whose implied basis e_i / sqrt(w_i) is never stored.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
 from ._linalg import as_complex_vector
-from .errors import DomainViolation, EmptySpan, InvalidDimension
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .opmodel import OperatorModel
-
-#: relative tolerance deciding approximate membership f in a Subspace
-MEMBERSHIP_RTOL = 1e-8
+from .errors import EmptySpan, InvalidDimension
 
 #: ``orthonormalize`` drops a column with residual below this times the largest column norm
 _DROP_TOL = 1e-10
@@ -86,13 +80,6 @@ def interval_grid(dim, x0=0.0, x1=1.0, label=None):
 def window_grid(dim, x0, x1, label=None):
     """Windowed real-line model: same layout as interval_grid, periodic use."""
     return interval_grid(dim, x0, x1, label or f"windowed R [{x0:g},{x1:g}) d={dim}")
-
-
-def inner(model: HilbertModel, f, g) -> complex:
-    """Weighted inner product, linear in f and conjugate-linear in g."""
-    f = as_complex_vector(f, model.dim)
-    g = as_complex_vector(g, model.dim)
-    return complex(np.sum(model.weights * f * np.conj(g)))
 
 
 def norm(model: HilbertModel, f) -> float:
@@ -218,21 +205,6 @@ class Subspace:
             return f
         return as_complex_vector(f, self.ambient.dim)
 
-    def violation(self, f) -> float:
-        """norm(f - P f), the distance of f from the subspace."""
-        f = as_complex_vector(f, self.ambient.dim)
-        if self.is_full:
-            return 0.0
-        return norm(self.ambient, f - self.project(f))
-
-    def contains(self, f, rtol=MEMBERSHIP_RTOL) -> bool:
-        nf = norm(self.ambient, f)
-        return self.violation(f) <= rtol * max(nf, 1e-300)
-
-    def require_member(self, f, what="vector", rtol=MEMBERSHIP_RTOL):
-        if not self.contains(f, rtol):
-            raise DomainViolation(f"{what} lies outside the declared subspace")
-
 
 def orthonormalize(vectors, model: HilbertModel) -> Subspace:
     """Gram-Schmidt against the model inner product, as thin QRs of W^(1/2) V.
@@ -271,16 +243,3 @@ def orthonormalize(vectors, model: HilbertModel) -> Subspace:
     if not basis.shape[1]:
         raise EmptySpan("input columns are numerically zero")
     return Subspace(model, basis / model.sqrt_weights[:, None])
-
-
-def graph_inner(A: "OperatorModel", f, g) -> complex:
-    """Graph inner product inner(f, g) + inner(Af, Ag) on the domain of A.
-
-    Both arguments must lie in D(A) up to the membership tolerance.
-    """
-    dom = A.domain_subspace
-    dom.require_member(f, "f")
-    dom.require_member(g, "g")
-    af = A.apply(f)
-    ag = A.apply(g)
-    return inner(A.input_model, f, g) + inner(A.codomain, af, ag)

@@ -2,8 +2,8 @@
 
 An :class:`OperatorModel` is a matrix between two weighted models together
 with a recorded domain subspace.  The matrix action is only trusted on the
-domain: ``apply`` always projects first, so callers can measure the domain
-violation separately.  Adjoints are taken with respect to the weighted inner
+domain: ``apply`` always projects onto it first, so what lies off the domain
+is never acted on.  Adjoints are taken with respect to the weighted inner
 products, and the optional ``adjoint_domain`` carries discretized boundary
 conditions (e.g. the Dirichlet subspace of the -i d/dx operators).
 """
@@ -16,7 +16,6 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from ._linalg import (
-    adjoint_matrix,
     as_complex_vector,
     hermitize,
     whiten_matrix,
@@ -175,32 +174,12 @@ def diagonal_operator(model: HilbertModel, diag, name="diagonal") -> OperatorMod
     return OperatorModel(np.diag(d), model, model, name=name)
 
 
-def adjoint(op: OperatorModel) -> OperatorModel:
-    """Weighted adjoint W_in^-1 M^H W_out with the declared adjoint domain.
-
-    The pairing inner(op f, u) == inner(f, adjoint(op) u) holds exactly for
-    f in D(op), u anywhere; the declared adjoint domain only restricts where
-    the adjoint's action is trusted.
-    """
-    m_adj = adjoint_matrix(
-        op.effective_matrix(), op.codomain.weights, op.input_model.weights
-    )
-    return OperatorModel(
-        m_adj,
-        input_model=op.codomain,
-        codomain=op.input_model,
-        domain=op.adjoint_domain,
-        adjoint_domain=op.domain,
-        name=f"{op.name}*" if op.name else "adjoint",
-    )
-
-
 def _graph_solve(A: OperatorModel, x) -> np.ndarray:
     """Graph-space representers of the rows of x, as dim_in x k columns.
 
     Row n of x (k x dim_in, plain coordinates) is the functional f -> x_n f
     on D(A); column n of the result is the k_n in D(A) with
-    graph_inner(f, k_n) = x_n f.  Solves (I + A^H A) y = rhs in orthonormal
+    inner(f, k_n)_A = x_n f.  Solves (I + A^H A) y = rhs in orthonormal
     domain coordinates and maps y back to the model.
     """
     at = A.domain_whitened()  # dim_out x r

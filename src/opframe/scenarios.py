@@ -401,6 +401,8 @@ def _chk_psi_in_range(ctx, rng):
 
 
 def _chk_multiplier_weak_duality(ctx, rng, pairs=20):
+    if pairs < 1:  # the context's pair is the first, which fewer would still test alone
+        raise InvalidScenario(f"multiplier_weak_duality param 'pairs' must be >= 1, got {pairs}")
     worst = verify_weak_duality(ctx["seq"], ctx["dual"], ctx["op"], trials=20)
     for _ in range(pairs - 1):
         fresh = _build_multiplier(rng, **ctx["params"])

@@ -7,7 +7,8 @@ FrameSequence: {"dim", "N", "weights", "labels", "z" (dim x N)}.  OperatorModel:
 {"dim", "codomain_dim", "weights", "codomain_weights", "z" (codomain_dim x
 dim), "domain_basis", "adjoint_domain_basis", "name"}; a basis is null or
 {"r", "z" (dim x r, codomain_dim x r for the adjoint domain)}.  DualSequence:
-the FrameSequence keys, "producer", "certificate_residual" (null for NaN).
+the FrameSequence keys, "producer", "certificate_residual" (null for NaN) and
+"graph_space" (a bool: whether the dual was taken in the graph inner product).
 NaN and infinities are refused both ways; old "re"/"im" lists are not read.
 """
 
@@ -113,12 +114,16 @@ def operator_from_dict(data: dict) -> OperatorModel:
 def dual_sequence_to_dict(dual: DualSequence) -> dict:
     cert = float(dual.certificate_residual)
     return dict(_family_to_dict(dual.model, dual.vectors, range(dual.n_vectors)),
-                producer=dual.producer, certificate_residual=None if np.isnan(cert) else cert)
+                producer=dual.producer, certificate_residual=None if np.isnan(cert) else cert,
+                graph_space=dual.graph_space)
 
 
 def dual_sequence_from_dict(data: dict) -> DualSequence:
     cert = _field(data, "certificate_residual", lambda c: float("nan") if c is None else float(c))
-    return DualSequence(*_family_from(data), _field(data, "producer"), cert)
+    graph_space = _field(data, "graph_space")
+    if not isinstance(graph_space, bool):
+        raise InvalidDimension(f"payload field 'graph_space' is not a bool: {graph_space!r}")
+    return DualSequence(*_family_from(data), _field(data, "producer"), cert, graph_space)
 
 
 def dumps(obj, kind: str) -> str:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from opframe.hilbert import HilbertModel, l2_truncation
+from opframe._linalg import adjoint_matrix, as_complex_vector
+from opframe.hilbert import HilbertModel, l2_truncation, norm
+from opframe.opmodel import OperatorModel
 from opframe.scenarios import load_bundled, run_scenario
 from opframe.seqops import FrameSequence
 
@@ -52,3 +54,73 @@ def random_frame(rng, dim, n_cols, model=None):
 def reproduce(name):
     """The report of a bundled scenario, as ``opframe reproduce <name>`` makes it."""
     return run_scenario(load_bundled(name))
+
+
+# -- the paper's literal definitions, which the package applies only in factored
+# form (the solvers through _linalg.adjoint_matrix, a_dual_graph through the
+# (I + A^H A) solve), as oracles for the tests
+
+#: relative tolerance deciding approximate membership f in a Subspace
+MEMBERSHIP_RTOL = 1e-8
+
+
+class DomainViolation(Exception):
+    """Raised when a vector lies outside a declared operator domain."""
+
+
+def inner(model, f, g) -> complex:
+    """Weighted inner product, linear in f and conjugate-linear in g."""
+    f = as_complex_vector(f, model.dim)
+    g = as_complex_vector(g, model.dim)
+    return complex(np.sum(model.weights * f * np.conj(g)))
+
+
+def violation(sub, f) -> float:
+    """norm(f - P f), the distance of f from the subspace sub."""
+    f = as_complex_vector(f, sub.ambient.dim)
+    if sub.is_full:
+        return 0.0
+    return norm(sub.ambient, f - sub.project(f))
+
+
+def contains(sub, f, rtol=MEMBERSHIP_RTOL) -> bool:
+    nf = norm(sub.ambient, f)
+    return violation(sub, f) <= rtol * max(nf, 1e-300)
+
+
+def require_member(sub, f, what="vector", rtol=MEMBERSHIP_RTOL):
+    if not contains(sub, f, rtol):
+        raise DomainViolation(f"{what} lies outside the declared subspace")
+
+
+def adjoint(op):
+    """Weighted adjoint W_in^-1 M^H W_out with the declared adjoint domain.
+
+    The pairing inner(op f, u) == inner(f, adjoint(op) u) holds exactly for
+    f in D(op), u anywhere; the declared adjoint domain only restricts where
+    the adjoint's action is trusted.
+    """
+    m_adj = adjoint_matrix(
+        op.effective_matrix(), op.codomain.weights, op.input_model.weights
+    )
+    return OperatorModel(
+        m_adj,
+        input_model=op.codomain,
+        codomain=op.input_model,
+        domain=op.adjoint_domain,
+        adjoint_domain=op.domain,
+        name=f"{op.name}*" if op.name else "adjoint",
+    )
+
+
+def graph_inner(A, f, g) -> complex:
+    """Graph inner product inner(f, g) + inner(Af, Ag) on the domain of A.
+
+    Both arguments must lie in D(A) up to the membership tolerance.
+    """
+    dom = A.domain_subspace
+    require_member(dom, f, "f")
+    require_member(dom, g, "g")
+    af = A.apply(f)
+    ag = A.apply(g)
+    return inner(A.input_model, f, g) + inner(A.codomain, af, ag)

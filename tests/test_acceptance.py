@@ -12,7 +12,6 @@ from opframe.hilbert import interval_grid, l2_truncation, window_grid
 from opframe.opmodel import (
     OperatorModel,
     TruncationFamily,
-    adjoint,
     block_multiplier,
     diagonal_operator,
     diff_operator,
@@ -42,6 +41,8 @@ from opframe.weakframes import (
     weak_a_dual,
     weak_aframe_bound,
 )
+
+from conftest import adjoint
 
 
 def _report(n, detail):

@@ -1,6 +1,7 @@
 """The public surface: every exported name resolves, none is listed twice,
-every top-level definition is used in the package or exported, and every
-exported function is reached from the package or the benchmark workloads."""
+every top-level definition is used in the package or exported, every
+exported function is reached from the package or the benchmark workloads,
+and every exported error is raised in the package."""
 
 import ast
 import inspect
@@ -72,18 +73,20 @@ def test_every_top_level_definition_is_used_or_exported():
     assert sorted(defined - used - set(opframe.__all__)) == []
 
 
-#: exported though no code path calls them: the weighted adjoint A* and the
-#: graph inner product on D(A), definitions the solvers apply in factored form
-#: and the tests' oracles
-DEFINITIONS = {"adjoint", "graph_inner"}
+def _from_opframe(node):
+    """Whether node imports from opframe: ``from .seqops import analysis``,
+    ``from . import constructions as C`` or ``from opframe import seqops``."""
+    return (isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or node.module.split(".")[0] == "opframe"))
 
 
 def test_every_exported_function_is_reached():
     """An exported function must be referenced from src/ or from
     perfbench/workloads.py or perfbench/sweep.py, outside its own definition: a
     public helper that only tests reach does not belong in the package.  A bare
-    name counts in the module that defines it, elsewhere an import or an
-    attribute access does."""
+    name counts in the module that defines it, elsewhere an import from opframe
+    does, or an attribute of an opframe module (``C.gabor_system``,
+    ``seqops.reconstruct``): ``np.linalg.norm`` does not reach ``hilbert.norm``."""
     pkg = Path(opframe.__file__).parent
     bench = pkg.parent.parent / "perfbench"
     functions = {name: getattr(opframe, name).__module__ for name in opframe.__all__
@@ -91,21 +94,41 @@ def test_every_exported_function_is_reached():
     sources = {f"opframe.{path.stem}": path for path in pkg.glob("*.py")
                if path.name != "__init__.py"}
     sources.update({name: bench / f"{name}.py" for name in ("workloads", "sweep")})
+    package = {path.stem for path in pkg.glob("*.py")}
     reached = set()
     for module, path in sources.items():
-        for stmt in ast.parse(path.read_text()).body:
+        tree = ast.parse(path.read_text())
+        aliases = {alias.asname or alias.name for node in ast.walk(tree) if _from_opframe(node)
+                   for alias in node.names if alias.name in package}
+        for stmt in tree.body:
             refs = set()
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name) and functions.get(node.id) == module:
                     refs.add(node.id)
-                elif isinstance(node, ast.Attribute):
+                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id in aliases):
                     refs.add(node.attr)
-                elif isinstance(node, ast.ImportFrom):
+                elif _from_opframe(node):
                     refs.update(alias.name for alias in node.names)
             if isinstance(stmt, ast.FunctionDef) and functions.get(stmt.name) == module:
                 refs.discard(stmt.name)  # a call in its own body does not reach it
             reached |= refs
-    assert sorted(set(functions) - reached - DEFINITIONS) == []
+    assert sorted(set(functions) - reached) == []
+
+
+def test_every_exported_error_is_raised():
+    """Each exported subclass of OpframeError is raised somewhere in src/opframe:
+    an error class whose last raiser is gone leaves the package with it."""
+    exported = {name: getattr(opframe, name) for name in opframe.__all__}
+    errors = {name for name, obj in exported.items() if isinstance(obj, type)
+              and issubclass(obj, opframe.OpframeError) and obj is not opframe.OpframeError}
+    raised = set()
+    for path in Path(opframe.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    assert sorted(errors - raised) == []
 
 
 #: how a matrix is factored: the SVD, its rank cut, the certificate (R from

@@ -304,6 +304,8 @@ PROBES = [
     *[("ranges", _scenario("exponential", {"b": 0.5, "derivative": True},
                            operator="diff_minus_i_H1", checks=["decomposition_error_monotone"],
                            check_params={"ranges": value})) for value in ([-3, 20], [0, 20])],
+    *[("pairs", _scenario("multiplier", {"d": 16}, checks=["multiplier_weak_duality"],
+                          check_params={"pairs": value})) for value in (0, -3)],
 ]
 
 

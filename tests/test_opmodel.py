@@ -7,14 +7,13 @@ from opframe import serialize
 from opframe._linalg import factor, thin_svd
 from opframe.errors import GridTooCoarse, InvalidDimension, InvalidProbe
 from opframe.hilbert import (
-    HilbertModel, Subspace, graph_inner, inner, interval_grid, l2_truncation, norm,
+    HilbertModel, Subspace, interval_grid, l2_truncation, norm,
 )
 from opframe.opmodel import (
     DIFF_VARIANTS,
     OperatorModel,
     TruncationFamily,
     _graph_solve,
-    adjoint,
     block_multiplier,
     diagonal_operator,
     diff_operator,
@@ -26,7 +25,14 @@ from opframe.opmodel import (
 from opframe.scenarios import CHECKS
 from opframe.seqops import FrameSequence
 
-from conftest import random_matrix, random_vector, random_weighted_model
+from conftest import (
+    adjoint,
+    graph_inner,
+    inner,
+    random_matrix,
+    random_vector,
+    random_weighted_model,
+)
 
 
 class TestAdjoint:

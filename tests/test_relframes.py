@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opframe.errors import DegenerateOperator, RangeNotIncluded
-from opframe.hilbert import graph_inner, l2_truncation
+from opframe.hilbert import l2_truncation
 from opframe.opmodel import OperatorModel, block_multiplier, diagonal_operator
 from opframe.constructions import (
     fold_symmetric_window,
@@ -18,7 +18,14 @@ from opframe.relframes import (
 )
 from opframe.seqops import FrameSequence, canonical_dual, frame_bounds
 
-from conftest import random_frame, random_matrix, random_vector, random_weighted_model
+from conftest import (
+    adjoint,
+    graph_inner,
+    random_frame,
+    random_matrix,
+    random_vector,
+    random_weighted_model,
+)
 
 
 def projection_onto_e1():
@@ -123,8 +130,6 @@ class TestKDual:
         # Whether {k_n} is in turn a frame-type family for K* is only known
         # in the endomorphism case; here the empirical bounds are computed
         # and recorded, with no theorem-level assertion beyond finiteness.
-        from opframe.opmodel import adjoint
-
         m = l2_truncation(5)
         seq = random_frame(rng, 5, 8)
         K = OperatorModel(random_matrix(rng, 5, 5), m, m)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from opframe.errors import InvalidDimension
 from opframe.hilbert import HilbertModel, Subspace, interval_grid, l2_truncation
 from opframe.opmodel import OperatorModel, dirichlet_subspace
+from opframe.relframes import a_dual_graph
 from opframe.seqops import FrameSequence
 from opframe.serialize import (
     _matrix_from,
@@ -78,13 +79,20 @@ def test_operator_roundtrip_full_domain(rng):
 
 def test_dual_sequence_roundtrip(rng):
     model = l2_truncation(4)
-    dual = user_dual(model, random_matrix(rng, 4, 6), certificate_residual=1.5e-9)
-    data = dual_sequence_to_dict(dual)
-    assert data["producer"] == "user"
-    assert data["certificate_residual"] == pytest.approx(1.5e-9)
-    back = dual_sequence_from_dict(data)
-    np.testing.assert_allclose(back.vectors, dual.vectors)
-    assert back.producer == "user"
+    seq = FrameSequence(model, random_matrix(rng, 4, 6))
+    graph_dual = a_dual_graph(seq, OperatorModel(random_matrix(rng, 4, 4), model, model))
+    for dual, producer in ((user_dual(model, seq.vectors, certificate_residual=1.5e-9), "user"),
+                           (graph_dual, "k_dual_thm")):
+        data = dual_sequence_to_dict(dual)
+        assert data["producer"] == producer
+        assert data["certificate_residual"] == pytest.approx(dual.certificate_residual)
+        assert data["graph_space"] is dual.graph_space
+        back = dual_sequence_from_dict(data)
+        np.testing.assert_allclose(back.vectors, dual.vectors)
+        assert back.producer == producer
+        assert back.graph_space is dual.graph_space
+    # through the text too, a graph-space dual does not read back as an ordinary K-dual
+    assert loads(dumps(graph_dual, "dual_sequence"), "dual_sequence").graph_space is True
 
 
 def test_loads_inverts_dumps(rng):
@@ -164,6 +172,8 @@ def test_non_finite_payload_is_rejected(rng):
 
 @pytest.mark.parametrize("text, kind, field", [
     ('{"dim": 2}', "dual_sequence", "certificate_residual"),
+    ('{"certificate_residual": null, "dim": 2}', "dual_sequence", "graph_space"),
+    ('{"certificate_residual": null, "graph_space": 1}', "dual_sequence", "graph_space"),
     ('[1]', "operator", "dim"),
     ('"text"', "frame_sequence", "dim"),
     ('{"dim": 2, "weights": [1, 1], "labels": [0]}', "frame_sequence", "N"),
@@ -171,7 +181,8 @@ def test_non_finite_payload_is_rejected(rng):
     ('{"dim": 2, "weights": [1, [1]], "N": 1}', "frame_sequence", "weights"),
     ('{"dim": 1, "weights": [1], "N": 1, "labels": 5, "z": "AAAAAAAA8D8AAAAAAAAAAA=="}',
      "frame_sequence", "labels"),
-], ids=["no_certificate", "array", "string", "no_N", "text_dim", "ragged_weights", "int_labels"])
+], ids=["no_certificate", "no_graph_space", "int_graph_space", "array", "string", "no_N",
+        "text_dim", "ragged_weights", "int_labels"])
 def test_malformed_payload_names_the_field(text, kind, field):
     with pytest.raises(InvalidDimension, match=f"'{field}'"):
         loads(text, kind)
