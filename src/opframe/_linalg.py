@@ -39,6 +39,14 @@ def as_complex_vector(f, dim):
     return f
 
 
+def real_or_complex(a):
+    """a as float64 when its dtype is real (a float or an integer type), else as complex128.
+    The input's dtype decides, never its values: no scan for zero imaginary parts, and no
+    complex array is cast to float."""
+    a = np.asarray(a)
+    return a.astype(np.float64 if a.dtype.kind in "fiu" else np.complex128, copy=False)
+
+
 def whiten_matrix(matrix, w_out, w_in):
     """W_out^(1/2) M W_in^(-1/2) for weight vectors w_out, w_in."""
     return (np.sqrt(w_out)[:, None] * matrix) / np.sqrt(w_in)[None, :]
@@ -122,10 +130,14 @@ def _pair(x):
 
 
 def _real_matmul(a, b):
-    """a @ b; a real a and a complex b as one float64 GEMM on b's float view."""
-    if np.iscomplexobj(a) or not np.iscomplexobj(b):
+    """a @ b with no complex copy of a real operand: a real a and a complex b as one float64
+    GEMM on b's float view, a complex a and a real b as the transpose of b^T a^T."""
+    if np.iscomplexobj(a) == np.iscomplexobj(b):
         return a @ b
-    return (a @ np.ascontiguousarray(b).view(np.float64)).view(np.complex128)
+    if np.iscomplexobj(a):
+        return _real_matmul(b.T, a.T).T
+    out = a @ np.ascontiguousarray(b).view(np.float64).reshape(b.shape[0], -1)
+    return out.view(np.complex128).reshape(a.shape[:-1] + b.shape[1:])
 
 
 def triangular_inverse(r):

@@ -52,10 +52,15 @@ def _tol_scale() -> float:
     return scale
 
 
+#: the largest seed, 2**64 - 1, as the scenario schema bounds it
+_SEED_MAX = 2**64 - 1
+
+
 def _seed(raw: str) -> int:
-    """argparse type of --seed: a non-negative integer."""
-    if not raw.isdecimal():
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {raw!r}")
+    """argparse type of --seed: an integer in [0, _SEED_MAX]."""
+    if not raw.isdecimal() or int(raw) > _SEED_MAX:
+        raise argparse.ArgumentTypeError(f"'seed' must be an integer in [0, {_SEED_MAX}], "
+                                         f"got {raw!r}")
     return int(raw)
 
 

@@ -16,6 +16,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from ._linalg import gram_form
 from .errors import GridMismatch, InvalidDimension, NotBiorthogonal, WindowOverflow
 from .hilbert import HilbertModel, Subspace, l2_truncation, norm
 from .opmodel import OperatorModel
@@ -224,14 +225,16 @@ def pw_example(grid: HilbertModel, taper: str = "linear"):
     the band, decaying to 0 on 1/4 <= |gamma| < 1/2), phi_n(x) = phi(x-n),
     and psi_n is the inverse transform of the band-limited exponential.
     One exponential table over |gamma| < 1/2, exact on this grid, gives
-    phi_0 = Re(table @ profile), and its band columns give psi_0 (the real
-    part of their sum) and u.  Columns -n and n of the table are conjugate
-    bit for bit and the profile is even, so both sums are real but for
-    roundoff, and phi and psi are real families, cast to complex before
-    their translates so that no real d x N copy is formed.  The
-    columns of u, the band exponentials, are weighted-orthonormal, so P is
-    the projection onto ``Subspace(grid, u)``: P.projection.basis is an
-    orthonormal basis of the band and no dim x dim array is ever formed.
+    phi_0 = Re(table @ profile), and its band columns e_gamma give psi_0
+    (the real part of their sum) and the band basis.  Columns -n and n of
+    the table are conjugate bit for bit and the profile is even, so both
+    sums are real but for roundoff: phi and psi are translates of the real
+    phi_0 and psi_0 and are stored as float64 families.  The band columns
+    divided by sqrt(L) are weighted-orthonormal, and so are their real
+    combinations sqrt2 Re e_gamma, sqrt2 Im e_gamma and e_0 (``gram_form``
+    of the band, divided by sqrt(L)): P is the projection onto the
+    Subspace of that real basis, stored as float64, and no dim x dim array
+    is ever formed.
     Requires a power-of-two grid whose window length is divisible by 4 and
     whose sample rate is an integer per unit length.
     """
@@ -248,11 +251,12 @@ def pw_example(grid: HilbertModel, taper: str = "linear"):
     phi0 = (table @ _band_profile(half / L, taper)).real / L
     band = table[:, L // 4 - 1: 3 * L // 4]  # |gamma| <= 1/4
     psi0 = band.sum(axis=1).real / L
-    u = band / np.sqrt(L)
+    u = gram_form(band)  # real while the band's columns mirror, as they do on an exact grid
+    u /= np.sqrt(L)
     del table, band  # freed before the translates, which can then reuse its memory
     ns = np.arange(-L // 2, L // 2)
-    phi = FrameSequence(grid, _translates(phi0.astype(complex), shift, ns), ns)
-    psi = FrameSequence(grid, _translates(psi0.astype(complex), shift, ns), ns)
+    phi = FrameSequence(grid, _translates(phi0, shift, ns), ns)
+    psi = FrameSequence(grid, _translates(psi0, shift, ns), ns)
     P = OperatorModel(None, grid, grid, name="quarter-band projection",
                       projection=Subspace(grid, u))
     return phi, psi, P

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._linalg import as_complex_vector
+from ._linalg import _real_matmul, as_complex_vector, real_or_complex
 from .errors import EmptySpan, InvalidDimension
 
 #: ``orthonormalize`` drops a column with residual below this times the largest column norm
@@ -91,13 +91,15 @@ def norm(model: HilbertModel, f) -> float:
 class Subspace:
     """A subspace of a model, in one of three forms.
 
-    basis is finite and dim x r with basis^H W basis = I_r.  index (the
-    selection form) is a strictly increasing array of r coordinates whose
-    implied basis is e_i / sqrt(w_i); coords and project are then slices
-    and scatters, and ``dense`` materializes the basis for the consumers
-    that need a matrix.  With neither, the subspace is the whole ambient
-    space, implied basis e_i / sqrt(w_i) for all i (large models stay cheap).
-    Certificates sample basis @ [I | R] (``sample_coords``) in coordinates.
+    basis is finite and dim x r with basis^H W basis = I_r, stored as float64
+    when given a real dtype (float or integer) and as complex128 otherwise:
+    the input's dtype decides, never its values.  index (the selection form)
+    is a strictly increasing array of r coordinates whose implied basis is
+    e_i / sqrt(w_i); coords and project are then slices and scatters, and
+    ``dense`` materializes the basis for the consumers that need a matrix.
+    With neither, the subspace is the whole ambient space, implied basis
+    e_i / sqrt(w_i) for all i (large models stay cheap).  Certificates
+    sample basis @ [I | R] (``sample_coords``) in coordinates.
     """
 
     ambient: HilbertModel
@@ -108,7 +110,7 @@ class Subspace:
         if self.basis is not None and self.index is not None:
             raise InvalidDimension("give at most one of basis and index")
         if self.basis is not None:
-            b = np.asarray(self.basis, dtype=complex)
+            b = real_or_complex(self.basis)
             if b.ndim != 2 or b.shape[0] != self.ambient.dim:
                 raise InvalidDimension("basis must be dim x r")
             if not np.all(np.isfinite(b)):
@@ -166,12 +168,12 @@ class Subspace:
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     def coords(self, f):
-        """Orthonormal coordinates of the projection of f onto the subspace."""
+        """Orthonormal coordinates of the projection of f onto the subspace; real for a real
+        basis and real columns."""
         f = self._as_columns_or_vector(f)
-        if self.basis is not None:  # weights (a copy of) the basis, never f
-            wb = self.basis.conj().T
-            wb *= self.ambient.weights
-            return wb @ f
+        if self.basis is not None:  # weights a new array, never the basis (a real one's conj())
+            wb = self.basis.T * self.ambient.weights
+            return _real_matmul(np.conjugate(wb, out=wb), f)
         sw = self.ambient.sqrt_weights
         if self.index is not None:
             sw, f = sw[self.index], f[self.index]
@@ -185,7 +187,7 @@ class Subspace:
             return mat[self.index]
         if self.basis is None:
             return mat
-        return (self.ambient.sqrt_weights[:, None] * self.basis).conj().T @ mat
+        return _real_matmul((self.ambient.sqrt_weights[:, None] * self.basis).conj().T, mat)
 
     def project(self, f):
         f = self._as_columns_or_vector(f)
@@ -195,11 +197,13 @@ class Subspace:
             return out
         if self.basis is None:
             return f
-        return self.basis @ self.coords(f)
+        return _real_matmul(self.basis, self.coords(f))
 
     def _as_columns_or_vector(self, f):
-        f = np.asarray(f, dtype=complex)
+        """Columns keep a real dtype (``real_or_complex``); a vector is made complex."""
+        f = np.asarray(f)
         if f.ndim == 2:
+            f = real_or_complex(f)
             if f.shape[0] != self.ambient.dim:
                 raise InvalidDimension("columns must have ambient dimension")
             return f

@@ -16,8 +16,10 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from ._linalg import (
+    _real_matmul,
     as_complex_vector,
     hermitize,
+    real_or_complex,
     whiten_matrix,
 )
 from .errors import GridTooCoarse, InvalidDimension, InvalidProbe
@@ -129,7 +131,7 @@ class OperatorModel:
             return np.einsum("ik,ik...->i...", vals, x[cols])
         if self.projection is not None:
             return x.copy() if self.projection.is_full else self.projection.project(x)
-        return self.matrix @ x
+        return _real_matmul(self.matrix, x)
 
     def effective_matrix(self) -> np.ndarray:
         """matrix composed with the projection onto the domain."""
@@ -144,7 +146,9 @@ class OperatorModel:
         return self._times(self.domain_subspace.project(f))
 
     def apply_columns(self, fs) -> np.ndarray:
-        fs = np.asarray(fs, dtype=complex)
+        """Apply to each column of fs, which keeps a real dtype (``real_or_complex``): a
+        projection onto a real basis maps real columns to real columns."""
+        fs = real_or_complex(fs)
         return self._times(self.domain_subspace.project(fs))
 
     def whitened(self) -> np.ndarray:

@@ -19,6 +19,7 @@ import numpy as np
 
 from ._linalg import (
     _DEGENERATE_TOL,
+    _real_matmul,
     adjoint_matrix,
     factor,
     max_column_gap,
@@ -85,7 +86,7 @@ def _expansion_certificate(seq, K, k_vecs, graph=False) -> float:
     if graph:
         ak = K.apply_columns(k_vecs)
         c0 = c0 + ((K.codomain.sqrt_weights[:, None] * kv).conj().T @ ak).conj().T
-    defect = seq.model.sqrt_weights[:, None] * (seq.vectors @ c0) - kv
+    defect = seq.model.sqrt_weights[:, None] * _real_matmul(seq.vectors, c0) - kv
     return max_column_gap(sampled(defect, coeffs), sampled(kv, coeffs), np.ones(kv.shape[0]))
 
 

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Tuple, get_args, get_origin
 import numpy as np
 
 from . import constructions as C
-from ._linalg import max_column_gap
+from ._linalg import _real_matmul, max_column_gap
 from .errors import InvalidScenario, OpframeError
 from .hilbert import HilbertModel, interval_grid, l2_truncation, window_grid
 from .opmodel import (
@@ -382,9 +382,15 @@ def _chk_pw_reconstruction(ctx, rng, signals=20):
     u = P.projection.basis  # weighted-orthonormal basis of the band
     q = u.shape[1]
     coeffs = [rng.standard_normal(q) + 1j * rng.standard_normal(q) for _ in range(signals)]
-    fs = u @ np.column_stack(coeffs)
-    rec = seq.vectors @ ((seq.model.weights[:, None] * fs).conj().T @ psi.vectors).conj().T
-    return max_column_gap(rec - fs, fs, seq.model.weights)
+    fs = _real_matmul(u, np.column_stack(coeffs))
+    # sum_n inner(f, psi_n) phi_n with inner(f, psi_n) = ((W f)^H psi)^H, as float-view GEMMs
+    # against a real family (no complex copy of it) and no conjugate copy of a complex one
+    wf = seq.model.weights[:, None] * fs
+    c = _real_matmul(np.conjugate(wf, out=wf).T, psi.vectors).conj().T  # N x signals
+    del wf
+    rec = _real_matmul(seq.vectors, c)
+    rec -= fs
+    return max_column_gap(rec, fs, seq.model.weights)
 
 
 def _chk_kframe_alpha(ctx, rng):
@@ -525,7 +531,9 @@ def validate_scenario(data: dict):
     # the error jsonschema.validate would raise, without re-checking the schema
     error = jsonschema.exceptions.best_match(_schema_validator().iter_errors(data))
     if error is not None:
-        raise InvalidScenario(f"scenario schema violation: {error.message}")
+        where = "/".join(map(str, error.absolute_path))
+        raise InvalidScenario(f"scenario schema violation{f' at {where!r}' if where else ''}: "
+                              f"{error.message}")
     spec = data["construction"]
     given = spec.get("params", {})
     if "sizes" in data:

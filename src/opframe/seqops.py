@@ -2,10 +2,13 @@
 canonical duals, reconstruction.
 
 A :class:`FrameSequence` stores the family {g_n} as the columns of a
-dim x N complex matrix over a weighted model.  All spectra are computed on
-the whitened Hermitian forms, so self-adjointness is exact under quadrature
-weights: with Y = W^(1/2) G, the frame operator and the Gram matrix share
-their nonzero spectrum through Y Y^H and Y^H Y.
+dim x N matrix over a weighted model: float64 when the columns are given
+with a real dtype (float or integer), complex128 otherwise.  The dtype
+follows the input, never its values, and neither the bounds, the canonical
+dual, analysis nor synthesis copies a real family to complex.  All spectra
+are computed on the whitened Hermitian forms, so self-adjointness is exact
+under quadrature weights: with Y = W^(1/2) G, the frame operator and the
+Gram matrix share their nonzero spectrum through Y Y^H and Y^H Y.
 """
 
 from __future__ import annotations
@@ -17,12 +20,14 @@ import numpy as np
 
 from ._linalg import (
     _DEGENERATE_TOL,
+    _real_matmul,
     as_complex_vector,
     factor,
     gram_form,
     hermitize,
     max_column_gap,
     pencil_lower_bound,
+    real_or_complex,
 )
 from .errors import DegenerateOperator, InvalidDimension, InvalidIndex, NotAFrame
 from .hilbert import HilbertModel, Subspace
@@ -42,14 +47,15 @@ def _is_label(k) -> bool:
 
 @dataclass(frozen=True)
 class FrameSequence:
-    """An indexed finite family stored as matrix columns."""
+    """An indexed finite family stored as matrix columns: float64 for real-typed
+    input (float or integer), complex128 for anything else."""
 
     model: HilbertModel
     vectors: np.ndarray  # dim x N
     index_labels: Optional[Sequence[int]] = None
 
     def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=complex)
+        v = real_or_complex(self.vectors)
         if v.ndim != 2 or v.shape[0] != self.model.dim:
             raise InvalidDimension("vectors must be a model.dim x N matrix")
         if v.shape[1] < 1:
@@ -112,13 +118,13 @@ class FrameBounds:
 def analysis(seq: FrameSequence, f) -> np.ndarray:
     """Coefficient vector (inner(f, g_1), ..., inner(f, g_N))."""
     f = as_complex_vector(f, seq.model.dim)
-    return seq.vectors.conj().T @ (seq.model.weights * f)
+    return _real_matmul(seq.vectors.conj().T, seq.model.weights * f)
 
 
 def synthesis(seq: FrameSequence, c) -> np.ndarray:
     """Weighted column sum sum_n c_n g_n."""
     c = as_complex_vector(c, seq.n_vectors)
-    return seq.vectors @ c
+    return _real_matmul(seq.vectors, c)
 
 
 def _whitened_spectrum(mat, scale=None) -> np.ndarray:
@@ -175,11 +181,12 @@ def _operator_bounds(
 def _reference_factor(op: OperatorModel, v: Subspace, graph: bool):
     """(U, L^-H) for the pencil, with U the support of T in coordinates of v (None for all of v)
     and L L^H the Gram of ||T f||^2 there: a projection's whitened basis as ``gram_form``'s z, an
-    orthonormal basis of the same range (real for a conjugate-closed basis such as the band
-    exponentials), with unit singular values; else, from ``factor`` of M, T = M^H, the certified
-    record's dense inverse (kappa_F <= _DIRECT_COND proves full rank), not tried for the graph
-    bound nor when ||M||_F <= sqrt(r) _DEGENERATE_TOL, so that a numerically zero operator still
-    raises; or M's support U and 1/sigma there (sigma / sqrt(1 + sigma^2) for the graph bound)."""
+    orthonormal basis of the same range (real for a real basis, such as ``pw_example``'s band
+    basis, or a conjugate-closed one), with unit singular values; else, from ``factor`` of M,
+    T = M^H, the certified record's dense inverse (kappa_F <= _DIRECT_COND proves full rank),
+    not tried for the graph bound nor when ||M||_F <= sqrt(r) _DEGENERATE_TOL, so that a
+    numerically zero operator still raises; or M's support U and 1/sigma there
+    (sigma / sqrt(1 + sigma^2) for the graph bound)."""
     sub = op.projection
     if v.is_full and sub is not None and op.domain is None:
         u, sv = gram_form(sub.whitened_basis()), np.ones(sub.rank)
@@ -209,8 +216,10 @@ def canonical_dual(seq: FrameSequence, frame_tol: float = FRAME_TOL) -> FrameSeq
     if vals[0] <= frame_tol * max(vals[-1], 1e-300):
         raise NotAFrame(f"frame operator nearly singular (lambda_min={vals[0]:.3e}, "
                         f"lambda_max={vals[-1]:.3e})")
-    dual_w = np.linalg.solve(s_w, y) if np.iscomplexobj(s_w) else np.linalg.solve(
-        s_w, np.ascontiguousarray(y).view(np.float64)).view(np.complex128)
+    if np.iscomplexobj(s_w) or np.isrealobj(y):
+        dual_w = np.linalg.solve(s_w, y)
+    else:  # a real S solves a complex y on its float view
+        dual_w = np.linalg.solve(s_w, np.ascontiguousarray(y).view(np.float64)).view(np.complex128)
     return FrameSequence(seq.model, dual_w / seq.model.sqrt_weights[:, None], seq.index_labels)
 
 

@@ -22,7 +22,7 @@ from opframe.scenarios import CHECKS, CONSTRUCTIONS, _build_multiplier
 from opframe.seqops import FrameSequence
 from opframe.weakframes import user_dual, verify_weak_duality, weak_a_dual
 
-from conftest import random_matrix
+from conftest import random_matrix, reproduce
 
 RTOL = 1e-12
 
@@ -196,6 +196,16 @@ class TestMemoryBudget:
         check = CHECKS["pw_reconstruction"][1]
         rng = np.random.default_rng(0)
         assert _peak_bytes(lambda: check(ctx, rng, signals=20)) <= 5e6
+
+    def test_pw_quarter_holds_real_families(self):
+        ctx = CONSTRUCTIONS["pw_quarter"](np.random.default_rng(0), d=4096, L=64)
+        held = (ctx["seq"].vectors, ctx["psi"].vectors, ctx["op"].projection.basis)
+        assert {a.dtype for a in held} == {np.dtype(np.float64)}
+
+    def test_pw_quarter_scenario(self):
+        # phi, psi and the band basis are real: 17.2 MiB when they were held complex
+        reproduce("pw_quarter")  # the schema and its validator load once
+        assert _peak_bytes(lambda: reproduce("pw_quarter")) <= 13 * 2**20
 
     def test_whole_space_samples_form_no_square_array(self):
         sub = Subspace.full(interval_grid(4096))

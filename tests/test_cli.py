@@ -306,22 +306,27 @@ PROBES = [
                            check_params={"ranges": value})) for value in ([-3, 20], [0, 20])],
     *[("pairs", _scenario("multiplier", {"d": 16}, checks=["multiplier_weak_duality"],
                           check_params={"pairs": value})) for value in (0, -3)],
+    # a seed above 2**64 - 1, in the scenario file and as extra command-line flags
+    ("seed", dict(_scenario("difference", {"d": 20}), seed=2**70)),
+    ("seed", _scenario("difference", {"d": 20}), "--seed", str(2**70)),
+    ("seed", _scenario("difference", {"d": 20}), "--seed", str(2**64)),
 ]
 
 
-def _run(data, workdir):
-    """(exit code, stderr) of opframe run on the scenario dict."""
+def _run(data, workdir, *flags):
+    """(exit code, stderr) of opframe run on the scenario dict, with extra command-line flags."""
     path = workdir / "scenario.json"
     path.write_text(json.dumps(data))
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main(["run", str(path), "--out", str(workdir / "report.json")])
+        code = main(["run", str(path), "--out", str(workdir / "report.json"), *flags])
     return code, err.getvalue()
 
 
-@pytest.mark.parametrize("field, data", PROBES, ids=[f"{i}-{f}" for i, (f, _) in enumerate(PROBES)])
-def test_probe_exits_two_naming_the_field(tmp_path, field, data):
-    code, err = _run(data, tmp_path)
+@pytest.mark.parametrize("probe", PROBES, ids=[f"{i}-{p[0]}" for i, p in enumerate(PROBES)])
+def test_probe_exits_two_naming_the_field(tmp_path, probe):
+    field, data, *flags = probe
+    code, err = _run(data, tmp_path, *flags)
     assert code == 2
     assert repr(field) in err
     assert not (tmp_path / "report.json").exists()

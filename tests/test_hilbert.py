@@ -16,7 +16,6 @@ from opframe.opmodel import diagonal_operator, identity_operator
 
 from conftest import (
     DomainViolation,
-    contains,
     graph_inner,
     inner,
     random_matrix,
@@ -27,6 +26,8 @@ from conftest import (
 
 
 class TestInner:
+    """Self-tests of conftest's ``inner`` oracle, save the HilbertModel weight checks."""
+
     def test_orthogonal_basis_vectors(self):
         m = l2_truncation(2)
         assert inner(m, [1, 0], [0, 1]) == 0
@@ -81,6 +82,8 @@ class TestInner:
 
 
 class TestGraphInner:
+    """Self-tests of conftest's ``graph_inner`` oracle, not coverage of the package."""
+
     def test_zero_operator_reduces_to_ambient(self, rng):
         m = l2_truncation(4)
         z = diagonal_operator(m, np.zeros(4))
@@ -258,9 +261,13 @@ class TestSubspace:
         assert violation(sub, f) == 0.0
         assert sub.rank == 5
 
-    def test_membership_tolerance(self, rng):
-        m = l2_truncation(4)
-        sub = Subspace(m, np.eye(4, dtype=complex)[:, :2])
-        inside = np.array([1.0, 2.0, 0, 0])
-        assert contains(sub, inside)
-        assert not contains(sub, inside + np.array([0, 0, 1e-4, 0]))
+    def test_coords_and_project_leave_a_real_basis_unchanged(self, rng):
+        # conj() of a real array is the array itself, so weighting it in place would scale it
+        m = random_weighted_model(rng, 6)
+        sub = Subspace(m, orthonormalize(rng.standard_normal((6, 3)), m).basis.real.copy())
+        before = sub.basis.copy()
+        for f in (random_matrix(rng, 6, 2), rng.standard_normal((6, 2)), random_vector(rng, 6)):
+            inside = sub.basis @ sub.coords(f)
+            np.testing.assert_allclose(sub.project(inside), inside, atol=1e-13)
+        assert sub.basis.dtype == np.float64 and sub.basis.tobytes() == before.tobytes()
+        assert sub.coords(rng.standard_normal((6, 2))).dtype == np.float64

@@ -139,8 +139,10 @@ class TestKernelCounts:
         assert len(qr) == 1 and qr[0][0][0].dtype == np.float64
 
     def test_pw_bounds_form_no_complex_family_copy(self):
-        # traced peaks against the d x N complex family: real working arrays are half its size
+        # traced peaks against the d x N family's size stored complex, 16 bytes an entry (the
+        # family is stored real now, in half that): real working arrays are half of it
         phi, _, P = pw_example(window_grid(1024, -32.0, 32.0))
+        complex_bytes = 16 * phi.vectors.size
         for bound, ceiling in ((lambda: kframe_bounds(phi, P).alpha, 2.0),
                                (lambda: frame_bounds(phi), 1.0)):
             tracemalloc.start()
@@ -149,7 +151,7 @@ class TestKernelCounts:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= ceiling * phi.vectors.nbytes
+            assert peak <= ceiling * complex_bytes
 
     @pytest.mark.parametrize("case", ["uncertified", "rank_deficient"])
     def test_uncertified_bound_runs_one_thin_svd(self, rng, linalg_calls, monkeypatch, case):

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from opframe import _linalg
 from opframe._linalg import _mirror, _real_matmul, factor, gram_factor, gram_form
 from opframe.constructions import exponential_system
-from opframe.hilbert import HilbertModel, Subspace, interval_grid, l2_truncation
+from opframe.hilbert import HilbertModel, Subspace, interval_grid, l2_truncation, orthonormalize
 from opframe.opmodel import OperatorModel, diff_operator
 from opframe.relframes import k_dual, kframe_bounds, range_inclusion
-from opframe.seqops import FrameSequence
+from opframe.seqops import FrameSequence, frame_bounds
 from opframe.weakframes import interchange_dual, weak_a_dual, weak_aframe_bound
 
 from conftest import random_frame, random_matrix, random_weighted_model
@@ -116,6 +116,51 @@ def test_real_times_complex_runs_on_the_float_view(rng, order):
     a, b = rng.standard_normal((5, 7)), np.asarray(random_matrix(rng, 7, 3), order=order)
     np.testing.assert_allclose(_real_matmul(a, b), a.astype(complex) @ b, rtol=1e-14)
     assert _real_matmul(a, b.real).dtype == np.float64
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_complex_times_real_runs_on_the_float_view(rng, order):
+    a, b = np.asarray(random_matrix(rng, 5, 7), order=order), rng.standard_normal((7, 3))
+    np.testing.assert_allclose(_real_matmul(a, b), a @ b.astype(complex), rtol=1e-14)
+    for x, y in ((a, b[:, 0]), (a[0], b), (b.T, a[0]), (b[:, 0], a.T)):  # vectors either side
+        np.testing.assert_allclose(_real_matmul(x, y), x @ y, rtol=1e-14)
+
+
+@pytest.mark.parametrize("value, dtype", [
+    (np.ones((3, 2)), np.float64), (np.ones((3, 2), np.float32), np.float64),
+    (np.ones((3, 2), np.int64), np.float64), ([[1, 0], [0, 1], [0, 0]], np.float64),
+    (np.ones((3, 2)) + 0j, np.complex128), (np.ones((3, 2), np.complex64), np.complex128),
+    (np.ones((3, 2), bool), np.complex128)])
+def test_storage_follows_the_input_dtype(value, dtype):
+    """Real-typed input (float or integer) is stored as float64, anything else as complex128,
+    a complex array with no imaginary part included: the dtype decides, not the values."""
+    model = l2_truncation(3)
+    assert FrameSequence(model, value).vectors.dtype == dtype
+    assert Subspace(model, value).basis.dtype == dtype
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(2, 32), extra=st.integers(0, 8), rank=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_real_storage_changes_no_bound(d, extra, rank, seed):
+    """frame_bounds, and kframe_bounds of a projection onto a real subspace, of a real family
+    stored as float64 agree with those of its complex128 copy, with the projection's basis
+    stored either way."""
+    rng = np.random.default_rng(seed)
+    model = random_weighted_model(rng, d)
+    vectors = rng.standard_normal((d, d + extra))
+    real, cplx = FrameSequence(model, vectors), FrameSequence(model, vectors + 0j)
+    assert real.vectors.dtype == np.float64 and cplx.vectors.dtype == np.complex128
+    fr, fc = frame_bounds(real), frame_bounds(cplx)
+    assert _rel(fr.alpha, fc.alpha) <= 1e-13 and _rel(fr.beta, fc.beta) <= 1e-13
+    basis = orthonormalize(rng.standard_normal((d, min(rank, d))), model).basis.real
+    ops = [OperatorModel(None, model, model, projection=Subspace(model, b))
+           for b in (basis, basis + 0j)]
+    ref = kframe_bounds(cplx, ops[1])
+    for seq in real, cplx:
+        for P in ops:
+            kb = kframe_bounds(seq, P)
+            assert _rel(kb.alpha, ref.alpha) <= 1e-13 and _rel(kb.beta, ref.beta) <= 1e-13
 
 
 @pytest.mark.parametrize("kind, n", [("real", 9), ("imaginary", 9), ("mirror+", 9),

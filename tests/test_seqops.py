@@ -180,6 +180,15 @@ class TestCanonicalDual:
         again = canonical_dual(canonical_dual(seq))
         np.testing.assert_allclose(again.vectors, seq.vectors, atol=1e-8)
 
+    def test_real_family_dual_is_that_of_its_complex_copy(self, rng):
+        # solved as float64 and kept so: a float solution read as complex128 would pair columns
+        model = random_weighted_model(rng, 6)
+        vectors = rng.standard_normal((6, 10))
+        real = canonical_dual(FrameSequence(model, vectors)).vectors
+        cplx = canonical_dual(FrameSequence(model, vectors + 0j)).vectors
+        assert real.dtype == np.float64 and real.shape == cplx.shape
+        assert np.linalg.norm(real - cplx) <= 1e-13 * np.linalg.norm(cplx)
+
 
 class TestReconstruct:
     def test_any_frame_with_canonical_dual(self, rng):

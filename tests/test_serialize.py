@@ -47,6 +47,16 @@ def test_frame_sequence_roundtrip(rng):
     assert back.index_labels == seq.index_labels
 
 
+def test_real_family_is_written_complex_and_reads_back_complex(rng):
+    # one entry type: a float64 family is written as <c16 with zero imaginary parts
+    seq = FrameSequence(random_weighted_model(rng, 4), rng.standard_normal((4, 7)))
+    data = frame_sequence_to_dict(seq)
+    assert len(base64.b64decode(data["z"])) == 16 * seq.vectors.size
+    back = frame_sequence_from_dict(data)
+    assert seq.vectors.dtype == np.float64 and back.vectors.dtype == np.complex128
+    assert back.vectors.real.tobytes() == seq.vectors.tobytes() and not np.any(back.vectors.imag)
+
+
 def test_frame_sequence_json_is_valid_json(rng):
     seq = FrameSequence(l2_truncation(2), random_matrix(rng, 2, 3))
     parsed = json.loads(dumps(seq, "frame_sequence"))
