@@ -29,6 +29,9 @@ _DEGENERATE_TOL = 1e-14
 #: a full-row-rank factor with Frobenius condition above this is left to the SVD
 _DIRECT_COND = 1e6
 
+#: the pencil subtracts U U^H Y in row blocks of about this many entries
+_ROW_BLOCK = 2**16
+
 
 def as_complex_vector(f, dim):
     from .errors import InvalidDimension
@@ -318,7 +321,9 @@ def pencil_lower_bound(sqrt_s, b_basis, b_inv_h):
     b_basis the (r, q) orthonormal basis of supp(B) (None when B has full
     rank on V), and b_inv_h is L^-H for the B-form's Gram L L^H
     on supp(B): a (q, q) matrix or, for a diagonal L, the vector
-    1 / diag(L), multiplied and never solved with.
+    1 / diag(L), multiplied and never solved with.  sqrt_s is consumed: the
+    pencil may overwrite it, so the caller passes a fresh array it no longer
+    reads (a real Y meeting a complex U is reduced in a complex copy).
 
     A wide Y (at least twice as many columns as rows) is first reduced to
     the r x r R^H of Y^H = Q R (``gram_factor``), which keeps ||X f||; X
@@ -329,9 +334,10 @@ def pencil_lower_bound(sqrt_s, b_basis, b_inv_h):
         min_v ||X (U c + v)||^2 = || P_T_perp (X U) c ||^2,
 
     T the column space of X restricted to ker(B), from one row reduction of
-    that restriction.  alpha = sigma_min(P_T_perp X U L^-H)^2, and 0 when
-    that factor has fewer than q rows.  No Gram of X or of B is formed, so
-    alpha does not lose eps * kappa^2 to the normal equations.
+    that restriction, which Y becomes in place (U U^H Y subtracted in row
+    blocks, with no second r x m array).  alpha = sigma_min(P_T_perp X U L^-H)^2,
+    and 0 when that factor has fewer than q rows.  No Gram of X or of B is
+    formed, so alpha does not lose eps * kappa^2 to the normal equations.
     """
     y = gram_factor(sqrt_s).conj().T if _is_wide(sqrt_s) else sqrt_s  # r x m, m < 2r
     uy = y if b_basis is None else b_basis.conj().T @ y  # (X U)^H, q x m
@@ -342,15 +348,23 @@ def pencil_lower_bound(sqrt_s, b_basis, b_inv_h):
         # X restricted to ker(B) = X (I - U U^H) has the left singular pairs
         # of its row reduction x_k, so its column space T is that of x_k, and
         # X X^H = x_k x_k^H + (X U)(X U)^H gives sigma_max(X) from the
-        # narrower of X and [x_k | X U].  The rank cut is taken relative to X
-        # itself: when ker(B) is numerically trivial the restriction is
-        # roundoff and must not produce spurious directions.
-        y_k = b_basis @ uy
-        np.subtract(y, y_k, out=y_k)  # (X (I - U U^H))^H; a tall one is reduced to R
-        x_k = (np.linalg.qr(_real_form(y_k)[0], mode="r") if _is_wide(y_k.T) else y_k).conj().T
-        stacked = np.concatenate([x_k, uy.conj().T], axis=1)
-        smax = float(np.linalg.svd(
-            stacked if stacked.shape[1] < y.shape[0] else y, compute_uv=False)[0])
+        # narrower of X and [x_k | X U], X's read before Y is reduced.  The
+        # rank cut is taken relative to X itself: when ker(B) is numerically
+        # trivial the restriction is roundoff and must not produce spurious
+        # directions.
+        (r, m), q = y.shape, b_basis.shape[1]
+        tall = _is_wide(y.T)  # (X (I - U U^H))^H is reduced to its m x m R
+        smax = None if (m if tall else r) + q < r else float(
+            np.linalg.svd(y, compute_uv=False)[0])
+        if np.iscomplexobj(uy) and np.isrealobj(y):
+            y = y.astype(complex)
+        step = max(1, _ROW_BLOCK // m)
+        for i in range(0, r, step):  # y becomes (X (I - U U^H))^H
+            y[i:i + step] -= b_basis[i:i + step] @ uy
+        x_k = (np.linalg.qr(_real_form(y)[0], mode="r") if tall else y).conj().T
+        if smax is None:
+            smax = float(np.linalg.svd(
+                np.concatenate([x_k, uy.conj().T], axis=1), compute_uv=False)[0])
         t_basis = orthonormal_range(x_k, scale=smax)
         if t_basis.shape[1]:
             uy = uy - (uy @ t_basis) @ t_basis.conj().T  # (P_T_perp X U)^H
@@ -364,20 +378,29 @@ def pencil_lower_bound(sqrt_s, b_basis, b_inv_h):
     return smin**2, beta
 
 
-def sampled(mat, coeffs):
-    """mat [I | coeffs]: mat on a basis, applied to the basis and the members coeffs."""
-    return mat if coeffs is None else np.concatenate([mat, mat @ coeffs], axis=1)
+def sample_blocks(mat, coeffs):
+    """The column blocks of mat [I | coeffs], mat on a basis applied to the basis and to the
+    members coeffs: mat, then (unless coeffs is None) mat @ coeffs, formed when read.  The
+    certificates reduce the blocks one by one and never concatenate them."""
+    yield mat
+    if coeffs is not None:
+        yield mat @ coeffs
 
 
-def max_column_gap(gap, reference, weights):
-    """Largest relative column gap max_j ||gap_j|| / ||ref_j||, gap = approx - ref.
+def max_column_gap(gap, reference, weights, coeffs=None):
+    """Largest relative column gap max_j ||gap_j|| / ||ref_j||, gap = approx - ref, over the
+    columns of gap [I | coeffs] against reference [I | coeffs] (``sample_blocks``).
 
     Norms are weighted by the model weights (one |.|^2 array, one matvec
-    each).  Only live reference columns count, those with norm above 1e-14
-    times the largest; the gap is 0.0 when no column is live.
+    each, per block).  Only live reference columns count, those with norm
+    above 1e-14 times the largest over every block; the gap is 0.0 when no
+    column is live.
     """
-    sq = np.abs(reference)
-    norms = np.sqrt(weights @ np.square(sq, out=sq))
-    errs = np.sqrt(weights @ np.square(np.abs(gap, out=sq), out=sq))
+    norms, errs = [], []
+    for g, ref in zip(sample_blocks(gap, coeffs), sample_blocks(reference, coeffs)):
+        sq = np.abs(ref)
+        norms.append(np.sqrt(weights @ np.square(sq, out=sq)))
+        errs.append(np.sqrt(weights @ np.square(np.abs(g, out=sq), out=sq)))
+    norms, errs = np.concatenate(norms), np.concatenate(errs)
     live = norms > 1e-14 * max(float(np.max(norms)), 1e-300)
     return float(np.max(errs[live] / norms[live])) if np.any(live) else 0.0

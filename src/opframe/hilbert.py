@@ -219,9 +219,10 @@ def orthonormalize(vectors, model: HilbertModel) -> Subspace:
     absorb a later column Gram-Schmidt keeps; the columns after it, projected
     twice off those before it, are refactored in a window as wide as the last
     step advanced (twice that after no drop).  A full-rank input costs one QR;
-    columns keep Gram-Schmidt's phase.
+    columns keep Gram-Schmidt's phase.  Real-typed vectors (``real_or_complex``)
+    get a float64 basis from real QRs.
     """
-    v = np.asarray(vectors, dtype=complex)
+    v = real_or_complex(vectors)
     if v.ndim == 1:
         v = v[:, None]
     if v.shape[0] != model.dim:

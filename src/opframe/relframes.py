@@ -24,7 +24,6 @@ from ._linalg import (
     factor,
     max_column_gap,
     pencil_lower_bound,  # noqa: F401 - an import site perfbench's tracer tests wrap
-    sampled,
     whiten_matrix,
 )
 from .errors import DegenerateOperator, InvalidDimension, RangeNotIncluded
@@ -79,7 +78,8 @@ def _coefficient_factor(seq: FrameSequence, K: OperatorModel, rcond=None, tol=RA
 def _expansion_certificate(seq, K, k_vecs, graph=False) -> float:
     """max_f ||K f - sum_n inner(f, k_n) g_n|| / ||K f|| over f in V [I | R] (V the basis of
     D(K), R 100 seeded coordinates; inner K's graph inner product if ``graph``), read
-    off D = W^(1/2) (G c0 - K V), c0 the coefficients of V, against W^(1/2) K V."""
+    off D = W^(1/2) (G c0 - K V), c0 the coefficients of V, against W^(1/2) K V, block by
+    block (``max_column_gap`` with coeffs R)."""
     sub, kv = K.domain_subspace, K.domain_whitened()  # kv: d_out x r
     coeffs = sub.sample_coords(np.random.default_rng(0), 100)
     c0 = sub.coords(k_vecs).conj().T  # N x r
@@ -87,7 +87,7 @@ def _expansion_certificate(seq, K, k_vecs, graph=False) -> float:
         ak = K.apply_columns(k_vecs)
         c0 = c0 + ((K.codomain.sqrt_weights[:, None] * kv).conj().T @ ak).conj().T
     defect = seq.model.sqrt_weights[:, None] * _real_matmul(seq.vectors, c0) - kv
-    return max_column_gap(sampled(defect, coeffs), sampled(kv, coeffs), np.ones(kv.shape[0]))
+    return max_column_gap(defect, kv, np.ones(kv.shape[0]), coeffs)
 
 
 def k_dual(

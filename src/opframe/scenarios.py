@@ -156,6 +156,9 @@ def _build_not_frame(rng, cells=2, pts_per_cell=32, alpha_range=(1.0, 2.0),
                      window="fold_symmetric", n_range: Optional[int] = None):
     if cells < 1:
         raise InvalidScenario(f"not_frame_gabor param 'cells' must be at least 1, got {cells}")
+    if min(alpha_range) <= 0.0:  # magnitudes; a zero one makes a numerically zero operator
+        raise InvalidScenario(f"not_frame_gabor param 'alpha_range' items must be positive, "
+                              f"got {alpha_range}")
     lo, hi = alpha_range
     mags = lo + (hi - lo) * rng.random(cells)
     phases = np.exp(2j * np.pi * rng.random(cells))
@@ -534,6 +537,10 @@ def validate_scenario(data: dict):
         where = "/".join(map(str, error.absolute_path))
         raise InvalidScenario(f"scenario schema violation{f' at {where!r}' if where else ''}: "
                               f"{error.message}")
+    for i, chk in enumerate(data["checks"]):  # the schema's number takes NaN and Infinity
+        if not abs(chk["tolerance"]) <= sys.float_info.max:
+            raise InvalidScenario(f"'checks[{i}].tolerance' must be a finite number, "
+                                  f"got {chk['tolerance']!r:.40}")
     spec = data["construction"]
     given = spec.get("params", {})
     if "sizes" in data:

@@ -162,7 +162,8 @@ def _operator_bounds(
     as ``gram_form``'s z (z z^T = X^H X; real for a mirrored, real or
     imaginary family) over all of H or a selection, which only scale or slice
     its rows, and T is M^H, M the restricted whitened operator; the pencil
-    multiplies by the inverse factor from ``_reference_factor``.
+    multiplies by the inverse factor from ``_reference_factor`` and reduces
+    X, a fresh array either way, in place.
     The family is ``kind`` when alpha > frame_tol, an absolute rule that
     never reads beta; beta is computed on its first read.
     """

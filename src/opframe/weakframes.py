@@ -28,7 +28,7 @@ from ._linalg import (
     factor,
     max_column_gap,
     pencil_lower_bound,  # noqa: F401 - an import site perfbench's tracer tests wrap
-    sampled,
+    sample_blocks,
 )
 from .errors import FactorizationFailed, InvalidDimension, NotSurjective
 from .hilbert import HilbertModel
@@ -140,6 +140,7 @@ def weak_a_dual(seq: FrameSequence, A: OperatorModel, rcond=1e-10) -> DualSequen
             f"{FACTORIZATION_TOL:.1e} * {weak_scale:.3e}"
         )
     t = adjoint_matrix(m, np.ones(seq.n_vectors), seq.model.weights)  # d x N
+    del m  # freed before the certificate
     dual = DualSequence(seq.model, t, "weak_a_dual_thm", float("nan"))
     return replace(dual, certificate_residual=verify_weak_duality(seq, dual, A))
 
@@ -166,8 +167,9 @@ def verify_weak_duality(
                      (||Ah|| ||u|| + eps)
 
     Samples are V [I | R] (V the basis, R from ``Subspace.sample_coords``),
-    or the probes; the defect Vu^H W A Vh - (Vu^H W G)(Vh^H W T)^H is formed
-    once and read through both coefficient blocks, from the dual's vectors.
+    or the probes; the defect D = Vu^H W A Vh - (Vu^H W G)(Vh^H W T)^H is formed
+    once, from the dual's vectors, and read block by block: rows [I | Ru]^H
+    times columns [I | Rh] (``sample_blocks``), no block concatenated.
     """
     rng, dom, adom = np.random.default_rng(seed), A.domain_subspace, A.adjoint_domain_subspace
     if hs is None:
@@ -176,16 +178,22 @@ def verify_weak_duality(
         hs, w = np.asarray(hs, dtype=complex), seq.model.weights
         rh, ah = None, seq.model.sqrt_weights[:, None] * A.apply_columns(hs)
         th = (w[:, None] * hs).conj().T @ dual.vectors
-    defect = sampled(adom.whitened_coords(ah) - adom.coords(seq.vectors) @ th.conj().T, rh)
+    defect = adom.whitened_coords(ah) - adom.coords(seq.vectors) @ th.conj().T
+    n_ah = [np.linalg.norm(block, axis=0) for block in sample_blocks(ah, rh)]
+    del th, ah  # freed before the blocks are read
     if us is None:
         ru = adom.sample_coords(rng, trials)
-        res = np.concatenate([defect, ru.conj().T @ defect])
-        n_u = np.concatenate([np.ones(adom.rank), np.linalg.norm(ru, axis=0)])
+        rows = [(None, np.ones(adom.rank)), (ru.conj().T, np.linalg.norm(ru, axis=0))]
     else:  # u = Vu cu, us projected onto D(A*)
         cu = adom.coords(np.asarray(us, dtype=complex).reshape(seq.model.dim, -1))
-        res, n_u = cu.conj().T @ defect, np.linalg.norm(cu, axis=0)
-    n_ah = np.linalg.norm(sampled(ah, rh), axis=0)
-    return float(np.max(np.abs(res) / (np.outer(n_u, n_ah) + 1e-300)))
+        rows = [(cu.conj().T, np.linalg.norm(cu, axis=0))]
+    worst = []
+    for block, n_col in zip(sample_blocks(defect, rh), n_ah):
+        for left, n_u in rows:
+            res = block if left is None else left @ block
+            if res.size:  # no trials, or a zero-rank domain, leaves a block empty
+                worst.append(np.max(np.abs(res) / (np.outer(n_u, n_col) + 1e-300)))
+    return float(np.max(worst))
 
 
 def interchange_dual(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from opframe._linalg import adjoint_matrix, as_complex_vector
+from opframe._linalg import _real_matmul, adjoint_matrix, as_complex_vector, max_column_gap
 from opframe.hilbert import HilbertModel, l2_truncation, norm
 from opframe.opmodel import OperatorModel
 from opframe.scenarios import load_bundled, run_scenario
@@ -124,3 +124,48 @@ def graph_inner(A, f, g) -> complex:
     af = A.apply(f)
     ag = A.apply(g)
     return inner(A.input_model, f, g) + inner(A.codomain, af, ag)
+
+
+# -- the certificates as they were read before the block reduction: every sample block
+# concatenated into one array, as oracles that the block-by-block reading must match bit for bit
+
+
+def concatenated(mat, coeffs):
+    """mat [I | coeffs], formed whole."""
+    return mat if coeffs is None else np.concatenate([mat, mat @ coeffs], axis=1)
+
+
+def concatenated_weak_duality(seq, dual, A, trials=100, seed=0, hs=None, us=None):
+    """``verify_weak_duality`` with [I | Ru]^H D [I | Rh] formed whole and divided by the
+    whole outer product of the sample norms."""
+    rng, dom, adom = np.random.default_rng(seed), A.domain_subspace, A.adjoint_domain_subspace
+    if hs is None:
+        rh, ah, th = dom.sample_coords(rng, trials), A.domain_whitened(), dom.coords(dual.vectors)
+    else:
+        hs, w = np.asarray(hs, dtype=complex), seq.model.weights
+        rh, ah = None, seq.model.sqrt_weights[:, None] * A.apply_columns(hs)
+        th = (w[:, None] * hs).conj().T @ dual.vectors
+    defect = concatenated(adom.whitened_coords(ah) - adom.coords(seq.vectors) @ th.conj().T, rh)
+    if us is None:
+        ru = adom.sample_coords(rng, trials)
+        res = np.concatenate([defect, ru.conj().T @ defect])
+        n_u = np.concatenate([np.ones(adom.rank), np.linalg.norm(ru, axis=0)])
+    else:
+        cu = adom.coords(np.asarray(us, dtype=complex).reshape(seq.model.dim, -1))
+        res, n_u = cu.conj().T @ defect, np.linalg.norm(cu, axis=0)
+    n_ah = np.linalg.norm(concatenated(ah, rh), axis=0)
+    return float(np.max(np.abs(res) / (np.outer(n_u, n_ah) + 1e-300)))
+
+
+def concatenated_expansion(seq, K, k_vecs, graph=False):
+    """``relframes._expansion_certificate`` with D [I | R] and W^(1/2) K V [I | R] formed whole
+    and passed to ``max_column_gap`` as one block each."""
+    sub, kv = K.domain_subspace, K.domain_whitened()
+    coeffs = sub.sample_coords(np.random.default_rng(0), 100)
+    c0 = sub.coords(k_vecs).conj().T
+    if graph:
+        ak = K.apply_columns(k_vecs)
+        c0 = c0 + ((K.codomain.sqrt_weights[:, None] * kv).conj().T @ ak).conj().T
+    defect = seq.model.sqrt_weights[:, None] * _real_matmul(seq.vectors, c0) - kv
+    return max_column_gap(concatenated(defect, coeffs), concatenated(kv, coeffs),
+                          np.ones(kv.shape[0]))

@@ -310,6 +310,10 @@ PROBES = [
     ("seed", dict(_scenario("difference", {"d": 20}), seed=2**70)),
     ("seed", _scenario("difference", {"d": 20}), "--seed", str(2**70)),
     ("seed", _scenario("difference", {"d": 20}), "--seed", str(2**64)),
+    ("alpha_range", _scenario("not_frame_gabor", {"alpha_range": [0.0, 0.0]})),
+    *[("checks[0].tolerance", {**_scenario("difference", {"d": 20}),
+                               "checks": [{"name": "frame_ratio", "tolerance": value}]})
+      for value in (float("nan"), float("inf"), 10**400)],
 ]
 
 

@@ -155,6 +155,23 @@ class TestOrthonormalize:
         second = orthonormalize(first.basis, m)
         np.testing.assert_allclose(second.basis, first.basis, atol=1e-10)
 
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 24), cols=st.integers(1, 12), dependent=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_real_input_gets_a_real_basis(self, d, cols, dependent, seed):
+        # real QRs for real vectors, with the drop rule and Gram-Schmidt's signs of the complex
+        # path (a dependent column exercises the drop)
+        r = np.random.default_rng(seed)
+        m = random_weighted_model(r, d)
+        v = r.standard_normal((d, cols))
+        if dependent and cols > 1:
+            v[:, -1] = v[:, 0] - 2.0 * v[:, -2]
+        real, cplx = orthonormalize(v, m), orthonormalize(v.astype(complex), m)
+        assert real.basis.dtype == np.float64 and cplx.basis.dtype == np.complex128
+        assert real.rank == cplx.rank
+        assert np.max(np.abs(real.basis - cplx.basis)) <= 1e-14 * np.max(np.abs(cplx.basis))
+        assert orthonormalize(np.arange(1, d + 1), m).basis.dtype == np.float64
+
 
 def _gram_schmidt(vectors, model, drop_tol=1e-10):
     """The reference basis: Gram-Schmidt with two projection sweeps, one column

@@ -14,7 +14,7 @@ import pytest
 from opframe import _linalg, seqops
 from opframe.constructions import exponential_system, pw_example
 from opframe.errors import DegenerateOperator
-from opframe.hilbert import Subspace, interval_grid, l2_truncation, window_grid
+from opframe.hilbert import Subspace, interval_grid, l2_truncation, orthonormalize, window_grid
 from opframe.opmodel import OperatorModel, diff_operator
 from opframe.relframes import aframe_bounds_graph, kframe_bounds
 from opframe.seqops import FrameSequence, frame_bounds
@@ -140,10 +140,11 @@ class TestKernelCounts:
 
     def test_pw_bounds_form_no_complex_family_copy(self):
         # traced peaks against the d x N family's size stored complex, 16 bytes an entry (the
-        # family is stored real now, in half that): real working arrays are half of it
+        # family is stored real now, in half that): real working arrays are half of it, and the
+        # pencil reduces its family in place (1.81 with the restriction as a second array)
         phi, _, P = pw_example(window_grid(1024, -32.0, 32.0))
         complex_bytes = 16 * phi.vectors.size
-        for bound, ceiling in ((lambda: kframe_bounds(phi, P).alpha, 2.0),
+        for bound, ceiling in ((lambda: kframe_bounds(phi, P).alpha, 1.5),
                                (lambda: frame_bounds(phi), 1.0)):
             tracemalloc.start()
             try:
@@ -152,6 +153,25 @@ class TestKernelCounts:
             finally:
                 tracemalloc.stop()
             assert peak <= ceiling * complex_bytes
+
+    def test_bounds_leave_the_family_and_subspaces_unchanged(self, rng):
+        # the pencil overwrites the family it is given, which must be a copy of the caller's:
+        # gram_form's z over all of H, Subspace.coords over a basis
+        phi, _, P = pw_example(window_grid(512, -8.0, 8.0))
+        held = phi.vectors.copy(), P.projection.basis.copy()
+        assert kframe_bounds(phi, P).alpha > 1e-8
+        assert all(map(np.array_equal, (phi.vectors, P.projection.basis), held))
+        # a rank-4 operator on a rank-9 adjoint domain and 12 columns: Y (9 x 12) is reduced in
+        # place, and beta, read from Y, is taken before
+        model = random_weighted_model(rng, 24)
+        v = orthonormalize(random_matrix(rng, 24, 9), model)
+        A = OperatorModel(random_matrix(rng, 24, 4) @ random_matrix(rng, 4, 24), model, model,
+                          adjoint_domain=v)
+        seq = random_frame(rng, 24, 12, model=model)
+        held = seq.vectors.copy(), v.basis.copy()
+        beta = weak_aframe_bound(seq, A).beta
+        assert all(map(np.array_equal, (seq.vectors, v.basis), held))
+        assert beta == pytest.approx(np.linalg.svd(v.coords(seq.vectors))[1][0] ** 2, rel=1e-12)
 
     @pytest.mark.parametrize("case", ["uncertified", "rank_deficient"])
     def test_uncertified_bound_runs_one_thin_svd(self, rng, linalg_calls, monkeypatch, case):

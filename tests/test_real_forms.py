@@ -153,7 +153,7 @@ def test_real_storage_changes_no_bound(d, extra, rank, seed):
     assert real.vectors.dtype == np.float64 and cplx.vectors.dtype == np.complex128
     fr, fc = frame_bounds(real), frame_bounds(cplx)
     assert _rel(fr.alpha, fc.alpha) <= 1e-13 and _rel(fr.beta, fc.beta) <= 1e-13
-    basis = orthonormalize(rng.standard_normal((d, min(rank, d))), model).basis.real
+    basis = orthonormalize(rng.standard_normal((d, min(rank, d))), model).basis
     ops = [OperatorModel(None, model, model, projection=Subspace(model, b))
            for b in (basis, basis + 0j)]
     ref = kframe_bounds(cplx, ops[1])
