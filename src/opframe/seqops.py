@@ -190,7 +190,9 @@ def _reference_factor(op: OperatorModel, v: Subspace, graph: bool):
     (sigma / sqrt(1 + sigma^2) for the graph bound)."""
     sub = op.projection
     if v.is_full and sub is not None and op.domain is None:
-        u, sv = gram_form(sub.whitened_basis()), np.ones(sub.rank)
+        # contiguous, as gram_form of a complex basis with zero imaginary part is its strided
+        # real view, which sends the pencil's products to other BLAS kernels than the real basis
+        u, sv = np.ascontiguousarray(gram_form(sub.whitened_basis())), np.ones(sub.rank)
     else:
         m = v.whitened_coords(op.whitened())  # r x dim_in
         certify = not graph and np.linalg.norm(m) > np.sqrt(v.rank) * _DEGENERATE_TOL

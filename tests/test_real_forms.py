@@ -9,7 +9,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from opframe import _linalg
@@ -142,6 +142,7 @@ def test_storage_follows_the_input_dtype(value, dtype):
 @settings(max_examples=30, deadline=None)
 @given(d=st.integers(2, 32), extra=st.integers(0, 8), rank=st.integers(1, 8),
        seed=st.integers(0, 2**32 - 1))
+@example(d=27, extra=0, rank=1, seed=1)  # alpha 3e-13 apart while u's layout followed the basis
 def test_real_storage_changes_no_bound(d, extra, rank, seed):
     """frame_bounds, and kframe_bounds of a projection onto a real subspace, of a real family
     stored as float64 agree with those of its complex128 copy, with the projection's basis
