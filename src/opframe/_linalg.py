@@ -139,7 +139,7 @@ def _real_matmul(a, b):
         return a @ b
     if np.iscomplexobj(a):
         return _real_matmul(b.T, a.T).T
-    out = a @ np.ascontiguousarray(b).view(np.float64).reshape(b.shape[0], -1)
+    out = a @ np.ascontiguousarray(b if b.ndim > 1 else b[:, None]).view(np.float64)
     return out.view(np.complex128).reshape(a.shape[:-1] + b.shape[1:])
 
 
@@ -380,11 +380,11 @@ def pencil_lower_bound(sqrt_s, b_basis, b_inv_h):
 
 def sample_blocks(mat, coeffs):
     """The column blocks of mat [I | coeffs], mat on a basis applied to the basis and to the
-    members coeffs: mat, then (unless coeffs is None) mat @ coeffs, formed when read.  The
-    certificates reduce the blocks one by one and never concatenate them."""
+    members coeffs: mat, then (unless coeffs is None) ``_real_matmul(mat, coeffs)``, formed when
+    read.  The certificates reduce the blocks one by one and never concatenate them."""
     yield mat
     if coeffs is not None:
-        yield mat @ coeffs
+        yield _real_matmul(mat, coeffs)
 
 
 def max_column_gap(gap, reference, weights, coeffs=None):

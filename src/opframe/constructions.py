@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from ._linalg import gram_form
+from ._linalg import gram_form, real_or_complex
 from .errors import GridMismatch, InvalidDimension, NotBiorthogonal, WindowOverflow
 from .hilbert import HilbertModel, Subspace, l2_truncation, norm
 from .opmodel import OperatorModel
@@ -37,9 +37,8 @@ def _grid_geometry(grid: HilbertModel):
 
 
 def _sample(window: WindowLike, pts) -> np.ndarray:
-    if callable(window):
-        return np.asarray(window(pts), dtype=complex)
-    w = np.asarray(window, dtype=complex).reshape(-1)
+    """The window on the grid points: float64 for a real-typed window, complex128 otherwise."""
+    w = real_or_complex(window(pts) if callable(window) else window).reshape(-1)
     if w.shape[0] != pts.shape[0]:
         raise InvalidDimension("sampled window length must match the grid")
     return w
@@ -180,6 +179,7 @@ def wavelet_system(
     s0, s1 = support
     if derivative and mother_deriv is None:
         raise InvalidDimension("derivative system requires mother_deriv")
+    fn, power = (mother_deriv, -1.5) if derivative else (mother, -0.5)
     cols = []
     for m in range(-m_range, m_range + 1):
         scale = a ** float(m)
@@ -190,12 +190,7 @@ def wavelet_system(
                     f"scale m={m}, shift n={n} needs [{lo:g},{hi:g}] inside "
                     f"[{x0:g},{x1:g}]"
                 )
-            arg = pts / scale - n * b
-            if derivative:
-                col = scale ** (-1.5) * np.asarray(mother_deriv(arg), dtype=complex)
-            else:
-                col = scale ** (-0.5) * np.asarray(mother(arg), dtype=complex)
-            cols.append(col)
+            cols.append(scale ** power * real_or_complex(fn(pts / scale - n * b)))
     return FrameSequence(grid, np.column_stack(cols))
 
 
@@ -285,7 +280,7 @@ def difference_sequence(d: int) -> FrameSequence:
     if d < 2:
         raise InvalidDimension("difference_sequence needs d >= 2")
     model = l2_truncation(d, f"l2 truncation N={d}")
-    cols = np.zeros((d, d), dtype=complex)
+    cols = np.zeros((d, d))
     cols[0, 0] = 1.0
     for n in range(2, d + 1):
         cols[n - 1, n - 1] = n
@@ -315,31 +310,27 @@ def riesz_multiplier(
 
 
 def gaussian_window(pts: np.ndarray) -> np.ndarray:
-    return np.exp(-np.pi * pts**2).astype(complex)
+    return np.exp(-np.pi * pts**2)
 
 
 def gaussian_window_deriv(pts: np.ndarray) -> np.ndarray:
-    return (-2.0 * np.pi * pts * np.exp(-np.pi * pts**2)).astype(complex)
+    return -2.0 * np.pi * pts * np.exp(-np.pi * pts**2)
 
 
 def cosine_bump(pts: np.ndarray) -> np.ndarray:
     """C^1 bump cos^2(pi x / 2) supported on [-1, 1]."""
-    out = np.where(np.abs(pts) <= 1.0, np.cos(0.5 * np.pi * pts) ** 2, 0.0)
-    return out.astype(complex)
+    return np.where(np.abs(pts) <= 1.0, np.cos(0.5 * np.pi * pts) ** 2, 0.0)
 
 
 def cosine_bump_deriv(pts: np.ndarray) -> np.ndarray:
-    out = np.where(np.abs(pts) <= 1.0, -0.5 * np.pi * np.sin(np.pi * pts), 0.0)
-    return out.astype(complex)
+    return np.where(np.abs(pts) <= 1.0, -0.5 * np.pi * np.sin(np.pi * pts), 0.0)
 
 
 def fold_symmetric_window(pts: np.ndarray) -> np.ndarray:
     """1 + cos(2 pi x)/2 on [0, 2]: unit-periodic, so g(y) = g(y-1) on [1, 2]."""
-    out = np.where((pts >= 0.0) & (pts < 2.0), 1.0 + 0.5 * np.cos(2.0 * np.pi * pts), 0.0)
-    return out.astype(complex)
+    return np.where((pts >= 0.0) & (pts < 2.0), 1.0 + 0.5 * np.cos(2.0 * np.pi * pts), 0.0)
 
 
 def half_cosine_window(pts: np.ndarray) -> np.ndarray:
     """1 + cos(pi x)/2 on [0, 2]: bounded below but not unit-periodic."""
-    out = np.where((pts >= 0.0) & (pts < 2.0), 1.0 + 0.5 * np.cos(np.pi * pts), 0.0)
-    return out.astype(complex)
+    return np.where((pts >= 0.0) & (pts < 2.0), 1.0 + 0.5 * np.cos(np.pi * pts), 0.0)

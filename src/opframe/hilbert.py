@@ -148,10 +148,10 @@ class Subspace:
 
     def dense(self) -> Optional[np.ndarray]:
         """The dim x r basis, None for the whole space; the selection form
-        scatters e_i / sqrt(w_i) into a new array here."""
+        scatters e_i / sqrt(w_i) into a new float64 array here."""
         if self.index is None:
             return self.basis
-        out = np.zeros((self.ambient.dim, self.index.size), dtype=complex)
+        out = np.zeros((self.ambient.dim, self.index.size))
         out[self.index, np.arange(self.index.size)] = 1.0 / self.ambient.sqrt_weights[self.index]
         return out
 

@@ -30,8 +30,8 @@ from .hilbert import HilbertModel, Subspace, interval_grid
 class OperatorModel:
     """A linear map between models, with domain bookkeeping.
 
-    matrix         : dim_out x dim_in complex matrix, or None when the
-                     operator is given by ``projection`` or ``stencil``
+    matrix         : dim_out x dim_in matrix, or None when the operator is
+                     given by ``projection`` or ``stencil``
     input_model    : model of the input space
     codomain       : model of the output space
     domain         : Subspace of input_model (None == everywhere defined)
@@ -42,8 +42,9 @@ class OperatorModel:
                      the columns within a row are distinct
 
     Exactly one of ``matrix``, ``projection`` and ``stencil`` is given, and
-    it must be finite and match the models' dimensions.  Neither a
-    projection nor a stencil operator stores its dim_out x dim_in matrix.
+    it must be finite and match the models' dimensions; a real-typed matrix
+    or stencil is stored, and ``dense`` formed, as float64 (``real_or_complex``).
+    Neither a projection nor a stencil operator stores its dim_out x dim_in matrix.
     A projection's ``apply`` and ``apply_columns`` are ``Subspace.project``,
     O(dim r) per column, and the bounds read its singular vectors off the
     whitened basis of V; a stencil operator's ``apply`` and
@@ -65,7 +66,7 @@ class OperatorModel:
         if sum(f is not None for f in (self.matrix, self.projection, self.stencil)) != 1:
             raise InvalidDimension("give exactly one of matrix, projection and stencil")
         if self.stencil is not None:
-            cols, vals = np.asarray(self.stencil[0]), np.asarray(self.stencil[1], dtype=complex)
+            cols, vals = np.asarray(self.stencil[0]), real_or_complex(self.stencil[1])
             if cols.ndim != 2 or cols.shape != vals.shape or cols.shape[0] != d_out:
                 raise InvalidDimension(
                     f"stencil shapes {cols.shape}, {vals.shape} must both be "
@@ -90,7 +91,7 @@ class OperatorModel:
                 if m.dim != sub.ambient.dim or not np.array_equal(m.weights, sub.ambient.weights):
                     raise InvalidDimension("a projection maps the model of its subspace to itself")
             return
-        m = np.asarray(self.matrix, dtype=complex)
+        m = real_or_complex(self.matrix)
         if m.ndim != 2:
             raise InvalidDimension("operator matrix must be 2-d")
         if m.shape != (d_out, d_in):
@@ -117,11 +118,11 @@ class OperatorModel:
         a stencil operator scatters its values into a new array here."""
         if self.stencil is not None:
             cols, vals = self.stencil
-            m = np.zeros((self.codomain.dim, self.input_model.dim), dtype=complex)
+            m = np.zeros((self.codomain.dim, self.input_model.dim), dtype=vals.dtype)
             np.put_along_axis(m, cols, vals, axis=1)
             return m
         if self.projection is not None:
-            return self.projection.project(np.eye(self.input_model.dim, dtype=complex))
+            return self.projection.project(np.eye(self.input_model.dim))
         return self.matrix
 
     def _times(self, x) -> np.ndarray:
@@ -138,7 +139,7 @@ class OperatorModel:
         if self.domain is None:
             return self.dense()
         b = self.domain.dense()
-        return self._times(b) @ (b.conj().T * self.input_model.weights[None, :])
+        return _real_matmul(self._times(b), b.conj().T * self.input_model.weights[None, :])
 
     def apply(self, f) -> np.ndarray:
         """Apply as matrix o (projection onto domain)."""
@@ -163,7 +164,7 @@ class OperatorModel:
         sub = self.domain_subspace
         if sub.basis is None:  # identity columns: a slice, or all of m
             return m if sub.index is None else m[:, sub.index]
-        return m @ sub.whitened_basis()
+        return _real_matmul(m, sub.whitened_basis())
 
 
 def identity_operator(model: HilbertModel, name="identity") -> OperatorModel:
@@ -172,7 +173,7 @@ def identity_operator(model: HilbertModel, name="identity") -> OperatorModel:
 
 
 def diagonal_operator(model: HilbertModel, diag, name="diagonal") -> OperatorModel:
-    d = np.asarray(diag, dtype=complex)
+    d = real_or_complex(diag)
     if d.shape != (model.dim,):
         raise InvalidDimension("diagonal length must equal model dim")
     return OperatorModel(np.diag(d), model, model, name=name)
@@ -192,10 +193,10 @@ def _graph_solve(A: OperatorModel, x) -> np.ndarray:
     if basis is None:
         rhs = (x / A.input_model.sqrt_weights[None, :]).conj().T
     else:
-        rhs = (x @ basis).conj().T
+        rhs = _real_matmul(x, basis).conj().T
     # I + A^H A has every eigenvalue >= 1, so plain LU is backward stable
     y = np.linalg.solve(np.eye(at.shape[1]) + gram, rhs)
-    return y / A.input_model.sqrt_weights[:, None] if basis is None else basis @ y
+    return y / A.input_model.sqrt_weights[:, None] if basis is None else _real_matmul(basis, y)
 
 
 def _stencil_gap_is_zero(op: OperatorModel) -> bool:
@@ -235,7 +236,7 @@ def self_adjoint_gap(op: OperatorModel) -> float:
         gap = kt - kt.conj().T
     else:
         vw = op.codomain.sqrt_weights[:, None] * basis
-        gap = kt - (kt.conj().T @ vw) @ vw.conj().T
+        gap = kt - _real_matmul(_real_matmul(kt.conj().T, vw), vw.conj().T)
     if not np.any(gap):
         return 0.0
     s = np.linalg.svd(gap, compute_uv=False)
@@ -289,7 +290,7 @@ def diff_operator(grid: HilbertModel, variant: str) -> OperatorModel:
     h = float(grid.points[1] - grid.points[0])
     periodic = variant.endswith("periodic")
     cols, D = _central_difference(grid.dim, h, periodic)
-    stencil = (cols, -1j * D if variant.startswith("minus_i") else D.astype(complex))
+    stencil = (cols, -1j * D if variant.startswith("minus_i") else D)
     if periodic:
         return OperatorModel(None, grid, grid, name=variant, stencil=stencil)
     dirich = dirichlet_subspace(grid)

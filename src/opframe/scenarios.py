@@ -174,7 +174,7 @@ def _build_not_frame(rng, cells=2, pts_per_cell=32, alpha_range=(1.0, 2.0),
 def _build_parseval(rng, sizes=(8, 16, 32, 64, 128)):
     def gen(n):
         model = l2_truncation(n)
-        diag = np.arange(1, n + 1, dtype=complex)
+        diag = np.arange(1.0, n + 1)
         A = diagonal_operator(model, diag, name=f"diag(1..{n})")
         return A, FrameSequence(model, np.diag(diag))
 
@@ -242,13 +242,13 @@ def exm1_probe_functions(grid: HilbertModel):
         np.exp(np.sin(2 * np.pi * x)),
         np.sin(np.pi * x),
         np.cos(2 * np.pi * x) + x * (1 - x),
-    ]).astype(complex)
+    ])
     us = np.column_stack([
         np.sin(np.pi * x) ** 3,
         x**2 * (1 - x) ** 2,
         np.sin(np.pi * x) ** 2,
         np.sin(2 * np.pi * x) * np.sin(np.pi * x) ** 2,
-    ]).astype(complex)
+    ])
     return hs, us
 
 
@@ -268,7 +268,7 @@ def exm1_decomposition_error(b: float, label_range: int, grid: HilbertModel, pla
     staying above the quadrature floor.  plain is as in exm1_scaled_dual.
     """
     x = grid.points
-    u = (np.sin(np.pi * x) ** 3).astype(complex)
+    u = np.sin(np.pi * x) ** 3
     uprime = 3.0 * np.pi * np.sin(np.pi * x) ** 2 * np.cos(np.pi * x)
     t = exm1_scaled_dual(b, label_range, grid, plain).vectors  # t_n = b e_nb
     g = t * (2.0 * np.pi * np.arange(-label_range, label_range + 1))[None, :]  # 2 pi n b e_nb
@@ -371,7 +371,7 @@ def _chk_strong_residual_min(ctx, rng):
     seq = ctx["seq"]
     A = ctx["op"]
     d = seq.n_vectors
-    f = (1.0 / np.arange(1, d + 1)).astype(complex)
+    f = 1.0 / np.arange(1, d + 1)
     dual = ctx.get("dual") or weak_a_dual(seq, A)
     coeffs = analysis(dual.as_frame_sequence(), f)
     sums = np.cumsum(seq.vectors[:, :d - 1] * coeffs[:d - 1], axis=1)  # partial sums n < d

@@ -3,8 +3,8 @@
 A matrix is one string "z": the padded standard base64 (RFC 4648) of its
 row-major entries, each 16 bytes, the real then the imaginary part as
 little-endian IEEE binary64 (numpy "<c16"); the payload gives its shape.  A
-real (float64) family or basis is written the same way, with zero imaginary
-parts, and reads back as complex128: the format has one entry type.
+real (float64) family, basis, operator or dual is written the same way, with
+zero imaginary parts, and reads back as complex128: the format has one type.
 FrameSequence: {"dim", "N", "weights", "labels", "z" (dim x N)}.  OperatorModel:
 {"dim", "codomain_dim", "weights", "codomain_weights", "z" (codomain_dim x
 dim), "domain_basis", "adjoint_domain_basis", "name"}; a basis is null or

@@ -24,10 +24,12 @@ from typing import Optional
 import numpy as np
 
 from ._linalg import (
+    _real_matmul,
     adjoint_matrix,
     factor,
     max_column_gap,
     pencil_lower_bound,  # noqa: F401 - an import site perfbench's tracer tests wrap
+    real_or_complex,
     sample_blocks,
 )
 from .errors import FactorizationFailed, InvalidDimension, NotSurjective
@@ -64,7 +66,7 @@ class DualSequence:
     def __post_init__(self):
         if self.producer not in PRODUCERS:
             raise InvalidDimension(f"unknown producer {self.producer!r}")
-        v = np.asarray(self.vectors, dtype=complex)
+        v = real_or_complex(self.vectors)
         if v.ndim != 2 or v.shape[0] != self.model.dim:
             raise InvalidDimension("dual vectors must be model.dim x N")
         if not np.isfinite(v).all():
@@ -175,24 +177,27 @@ def verify_weak_duality(
     if hs is None:
         rh, ah, th = dom.sample_coords(rng, trials), A.domain_whitened(), dom.coords(dual.vectors)
     else:  # the probes act as the basis, with no random members
-        hs, w = np.asarray(hs, dtype=complex), seq.model.weights
+        hs, w = real_or_complex(hs), seq.model.weights
         rh, ah = None, seq.model.sqrt_weights[:, None] * A.apply_columns(hs)
-        th = (w[:, None] * hs).conj().T @ dual.vectors
-    defect = adom.whitened_coords(ah) - adom.coords(seq.vectors) @ th.conj().T
+        th = _real_matmul((w[:, None] * hs).conj().T, dual.vectors)
+    defect = adom.whitened_coords(ah) - _real_matmul(adom.coords(seq.vectors), th.conj().T)
     n_ah = [np.linalg.norm(block, axis=0) for block in sample_blocks(ah, rh)]
     del th, ah  # freed before the blocks are read
     if us is None:
         ru = adom.sample_coords(rng, trials)
         rows = [(None, np.ones(adom.rank)), (ru.conj().T, np.linalg.norm(ru, axis=0))]
     else:  # u = Vu cu, us projected onto D(A*)
-        cu = adom.coords(np.asarray(us, dtype=complex).reshape(seq.model.dim, -1))
+        cu = adom.coords(real_or_complex(us).reshape(seq.model.dim, -1))
         rows = [(cu.conj().T, np.linalg.norm(cu, axis=0))]
     worst = []
     for block, n_col in zip(sample_blocks(defect, rh), n_ah):
         for left, n_u in rows:
-            res = block if left is None else left @ block
+            res = block if left is None else _real_matmul(left, block)
             if res.size:  # no trials, or a zero-rank domain, leaves a block empty
                 worst.append(np.max(np.abs(res) / (np.outer(n_u, n_col) + 1e-300)))
+    if not worst:  # no h or no u: a zero-rank domain and no trials, or probes without columns
+        raise InvalidDimension(f"the weak duality sample is empty: {sum(map(len, n_ah))} h in "
+                               f"D(A) and {sum(len(n_u) for _, n_u in rows)} u in D(A*)")
     return float(np.max(worst))
 
 

@@ -14,12 +14,36 @@ from hypothesis import strategies as st
 
 from opframe import _linalg
 from opframe._linalg import _mirror, _real_matmul, factor, gram_factor, gram_form
-from opframe.constructions import exponential_system
-from opframe.hilbert import HilbertModel, Subspace, interval_grid, l2_truncation, orthonormalize
-from opframe.opmodel import OperatorModel, diff_operator
-from opframe.relframes import k_dual, kframe_bounds, range_inclusion
+from opframe.constructions import (
+    cosine_bump,
+    cosine_bump_deriv,
+    exponential_system,
+    fold_symmetric_window,
+    gabor_system,
+    gaussian_window,
+    gaussian_window_deriv,
+    half_cosine_window,
+    translation_system,
+)
+from opframe.hilbert import (
+    HilbertModel,
+    Subspace,
+    interval_grid,
+    l2_truncation,
+    orthonormalize,
+    window_grid,
+)
+from opframe.opmodel import DIFF_VARIANTS, OperatorModel, diagonal_operator, diff_operator
+from opframe.relframes import aframe_bounds_graph, k_dual, kframe_bounds, range_inclusion
+from opframe.scenarios import CONSTRUCTIONS, OPERATORS
 from opframe.seqops import FrameSequence, frame_bounds
-from opframe.weakframes import interchange_dual, weak_a_dual, weak_aframe_bound
+from opframe.weakframes import (
+    interchange_dual,
+    user_dual,
+    verify_weak_duality,
+    weak_a_dual,
+    weak_aframe_bound,
+)
 
 from conftest import random_frame, random_matrix, random_weighted_model
 
@@ -162,6 +186,92 @@ def test_real_storage_changes_no_bound(d, extra, rank, seed):
         for P in ops:
             kb = kframe_bounds(seq, P)
             assert _rel(kb.alpha, ref.alpha) <= 1e-13 and _rel(kb.beta, ref.beta) <= 1e-13
+
+
+def _orthogonal(rng, rows, cols):
+    """rows x cols real with orthonormal columns (rows >= cols)."""
+    return np.linalg.qr(rng.standard_normal((rows, cols)))[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(2, 24), extra=st.integers(0, 8),
+       adjoint=st.sampled_from(["full", "selection", "basis"]), seed=st.integers(0, 2**32 - 1))
+def test_real_operator_and_dual_storage_change_no_result(d, extra, adjoint, seed):
+    """A real operator, family and dual, each stored as float64 or as its complex128 copy, give
+    the weak, K and graph bounds, weak_a_dual's vectors and residual, and a fixed dual's
+    residual of the all-complex storage.  Operator and family have singular values in [1, 2]
+    (kappa <= 4 for their products), so a rounding difference eps grows to at most about
+    d kappa^2 eps = 8.5e-14 at d = 24: 1e-12 relative (the dual's residual, at roundoff,
+    absolute) is the stated bound."""
+    rng = np.random.default_rng(seed)
+    model = random_weighted_model(rng, d)
+    n = d + extra
+    op = _orthogonal(rng, d, d) * (1.0 + rng.random(d)) @ _orthogonal(rng, d, d).T
+    vectors = _orthogonal(rng, d, d) * (1.0 + rng.random(d)) @ _orthogonal(rng, n, d).T
+    fixed = rng.standard_normal((d, n))  # a real dual of no theorem: residual of order one
+    adom = {"full": None, "selection": Subspace.selection(model, np.arange(0, d, 2)),
+            "basis": orthonormalize(rng.standard_normal((d, max(1, d // 2))), model)}[adjoint]
+
+    def results(real_op, real_seq):
+        A = OperatorModel(op if real_op else op + 0j, model, model, adjoint_domain=adom)
+        seq = FrameSequence(model, vectors if real_seq else vectors + 0j)
+        dual = weak_a_dual(seq, A)
+        assert dual.vectors.dtype == (np.float64 if real_op and real_seq else np.complex128)
+        return (weak_aframe_bound(seq, A).alpha, kframe_bounds(seq, A).alpha,
+                aframe_bounds_graph(seq, A).alpha,
+                verify_weak_duality(seq, user_dual(model, fixed if real_op else fixed + 0j), A),
+                dual.vectors, dual.certificate_residual)
+
+    *bounds, t, cert = results(False, False)
+    for real_op, real_seq in (True, True), (True, False), (False, True):
+        *got, got_t, got_cert = results(real_op, real_seq)
+        for value, ref in zip(got, bounds):
+            assert _rel(value, ref) <= RTOL
+        assert np.linalg.norm(got_t - t) <= RTOL * np.linalg.norm(t)
+        assert abs(got_cert - cert) <= RTOL
+
+
+REAL_WINDOWS = [gaussian_window, gaussian_window_deriv, cosine_bump, cosine_bump_deriv,
+                fold_symmetric_window, half_cosine_window]
+
+
+@pytest.mark.parametrize("window", REAL_WINDOWS)
+def test_a_real_window_gives_float64_families(window):
+    grid = window_grid(64, -4.0, 4.0)
+    assert window(grid.points).dtype == np.float64
+    for given_as in window, window(grid.points):  # a callable or its samples
+        assert translation_system(given_as, 1.0, 2, grid).vectors.dtype == np.float64
+        assert gabor_system(given_as, 1.0, 0.25, 1, 1, grid).vectors.dtype == np.complex128
+
+
+def test_real_operators_store_float64():
+    model, grid = l2_truncation(4), interval_grid(32)
+    assert diagonal_operator(model, np.arange(1.0, 5.0)).matrix.dtype == np.float64
+    assert diagonal_operator(model, np.arange(1, 5)).matrix.dtype == np.float64
+    assert diagonal_operator(model, np.arange(1, 5) + 0j).matrix.dtype == np.complex128
+    for variant in DIFF_VARIANTS:
+        A = diff_operator(grid, variant)
+        dtype = np.complex128 if variant.startswith("minus_i") else np.float64
+        assert A.stencil[1].dtype == A.dense().dtype == dtype
+    selection = Subspace.selection(grid, np.arange(1, 31))
+    assert selection.dense().dtype == np.float64
+    assert OperatorModel(np.eye(32), grid, grid, domain=selection).effective_matrix().dtype == \
+        np.float64
+
+
+def test_the_real_bundled_families_keep_float64():
+    """difference (``difference_sequence``), parseval_trajectory and wavelet
+    (``wavelet_system``) build their family, operator and dual as float64."""
+    ctx = CONSTRUCTIONS["difference"](np.random.default_rng(0), d=16)
+    assert ctx["seq"].vectors.dtype == ctx["op"].matrix.dtype == np.float64
+    assert weak_a_dual(ctx["seq"], ctx["op"]).vectors.dtype == np.float64
+    A, seq = CONSTRUCTIONS["parseval_family"](None)["family"].generator(8)
+    assert A.matrix.dtype == seq.vectors.dtype == np.float64
+    for derivative in False, True:
+        ctx = CONSTRUCTIONS["wavelet_derivative" if derivative else "wavelet"](None, d=512)
+        assert ctx["seq"].vectors.dtype == ctx["plain"].vectors.dtype == np.float64
+        op = OPERATORS["diff_ddx_periodic"](ctx)
+        assert op.apply_columns(ctx["plain"].vectors).dtype == np.float64
 
 
 @pytest.mark.parametrize("kind, n", [("real", 9), ("imaginary", 9), ("mirror+", 9),

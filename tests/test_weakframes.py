@@ -201,6 +201,24 @@ class TestVerifyWeakDuality:
             else:
                 assert bad_res > 0.1
 
+    def test_no_domain_and_no_trials_is_an_empty_sample(self, rng):
+        # D(A) of rank zero and no random members: no h to test, so no maximum to take
+        m = l2_truncation(4)
+        A = OperatorModel(random_matrix(rng, 4, 4), m, m, domain=Subspace.selection(m, []))
+        seq, dual = random_frame(rng, 4, 6, m), user_dual(m, random_matrix(rng, 4, 6))
+        with pytest.raises(InvalidDimension, match=r"sample is empty: 0 h in D\(A\) and 4 u"):
+            verify_weak_duality(seq, dual, A, trials=0)
+        assert verify_weak_duality(seq, dual, A, trials=1) >= 0.0  # one member is a sample
+
+    def test_probes_without_columns_are_an_empty_sample(self, rng):
+        m = l2_truncation(4)
+        A = OperatorModel(random_matrix(rng, 4, 4), m, m)
+        seq, dual = random_frame(rng, 4, 6, m), user_dual(m, random_matrix(rng, 4, 6))
+        with pytest.raises(InvalidDimension, match=r"sample is empty: 0 h in D\(A\)"):
+            verify_weak_duality(seq, dual, A, hs=np.zeros((4, 0)))
+        with pytest.raises(InvalidDimension, match=r"and 0 u in D\(A\*\)"):
+            verify_weak_duality(seq, dual, A, us=np.zeros((4, 0)))
+
 
 class TestAdjointDecomposition:
     def test_diagonal_exact(self):
