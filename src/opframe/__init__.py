@@ -8,6 +8,9 @@ dual sequences via minimum-norm factorizations, and a scenario CLI that
 reproduces the worked examples with machine-checked reports.
 """
 
+# first, so that a module importing it from the package finds it however early it loads
+__version__ = "0.1.0"
+
 from .errors import (
     DegenerateOperator,
     EmptySpan,
@@ -77,8 +80,6 @@ from .constructions import (
     translation_system,
     wavelet_system,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "DegenerateOperator", "EmptySpan", "FactorizationFailed", "GridMismatch",

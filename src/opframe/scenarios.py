@@ -12,7 +12,9 @@ from __future__ import annotations
 import functools
 import inspect
 import json
+import numbers
 import operator
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -21,6 +23,7 @@ from typing import Callable, Dict, List, Optional, Tuple, get_args, get_origin
 
 import numpy as np
 
+from . import __version__
 from . import constructions as C
 from ._linalg import _real_matmul, max_column_gap
 from .errors import InvalidScenario, OpframeError
@@ -44,13 +47,6 @@ from .weakframes import (
     weak_a_dual,
     weak_aframe_bound,
 )
-
-try:  # package version, for the report header
-    from importlib.metadata import version as _pkg_version
-
-    VERSION = _pkg_version("opframe")
-except Exception:  # pragma: no cover
-    VERSION = "0.1.0"
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -464,15 +460,72 @@ def load_schema() -> dict:
         return json.load(fh)
 
 
-@functools.cache
-def _schema_validator():
-    """The scenario schema's validator, checked and compiled once per process."""
-    import jsonschema
+_schema = functools.cache(load_schema)  # read once per process; never mutated
 
-    schema = load_schema()
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+
+def _json_types(value) -> tuple:
+    """The JSON Schema types of a Python value, as jsonschema tells them: a bool is no
+    number, and a float with an integral value is an integer."""
+    if isinstance(value, bool):
+        return ("boolean",)
+    if isinstance(value, dict):
+        return ("object",)
+    if isinstance(value, list):
+        return ("array",)
+    if isinstance(value, str):
+        return ("string",)
+    if isinstance(value, int) or isinstance(value, float) and value.is_integer():
+        return ("integer", "number")
+    return ("number",) if isinstance(value, numbers.Number) else ()
+
+
+#: bound keyword -> (the comparison that breaks it, its message); NaN breaks none
+_BOUNDS = {
+    "minimum": (operator.lt, "is less than the minimum of"),
+    "maximum": (operator.gt, "is greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "is less than or equal to the minimum of"),
+}
+#: keyword -> the JSON type it constrains; JSON Schema ignores it on a value of any other
+_APPLIES_TO = {"properties": "object", "required": "object", "additionalProperties": "object",
+               "items": "array", "minItems": "array", "minLength": "string", "pattern": "string",
+               **dict.fromkeys(_BOUNDS, "number")}
+_ANNOTATIONS = {"$schema", "$id", "title", "description"}
+
+
+def _violations(schema: dict, value, path=()):
+    """(path, message) of each rule of a JSON Schema that value breaks, worded as jsonschema
+    words it.  Only the keywords of scenario.schema.json, in the forms it uses them, are known:
+    another raises KeyError."""
+    types = _json_types(value)
+    for keyword, rule in schema.items():
+        if keyword == "type":
+            if rule not in types:
+                yield path, f"{value!r} is not of type {rule!r}"
+        elif keyword in _ANNOTATIONS or _APPLIES_TO[keyword] not in types:
+            continue
+        elif keyword == "properties":
+            for key, sub in rule.items():
+                if key in value:
+                    yield from _violations(sub, value[key], (*path, key))
+        elif keyword == "required":
+            yield from ((path, f"{key!r} is a required property") for key in rule
+                        if key not in value)
+        elif keyword == "additionalProperties" and rule is False:
+            extra = sorted(value.keys() - schema.get("properties", {}).keys(), key=str)
+            if extra:
+                yield path, (f"Additional properties are not allowed ({', '.join(map(repr, extra))}"
+                             f" {'was' if len(extra) == 1 else 'were'} unexpected)")
+        elif keyword == "items":
+            for i, item in enumerate(value):
+                yield from _violations(rule, item, (*path, i))
+        elif keyword in ("minLength", "minItems"):
+            if len(value) < rule:
+                yield path, f"{value!r} {'should be non-empty' if rule == 1 else 'is too short'}"
+        elif keyword == "pattern":
+            if not re.search(rule, value):
+                yield path, f"{value!r} does not match {rule!r}"
+        elif _BOUNDS[keyword][0](value, rule):
+            yield path, f"{value!r} {_BOUNDS[keyword][1]} {rule!r}"
 
 
 class _Missing(LookupError):
@@ -491,6 +544,14 @@ def _defaults(fn) -> dict:
     """The params a scenario may give fn: those with a default, not keyword-only."""
     return {p.name: p.default for p in inspect.signature(fn).parameters.values()
             if p.kind is p.POSITIONAL_OR_KEYWORD and p.default is not p.empty}
+
+
+@functools.cache
+def _optional_zero(fn, key: str):
+    """The zero value of X for fn's param key, annotated Optional[X] (Union[X, None]); a
+    tuple X gives a 1-tuple of its items' zero value."""
+    x = get_args(inspect.signature(fn, eval_str=True).parameters[key].annotation)[0]
+    return (get_args(x)[0](),) if get_origin(x) is tuple else x()
 
 
 def _typed(field: str, default, value):
@@ -519,9 +580,8 @@ def _filled(where: str, fn, given: dict) -> _Context:
         if key not in defaults:
             raise InvalidScenario(f"{where} has no param {key!r}; valid: {sorted(defaults)}")
         default = defaults[key]
-        if default is None and value is not None:  # Optional[X] is Union[X, None]
-            x = get_args(inspect.signature(fn, eval_str=True).parameters[key].annotation)[0]
-            default = (get_args(x)[0](),) if get_origin(x) is tuple else x()
+        if default is None and value is not None:
+            default = _optional_zero(fn, key)
         params[key] = _typed(f"{where} param {key!r}", default, value)
     return params
 
@@ -529,14 +589,12 @@ def _filled(where: str, fn, given: dict) -> _Context:
 def validate_scenario(data: dict):
     """Check a scenario against the schema, the registries and each named function's
     params, before anything is built; return the filled construction and check params."""
-    import jsonschema
-
-    # the error jsonschema.validate would raise, without re-checking the schema
-    error = jsonschema.exceptions.best_match(_schema_validator().iter_errors(data))
+    # the error jsonschema.validate would raise: the shallowest, the later of siblings
+    error = max(_violations(_schema(), data), key=lambda e: (-len(e[0]), e[0]), default=None)
     if error is not None:
-        where = "/".join(map(str, error.absolute_path))
+        where = "/".join(map(str, error[0]))
         raise InvalidScenario(f"scenario schema violation{f' at {where!r}' if where else ''}: "
-                              f"{error.message}")
+                              f"{error[1]}")
     for i, chk in enumerate(data["checks"]):  # the schema's number takes NaN and Infinity
         if not abs(chk["tolerance"]) <= sys.float_info.max:
             raise InvalidScenario(f"'checks[{i}].tolerance' must be a finite number, "
@@ -649,7 +707,7 @@ def run_scenario(data: dict, seed: Optional[int] = None, tol_scale: float = 1.0)
     }
     return ScenarioReport(
         scenario=data["name"],
-        version=VERSION,
+        version=__version__,
         report_version=REPORT_SCHEMA_VERSION,
         seed=used_seed,
         wall_clock_s=time.perf_counter() - start,

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import opframe
 
 
@@ -24,10 +26,17 @@ def test_all_has_no_duplicates():
 
 def test_import_loads_no_scipy():
     """opframe runs every dense kernel on numpy's BLAS; scipy would load a
-    second OpenBLAS with its own spinning worker threads."""
+    second OpenBLAS with its own spinning worker threads.  Validating and running a
+    scenario through the CLI loads no jsonschema (the schema is read directly) and
+    no importlib.metadata (the version is opframe.__version__) either."""
     code = (
-        "import sys, opframe, opframe.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import sys, tempfile, opframe, opframe.cli\n"
+        "from opframe.scenarios import load_bundled, validate_scenario\n"
+        "validate_scenario(load_bundled('exm2'))\n"
+        "with tempfile.TemporaryDirectory() as tmp:\n"
+        "    code = opframe.cli.main(['reproduce', 'difference', '--out', tmp + '/r.json'])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema')\n"
+        "                   or m.startswith('importlib.metadata')))"
     )
     src = os.path.dirname(os.path.dirname(opframe.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -35,17 +44,17 @@ def test_import_loads_no_scipy():
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines()[-1] == "0 []"
 
 
-#: what src/opframe may import besides the standard library and itself; scipy is a
-#: test-only extra, however close its LAPACK wrappers are at hand
-THIRD_PARTY = {"numpy", "jsonschema"}
+#: what src/opframe may import besides the standard library and itself; scipy and
+#: jsonschema are test-only extras
+THIRD_PARTY = {"numpy"}
 
 
-def test_imports_only_the_stdlib_numpy_and_jsonschema():
+def test_imports_only_the_stdlib_and_numpy():
     """Every import in src/opframe, at module level or inside a function, is of the standard
-    library, numpy, jsonschema or opframe itself."""
+    library, numpy or opframe itself."""
     found = set()
     for path in Path(opframe.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -54,6 +63,14 @@ def test_imports_only_the_stdlib_numpy_and_jsonschema():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 found.add(node.module.split(".")[0])
     assert sorted(found - set(sys.stdlib_module_names) - THIRD_PARTY - {"opframe"}) == []
+
+
+def test_one_version():
+    """pyproject.toml's version is opframe.__version__, which every report's tool_version
+    records; nothing reads installed package metadata."""
+    tomllib = pytest.importorskip("tomllib")  # the standard library's from Python 3.11
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text())["project"]["version"] == opframe.__version__
 
 
 def test_every_top_level_definition_is_used_or_exported():

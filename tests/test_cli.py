@@ -1,9 +1,12 @@
 import contextlib
+import copy
 import functools
 import importlib
 import inspect
 import io
 import json
+import operator
+import re
 import typing
 from pathlib import Path
 from unittest import mock
@@ -25,6 +28,13 @@ from opframe.scenarios import (
 )
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _workloads():
+    """The benchmark's workloads module, which makes the scenario_stream scenarios."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        return importlib.import_module("workloads")
 
 
 @pytest.fixture
@@ -63,12 +73,11 @@ class TestSchema:
         with pytest.raises(InvalidScenario):
             validate_scenario(tiny_scenario)
 
-    def test_bundled_and_benchmark_stream_scenarios_validate(self, monkeypatch):
+    def test_bundled_and_benchmark_stream_scenarios_validate(self):
         """The bundled files and every scenario the benchmark's scenario_stream
         makes for seeds 0-9 validate; the benchmark counts a rejected one as a
         failed operation."""
-        monkeypatch.syspath_prepend(str(PERFBENCH))
-        workloads = importlib.import_module("workloads")
+        workloads = _workloads()
         stream = [data for seed in range(10)
                   for _, data in workloads.ScenarioStream(seed, None).ops]
         assert stream
@@ -197,6 +206,23 @@ class TestRunCommand:
         }))
         assert main(["run", str(f), "--out", str(tmp_path / "r.json")]) == 2
         assert "ranges" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["../../escaped/deep/x", "<tmp>/abs/x", "a\\b", "a\x00b",
+                                      ".", ".."])
+    def test_name_that_is_no_file_stem_exits_two_writing_nothing(
+            self, tmp_path, capsys, monkeypatch, name):
+        """Without --out the report path is the name's, so a name that is a path, '.' or
+        '..' is refused before anything is written."""
+        workdir = tmp_path / "a" / "b" / "c"
+        workdir.mkdir(parents=True)
+        monkeypatch.chdir(workdir)
+        f = tmp_path / "scenario.json"
+        name = name.replace("<tmp>", str(tmp_path))
+        f.write_text(json.dumps({"name": name, "construction": {"name": "difference"},
+                                 "checks": [{"name": "partial_sum_identity", "tolerance": 1.0}]}))
+        assert main(["run", str(f)]) == 2
+        assert "'name'" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "a", workdir.parent, workdir, f]
 
 
 class TestReproduceCommand:
@@ -401,3 +427,100 @@ def test_unknown_or_mistyped_param_exits_two_before_building(tmp_path_factory, d
     assert code == 2
     assert repr(key) in err
     assert calls == []
+
+
+@pytest.fixture(scope="module")
+def stream_scenarios():
+    """The benchmark's scenario_stream scenarios of seed 0."""
+    return [data for _, data in _workloads().ScenarioStream(0, None).ops]
+
+
+#: the edges of the schema's types, bounds and name rule
+SCHEMA_EDGES = st.sampled_from([
+    None, True, False, 0, 1, -1, 3.0, 0.5, -0.0, 5e-324, 2**64 - 1, 2**64, 2**70, float(2**64),
+    float("nan"), float("inf"), -float("inf"), "", [], {}, [0], [True], [1, 2.0],
+    "x", ".", "..", "...", ".x", "a/b", "/a", "a\\b", "a\x00b", "..\n"])
+#: values of every JSON kind, half of them edges
+SCHEMA_VALUES = st.one_of(
+    SCHEMA_EDGES,
+    st.one_of(
+        st.integers(), st.floats(), st.text(max_size=3),
+        st.lists(st.one_of(st.integers(-2, 3), st.floats(0, 3), st.booleans()), max_size=3),
+        st.fixed_dictionaries({"name": st.sampled_from(["identity", "frame_ratio", "", "a/b"])},
+                              optional={"tolerance": st.sampled_from([1.0, 0, -1, "1"]),
+                                        "params": st.sampled_from([{}, {"d": 8}, []])})),
+).map(copy.deepcopy)  # a mutation may change a drawn list or object; not the strategy's own
+#: keys a mutation adds: the schema's own and two it does not know
+SCHEMA_KEYS = st.sampled_from(["name", "seed", "construction", "operator", "checks", "sizes",
+                               "params", "tolerance", "extra", "Name"])
+SCHEMA_ORACLE = jsonschema.Draft202012Validator(load_schema())
+
+
+def _paths(value, path=()):
+    """The path of every value in a JSON value, its own () first."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, item in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from _paths(item, (*path, key))
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=st.data())
+def test_direct_check_agrees_with_jsonschema(stream_scenarios, data):
+    """validate_scenario refuses a mutated bundled or stream scenario with jsonschema's
+    message exactly when jsonschema's Draft 2020-12 validator refuses it.  A mutation
+    adds a key or an item to an object or array, or replaces or deletes any value."""
+    if data.draw(st.booleans()):
+        scenario = load_bundled(data.draw(st.sampled_from(REPRODUCE_NAMES)))
+    else:
+        scenario = copy.deepcopy(data.draw(st.sampled_from(stream_scenarios)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_paths(scenario))))
+        target = functools.reduce(operator.getitem, path, scenario)
+        if isinstance(target, dict) and data.draw(st.booleans()):
+            target[data.draw(SCHEMA_KEYS)] = data.draw(SCHEMA_VALUES)
+        elif isinstance(target, list) and data.draw(st.booleans()):
+            target.append(data.draw(SCHEMA_VALUES))
+        elif path:
+            parent = functools.reduce(operator.getitem, path[:-1], scenario)
+            if data.draw(st.booleans()):
+                parent[path[-1]] = data.draw(SCHEMA_VALUES)
+            else:
+                del parent[path[-1]]
+
+    best = jsonschema.exceptions.best_match(SCHEMA_ORACLE.iter_errors(scenario))
+    try:
+        validate_scenario(scenario)
+        message = None
+    except InvalidScenario as exc:
+        message = str(exc)
+    if best is None:
+        assert message is None or not message.startswith("scenario schema violation"), message
+    else:
+        where = "/".join(map(str, best.absolute_path))
+        assert message == (f"scenario schema violation{f' at {where!r}' if where else ''}: "
+                           f"{best.message}")
+
+
+@pytest.mark.parametrize("change, refused", [
+    ({"seed": 3.0}, None),  # an integral float is an integer
+    ({"seed": True}, "seed"),  # a bool is no integer
+    ({"seed": 2**64 - 1}, None),
+    ({"seed": 2**64}, "seed"),
+    ({"seed": float(2**64)}, "seed"),
+    ({"sizes": [0]}, "sizes/0"),
+    ({"checks": [{"name": "frame_ratio", "tolerance": 0}]}, "checks/0/tolerance"),
+    ({"checks": [{"name": "frame_ratio", "tolerance": 5e-324}]}, None),
+    ({"sizes": [True]}, "sizes/0"),
+    ({"checks": [{"name": "frame_ratio", "tolerance": True}]}, "checks/0/tolerance"),
+    ({"checks": [{"name": "frame_ratio", "tolerance": float("nan")}]}, "checks[0].tolerance"),
+    ({"name": ".."}, "name"),
+    ({"name": "..x"}, None),
+])
+def test_schema_types_and_bounds_as_json_schema_has_them(change, refused):
+    scenario = dict(_scenario("difference", {"d": 20}), **change)
+    if refused is None:
+        validate_scenario(scenario)
+    else:
+        with pytest.raises(InvalidScenario, match=f"'{re.escape(refused)}'"):
+            validate_scenario(scenario)
