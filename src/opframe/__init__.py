@@ -44,7 +44,6 @@ from .opmodel import (
     diagonal_operator,
     diff_operator,
     dirichlet_subspace,
-    identity_operator,
     truncation_trajectory,
 )
 from .seqops import (
@@ -77,7 +76,6 @@ from .constructions import (
     gabor_system,
     pw_example,
     riesz_multiplier,
-    translation_system,
     wavelet_system,
 )
 
@@ -89,7 +87,7 @@ __all__ = [
     "HilbertModel", "Subspace", "interval_grid", "l2_truncation", "norm",
     "orthonormalize", "window_grid",
     "OperatorModel", "TruncationFamily", "block_multiplier",
-    "diagonal_operator", "diff_operator", "dirichlet_subspace", "identity_operator",
+    "diagonal_operator", "diff_operator", "dirichlet_subspace",
     "truncation_trajectory",
     "FrameBounds", "FrameSequence", "analysis", "canonical_dual", "frame_bounds",
     "reconstruct", "synthesis",
@@ -98,5 +96,5 @@ __all__ = [
     "DualSequence", "interchange_dual", "user_dual",
     "verify_weak_duality", "weak_a_dual", "weak_aframe_bound",
     "difference_sequence", "exponential_system", "gabor_system", "pw_example",
-    "riesz_multiplier", "translation_system", "wavelet_system",
+    "riesz_multiplier", "wavelet_system",
 ]

@@ -145,17 +145,6 @@ def gabor_system(
     return FrameSequence(grid, cols.reshape(grid.dim, -1))  # m-major, n-minor
 
 
-def translation_system(
-    window: WindowLike, c: float, k_range: int, grid: HilbertModel
-) -> FrameSequence:
-    """Shift-invariant family {g(x - c*k)} for |k| <= k_range (periodic)."""
-    pts, h, _, _ = _grid_geometry(grid)
-    shift = _integer_shift(c, h, "translation step c")
-    g = _sample(window, pts)
-    ks = np.arange(-k_range, k_range + 1)
-    return FrameSequence(grid, _translates(g, shift, ks), ks)
-
-
 def wavelet_system(
     mother: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -191,7 +180,8 @@ def wavelet_system(
                     f"[{x0:g},{x1:g}]"
                 )
             cols.append(scale ** power * real_or_complex(fn(pts / scale - n * b)))
-    return FrameSequence(grid, np.column_stack(cols))
+    # a negative range gives no column: a d x 0 block, which FrameSequence refuses
+    return FrameSequence(grid, np.column_stack(cols or [np.empty((grid.dim, 0))]))
 
 
 # -- band-limited projection example ---------------------------------------
@@ -329,8 +319,3 @@ def cosine_bump_deriv(pts: np.ndarray) -> np.ndarray:
 def fold_symmetric_window(pts: np.ndarray) -> np.ndarray:
     """1 + cos(2 pi x)/2 on [0, 2]: unit-periodic, so g(y) = g(y-1) on [1, 2]."""
     return np.where((pts >= 0.0) & (pts < 2.0), 1.0 + 0.5 * np.cos(2.0 * np.pi * pts), 0.0)
-
-
-def half_cosine_window(pts: np.ndarray) -> np.ndarray:
-    """1 + cos(pi x)/2 on [0, 2]: bounded below but not unit-periodic."""
-    return np.where((pts >= 0.0) & (pts < 2.0), 1.0 + 0.5 * np.cos(np.pi * pts), 0.0)

@@ -167,11 +167,6 @@ class OperatorModel:
         return _real_matmul(m, sub.whitened_basis())
 
 
-def identity_operator(model: HilbertModel, name="identity") -> OperatorModel:
-    """The projection onto the whole space: no dim x dim array is stored."""
-    return OperatorModel(None, model, model, name=name, projection=Subspace.full(model))
-
-
 def diagonal_operator(model: HilbertModel, diag, name="diagonal") -> OperatorModel:
     d = real_or_complex(diag)
     if d.shape != (model.dim,):
@@ -248,7 +243,6 @@ def self_adjoint_gap(op: OperatorModel) -> float:
 DIFF_VARIANTS = (
     "minus_i_ddx_H1",
     "minus_i_ddx_H10",
-    "ddx_H1",
     "minus_i_ddx_periodic",
     "ddx_periodic",
 )
@@ -277,7 +271,6 @@ def diff_operator(grid: HilbertModel, variant: str) -> OperatorModel:
     Variants:
       minus_i_ddx_H1       -i d/dx, full domain, one-sided boundary rows
       minus_i_ddx_H10      -i d/dx, Dirichlet (zero-boundary) domain
-      ddx_H1               d/dx, full domain
       minus_i_ddx_periodic -i d/dx with periodic wrap (exactly self-adjoint)
       ddx_periodic         d/dx with periodic wrap
     """
@@ -335,7 +328,7 @@ class TruncationFamily:
     sizes: Sequence[int]
 
 
-TRAJECTORY_PROBES = ("bessel_bound", "weak_alpha", "frame_alpha")
+TRAJECTORY_PROBES = ("bessel_bound", "weak_alpha")
 
 
 def truncation_trajectory(family: TruncationFamily, probe: str):
@@ -350,8 +343,6 @@ def truncation_trajectory(family: TruncationFamily, probe: str):
         op, seq = family.generator(n)
         if probe == "bessel_bound":
             value = frame_bounds(seq).beta
-        elif probe == "frame_alpha":
-            value = frame_bounds(seq).alpha
         else:
             value = weak_aframe_bound(seq, op).alpha
         out.append((int(n), float(value)))

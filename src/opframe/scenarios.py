@@ -34,7 +34,6 @@ from .opmodel import (
     block_multiplier,
     diagonal_operator,
     diff_operator,
-    identity_operator,
     self_adjoint_gap,
     truncation_trajectory,
 )
@@ -54,7 +53,6 @@ WINDOWS = {
     "gaussian": (C.gaussian_window, C.gaussian_window_deriv),
     "cosine_bump": (C.cosine_bump, C.cosine_bump_deriv),
     "fold_symmetric": (C.fold_symmetric_window, None),
-    "half_cosine": (C.half_cosine_window, None),
 }
 
 
@@ -93,29 +91,22 @@ def _build_exponential(rng, d=256, x0=0.0, x1=1.0, b=1.0, label_range=40, deriva
 
 
 def _build_gabor(rng, d=1024, x0=-8.0, x1=8.0, window="gaussian", a=1.0, b=0.125,
-                 m_range=2, n_range=2, m_values: Optional[Tuple[int, ...]] = None, *, derivative):
+                 m_range=2, n_range=2, m_values: Optional[Tuple[int, ...]] = None):
     grid = window_grid(d, x0, x1)
     win, win_d = _lookup("window", WINDOWS, window)
     family = functools.partial(C.gabor_system, win, a, b, m_range, n_range, grid,
                                window_deriv=win_d, m_values=m_values)
-    plain = family()  # what the derivative checks map onto seq
-    return {"grid": grid, "plain": plain, "seq": family(derivative=True) if derivative else plain}
+    # plain is what the derivative checks map onto seq, the family's image under -i d/dx
+    return {"grid": grid, "plain": family(), "seq": family(derivative=True)}
 
 
 def _build_wavelet(rng, d=2048, x0=-8.0, x1=8.0, mother="cosine_bump", a=2.0, b=1.0,
-                   m_range=1, n_range=2, support=(-1.0, 1.0), *, derivative):
+                   m_range=1, n_range=2, support=(-1.0, 1.0)):
     grid = window_grid(d, x0, x1)
     win, win_d = _lookup("mother window", WINDOWS, mother)
     family = functools.partial(C.wavelet_system, win, a, b, m_range, n_range, grid,
                                support=support, mother_deriv=win_d)
-    plain = family()
-    return {"grid": grid, "plain": plain, "seq": family(derivative=True) if derivative else plain}
-
-
-def _build_translation(rng, d=512, x0=-8.0, x1=8.0, window="gaussian", c=1.0, k_range=4):
-    grid = window_grid(d, x0, x1)
-    seq = C.translation_system(_lookup("window", WINDOWS, window)[0], c, k_range, grid)
-    return {"grid": grid, "seq": seq}
+    return {"grid": grid, "plain": family(), "seq": family(derivative=True)}
 
 
 def _build_pw(rng, d=4096, L=64, taper="linear"):
@@ -179,11 +170,8 @@ def _build_parseval(rng, sizes=(8, 16, 32, 64, 128)):
 
 CONSTRUCTIONS: Dict[str, Callable] = {
     "exponential": _build_exponential,
-    "gabor": functools.partial(_build_gabor, derivative=False),
-    "gabor_derivative": functools.partial(_build_gabor, derivative=True),
-    "wavelet": functools.partial(_build_wavelet, derivative=False),
-    "wavelet_derivative": functools.partial(_build_wavelet, derivative=True),
-    "translation": _build_translation,
+    "gabor_derivative": _build_gabor,
+    "wavelet_derivative": _build_wavelet,
     "pw_quarter": _build_pw,
     "difference": _build_difference,
     "multiplier": _build_multiplier,
@@ -206,18 +194,10 @@ def _diff_factory(name, variant):
     return build
 
 
-def _identity(ctx):
-    if "seq" not in ctx:
-        raise InvalidScenario("operator 'identity' needs a construction with a sequence")
-    return identity_operator(ctx["seq"].model)
-
-
-OPERATORS: Dict[str, Callable] = {"identity": _identity} | {
+OPERATORS: Dict[str, Callable] = {
     name: _diff_factory(name, variant)
     for name, variant in (
         ("diff_minus_i_H1", "minus_i_ddx_H1"),
-        ("diff_minus_i_H10", "minus_i_ddx_H10"),
-        ("diff_ddx_H1", "ddx_H1"),
         ("diff_minus_i_periodic", "minus_i_ddx_periodic"),
         ("diff_ddx_periodic", "ddx_periodic"),
     )
@@ -586,15 +566,20 @@ def _filled(where: str, fn, given: dict) -> _Context:
     return params
 
 
+def _refuse(violations, what="scenario"):
+    """Raise the InvalidScenario of the error jsonschema.validate would raise: the
+    shallowest, the later of siblings."""
+    error = max(violations, key=lambda e: (-len(e[0]), e[0]), default=None)
+    if error is not None:
+        where = "/".join(map(str, error[0]))
+        raise InvalidScenario(f"{what} schema violation{f' at {where!r}' if where else ''}: "
+                              f"{error[1]}")
+
+
 def validate_scenario(data: dict):
     """Check a scenario against the schema, the registries and each named function's
     params, before anything is built; return the filled construction and check params."""
-    # the error jsonschema.validate would raise: the shallowest, the later of siblings
-    error = max(_violations(_schema(), data), key=lambda e: (-len(e[0]), e[0]), default=None)
-    if error is not None:
-        where = "/".join(map(str, error[0]))
-        raise InvalidScenario(f"scenario schema violation{f' at {where!r}' if where else ''}: "
-                              f"{error[1]}")
+    _refuse(_violations(_schema(), data))
     for i, chk in enumerate(data["checks"]):  # the schema's number takes NaN and Infinity
         if not abs(chk["tolerance"]) <= sys.float_info.max:
             raise InvalidScenario(f"'checks[{i}].tolerance' must be a finite number, "
@@ -605,6 +590,9 @@ def validate_scenario(data: dict):
         if "sizes" in given:
             raise InvalidScenario("'sizes' is given both at the top level and as a param")
         given = dict(given, sizes=data["sizes"])
+    elif "sizes" in given:  # the param keeps the rule of the top-level field
+        _refuse(_violations(_schema()["properties"]["sizes"], given["sizes"],
+                            ("construction", "params", "sizes")), "construction param 'sizes'")
     params = _filled(f"construction {spec['name']!r}",
                      _lookup("construction", CONSTRUCTIONS, spec["name"]), given)
     if "operator" in data:

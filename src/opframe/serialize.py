@@ -1,14 +1,11 @@
-"""Strict-JSON serialization for sequences, operators, and duals.
+"""Strict-JSON serialization for sequences and duals.
 
 A matrix is one string "z": the padded standard base64 (RFC 4648) of its
 row-major entries, each 16 bytes, the real then the imaginary part as
 little-endian IEEE binary64 (numpy "<c16"); the payload gives its shape.  A
-real (float64) family, basis, operator or dual is written the same way, with
-zero imaginary parts, and reads back as complex128: the format has one type.
-FrameSequence: {"dim", "N", "weights", "labels", "z" (dim x N)}.  OperatorModel:
-{"dim", "codomain_dim", "weights", "codomain_weights", "z" (codomain_dim x
-dim), "domain_basis", "adjoint_domain_basis", "name"}; a basis is null or
-{"r", "z" (dim x r, codomain_dim x r for the adjoint domain)}.  DualSequence:
+real (float64) family or dual is written the same way, with zero imaginary
+parts, and reads back as complex128: the format has one type.
+FrameSequence: {"dim", "N", "weights", "labels", "z" (dim x N)}.  DualSequence:
 the FrameSequence keys, "producer", "certificate_residual" (null for NaN) and
 "graph_space" (a bool: whether the dual was taken in the graph inner product).
 NaN and infinities are refused both ways; old "re"/"im" lists are not read.
@@ -23,8 +20,7 @@ import math
 import numpy as np
 
 from .errors import InvalidDimension
-from .hilbert import HilbertModel, Subspace
-from .opmodel import OperatorModel
+from .hilbert import HilbertModel
 from .seqops import FrameSequence
 from .weakframes import DualSequence
 
@@ -63,18 +59,15 @@ def _matrix_from(data, rows, cols):
     return m
 
 
-def _model_from(data, dim_key, weights_key, label):
-    return HilbertModel(_field(data, dim_key, int),
-                        _field(data, weights_key, lambda w: np.asarray(w, dtype=float)), label)
-
-
 def _family_to_dict(model: HilbertModel, vectors: np.ndarray, labels) -> dict:
     return {"dim": model.dim, "N": vectors.shape[1], "weights": list(map(float, model.weights)),
             "labels": list(labels), "z": _matrix_payload(vectors)}
 
 
 def _family_from(data: dict):
-    model = _model_from(data, "dim", "weights", "deserialized")
+    model = HilbertModel(_field(data, "dim", int),
+                         _field(data, "weights", lambda w: np.asarray(w, dtype=float)),
+                         "deserialized")
     return model, _matrix_from(data, model.dim, _field(data, "N", int))
 
 
@@ -84,33 +77,6 @@ def frame_sequence_to_dict(seq: FrameSequence) -> dict:
 
 def frame_sequence_from_dict(data: dict) -> FrameSequence:
     return FrameSequence(*_family_from(data), _field(data, "labels", list))
-
-
-def _basis_payload(sub):
-    basis = None if sub is None else sub.dense()
-    return None if basis is None else {"r": basis.shape[1], "z": _matrix_payload(basis)}
-
-
-def _basis_from(payload, model):
-    r = None if payload is None else _field(payload, "r", int)
-    return None if r is None else Subspace(model, _matrix_from(payload, model.dim, r))
-
-
-def operator_to_dict(op: OperatorModel) -> dict:
-    return {"dim": op.input_model.dim, "codomain_dim": op.codomain.dim,
-            "weights": list(map(float, op.input_model.weights)),
-            "codomain_weights": list(map(float, op.codomain.weights)),
-            "z": _matrix_payload(op.dense()), "domain_basis": _basis_payload(op.domain),
-            "adjoint_domain_basis": _basis_payload(op.adjoint_domain), "name": op.name}
-
-
-def operator_from_dict(data: dict) -> OperatorModel:
-    inp = _model_from(data, "dim", "weights", "deserialized input")
-    out = _model_from(data, "codomain_dim", "codomain_weights", "deserialized codomain")
-    return OperatorModel(_matrix_from(data, out.dim, inp.dim), inp, out,
-                         domain=_basis_from(data.get("domain_basis"), inp),
-                         adjoint_domain=_basis_from(data.get("adjoint_domain_basis"), out),
-                         name=data.get("name", ""))
 
 
 def dual_sequence_to_dict(dual: DualSequence) -> dict:
@@ -129,7 +95,7 @@ def dual_sequence_from_dict(data: dict) -> DualSequence:
 
 
 def dumps(obj, kind: str) -> str:
-    encode = {"frame_sequence": frame_sequence_to_dict, "operator": operator_to_dict,
+    encode = {"frame_sequence": frame_sequence_to_dict,
               "dual_sequence": dual_sequence_to_dict}[kind]
     payload = encode(obj)
     z = payload.pop("z")  # base64 needs no JSON escaping, and "z" sorts after every other key
@@ -137,6 +103,6 @@ def dumps(obj, kind: str) -> str:
 
 
 def loads(text: str, kind: str):
-    decode = {"frame_sequence": frame_sequence_from_dict, "operator": operator_from_dict,
+    decode = {"frame_sequence": frame_sequence_from_dict,
               "dual_sequence": dual_sequence_from_dict}[kind]
     return decode(json.loads(text, parse_float=_finite, parse_constant=_finite))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opframe._linalg import _real_matmul, adjoint_matrix, as_complex_vector, max_column_gap
-from opframe.hilbert import HilbertModel, l2_truncation, norm
+from opframe.hilbert import HilbertModel, Subspace, l2_truncation, norm
 from opframe.opmodel import OperatorModel
 from opframe.scenarios import load_bundled, run_scenario
 from opframe.seqops import FrameSequence
@@ -54,6 +54,16 @@ def random_frame(rng, dim, n_cols, model=None):
 def reproduce(name):
     """The report of a bundled scenario, as ``opframe reproduce <name>`` makes it."""
     return run_scenario(load_bundled(name))
+
+
+def identity_operator(model):
+    """The identity as the projection onto the whole space: no dim x dim array is stored."""
+    return OperatorModel(None, model, model, name="identity", projection=Subspace.full(model))
+
+
+def half_cosine_window(pts):
+    """1 + cos(pi x)/2 on [0, 2]: bounded below but not unit-periodic."""
+    return np.where((pts >= 0.0) & (pts < 2.0), 1.0 + 0.5 * np.cos(np.pi * pts), 0.0)
 
 
 # -- the paper's literal definitions, which the package applies only in factored

@@ -169,17 +169,6 @@ class TestRunCommand:
         assert main(["run", str(f), "--out", str(tmp_path / "r.json")]) == 2
         assert "'diff_minus_i_H1' needs a construction with a grid" in capsys.readouterr().err
 
-    def test_identity_without_sequence_exits_two(self, tmp_path, capsys):
-        f = tmp_path / "bad.json"
-        f.write_text(json.dumps({
-            "name": "no_seq",
-            "construction": {"name": "parseval_family", "params": {"sizes": [4, 8]}},
-            "operator": {"name": "identity"},
-            "checks": [{"name": "parseval_alpha_deviation", "tolerance": 1.0}],
-        }))
-        assert main(["run", str(f), "--out", str(tmp_path / "r.json")]) == 2
-        assert "'identity' needs a construction with a sequence" in capsys.readouterr().err
-
     def test_diff_operator_on_coarse_grid_exits_two(self, tmp_path, capsys):
         f = tmp_path / "bad.json"
         f.write_text(json.dumps({
@@ -307,7 +296,8 @@ PROBES = [
     ("d", _scenario("difference", {"d": "abc"})),
     ("d", _scenario("difference", {"d": -5})),
     ("d", _scenario("difference", {"d": True})),
-    ("psi", _scenario("gabor_derivative", operator="identity", checks=["pw_reconstruction"])),
+    ("psi", _scenario("gabor_derivative", operator="diff_minus_i_periodic",
+                      checks=["pw_reconstruction"])),
     ("L", _scenario("pw_quarter", {"L": 0})),
     ("d", _scenario("difference", {"d": 30.7})),
     ("dd", _scenario("difference", {"dd": 30})),
@@ -317,14 +307,15 @@ PROBES = [
     ("d", _scenario("exponential", {"d": 1})),
     ("d", _scenario("exponential", {"d": 0})),
     ("alpha_range", _scenario("not_frame_gabor", {"alpha_range": [1, 2, 3]})),
-    ("support", _scenario("wavelet", {"support": [-1, 0, 1]})),
+    ("support", _scenario("wavelet_derivative", {"support": [-1, 0, 1]})),
     ("cells", _scenario("not_frame_gabor", {"cells": -1})),
     *[("label_range", _scenario("exponential", {"b": 0.5, "derivative": True},
                                 operator="diff_minus_i_H1", checks=["weak_alpha"],
                                 check_params={"label_range": value}))
       for value in ("abc", 2.5, -5, 0)],
     *[("n_range", _scenario("not_frame_gabor", {"n_range": value})) for value in ("x", 1.5, True)],
-    *[("m_values", _scenario("gabor", {"m_values": value})) for value in ("x", 3, [0.5], [True])],
+    *[("m_values", _scenario("gabor_derivative", {"m_values": value}))
+      for value in ("x", 3, [0.5], [True])],
     *[("signals", _scenario("pw_quarter", {"d": 256, "L": 16}, checks=["pw_reconstruction"],
                             check_params={"signals": value})) for value in (-4, 0)],
     *[("ranges", _scenario("exponential", {"b": 0.5, "derivative": True},
@@ -340,6 +331,9 @@ PROBES = [
     *[("checks[0].tolerance", {**_scenario("difference", {"d": 20}),
                                "checks": [{"name": "frame_ratio", "tolerance": value}]})
       for value in (float("nan"), float("inf"), 10**400)],
+    # the construction param 'sizes' keeps the schema rule of the top-level field
+    *[("sizes", _scenario("parseval_family", {"sizes": value})) for value in ([], [0], [-3, 4])],
+    *[(key, _scenario("wavelet_derivative", {key: -1})) for key in ("m_range", "n_range")],
 ]
 
 
@@ -435,6 +429,23 @@ def stream_scenarios():
     return [data for _, data in _workloads().ScenarioStream(0, None).ops]
 
 
+def test_every_registry_name_is_run(stream_scenarios):
+    """Each construction, operator, check and window name is used by a bundled file or a
+    scenario_stream scenario, a window as the ``window`` or ``mother`` param: a name that
+    nothing runs is not shipped."""
+    used = {"construction": set(), "operator": set(), "check": set(), "window": set()}
+    for data in [*map(load_bundled, REPRODUCE_NAMES), *stream_scenarios]:
+        params = data["construction"].get("params", {})
+        used["construction"].add(data["construction"]["name"])
+        used["operator"].update([data["operator"]["name"]] if "operator" in data else [])
+        used["check"].update(chk["name"] for chk in data["checks"])
+        used["window"].update(params[key] for key in ("window", "mother") if key in params)
+    registries = {"construction": S.CONSTRUCTIONS, "operator": S.OPERATORS, "check": S.CHECKS,
+                  "window": S.WINDOWS}
+    assert {kind: sorted(set(reg) - used[kind]) for kind, reg in registries.items()} == \
+        dict.fromkeys(registries, [])
+
+
 #: the edges of the schema's types, bounds and name rule
 SCHEMA_EDGES = st.sampled_from([
     None, True, False, 0, 1, -1, 3.0, 0.5, -0.0, 5e-324, 2**64 - 1, 2**64, 2**70, float(2**64),
@@ -524,3 +535,16 @@ def test_schema_types_and_bounds_as_json_schema_has_them(change, refused):
     else:
         with pytest.raises(InvalidScenario, match=f"'{re.escape(refused)}'"):
             validate_scenario(scenario)
+
+
+@pytest.mark.parametrize("sizes", [[], [0], [-3, 4], [True], [2.5], "8"])
+def test_sizes_param_is_refused_as_the_top_level_field_is(sizes):
+    """parseval_family's 'sizes' param breaks the schema's rule for the top-level 'sizes'
+    where the field does, with the same message."""
+    messages = []
+    for scenario in (dict(_scenario("parseval_family"), sizes=sizes),
+                     _scenario("parseval_family", {"sizes": sizes})):
+        with pytest.raises(InvalidScenario, match="'[a-z/]*sizes[/0-9]*'") as err:
+            validate_scenario(scenario)
+        messages.append(str(err.value).split(": ", 1)[1])
+    assert messages[0] == messages[1]

@@ -21,7 +21,6 @@ from opframe.constructions import (
     pw_closed_form_gaps,
     pw_example,
     riesz_multiplier,
-    translation_system,
     wavelet_system,
 )
 from opframe.relframes import kframe_bounds
@@ -147,8 +146,9 @@ class TestWavelet:
     def test_single_scale_reduces_to_translations(self):
         grid = window_grid(256, -8.0, 8.0)
         wav = wavelet_system(cosine_bump, 2.0, 1.0, 0, 2, grid)
-        trans = translation_system(cosine_bump, 1.0, 2, grid)
-        np.testing.assert_allclose(wav.vectors, trans.vectors, atol=1e-12)
+        g = cosine_bump(grid.points)
+        trans = np.column_stack([np.roll(g, 16 * k) for k in range(-2, 3)])  # g(x - k), h = 1/16
+        np.testing.assert_allclose(wav.vectors, trans, atol=1e-12)
 
     def test_zero_mother_rejected(self):
         grid = window_grid(256, -8.0, 8.0)
@@ -159,6 +159,12 @@ class TestWavelet:
         grid = window_grid(256, -8.0, 8.0)
         with pytest.raises(WindowOverflow):
             wavelet_system(cosine_bump, 2.0, 1.0, 3, 2, grid)
+
+    @pytest.mark.parametrize("m_range, n_range", [(-1, 2), (1, -1)])
+    def test_negative_range_is_refused_as_an_empty_family(self, m_range, n_range):
+        # the refusal a Gabor family with a negative range meets, not numpy's
+        with pytest.raises(InvalidDimension, match="at least one column"):
+            wavelet_system(cosine_bump, 2.0, 1.0, m_range, n_range, window_grid(256, -8.0, 8.0))
 
 
 @pytest.fixture(scope="module")

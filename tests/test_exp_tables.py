@@ -104,7 +104,7 @@ class TestCirculantTranslates:
 
     def test_translation_system_and_pw_translates(self):
         grid = window_grid(256, -8.0, 8.0)
-        seq = C.translation_system(C.gaussian_window, 1.0, 3, grid)
+        seq = C.gabor_system(C.gaussian_window, 1.0, 1.0, 3, 0, grid)  # the one modulation n = 0
         g = C.gaussian_window(grid.points)
         assert np.array_equal(seq.vectors, np.column_stack([np.roll(g, 16 * k) for k in range(-3, 4)]))
         phi, psi, _ = C.pw_example(window_grid(512, -8.0, 8.0))
@@ -219,7 +219,7 @@ class TestOnePointGrids:
         with pytest.raises(InvalidDimension, match="at least 2 points"):
             C.gabor_system(C.gaussian_window, 1.0, 0.5, 0, 1, window_grid(1, -1.0, 1.0))
 
-    @pytest.mark.parametrize("construction", ["exponential", "gabor"])
+    @pytest.mark.parametrize("construction", ["exponential", "gabor_derivative"])
     def test_cli_names_the_grid_size(self, tmp_path, capsys, construction):
         f = tmp_path / "s.json"
         f.write_text(json.dumps({

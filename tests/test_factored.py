@@ -13,16 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opframe import serialize
 from opframe._linalg import thin_svd
 from opframe.errors import InvalidDimension
 from opframe.hilbert import HilbertModel, Subspace, interval_grid, orthonormalize
-from opframe.opmodel import OperatorModel, diff_operator, identity_operator
+from opframe.opmodel import OperatorModel, diff_operator
 from opframe.relframes import aframe_bounds_graph, kframe_bounds, range_inclusion
 from opframe.seqops import FrameSequence
 from opframe.weakframes import weak_aframe_bound
 
-from conftest import random_matrix, random_weighted_model, reproduce
+from conftest import identity_operator, random_matrix, random_weighted_model, reproduce
 
 RTOL = 1e-10
 FORMS = ("basis", "selection", "full")
@@ -89,10 +88,6 @@ def test_factored_agrees_with_dense_twin(d, form, seed):
     inc_twin, res_twin = range_inclusion(twin, thin)
     assert inc_proj == inc_twin
     assert res_proj == pytest.approx(res_twin, rel=RTOL)
-
-    back = serialize.loads(serialize.dumps(proj, "operator"), "operator")
-    assert back.projection is None
-    assert _rel(back.dense(), twin.dense()) <= RTOL
 
 
 @settings(max_examples=20, deadline=None)

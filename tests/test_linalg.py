@@ -14,13 +14,13 @@ from opframe._linalg import (
     triangular_inverse,
 )
 from opframe.hilbert import HilbertModel, Subspace, l2_truncation, orthonormalize
-from opframe.opmodel import OperatorModel, identity_operator
+from opframe.opmodel import OperatorModel
 from opframe.relframes import a_dual_graph, k_dual, kframe_bounds, range_inclusion
 from opframe.scenarios import CHECKS
 from opframe.seqops import FrameSequence
 from opframe.weakframes import weak_a_dual, weak_aframe_bound
 
-from conftest import random_matrix, random_weighted_model
+from conftest import identity_operator, random_matrix, random_weighted_model
 
 
 class TestMaxColumnGap:

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from opframe.errors import InvalidDimension
 from opframe.hilbert import Subspace, interval_grid, l2_truncation, norm
-from opframe.opmodel import diagonal_operator, diff_operator, identity_operator
+from opframe.opmodel import diagonal_operator, diff_operator
 
 from conftest import (
     DomainViolation,
     contains,
     graph_inner,
+    identity_operator,
     inner,
     random_matrix,
     random_vector,

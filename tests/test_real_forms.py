@@ -22,8 +22,7 @@ from opframe.constructions import (
     gabor_system,
     gaussian_window,
     gaussian_window_deriv,
-    half_cosine_window,
-    translation_system,
+    wavelet_system,
 )
 from opframe.hilbert import (
     HilbertModel,
@@ -45,7 +44,7 @@ from opframe.weakframes import (
     weak_aframe_bound,
 )
 
-from conftest import random_frame, random_matrix, random_weighted_model
+from conftest import half_cosine_window, random_frame, random_matrix, random_weighted_model
 
 RTOL = 1e-12
 
@@ -239,8 +238,8 @@ REAL_WINDOWS = [gaussian_window, gaussian_window_deriv, cosine_bump, cosine_bump
 def test_a_real_window_gives_float64_families(window):
     grid = window_grid(64, -4.0, 4.0)
     assert window(grid.points).dtype == np.float64
+    assert wavelet_system(window, 2.0, 1.0, 0, 1, grid).vectors.dtype == np.float64
     for given_as in window, window(grid.points):  # a callable or its samples
-        assert translation_system(given_as, 1.0, 2, grid).vectors.dtype == np.float64
         assert gabor_system(given_as, 1.0, 0.25, 1, 1, grid).vectors.dtype == np.complex128
 
 
@@ -267,11 +266,10 @@ def test_the_real_bundled_families_keep_float64():
     assert weak_a_dual(ctx["seq"], ctx["op"]).vectors.dtype == np.float64
     A, seq = CONSTRUCTIONS["parseval_family"](None)["family"].generator(8)
     assert A.matrix.dtype == seq.vectors.dtype == np.float64
-    for derivative in False, True:
-        ctx = CONSTRUCTIONS["wavelet_derivative" if derivative else "wavelet"](None, d=512)
-        assert ctx["seq"].vectors.dtype == ctx["plain"].vectors.dtype == np.float64
-        op = OPERATORS["diff_ddx_periodic"](ctx)
-        assert op.apply_columns(ctx["plain"].vectors).dtype == np.float64
+    ctx = CONSTRUCTIONS["wavelet_derivative"](None, d=512)
+    assert ctx["seq"].vectors.dtype == ctx["plain"].vectors.dtype == np.float64
+    op = OPERATORS["diff_ddx_periodic"](ctx)
+    assert op.apply_columns(ctx["plain"].vectors).dtype == np.float64
 
 
 @pytest.mark.parametrize("kind, n", [("real", 9), ("imaginary", 9), ("mirror+", 9),

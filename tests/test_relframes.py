@@ -4,11 +4,7 @@ import pytest
 from opframe.errors import DegenerateOperator, RangeNotIncluded
 from opframe.hilbert import l2_truncation
 from opframe.opmodel import OperatorModel, block_multiplier, diagonal_operator
-from opframe.constructions import (
-    fold_symmetric_window,
-    gabor_system,
-    half_cosine_window,
-)
+from opframe.constructions import fold_symmetric_window, gabor_system
 from opframe.relframes import (
     a_dual_graph,
     aframe_bounds_graph,
@@ -21,6 +17,7 @@ from opframe.seqops import FrameSequence, canonical_dual, frame_bounds
 from conftest import (
     adjoint,
     graph_inner,
+    half_cosine_window,
     random_frame,
     random_matrix,
     random_vector,

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opframe.errors import InvalidDimension
-from opframe.hilbert import HilbertModel, Subspace, interval_grid, l2_truncation
-from opframe.opmodel import OperatorModel, dirichlet_subspace
+from opframe.hilbert import HilbertModel, l2_truncation
+from opframe.opmodel import OperatorModel
 from opframe.relframes import a_dual_graph
 from opframe.seqops import FrameSequence
 from opframe.serialize import (
@@ -20,8 +20,6 @@ from opframe.serialize import (
     frame_sequence_from_dict,
     frame_sequence_to_dict,
     loads,
-    operator_from_dict,
-    operator_to_dict,
 )
 from opframe.weakframes import user_dual
 
@@ -63,30 +61,6 @@ def test_frame_sequence_json_is_valid_json(rng):
     assert parsed["dim"] == 2 and parsed["N"] == 3
 
 
-def test_operator_roundtrip_with_domains(rng):
-    grid = interval_grid(32)
-    dom = dirichlet_subspace(grid)
-    op = OperatorModel(
-        random_matrix(rng, 32, 32), grid, grid,
-        domain=dom, adjoint_domain=dom, name="restricted",
-    )
-    data = operator_to_dict(op)
-    assert {"dim", "codomain_dim", "domain_basis", "name"} <= set(data)
-    back = operator_from_dict(data)
-    np.testing.assert_allclose(back.matrix, op.matrix)
-    np.testing.assert_allclose(back.domain.basis, dom.dense())
-    np.testing.assert_allclose(back.adjoint_domain.basis, dom.dense())
-    assert back.name == "restricted"
-
-
-def test_operator_roundtrip_full_domain(rng):
-    m_in, m_out = l2_truncation(3), random_weighted_model(rng, 5)
-    op = OperatorModel(random_matrix(rng, 5, 3), m_in, m_out, name="rect")
-    back = operator_from_dict(operator_to_dict(op))
-    np.testing.assert_allclose(back.matrix, op.matrix)
-    assert back.domain is None
-
-
 def test_dual_sequence_roundtrip(rng):
     model = l2_truncation(4)
     seq = FrameSequence(model, random_matrix(rng, 4, 6))
@@ -113,14 +87,8 @@ def test_loads_inverts_dumps(rng):
 
 def test_dumps_is_the_plain_encoder_byte_for_byte(rng):
     """dumps writes the top-level base64 "z" after the rest of the payload; the text is the
-    one json.dumps of the whole payload gives, for each kind, with a NaN certificate and a
-    name that needs escaping."""
-    grid = interval_grid(8)
-    dom = dirichlet_subspace(grid)
-    op = OperatorModel(random_matrix(rng, 8, 8), grid, grid, domain=dom, adjoint_domain=dom,
-                       name='say "hi" \\ d/dx \u2202 \u00fc')
+    one json.dumps of the whole payload gives, for each kind, with a NaN certificate."""
     cases = [
-        (op, "operator", operator_to_dict),
         (user_dual(l2_truncation(3), random_matrix(rng, 3, 4)), "dual_sequence",
          dual_sequence_to_dict),
         (FrameSequence(random_weighted_model(rng, 3), random_matrix(rng, 3, 5), [4, -1, 0, 2, 9]),
@@ -128,7 +96,6 @@ def test_dumps_is_the_plain_encoder_byte_for_byte(rng):
     ]
     for obj, kind, encode in cases:
         assert dumps(obj, kind) == json.dumps(encode(obj), sort_keys=True, allow_nan=False)
-    assert loads(dumps(op, "operator"), "operator").name == op.name
 
 
 def _strict(text):
@@ -184,7 +151,7 @@ def test_non_finite_payload_is_rejected(rng):
     ('{"dim": 2}', "dual_sequence", "certificate_residual"),
     ('{"certificate_residual": null, "dim": 2}', "dual_sequence", "graph_space"),
     ('{"certificate_residual": null, "graph_space": 1}', "dual_sequence", "graph_space"),
-    ('[1]', "operator", "dim"),
+    ('[1]', "frame_sequence", "dim"),
     ('"text"', "frame_sequence", "dim"),
     ('{"dim": 2, "weights": [1, 1], "labels": [0]}', "frame_sequence", "N"),
     ('{"dim": "two", "weights": [1, 1]}', "frame_sequence", "dim"),
@@ -219,14 +186,6 @@ def test_list_payload_is_not_read(rng):
     old = to_lists(frame_sequence_to_dict(seq), seq.vectors)
     with pytest.raises(InvalidDimension, match="'z'"):
         frame_sequence_from_dict(old)
-    grid = interval_grid(8)
-    op = OperatorModel(random_matrix(rng, 8, 8), grid, grid, domain=dirichlet_subspace(grid))
-    with pytest.raises(InvalidDimension, match="'z'"):
-        operator_from_dict(to_lists(operator_to_dict(op), op.matrix))
-    data = operator_to_dict(op)
-    to_lists(data["domain_basis"], op.domain.dense())
-    with pytest.raises(InvalidDimension, match="'z'"):
-        operator_from_dict(data)
 
 
 @pytest.mark.parametrize("z", [
@@ -292,7 +251,6 @@ def _round_trip(obj, kind):
 def test_payload_round_trip_is_bit_exact(dim, n, seed, form, layout, edges):
     rng = np.random.default_rng(seed)
     model = HilbertModel(dim, 0.25 + rng.random(dim), "weighted")
-    out = HilbertModel(n, 0.25 + rng.random(n), "codomain")
 
     def matrix(rows, cols, planted=edges):
         return _laid_out(_planted(rng, (rows, cols), form, planted), layout)
@@ -311,14 +269,6 @@ def test_payload_round_trip_is_bit_exact(dim, n, seed, form, layout, edges):
     back = _round_trip(dual, "dual_sequence")
     _same_bits(dual.vectors, back.vectors)
     assert back.certificate_residual == dual.certificate_residual
-    op = OperatorModel(matrix(n, dim), model, out,
-                       domain=Subspace(model, matrix(dim, dim // 2 + 1)),
-                       adjoint_domain=Subspace(out, matrix(n, n)), name="op")
-    back = _round_trip(op, "operator")
-    _same_bits(op.matrix, back.matrix)
-    _same_bits(op.domain.basis, back.domain.basis)
-    _same_bits(op.adjoint_domain.basis, back.adjoint_domain.basis)
-    np.testing.assert_array_equal(back.codomain.weights, out.weights)
 
 
 def test_dual_payload_size_guard():

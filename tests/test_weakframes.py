@@ -20,7 +20,6 @@ from opframe.opmodel import (
     block_multiplier,
     diagonal_operator,
     diff_operator,
-    identity_operator,
 )
 from opframe.constructions import (
     difference_sequence,
@@ -39,6 +38,7 @@ from opframe.weakframes import (
 
 from conftest import (
     adjoint,
+    identity_operator,
     random_frame,
     random_matrix,
     random_vector,
