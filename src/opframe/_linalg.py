@@ -5,11 +5,15 @@ is mapped to plain l2 by x -> sqrt(w) * x.  Hermitian structure is exact in
 those coordinates, so eigensolvers and SVDs keep self-adjointness at machine
 precision.
 
+One structure rule: a family's arithmetic is decided once, by ``_classify``, into the
+``_Structure`` record its sequence, dual or subspace caches; real, imaginary, mirrored and
+parity families then factor in real arithmetic, and no kernel scans a family again.
+
 Every lower bound and every dual is one minimum-norm factorization, and
 ``factor`` alone decides how a matrix mat is factored, into a record that solves:
 
-- certified, by the R^-1 of ``gram_factor``'s R (under reflection parity, of two half-size real
-  blocks cut from the raw columns and sqrt(w) by ``_parity_blocks``), when mat has no more rows
+- certified, by the R^-1 of the QR of ``gram_form``'s z (under reflection parity, of two
+  half-size real blocks cut from the raw columns and sqrt(w)), when mat has no more rows
   than columns, kappa_F = ||R||_F ||R^-1||_F <= 1e6 and kappa_F max(rcond, 1e-12) < 1;
 - otherwise a thin SVD, row-reduced by the refused R unless V is needed,
   with the support cut at 1e-12 sigma_0 and M cut at rcond sigma_0.
@@ -18,6 +22,7 @@ Every lower bound and every dual is one minimum-norm factorization, and
 from __future__ import annotations
 
 import types
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -64,59 +69,79 @@ def hermitize(a):
     return 0.5 * (a + a.conj().T)
 
 
-def _real_form(mat):
-    """(b, phase) with mat = phase * b and b real when mat is real or purely
-    imaginary, so a QR of b runs in real arithmetic at a quarter of the cost."""
-    if np.iscomplexobj(mat) and not np.any(mat.imag):
-        return mat.real, 1.0
-    if np.iscomplexobj(mat) and not np.any(mat.real):
-        return mat.imag, 1j
-    return mat, 1.0
+class _Structure(NamedTuple):
+    """``_classify``'s record of a family y = scale mat, holding no d x N array: phase 1.0 (real)
+    or 1j (imaginary) when mat = phase b, b real, else None (general); sign s = +-1 when
+    mat[:, ::-1] == s conj(mat) bitwise (mirrored), else 0.0; and under reflection parity,
+    which columns of the mirror form z are even (the others odd), else None."""
+
+    phase: Optional[complex] = None
+    sign: float = 0.0
+    even: Optional[np.ndarray] = None
+
+    def real_form(self, mat):
+        """The real b with mat = phase b, or mat itself when general (or of a real dtype)."""
+        general = self.phase is None or np.isrealobj(mat)
+        return mat if general else mat.real if self.phase == 1.0 else mat.imag
+
+    def rows(self, index, dim):
+        """The record of y[index] (y when index is None), y of dim rows: any rows keep the
+        mirror and the real form, and two or more symmetric under k -> dim-1-k the parity."""
+        sym = index is None or index.size > 1 and np.array_equal(index[::-1], dim - 1 - index)
+        return self if sym or self.even is None else self._replace(even=None)
 
 
-def _mirror(mat):
-    """(s, parts) with s = +-1 if mat[:, ::-1] == s conj(mat) bitwise (outer columns first) and
-    parts (Re a, Im a, Re c + Im c), a the first N // 2 columns, c the real or imaginary middle;
-    (0, None) when mat does not mirror."""
-    h = mat.shape[1] // 2
-    a, m, c = mat[:, :h], mat[:, :-h - 1:-1], mat[:, h:mat.shape[1] - h]
-    for s in (1.0, -1.0) if np.iscomplexobj(mat) and h else ():
+def _classify(mat, scale=None):
+    """The ``_Structure`` of y = scale mat (mat when scale is None), by bitwise tests of mat:
+    the one scan of a family.  The mirror compares the outer columns first, so a general family
+    pays O(rows) for it; parity needs the mirror, a mirrored scale, and each column of mat's
+    parts (Re a, Im a, Re c + Im c), a the first N // 2 columns and c the middle, even or odd
+    under k -> d-1-k, an odd one zero on an odd d's middle row."""
+    if np.isrealobj(mat):
+        return _Structure(1.0)
+    phase = 1.0 if not np.any(mat.imag) else 1j if not np.any(mat.real) else None
+    (d, n), h, k = mat.shape, mat.shape[1] // 2, mat.shape[0] // 2
+    a, m, c = mat[:, :h], mat[:, :-h - 1:-1], mat[:, h:n - h]
+    for s in (1.0, -1.0) if h else ():
         if np.array_equal(m[:, 0], s * a[:, 0].conj()) and np.array_equal(c, s * c.conj()) \
                 and np.array_equal(m.real, s * a.real) and np.array_equal(m.imag, -s * a.imag):
-            return s, (a.real, a.imag, c.real + c.imag)
-    return 0.0, None
+            break
+    else:
+        return _Structure(phase)
+    if not k or scale is not None and not np.array_equal(scale[:k], scale[:-k - 1:-1]):
+        return _Structure(phase, s)
+    parts = (a.real, a.imag, c.real + c.imag)
+    even = np.concatenate([np.all(p[:k] == p[:-k - 1:-1], axis=0) for p in parts])
+    odd = np.concatenate([np.all(p[:k] == -p[:-k - 1:-1], axis=0) & ~np.any(p[k:d - k], axis=0)
+                          for p in parts])
+    return _Structure(phase, s, even if np.all(even | odd) else None)
 
 
-def _mirror_form(parts, scale, rows=slice(None), cols=None):
+def _mirror_form(mat, scale, rows=slice(None), cols=None):
     """The rows, and the columns of mask cols (all when None), of the mirror form
-    z = [sqrt2 Re a | sqrt2 Im a | c] of y = scale mat, from mat's ``_mirror`` parts in y's
-    arithmetic order."""
-    h = parts[0].shape[1]
-    cols = np.ones(2 * h + parts[2].shape[1], bool) if cols is None else cols
-    z = np.concatenate([np.compress(c, p[rows], axis=1)  # C order, as p[rows, c] is not
-                        for p, c in zip(parts, np.split(cols, [h, 2 * h]))], axis=1)
+    z = [sqrt2 Re a | sqrt2 Im a | c] of y = scale mat, a the first N // 2 columns of mat and
+    c its real or imaginary middle column as a real one, in y's arithmetic order."""
+    h = mat.shape[1] // 2
+    c = mat[:, h:mat.shape[1] - h]
+    parts = mat[:, :h].real, mat[:, :h].imag, c.real + c.imag
+    cols = np.ones(2 * h + c.shape[1], bool) if cols is None else cols
+    z = np.concatenate([np.compress(k, p[rows], axis=1)  # C order, as p[rows, k] is not
+                        for p, k in zip(parts, np.split(cols, [h, 2 * h]))], axis=1)
     if scale is not None:
         z *= scale[rows, None]
     z[:, :np.sum(cols[:2 * h])] *= np.sqrt(2.0)
     return z
 
 
-def gram_form(mat, scale=None):
-    """z with z z^T = y y^H, y = scale mat (mat when scale is None), y itself unformed:
-    ``_mirror_form``'s z if mat mirrors, as each pair g, s conj(g) gives 2 Re(g g^H), else scale
-    times ``_real_form``'s b (y when complex).  Only rows are scaled, so y mirrors and is real
-    or imaginary as mat is, and z is bit for bit ``gram_form(scale[:, None] * mat)``."""
-    s, parts = _mirror(mat)
-    if s:
-        return _mirror_form(parts, scale)
-    b = _real_form(mat)[0]
+def gram_form(mat, structure, scale=None):
+    """z with z z^T = y y^H, y = scale mat (mat when scale is None), y itself unformed, read
+    off y's ``_Structure``: ``_mirror_form``'s z if mat mirrors, as each pair g, s conj(g) gives
+    2 Re(g g^H), else scale times mat's real form (y when general).  Only rows are scaled, so
+    y mirrors and is real or imaginary as mat is, and z is bit for bit y's."""
+    if structure.sign:
+        return _mirror_form(mat, scale)
+    b = structure.real_form(mat)
     return b if scale is None else scale[:, None] * b
-
-
-def gram_factor(mat):
-    """Upper-triangular R, R^H R = mat mat^H, from the thin QR z^H = Q R of ``gram_form``'s z:
-    real, and mat^H's R up to a diagonal unitary, when z is (kappa_F and rank cuts unchanged)."""
-    return np.linalg.qr(gram_form(mat).conj().T, mode="r")
 
 
 def _pair(x):
@@ -162,18 +187,14 @@ def _is_wide(mat):
 
 
 def thin_svd(mat):
-    """(U, s, V^H) with mat = U diag(s) V^H, s descending: every SVD with
-    vectors in opframe runs here.
-
-    A wide mat is row-reduced: with mat^H = Q R (R bit for bit that of ``gram_factor`` unless
-    mat's columns mirror) the SVD runs on R^H = U diag(s) W^H, and V^H = W^H Q^H.
-    """
+    """(U, s, V^H) with mat = U diag(s) V^H, s descending: every SVD with vectors in opframe
+    runs here.  A wide mat is row-reduced: with mat^H = Q R the SVD runs on R^H = U diag(s) W^H,
+    and V^H = W^H Q^H."""
     if not _is_wide(mat):
         return np.linalg.svd(mat, full_matrices=False)
-    b, phase = _real_form(mat)
-    q, r = np.linalg.qr(b.conj().T)
+    q, r = np.linalg.qr(mat.conj().T)
     u, s, wh = np.linalg.svd(r.conj().T, full_matrices=False)
-    return u, s, phase * (wh @ q.conj().T)
+    return u, s, wh @ q.conj().T
 
 
 def rank_cut(s, tol, scale=None):
@@ -195,48 +216,34 @@ def _certified(rs, tol):
     return r_invs if kappa <= _DIRECT_COND and kappa * max(tol, _RANK_TOL) < 1 else None
 
 
-def _parity_blocks(mat, scale):
-    """(even, blocks, sign) if mat mirrors, scale too, and each column of z is bitwise even or odd
-    under k -> d-1-k, tested on mat's parts: Q z (``_pair``) is diag(B_E, B_O) up to a column
-    order, so z z^T = G^T G, G = diag(R_E, R_O) Q, from B_b^T = Q_b R_b.  The blocks are built
-    from the parts, not from y or z; None when one has fewer columns than rows."""
-    sign, parts = _mirror(mat)
-    d, h = mat.shape[0], mat.shape[0] // 2
-    if not (sign and h) or scale is not None and not np.array_equal(scale[:h], scale[:-h - 1:-1]):
-        return None
-    even = np.concatenate([np.all(p[:h] == p[:-h - 1:-1], axis=0) for p in parts])
-    odd = np.concatenate([np.all(p[:h] == -p[:-h - 1:-1], axis=0) & ~np.any(p[h:d - h], axis=0)
-                          for p in parts])  # 0 on an odd d's middle row
-    if not np.all(even | odd) or np.sum(even) < d - h or np.sum(~even) < h:
-        return None
-    blocks = [_mirror_form(parts, scale, slice(0, d - h), even),
-              _mirror_form(parts, scale, slice(d - h, d), ~even) * -np.sqrt(2.0)]
-    blocks[0][:h] *= np.sqrt(2.0)  # now the blocks of Q z
-    return even, blocks, sign
-
-
-def factor(mat, rcond=None, certify=True, scale=None):
-    """The ``_Factor`` of y = scale mat (mat when scale is None) by the module's rule.
-    certify=False takes the SVD path."""
-    tol, r = _RANK_TOL if rcond is None else rcond, None
-    certify = certify and mat.shape[1] >= mat.shape[0]  # no more rows than columns
-    if certify and (parity := _parity_blocks(mat, scale)) is not None:
-        even, blocks, sign = parity
+def factor(mat, structure, rcond=None, certify=True, scale=None):
+    """The ``_Factor`` of y = scale mat (mat when scale is None), whose ``_Structure`` is
+    structure, by the module's rule.  certify=False takes the SVD path."""
+    tol = _RANK_TOL if rcond is None else rcond
+    (d, n), h, even = mat.shape, mat.shape[0] // 2, structure.even
+    certify = certify and n >= d  # no more rows than columns
+    if certify and even is not None and np.sum(even) >= d - h and np.sum(~even) >= h:
+        # Q z (``_pair``) is diag(B_E, B_O) up to a column order, so z z^T = G^T G,
+        # G = diag(R_E, R_O) Q, from B_b^T = Q_b R_b: each block cut from mat's parts
+        blocks = [_mirror_form(mat, scale, slice(0, d - h), even),
+                  _mirror_form(mat, scale, slice(d - h, d), ~even) * -np.sqrt(2.0)]
+        blocks[0][:h] *= np.sqrt(2.0)  # now the blocks of Q z
         r_invs = _certified([np.linalg.qr(b.T, mode="r") for b in blocks], tol)
         if r_invs is not None:
-            return _Factor(r_invs=r_invs, blocks=blocks, parity=(even, sign))
-        del parity, blocks  # refused: freed before y is formed
+            return _Factor(r_invs=r_invs, blocks=blocks, parity=(even, structure.sign))
+        del blocks  # refused: freed before y is formed
     y = mat if scale is None else scale[:, None] * mat  # formed off the parity path only
-    if certify:
-        r = gram_factor(y)
-        r_invs = _certified([r], tol)
-        if r_invs is not None:
-            return _Factor(r_invs=r_invs, y=y)
-    # M needs y's V: V = y^H U S^-1 from the U of R^H would cost eps kappa^2
     reduce = rcond is None and _is_wide(y)
-    u, s, vh = thin_svd((gram_factor(y) if r is None else r).conj().T if reduce else y)
+    if certify or reduce:  # R^H R = y y^H, real where y's structure allows
+        r = np.linalg.qr(gram_form(y, structure).conj().T, mode="r")
+    if certify and (r_invs := _certified([r], tol)) is not None:
+        return _Factor(r_invs=r_invs, y=y)
+    # M needs y's V (V = y^H U S^-1 would cost eps kappa^2): a wide y = phase b reduces b
+    wide = not reduce and _is_wide(y)
+    u, s, vh = thin_svd(r.conj().T if reduce else structure.real_form(y) if wide else y)
     u = u[:, :rank_cut(s, min(tol, _RANK_TOL))]
-    return _Factor(u=u, s=s, vh=None if reduce else vh, rcond=rcond)
+    vh = None if reduce else (structure.phase or 1.0) * vh if wide else vh
+    return _Factor(u=u, s=s, vh=vh, rcond=rcond)
 
 
 def _corrected_solve(y, r_inv, kt):
@@ -261,7 +268,7 @@ class _Factor(types.SimpleNamespace):
         """(proj, M): the projection of kt onto R(y) and the minimum-norm M = y+ kt.
 
         By Douglas' lemma R(kt) lies in R(y) exactly when kt = y M.  A certified R of y^H = Q R
-        (real for a conjugate-mirrored y, see ``gram_factor``) gives M = (w^H y)^H,
+        (real for a conjugate-mirrored y, see ``gram_form``) gives M = (w^H y)^H,
         w = R^-1 R^-H kt, with no conjugate copy of y, corrected once (without the step the
         error grows with kappa^2, as in the normal equations), and proj = y M; under parity the
         same solve runs on each block against Q kt, with neither G^-1 nor y.  Else y = U S V^H
@@ -296,17 +303,6 @@ class _Factor(types.SimpleNamespace):
         return _pair(g_inv)
 
 
-def orthonormal_range(mat, scale=None):
-    """Orthonormal basis (plain l2) of the column space of mat; may be empty.
-
-    The rank cut is _RANK_TOL * scale with scale defaulting to sigma_max(mat).
-    Pass an external scale when mat itself may be numerical noise (e.g. a
-    residual that is exactly zero in exact arithmetic).
-    """
-    u, s, _ = thin_svd(mat)
-    return u[:, :rank_cut(s, _RANK_TOL, scale)]
-
-
 def pencil_lower_bound(sqrt_s, b_basis, b_inv_h):
     """Optimal constants (alpha, beta) of the pencil (S, B); beta is a number
     when the rank-deficient path has sigma_max, else a zero-argument callable
@@ -315,19 +311,18 @@ def pencil_lower_bound(sqrt_s, b_basis, b_inv_h):
         alpha = inf <S f, f> / <B f, f> over f with <B f, f> != 0,
         beta = sigma_max(sqrt_s)^2 = sup <S f, f> / <f, f>.
 
-    In orthonormal coordinates of the quantifier space V (dimension r),
-    sqrt_s is the (r, m) family Y (``Subspace.coords``, or any z with
-    z z^H = Y Y^H, such as ``gram_form``'s), S-form ||X f||^2 with X = Y^H;
-    b_basis the (r, q) orthonormal basis of supp(B) (None when B has full
-    rank on V), and b_inv_h is L^-H for the B-form's Gram L L^H
-    on supp(B): a (q, q) matrix or, for a diagonal L, the vector
-    1 / diag(L), multiplied and never solved with.  sqrt_s is consumed: the
-    pencil may overwrite it, so the caller passes a fresh array it no longer
-    reads (a real Y meeting a complex U is reduced in a complex copy).
+    In orthonormal coordinates of the quantifier space V (dimension r), sqrt_s is the (r, m)
+    family Y (``Subspace.coords``, or any z with z z^H = Y Y^H, such as ``gram_form``'s, in
+    the arithmetic the pencil is to run in), S-form ||X f||^2 with X = Y^H; b_basis the (r, q)
+    orthonormal basis of supp(B) (None when B has full rank on V), and b_inv_h is L^-H for the
+    B-form's Gram L L^H on supp(B): a (q, q) matrix or, for a diagonal L, the vector
+    1 / diag(L), multiplied and never solved with.  sqrt_s is consumed: the pencil may
+    overwrite it, so the caller passes a fresh array it no longer reads (a real Y meeting a
+    complex U is reduced in a complex copy).
 
-    A wide Y (at least twice as many columns as rows) is first reduced to
-    the r x r R^H of Y^H = Q R (``gram_factor``), which keeps ||X f||; X
-    itself is formed only from U^H Y (q x m) and matrices of at most 2r x r.
+    A wide Y (at least twice as many columns as rows) is first reduced to the r x r R^H of
+    Y^H = Q R, which keeps ||X f||; X itself is formed only from U^H Y (q x m) and matrices of
+    at most 2r x r.
     Components of f in ker(B) are minimized out by a Schur complement in
     factored form: with f = U c + v, v in ker(B),
 
@@ -339,7 +334,7 @@ def pencil_lower_bound(sqrt_s, b_basis, b_inv_h):
     and 0 when that factor has fewer than q rows.  No Gram of X or of B is
     formed, so alpha does not lose eps * kappa^2 to the normal equations.
     """
-    y = gram_factor(sqrt_s).conj().T if _is_wide(sqrt_s) else sqrt_s  # r x m, m < 2r
+    y = np.linalg.qr(sqrt_s.conj().T, mode="r").conj().T if _is_wide(sqrt_s) else sqrt_s
     uy = y if b_basis is None else b_basis.conj().T @ y  # (X U)^H, q x m
     if b_basis is None or b_basis.shape[1] == b_basis.shape[0]:
         def beta():
@@ -361,11 +356,12 @@ def pencil_lower_bound(sqrt_s, b_basis, b_inv_h):
         step = max(1, _ROW_BLOCK // m)
         for i in range(0, r, step):  # y becomes (X (I - U U^H))^H
             y[i:i + step] -= b_basis[i:i + step] @ uy
-        x_k = (np.linalg.qr(_real_form(y)[0], mode="r") if tall else y).conj().T
+        x_k = (np.linalg.qr(_classify(y).real_form(y), mode="r") if tall else y).conj().T
         if smax is None:
             smax = float(np.linalg.svd(
                 np.concatenate([x_k, uy.conj().T], axis=1), compute_uv=False)[0])
-        t_basis = orthonormal_range(x_k, scale=smax)
+        u, s, _ = thin_svd(x_k)  # T's basis, cut at _RANK_TOL sigma_max(X): x_k may be noise
+        t_basis = u[:, :rank_cut(s, _RANK_TOL, smax)]
         if t_basis.shape[1]:
             uy = uy - (uy @ t_basis) @ t_basis.conj().T  # (P_T_perp X U)^H
         beta = smax**2

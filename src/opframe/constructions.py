@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from ._linalg import gram_form, real_or_complex
+from ._linalg import _classify, gram_form, real_or_complex
 from .errors import GridMismatch, InvalidDimension, NotBiorthogonal, WindowOverflow
 from .hilbert import HilbertModel, Subspace, l2_truncation, norm
 from .opmodel import OperatorModel
@@ -236,7 +236,7 @@ def pw_example(grid: HilbertModel, taper: str = "linear"):
     phi0 = (table @ _band_profile(half / L, taper)).real / L
     band = table[:, L // 4 - 1: 3 * L // 4]  # |gamma| <= 1/4
     psi0 = band.sum(axis=1).real / L
-    u = gram_form(band)  # real while the band's columns mirror, as they do on an exact grid
+    u = gram_form(band, _classify(band))  # real while the columns mirror, as on an exact grid
     u /= np.sqrt(L)
     del table, band  # freed before the translates, which can then reuse its memory
     ns = np.arange(-L // 2, L // 2)

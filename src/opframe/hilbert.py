@@ -15,12 +15,13 @@ selected indices, whose implied basis e_i / sqrt(w_i) is never stored.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from ._linalg import _real_matmul, as_complex_vector, real_or_complex
+from ._linalg import _classify, _real_matmul, _Structure, as_complex_vector, real_or_complex
 from .errors import EmptySpan, InvalidDimension
 
 #: ``orthonormalize`` drops a column with residual below this times the largest column norm
@@ -161,6 +162,12 @@ class Subspace:
             return self.ambient.sqrt_weights[:, None] * self.basis
         pos = np.arange(self.ambient.dim)  # no dim x dim identity for a selection
         return (pos[:, None] == (pos if self.index is None else self.index)).astype(float)
+
+    @functools.cached_property
+    def _structure(self):
+        """The ``_linalg._classify`` record of the whitened basis: real when it is implied."""
+        b = self.basis
+        return _Structure(1.0) if b is None else _classify(b, self.ambient.sqrt_weights)
 
     def sample_coords(self, rng, trials) -> np.ndarray:
         """Complex Gaussian coordinates (rank x trials, real parts drawn first)."""

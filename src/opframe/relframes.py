@@ -64,7 +64,7 @@ def _coefficient_factor(seq: FrameSequence, K: OperatorModel, rcond=None, tol=RA
         raise InvalidDimension("operator codomain must match the sequence model")
     w_in = K.input_model.weights
     kt = whiten_matrix(K.effective_matrix(), seq.model.weights, w_in)
-    proj, m = factor(seq.vectors, rcond, scale=seq.model.sqrt_weights).solve(kt)
+    proj, m = factor(seq.vectors, seq._structure, rcond, scale=seq.model.sqrt_weights).solve(kt)
     residual = max_column_gap(proj - kt, kt, np.ones(kt.shape[0]))
     if rcond is None:
         return residual, None

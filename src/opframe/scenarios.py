@@ -56,6 +56,12 @@ WINDOWS = {
 }
 
 
+def _at_least(where: str, key: str, value, low):
+    """InvalidScenario naming where's param key unless value >= low."""
+    if not value >= low:
+        raise InvalidScenario(f"{where} param {key!r} must be >= {low}, got {value!r}")
+
+
 def _lookup(kind: str, registry: dict, name):
     """registry[name], else InvalidScenario listing the valid names."""
     if name not in registry:
@@ -84,6 +90,8 @@ def _exponentials(ctx, b: float, label_range: int, derivative=False) -> FrameSeq
 
 
 def _build_exponential(rng, d=256, x0=0.0, x1=1.0, b=1.0, label_range=40, derivative=False):
+    if d < 2:
+        raise InvalidScenario(f"exponential param 'd' must give at least 2 points, got {d}")
     grid = interval_grid(d, x0, x1)
     ctx = {"grid": grid, "exponentials": C.exponential_system(b, label_range, grid).vectors}
     ctx["seq"] = _exponentials(ctx, b, label_range, derivative)
@@ -102,6 +110,8 @@ def _build_gabor(rng, d=1024, x0=-8.0, x1=8.0, window="gaussian", a=1.0, b=0.125
 
 def _build_wavelet(rng, d=2048, x0=-8.0, x1=8.0, mother="cosine_bump", a=2.0, b=1.0,
                    m_range=1, n_range=2, support=(-1.0, 1.0)):
+    for key, value in ("m_range", m_range), ("n_range", n_range):  # else no column at all
+        _at_least("wavelet_derivative", key, value, 0)
     grid = window_grid(d, x0, x1)
     win, win_d = _lookup("mother window", WINDOWS, mother)
     family = functools.partial(C.wavelet_system, win, a, b, m_range, n_range, grid,
@@ -110,6 +120,8 @@ def _build_wavelet(rng, d=2048, x0=-8.0, x1=8.0, mother="cosine_bump", a=2.0, b=
 
 
 def _build_pw(rng, d=4096, L=64, taper="linear"):
+    if L < 4 or L % 4:  # the band edges 1/4 and 1/2 must fall on the frequency grid 1/L
+        raise InvalidScenario(f"pw_quarter param 'L' must be a positive multiple of 4, got {L}")
     grid = window_grid(d, -L / 2.0, L / 2.0)
     phi, psi, P = C.pw_example(grid, taper=taper)
     return {"grid": grid, "seq": phi, "psi": psi, "op": P,
@@ -117,6 +129,7 @@ def _build_pw(rng, d=4096, L=64, taper="linear"):
 
 
 def _build_difference(rng, d=200):
+    _at_least("difference", "d", d, 2)
     seq = C.difference_sequence(d)
     # A = C* o I at truncation: the matrix whose columns are the g_n
     A = OperatorModel(seq.vectors.copy(), seq.model, seq.model, name="difference A")
@@ -124,8 +137,7 @@ def _build_difference(rng, d=200):
 
 
 def _build_multiplier(rng, d=64, cond_max=10.0):
-    if cond_max < 1.0:  # the singular values 1 + (cond_max - 1) U(0, 1) stay >= 1
-        raise InvalidScenario(f"multiplier param 'cond_max' must be >= 1, got {cond_max!r}")
+    _at_least("multiplier", "cond_max", cond_max, 1)  # singular values 1 + (cond_max - 1) U[0, 1)
     model = l2_truncation(d)
     qa, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     qb, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
@@ -141,8 +153,7 @@ def _build_multiplier(rng, d=64, cond_max=10.0):
 
 def _build_not_frame(rng, cells=2, pts_per_cell=32, alpha_range=(1.0, 2.0),
                      window="fold_symmetric", n_range: Optional[int] = None):
-    if cells < 1:
-        raise InvalidScenario(f"not_frame_gabor param 'cells' must be at least 1, got {cells}")
+    _at_least("not_frame_gabor", "cells", cells, 1)
     if min(alpha_range) <= 0.0:  # magnitudes; a zero one makes a numerically zero operator
         raise InvalidScenario(f"not_frame_gabor param 'alpha_range' items must be positive, "
                               f"got {alpha_range}")
@@ -289,8 +300,7 @@ def _chk_weak_alpha(ctx, rng, label_range: Optional[int] = None):
     if label_range is not None:
         # rebuild at a label range that resolves the grid: a truncated family covering fewer
         # modes than the quantifier space has dimensions gives alpha = 0 by a rank count
-        if label_range < 1:  # no family to rebuild, or (derivative) only a zero column
-            raise InvalidScenario(f"weak_alpha param 'label_range' must be >= 1, got {label_range}")
+        _at_least("weak_alpha", "label_range", label_range, 1)  # else no family to rebuild
         p = ctx["params"]
         seq = _exponentials(ctx, p["b"], label_range, p["derivative"])
     return weak_aframe_bound(seq, ctx["op"]).alpha
@@ -355,8 +365,7 @@ def _chk_strong_residual_min(ctx, rng):
 
 
 def _chk_pw_reconstruction(ctx, rng, signals=20):
-    if signals < 1:  # no signal to reconstruct, so nothing would be tested
-        raise InvalidScenario(f"pw_reconstruction param 'signals' must be >= 1, got {signals}")
+    _at_least("pw_reconstruction", "signals", signals, 1)  # else nothing would be tested
     seq, psi, P = ctx["seq"], ctx["psi"], ctx["op"]
     u = P.projection.basis  # weighted-orthonormal basis of the band
     q = u.shape[1]
@@ -386,8 +395,7 @@ def _chk_psi_in_range(ctx, rng):
 
 
 def _chk_multiplier_weak_duality(ctx, rng, pairs=20):
-    if pairs < 1:  # the context's pair is the first, which fewer would still test alone
-        raise InvalidScenario(f"multiplier_weak_duality param 'pairs' must be >= 1, got {pairs}")
+    _at_least("multiplier_weak_duality", "pairs", pairs, 1)  # the context's is the first
     worst = verify_weak_duality(ctx["seq"], ctx["dual"], ctx["op"], trials=20)
     for _ in range(pairs - 1):
         fresh = _build_multiplier(rng, **ctx["params"])
@@ -659,8 +667,7 @@ def run_scenario(data: dict, seed: Optional[int] = None, tol_scale: float = 1.0)
     used_seed = int(data.get("seed", 0) if seed is None else seed)
     rng = np.random.default_rng(used_seed)
     name = data["construction"]["name"]
-    given = f"construction {name!r}"
-    building = f"{given} with params {params}"
+    building = given = f"construction {name!r}"
     try:  # an OpframeError here is a scenario's, named by what was being built
         ctx = _Context(CONSTRUCTIONS[name](rng, **params), params=params)
         if "operator" in data:

@@ -13,6 +13,7 @@ Gram matrix share their nonzero spectrum through Y Y^H and Y^H Y.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -20,6 +21,8 @@ import numpy as np
 
 from ._linalg import (
     _DEGENERATE_TOL,
+    _classify,
+    _is_wide,
     _real_matmul,
     as_complex_vector,
     factor,
@@ -94,6 +97,11 @@ class FrameSequence:
     def whitened(self) -> np.ndarray:
         return self.model.sqrt_weights[:, None] * self.vectors
 
+    @functools.cached_property
+    def _structure(self):
+        """The ``_linalg._classify`` record of the whitened family, from its one scan."""
+        return _classify(self.vectors, self.model.sqrt_weights)
+
 
 class FrameBounds:
     """Optimal constants alpha <= beta of a frame-type inequality and the kind
@@ -127,11 +135,11 @@ def synthesis(seq: FrameSequence, c) -> np.ndarray:
     return _real_matmul(seq.vectors, c)
 
 
-def _whitened_spectrum(mat, scale=None) -> np.ndarray:
-    """Full spectrum of the frame operator Y Y^H of the whitened family Y = scale mat (dim x N,
-    zero columns allowed), via the smaller Gram of ``gram_form``'s z, z z^T = Y Y^H: real for a
+def _whitened_spectrum(family) -> np.ndarray:
+    """Full spectrum of Y Y^H for the whitened family Y (dim x N, zero columns allowed) of a
+    sequence or dual, via the smaller Gram of ``gram_form``'s z, z z^T = Y Y^H: real for a
     mirrored, real or imaginary family, whose conj() is itself, not a copy of Y."""
-    z = gram_form(mat, scale)
+    z = gram_form(family.vectors, family._structure, family.model.sqrt_weights)
     d, n = z.shape
     vals = np.linalg.eigvalsh(hermitize(z.conj().T @ z if n <= d else z @ z.conj().T))
     return np.sort(np.concatenate([np.zeros(max(d - n, 0)), np.clip(vals, 0.0, None)]))
@@ -140,7 +148,7 @@ def _whitened_spectrum(mat, scale=None) -> np.ndarray:
 def frame_bounds(seq: FrameSequence, frame_tol: float = FRAME_TOL) -> FrameBounds:
     """Optimal constants alpha = lambda_min(S), beta = lambda_max(S); a frame
     when alpha > frame_tol * beta (relative; operator bounds: alpha > frame_tol)."""
-    spec = _whitened_spectrum(seq.vectors, seq.model.sqrt_weights)
+    spec = _whitened_spectrum(seq)
     alpha, beta = float(spec[0]), float(spec[-1])
     kind = "frame" if alpha > frame_tol * max(beta, 1e-300) else "bessel_only"
     return FrameBounds(alpha, beta, kind)
@@ -172,9 +180,11 @@ def _operator_bounds(
     v = subspace if subspace is not None else Subspace.full(op.codomain)
     if v.basis is None:  # rows scaled or sliced keep the column mirror and the real form
         rows = slice(None) if v.index is None else v.index
-        y = gram_form(seq.vectors[rows], seq.model.sqrt_weights[rows])
+        y = gram_form(seq.vectors[rows], seq._structure, seq.model.sqrt_weights[rows])
     else:
         y = v.coords(seq.vectors)  # r x N; S-form = ||y^H c||^2
+        if _is_wide(y):  # the pencil row-reduces it as it is given
+            y = gram_form(y, _classify(y))
     alpha, beta = pencil_lower_bound(y, *_reference_factor(op, v, graph))
     return FrameBounds(alpha, beta, kind if alpha > frame_tol else "bessel_only")
 
@@ -192,11 +202,12 @@ def _reference_factor(op: OperatorModel, v: Subspace, graph: bool):
     if v.is_full and sub is not None and op.domain is None:
         # contiguous, as gram_form of a complex basis with zero imaginary part is its strided
         # real view, which sends the pencil's products to other BLAS kernels than the real basis
-        u, sv = np.ascontiguousarray(gram_form(sub.whitened_basis())), np.ones(sub.rank)
+        u = np.ascontiguousarray(gram_form(sub.whitened_basis(), sub._structure))
+        sv = np.ones(sub.rank)
     else:
         m = v.whitened_coords(op.whitened())  # r x dim_in
         certify = not graph and np.linalg.norm(m) > np.sqrt(v.rank) * _DEGENERATE_TOL
-        fac = factor(m, certify=certify)
+        fac = factor(m, _classify(m), certify=certify)
         if fac.s is None:  # the dense R^-1, or G^-1 under reflection parity
             return None, fac.inverse()
         u, sv = fac.u, fac.s
@@ -213,7 +224,7 @@ def canonical_dual(seq: FrameSequence, frame_tol: float = FRAME_TOL) -> FrameSeq
     d, n = y.shape
     if n < d:
         raise NotAFrame("sequence has fewer columns than the model dimension")
-    z = gram_form(y)  # real for a mirrored, real or imaginary family, and so are S and solve
+    z = gram_form(y, seq._structure)  # real for a mirrored, real or imaginary family, as S is
     s_w = hermitize(z @ z.conj().T)
     vals = np.linalg.eigvalsh(s_w)
     if vals[0] <= frame_tol * max(vals[-1], 1e-300):

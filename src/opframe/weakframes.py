@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from ._linalg import (
+    _classify,
     _real_matmul,
     adjoint_matrix,
     factor,
@@ -73,6 +74,8 @@ class DualSequence:
             raise InvalidDimension("dual vectors hold a non-finite entry")
         object.__setattr__(self, "vectors", v)
 
+    _structure = FrameSequence._structure  # the record of the whitened dual, as a sequence's
+
     @functools.cached_property
     def bessel_bound(self) -> float:
         """The optimal Bessel bound lambda_max of the dual's Gram, sup over f in H
@@ -80,7 +83,7 @@ class DualSequence:
         (``a_dual_graph``) gets it in H's geometry too, not over D(A) in the
         graph norm ||f||_A, so its alpha * bessel_bound is not 1 as in the
         K-frame and weak forms (0.5990 * 0.3579 = 0.214 at ``not_frame``)."""
-        return float(_whitened_spectrum(self.vectors, self.model.sqrt_weights)[-1])
+        return float(_whitened_spectrum(self)[-1])
 
     @property
     def n_vectors(self) -> int:
@@ -131,7 +134,9 @@ def weak_a_dual(seq: FrameSequence, A: OperatorModel, rcond=1e-10) -> DualSequen
     """
     v = A.adjoint_domain_subspace
     y, kt = v.coords(seq.vectors), v.coords(A.effective_matrix())  # r x N, r x d
-    fac = factor(y, rcond)
+    # coordinates on a basis are a new family; scaled or selected rows keep the family's record
+    structure = _classify(y) if v.basis is not None else seq._structure.rows(v.index, seq.model.dim)
+    fac = factor(y, structure, rcond)
     proj, m = fac.solve(kt)
     ym = proj if fac.s is None else y @ m  # y M, unless the SVD's proj projects onto R(y)
     weak_res, weak_scale = np.linalg.norm(ym - kt), np.linalg.norm(kt)
@@ -216,7 +221,7 @@ def interchange_dual(
     ath = A.domain_whitened().conj().T  # At^H: dim D(A) x dim
     if ath.shape[0] < ath.shape[1]:
         raise NotSurjective(f"operator not surjective: dim D(A) = {ath.shape[0]} < {ath.shape[1]}")
-    fac = factor(ath, sigma_tol)
+    fac = factor(ath, _classify(ath), sigma_tol)
     if fac.s is not None and fac.s[-1] <= sigma_tol * fac.s[0]:
         raise NotSurjective(f"operator is not surjective (sigma_min={fac.s[-1]:.3e}, "
                             f"sigma_max={fac.s[0]:.3e})")

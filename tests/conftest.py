@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from opframe._linalg import _real_matmul, adjoint_matrix, as_complex_vector, max_column_gap
+from opframe._linalg import (
+    _classify,
+    _real_matmul,
+    adjoint_matrix,
+    as_complex_vector,
+    factor,
+    max_column_gap,
+)
 from opframe.hilbert import HilbertModel, Subspace, l2_truncation, norm
 from opframe.opmodel import OperatorModel
 from opframe.scenarios import load_bundled, run_scenario
@@ -31,6 +38,12 @@ def linalg_calls(monkeypatch):
         return calls
 
     return count
+
+
+def factor_of(mat, *args, scale=None, **kwargs):
+    """``_linalg.factor`` of y = scale mat with the record ``_classify`` gives y, as the package
+    classifies a matrix it builds."""
+    return factor(mat, _classify(mat, scale), *args, scale=scale, **kwargs)
 
 
 def random_vector(rng, dim):

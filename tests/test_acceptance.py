@@ -6,7 +6,6 @@ summary.  Tolerances are pinned here; OPFRAME_TOL_OVERRIDE does not apply.
 
 import numpy as np
 
-from opframe._linalg import factor
 from opframe.errors import DegenerateOperator, FactorizationFailed, RangeNotIncluded
 from opframe.hilbert import interval_grid, l2_truncation, window_grid
 from opframe.opmodel import (
@@ -42,7 +41,7 @@ from opframe.weakframes import (
     weak_aframe_bound,
 )
 
-from conftest import adjoint
+from conftest import adjoint, factor_of
 
 
 def _report(n, detail):
@@ -130,7 +129,7 @@ def test_criterion_03_pseudo_inverse_lemma():
         cols = int(rng.integers(2, 10))
         rank = int(rng.integers(1, min(rows, cols) + 1))
         w = _rand_mat(rng, rows, rank) @ _rand_mat(rng, rank, cols)
-        wp = factor(w, 1e-10).solve(np.eye(rows))[1]  # W+ is the factor of the identity
+        wp = factor_of(w, 1e-10).solve(np.eye(rows))[1]  # W+ is the factor of the identity
         nw, nwp = np.linalg.norm(w), np.linalg.norm(wp)
         assert np.linalg.norm(w @ wp @ w - w) <= 1e-9 * nw
         assert np.linalg.norm(wp @ w @ wp - wp) <= 1e-9 * nwp

@@ -74,19 +74,19 @@ def test_one_version():
 
 
 def test_every_top_level_definition_is_used_or_exported():
-    """A top-level function or class of src/opframe must be referenced in
-    src/ apart from its own definition, or be listed in opframe.__all__: a
-    helper that only tests use does not belong in the package."""
+    """A top-level function or class of src/opframe must be named in src/ outside its own
+    definition (a recursive call does not count), or be listed in opframe.__all__: a helper
+    that only tests use does not belong in the package."""
     trees = [ast.parse(path.read_text()) for path in Path(opframe.__file__).parent.glob("*.py")]
     defined = {node.name for tree in trees for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
     used = set()
     for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+        for stmt in tree.body:
+            names = {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(stmt) if isinstance(node, (ast.Name, ast.Attribute))}
+            own = isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            used |= names - ({stmt.name} if own else set())
     assert sorted(defined - used - set(opframe.__all__)) == []
 
 
@@ -148,11 +148,10 @@ def test_every_exported_error_is_raised():
     assert sorted(errors - raised) == []
 
 
-#: how a matrix is factored: the SVD, its rank cut, the certificate (R from
-#: ``gram_factor``, its inverse and the kappa_F ceiling) and the reflection-parity
-#: layout of the blocks (``_pair``)
-DECISION = {"thin_svd", "rank_cut", "gram_factor", "triangular_inverse", "_DIRECT_COND",
-            "_pair"}
+#: how a matrix is factored: the SVD, its rank cut, the certificate (R^-1 by
+#: ``triangular_inverse`` and the kappa_F ceiling) and the reflection-parity layout of
+#: the blocks (``_pair``)
+DECISION = {"thin_svd", "rank_cut", "triangular_inverse", "_DIRECT_COND", "_pair"}
 
 
 def test_factorization_is_decided_in_linalg_only():

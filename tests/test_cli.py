@@ -349,10 +349,14 @@ def _run(data, workdir, *flags):
 
 @pytest.mark.parametrize("probe", PROBES, ids=[f"{i}-{p[0]}" for i, p in enumerate(PROBES)])
 def test_probe_exits_two_naming_the_field(tmp_path, probe):
+    """The refusal names the field, and no other param of the construction (save in an
+    unknown param's list of the valid ones): a refusal that blamed another would fail."""
     field, data, *flags = probe
     code, err = _run(data, tmp_path, *flags)
     assert code == 2
     assert repr(field) in err
+    others = set(S._defaults(S.CONSTRUCTIONS[data["construction"]["name"]])) - {field}
+    assert [key for key in sorted(others) if repr(key) in err.split("; valid:")[0]] == []
     assert not (tmp_path / "report.json").exists()
 
 

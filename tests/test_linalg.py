@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opframe._linalg import (
-    factor,
     max_column_gap,
-    orthonormal_range,
     pencil_lower_bound,
+    rank_cut,
     thin_svd,
     triangular_inverse,
 )
@@ -20,7 +19,7 @@ from opframe.scenarios import CHECKS
 from opframe.seqops import FrameSequence
 from opframe.weakframes import weak_a_dual, weak_aframe_bound
 
-from conftest import identity_operator, random_matrix, random_weighted_model
+from conftest import factor_of, identity_operator, random_matrix, random_weighted_model
 
 
 class TestMaxColumnGap:
@@ -103,6 +102,13 @@ def test_kframe_alpha_matches_extended_precision_oracle(kappa, seed):
     assert float(abs(alpha - oracle) / oracle) <= 1e-10
 
 
+def orthonormal_range(mat, scale=None):
+    """The basis of mat's column space the pencil takes: thin_svd's U cut at 1e-12 * scale,
+    scale defaulting to sigma_max(mat)."""
+    u, s, _ = thin_svd(mat)
+    return u[:, :rank_cut(s, 1e-12, scale)]
+
+
 def test_wide_factor_range_matches_direct_svd():
     """A wide X (rows <= columns / 2) with nontrivial ker(B): the QR-reduced
     range of X restricted to ker(B) spans the projector of the direct SVD."""
@@ -170,9 +176,9 @@ def test_range_and_pinv_cuts_from_one_svd(d, wide, seed):
     # K = D M with the minimum-norm M = D+ K; the dual vectors are M^H
     m = k_dual(seq, K).vectors.conj().T
     assert _rel(m, np.linalg.pinv(y, rcond=1e-10) @ kt) <= 1e-10
-    pinv = factor(seq.whitened(), 1e-10).solve(np.eye(d))[1]  # D+ is the factor of I
+    pinv = factor_of(seq.whitened(), 1e-10).solve(np.eye(d))[1]  # D+ is the factor of I
     assert _rel(pinv, np.linalg.pinv(y, rcond=1e-10)) <= 1e-10
-    zero = factor(np.zeros((d, n), dtype=complex), 1e-10).solve(np.eye(d))[1]
+    zero = factor_of(np.zeros((d, n), dtype=complex), 1e-10).solve(np.eye(d))[1]
     assert zero.shape == (n, d) and not np.any(zero)
 
 
@@ -224,7 +230,7 @@ def test_coefficient_factor_matches_svd_oracles(d, shape, kind, decades, seed):
         m = k_dual(seq, K, rcond=rcond).vectors.conj().T
         tol = max(1e-10, 10 * np.finfo(float).eps * kappa)
         assert _rel(m, oracle @ kt) <= tol
-        assert _rel(factor(y, rcond).solve(np.eye(d))[1], oracle) <= tol
+        assert _rel(factor_of(y, rcond).solve(np.eye(d))[1], oracle) <= tol
 
     kappa = s[0] / s[-1]
     basis = orthonormal_range(y)
@@ -286,7 +292,7 @@ def test_singular_factor_takes_the_svd_path(rng, linalg_calls):
     vectors = random_matrix(rng, 5, 8)
     vectors[2] = 0.0
     seq = FrameSequence(model, vectors)
-    assert factor(seq.whitened(), 1e-10).r_invs is None
+    assert factor_of(seq.whitened(), 1e-10).r_invs is None
     K = OperatorModel(vectors @ random_matrix(rng, 8, 3), l2_truncation(3), model)
     svd = linalg_calls("svd")
     assert k_dual(seq, K).certificate_residual <= 1e-10

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opframe._linalg import factor, thin_svd
+from opframe._linalg import thin_svd
 from opframe.errors import GridTooCoarse, InvalidDimension, InvalidProbe
 from opframe.hilbert import (
     HilbertModel, Subspace, interval_grid, l2_truncation, norm,
@@ -25,6 +25,7 @@ from opframe.seqops import FrameSequence
 
 from conftest import (
     adjoint,
+    factor_of,
     graph_inner,
     identity_operator,
     inner,
@@ -77,7 +78,7 @@ class TestPseudoInverse:
     @staticmethod
     def pinv(mat):
         mat = np.asarray(mat, dtype=complex)
-        return factor(mat, 1e-10).solve(np.eye(mat.shape[0]))[1]
+        return factor_of(mat, 1e-10).solve(np.eye(mat.shape[0]))[1]
 
     def test_diagonal(self):
         np.testing.assert_allclose(self.pinv(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]), atol=1e-14)

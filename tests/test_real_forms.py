@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from opframe import _linalg
-from opframe._linalg import _mirror, _real_matmul, factor, gram_factor, gram_form
+from opframe._linalg import _classify, _real_matmul, factor, gram_form
 from opframe.constructions import (
     cosine_bump,
     cosine_bump_deriv,
@@ -44,7 +44,13 @@ from opframe.weakframes import (
     weak_aframe_bound,
 )
 
-from conftest import half_cosine_window, random_frame, random_matrix, random_weighted_model
+from conftest import (
+    factor_of,
+    half_cosine_window,
+    random_frame,
+    random_matrix,
+    random_weighted_model,
+)
 
 RTOL = 1e-12
 
@@ -55,6 +61,12 @@ def _mirrored(rng, d, n, sign):
     a = random_matrix(rng, d, n // 2)
     mid = rng.standard_normal((d, n % 2)) * (1.0 if sign > 0 else 1j)
     return np.concatenate([a, mid, sign * a[:, ::-1].conj()], axis=1)
+
+
+def gram_factor(mat):
+    """R with R^H R = mat mat^H, from the QR of the transposed ``gram_form`` of mat, the R that
+    ``factor`` certifies."""
+    return np.linalg.qr(gram_form(mat, _classify(mat)).conj().T, mode="r")
 
 
 def _rel(a, b):
@@ -287,7 +299,7 @@ def test_scaled_gram_form_is_that_of_the_scaled_family(rng, kind, n):
            "complex": lambda: random_matrix(rng, d, n)}[kind]()
     scale = np.sqrt(random_weighted_model(rng, d).weights)
     y = scale[:, None] * mat
-    z, whole = gram_form(mat, scale), gram_form(y)
+    z, whole = gram_form(mat, _classify(mat, scale), scale), gram_form(y, _classify(y))
     assert z.dtype == whole.dtype == (np.complex128 if kind == "complex" else np.float64)
     assert z.shape == whole.shape == (d, n)
     assert (z + 0.0).tobytes() == (whole + 0.0).tobytes()  # + 0.0 turns -0 into +0
@@ -353,7 +365,7 @@ def _parity_family(model, n, derivative=False):
 
 
 def _assert_solve_matches_pinv(y, kt, rcond=1e-10, tol=1e-12):
-    proj, m = factor(y, rcond).solve(kt)
+    proj, m = factor_of(y, rcond).solve(kt)
     pinv = np.linalg.pinv(y, rcond=rcond)
     assert np.linalg.norm(m - pinv @ kt) <= tol * np.linalg.norm(pinv @ kt)
     assert np.linalg.norm(proj - y @ (pinv @ kt)) <= tol * np.linalg.norm(kt)
@@ -370,7 +382,7 @@ def test_parity_solve_matches_pinv_and_cond(d, extra, derivative, seed):
     rng = np.random.default_rng(seed)
     y = _parity_family(_symmetric_model(rng, d), d + extra, derivative)
     kt = random_matrix(rng, d, 3)
-    fac = factor(y, 1e-10)
+    fac = factor_of(y, 1e-10)
     certified = fac.s is None  # the SVD path's record holds the singular values
     cond = np.linalg.cond(y)
     if cond > 1e12:
@@ -396,7 +408,7 @@ def test_blocks_from_the_raw_family_are_the_whitened_ones(d, extra, odd_n, sign,
     model = _symmetric_model(np.random.default_rng(seed), d)
     n = 2 * (d // 2 + extra) + 1 if odd_n else 2 * (d + extra)
     raw = _raw_parity_family(model, n) * (1.0 if sign > 0 else 1j)  # s = -1: i e_k
-    record = factor(raw, 1e-10, scale=model.sqrt_weights)
+    record = factor_of(raw, 1e-10, scale=model.sqrt_weights)
     assert record.parity is not None
     (even, s), blocks = record.parity, record.blocks
     assert s == sign
@@ -404,7 +416,7 @@ def test_blocks_from_the_raw_family_are_the_whitened_ones(d, extra, odd_n, sign,
     h, half = d // 2, y.shape[1] // 2
     a, c = y[:, :half], y[:, half:y.shape[1] - half]
     z = np.concatenate([a.real * np.sqrt(2.0), a.imag * np.sqrt(2.0), c.real + c.imag], axis=1)
-    assert gram_form(y).tobytes() == z.tobytes()
+    assert gram_form(y, _classify(y)).tobytes() == z.tobytes()
     assert np.array_equal(even, np.all(z[:h] == z[:-h - 1:-1], axis=0))
     expected = [z[:d - h, even], z[d - h:, ~even] * -np.sqrt(2.0)]
     expected[0][:h] *= np.sqrt(2.0)
@@ -437,12 +449,13 @@ def test_parity_solve_forms_no_whitened_family_or_square_array(rng, monkeypatch)
     d, n = 64, 129
     model = _symmetric_model(rng, d)
     raw, kt = _raw_parity_family(model, n), random_matrix(rng, d, 3)
-    assert factor(raw, 1e-10, scale=model.sqrt_weights).parity is not None
+    structure = _classify(raw, model.sqrt_weights)  # as the family's record, classified once
+    assert factor(raw, structure, 1e-10, scale=model.sqrt_weights).parity is not None
     shapes = []
     monkeypatch.setattr(_linalg, "np", _ShapeLog(np, shapes))
     tracemalloc.start()
     try:
-        proj, m = factor(raw, 1e-10, scale=model.sqrt_weights).solve(kt)
+        proj, m = factor(raw, structure, 1e-10, scale=model.sqrt_weights).solve(kt)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -465,7 +478,7 @@ def test_scaled_record_solves_with_its_own_whitened_family(rng, decades):
     v, _ = np.linalg.qr(random_matrix(rng, 20, 12))
     mat = (u * np.geomspace(1.0, 10.0**-decades, 12)) @ v.conj().T
     scale, kt = 0.5 + rng.random(12), random_matrix(rng, 12, 3)
-    record, reference = factor(mat, 1e-10, scale=scale), factor(scale[:, None] * mat, 1e-10)
+    record, reference = factor_of(mat, 1e-10, scale=scale), factor_of(scale[:, None] * mat, 1e-10)
     assert record.parity is None and (record.s is None) == (decades < 5)
     if record.s is None:
         assert record.y.tobytes() == (scale[:, None] * mat).tobytes()
@@ -480,7 +493,7 @@ def test_parity_record_holds_blocks_not_the_family(rng):
     d, n = 16, 21
     model = _symmetric_model(rng, d)
     raw = _raw_parity_family(model, n)
-    record = factor(raw, 1e-10, scale=model.sqrt_weights)
+    record = factor_of(raw, 1e-10, scale=model.sqrt_weights)
     assert record.parity is not None and record.y is None and len(record.blocks) == 2
     arrays = [a for value in vars(record).values()
               for a in (value if isinstance(value, (list, tuple)) else [value])
@@ -500,9 +513,9 @@ class TestParityFallback:
         y = _parity_family(interval_grid(16), 21)
         y[3, 2] += 0.1 + 0.2j
         y[3, -3] = np.conj(y[3, 2])
-        assert _mirror(y)[0] == 1.0  # the family still mirrors
+        assert _classify(y).sign == 1.0  # the family still mirrors
         qr = linalg_calls("qr")
-        fac = factor(y, 1e-10)
+        fac = factor_of(y, 1e-10)
         assert fac.r_invs is not None and fac.parity is None
         assert [args[0].shape for args, _ in qr] == [(21, 16)]
         _assert_solve_matches_pinv(y, random_matrix(rng, 16, 3))
@@ -514,25 +527,25 @@ class TestParityFallback:
         a = (even + 1j * np.roll(even, h, axis=1))[:, :h]
         a = np.concatenate([a, a[::-1]])
         y = np.concatenate([a, a[:, ::-1].conj()], axis=1)
-        assert _mirror(y)[0] == 1.0
+        assert _classify(y).sign == 1.0
         qr = linalg_calls("qr")
-        assert factor(y, 1e-10).r_invs is None
+        assert factor_of(y, 1e-10).r_invs is None
         assert len(qr) == 1
         _assert_solve_matches_pinv(y, random_matrix(rng, d, 2))
 
     def test_an_odd_grid_puts_its_middle_row_in_the_even_block(self, rng, linalg_calls):
         y = _parity_family(_symmetric_model(rng, 15), 17)
         qr = linalg_calls("qr")
-        assert factor(y, 1e-10).parity is not None
+        assert factor_of(y, 1e-10).parity is not None
         assert [args[0].shape[1] for args, _ in qr] == [8, 7]
         kt = random_matrix(rng, 15, 3)
         _assert_solve_matches_pinv(y, kt)
         # an odd column must vanish on the middle row
         y[7, 1] += 0.5j
         y[7, -2] = np.conj(y[7, 1])
-        assert _mirror(y)[0] == 1.0
+        assert _classify(y).sign == 1.0
         del qr[:]
-        assert factor(y, 1e-10).parity is None
+        assert factor_of(y, 1e-10).parity is None
         assert len(qr) == 1
         _assert_solve_matches_pinv(y, kt)
 
@@ -543,7 +556,8 @@ class TestParityFallback:
         y = _parity_family(model, 13)
         K = OperatorModel(y / model.sqrt_weights[:, None], l2_truncation(13), model)
         perm = OperatorModel(K.matrix[:, rng.permutation(13)], K.input_model, model)
-        assert factor(K.whitened()).parity is not None and factor(perm.whitened()).parity is None
+        assert factor_of(K.whitened()).parity is not None
+        assert factor_of(perm.whitened()).parity is None
         seq = FrameSequence(model, random_matrix(rng, 12, 30))
         bounds, reference = kframe_bounds(seq, K), kframe_bounds(seq, perm)
         assert _rel(bounds.alpha, reference.alpha) <= RTOL
@@ -554,7 +568,7 @@ class TestParityFallback:
         model = interval_grid(13)
         A = OperatorModel(_parity_family(model, 13).conj().T, model, model)
         ath = A.domain_whitened().conj().T
-        assert factor(ath, 1e-8).parity is not None
+        assert factor_of(ath, 1e-8).parity is not None
         seq = FrameSequence(model, random_matrix(rng, 13, 20))
         dual = weak_a_dual(seq, A)
         h = interchange_dual(seq, dual, A)

@@ -129,8 +129,9 @@ class TestFrameBounds:
         # the nonzero spectrum of the Gram matrix Y^H Y
         model = random_weighted_model(rng, 5)
         for n in (3, 9):
-            y = FrameSequence(model, random_matrix(rng, 5, n)).whitened()
-            s_spec = _whitened_spectrum(y)
+            seq = FrameSequence(model, random_matrix(rng, 5, n))
+            y = seq.whitened()
+            s_spec = _whitened_spectrum(seq)
             g_spec = np.linalg.eigvalsh(y.conj().T @ y)
             nonzero = g_spec[g_spec > 1e-10]
             assert s_spec.shape == (5,)
