@@ -28,6 +28,9 @@ import numpy as np
 
 _RANK_TOL = 1e-12
 
+#: every dual's M = y+ kt inverts the singular values of y above this times sigma_0
+_DUAL_RCOND = 1e-10
+
 #: a whitened operator of norm at most this counts as numerically zero
 _DEGENERATE_TOL = 1e-14
 

@@ -25,6 +25,9 @@ from .seqops import FrameSequence
 WindowLike = Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]
 _ROOTS_MAX = 2**22  # largest root-of-unity order an exponential table gathers from
 
+#: ``riesz_multiplier`` refuses a pair whose cross Gram is further than this from I (max entry)
+BIORTHO_TOL = 1e-8
+
 
 def _grid_geometry(grid: HilbertModel):
     if grid.points is None or grid.dim < 2:
@@ -278,9 +281,7 @@ def difference_sequence(d: int) -> FrameSequence:
     return FrameSequence(model, cols, range(1, d + 1))
 
 
-def riesz_multiplier(
-    phis: FrameSequence, psis: FrameSequence, alphas, biortho_tol: float = 1e-8
-) -> OperatorModel:
+def riesz_multiplier(phis: FrameSequence, psis: FrameSequence, alphas) -> OperatorModel:
     """Multiplier f -> sum_n alpha_n inner(f, psi_n) phi_n for a biorthogonal pair."""
     if phis.model.dim != psis.model.dim or phis.n_vectors != psis.n_vectors:
         raise InvalidDimension("multiplier needs matching families")
@@ -289,7 +290,7 @@ def riesz_multiplier(
         raise InvalidDimension("alphas length must match the family size")
     cross = psis.whitened().conj().T @ phis.whitened()  # inner(phi_i, psi_j) at [j,i]
     gap = float(np.max(np.abs(cross - np.eye(phis.n_vectors))))
-    if gap > biortho_tol:
+    if gap > BIORTHO_TOL:
         raise NotBiorthogonal(f"biorthogonality violated by {gap:.3e}")
     w = phis.model.weights
     mat = (phis.vectors * alphas[None, :]) @ (psis.vectors.conj().T * w[None, :])

@@ -19,6 +19,7 @@ import numpy as np
 
 from ._linalg import (
     _DEGENERATE_TOL,
+    _DUAL_RCOND,
     _real_matmul,
     adjoint_matrix,
     factor,
@@ -28,31 +29,29 @@ from ._linalg import (
 )
 from .errors import DegenerateOperator, InvalidDimension, RangeNotIncluded
 from .opmodel import OperatorModel, _graph_solve
-from .seqops import FRAME_TOL, FrameBounds, FrameSequence, _operator_bounds
+from .seqops import FrameBounds, FrameSequence, _operator_bounds
 from .weakframes import DualSequence
 
 #: projection residual above this fails the range-inclusion test
 RANGE_TOL = 1e-8
 
 
-def kframe_bounds(
-    seq: FrameSequence, K: OperatorModel, frame_tol: float = FRAME_TOL
-) -> FrameBounds:
+def kframe_bounds(seq: FrameSequence, K: OperatorModel) -> FrameBounds:
     """Optimal constants for alpha ||K* f||^2 <= sum |inner(f,g_n)|^2 <= beta ||f||^2."""
-    return _operator_bounds(seq, K, "k_frame", frame_tol)
+    return _operator_bounds(seq, K, "k_frame")
 
 
-def range_inclusion(K: OperatorModel, seq: FrameSequence, tol: float = RANGE_TOL):
+def range_inclusion(K: OperatorModel, seq: FrameSequence):
     """Project the columns of K onto the range of the synthesis operator D.
 
     Returns (included, residual) with residual the maximum relative
     projection gap over nonzero columns, from ``_coefficient_factor``.
     """
     residual, _ = _coefficient_factor(seq, K)
-    return residual <= tol, residual
+    return residual <= RANGE_TOL, residual
 
 
-def _coefficient_factor(seq: FrameSequence, K: OperatorModel, rcond=None, tol=RANGE_TOL):
+def _coefficient_factor(seq: FrameSequence, K: OperatorModel, rcond=None):
     """(residual, M) from one factorization of the whitened synthesis matrix D~.
 
     By Douglas' lemma R(K) lies in R(D) exactly when K = D M; M = D+ K
@@ -70,7 +69,7 @@ def _coefficient_factor(seq: FrameSequence, K: OperatorModel, rcond=None, tol=RA
         return residual, None
     if np.linalg.norm(kt) <= _DEGENERATE_TOL:
         raise DegenerateOperator("operator is numerically zero")
-    if residual > tol:
+    if residual > RANGE_TOL:
         raise RangeNotIncluded(f"R(K) is not contained in R(D): projection residual {residual:.3e}")
     return residual, m * np.sqrt(w_in)[None, :]
 
@@ -90,24 +89,20 @@ def _expansion_certificate(seq, K, k_vecs, graph=False) -> float:
     return max_column_gap(defect, kv, np.ones(kv.shape[0]), coeffs)
 
 
-def k_dual(
-    seq: FrameSequence, K: OperatorModel, rcond: float = 1e-10, tol: float = RANGE_TOL
-) -> DualSequence:
+def k_dual(seq: FrameSequence, K: OperatorModel) -> DualSequence:
     """Minimum-norm K-dual {k_n} = {M* e_n} with M = D+ K (so K = D M).
 
     One factorization of D (``_coefficient_factor``) decides R(K) in R(D)
-    (residual at most tol) and gives D+ K without forming D+.
+    (residual at most RANGE_TOL) and gives D+ K without forming D+.
     """
-    _, m = _coefficient_factor(seq, K, rcond, tol)  # N x dim_J
+    _, m = _coefficient_factor(seq, K, _DUAL_RCOND)  # N x dim_J
     J = K.input_model
     k_vecs = adjoint_matrix(m, np.ones(seq.n_vectors), J.weights)  # dim_J x N
     cert = _expansion_certificate(seq, K, k_vecs)
     return DualSequence(J, k_vecs, "k_dual_thm", cert)
 
 
-def aframe_bounds_graph(
-    seq: FrameSequence, A: OperatorModel, frame_tol: float = FRAME_TOL
-) -> FrameBounds:
+def aframe_bounds_graph(seq: FrameSequence, A: OperatorModel) -> FrameBounds:
     """Bounds for alpha ||A# f||_A^2 <= sum |inner(f,g_n)|^2 <= beta ||f||^2.
 
     The graph-norm form of A# h has the closed factorization
@@ -122,18 +117,16 @@ def aframe_bounds_graph(
     c_k in {1, 2} (beta = 2), the graph form sum_k sigma_k^2/(1 + sigma_k^2)
     |f_k|^2, so alpha = min_k c_k (1 + 1/sigma_k^2) = 1 + h^2 at k = d/4.
     """
-    return _operator_bounds(seq, A, "graph_a_frame", frame_tol, graph=True)
+    return _operator_bounds(seq, A, "graph_a_frame", graph=True)
 
 
-def a_dual_graph(
-    seq: FrameSequence, A: OperatorModel, rcond: float = 1e-10, tol: float = RANGE_TOL
-) -> DualSequence:
+def a_dual_graph(seq: FrameSequence, A: OperatorModel) -> DualSequence:
     """Graph-space dual {k_n} with A f = sum_n inner(f, k_n)_A g_n on D(A).
 
     M = D+ A on the domain, from the one factorization of D that also
     decides R(A) in R(D), as in ``k_dual``; k_n is the graph-space
     representer of f -> (M f)_n, the adjoint of M into the graph space.
     """
-    k_vecs = _graph_solve(A, _coefficient_factor(seq, A, rcond, tol)[1])
+    k_vecs = _graph_solve(A, _coefficient_factor(seq, A, _DUAL_RCOND)[1])
     cert = _expansion_certificate(seq, A, k_vecs, graph=True)
     return DualSequence(seq.model, k_vecs, "k_dual_thm", cert, graph_space=True)

@@ -122,6 +122,9 @@ def _build_wavelet(rng, d=2048, x0=-8.0, x1=8.0, mother="cosine_bump", a=2.0, b=
 def _build_pw(rng, d=4096, L=64, taper="linear"):
     if L < 4 or L % 4:  # the band edges 1/4 and 1/2 must fall on the frequency grid 1/L
         raise InvalidScenario(f"pw_quarter param 'L' must be a positive multiple of 4, got {L}")
+    if d < 1 or d & (d - 1) or d % L:  # a power of two whose unit translation is d / L samples
+        raise InvalidScenario(f"pw_quarter param 'd' must be a power of two and a multiple of "
+                              f"L = {L}, got {d}")
     grid = window_grid(d, -L / 2.0, L / 2.0)
     phi, psi, P = C.pw_example(grid, taper=taper)
     return {"grid": grid, "seq": phi, "psi": psi, "op": P,
@@ -395,6 +398,9 @@ def _chk_psi_in_range(ctx, rng):
 
 
 def _chk_multiplier_weak_duality(ctx, rng, pairs=20):
+    """Worst weak-duality certificate over the context's pair and pairs - 1 fresh ones.  It reads
+    exactly 0.0 by GEMM determinism: ``riesz_multiplier`` forms A as the product G T^H that the
+    defect subtracts, from the same operands, so the two cancel bit for bit."""
     _at_least("multiplier_weak_duality", "pairs", pairs, 1)  # the context's is the first
     worst = verify_weak_duality(ctx["seq"], ctx["dual"], ctx["op"], trials=20)
     for _ in range(pairs - 1):

@@ -145,12 +145,12 @@ def _whitened_spectrum(family) -> np.ndarray:
     return np.sort(np.concatenate([np.zeros(max(d - n, 0)), np.clip(vals, 0.0, None)]))
 
 
-def frame_bounds(seq: FrameSequence, frame_tol: float = FRAME_TOL) -> FrameBounds:
+def frame_bounds(seq: FrameSequence) -> FrameBounds:
     """Optimal constants alpha = lambda_min(S), beta = lambda_max(S); a frame
-    when alpha > frame_tol * beta (relative; operator bounds: alpha > frame_tol)."""
+    when alpha > FRAME_TOL * beta (relative; operator bounds: alpha > FRAME_TOL)."""
     spec = _whitened_spectrum(seq)
     alpha, beta = float(spec[0]), float(spec[-1])
-    kind = "frame" if alpha > frame_tol * max(beta, 1e-300) else "bessel_only"
+    kind = "frame" if alpha > FRAME_TOL * max(beta, 1e-300) else "bessel_only"
     return FrameBounds(alpha, beta, kind)
 
 
@@ -158,7 +158,6 @@ def _operator_bounds(
     seq: FrameSequence,
     op: OperatorModel,
     kind: str,
-    frame_tol: float,
     graph: bool = False,
     subspace: Optional[Subspace] = None,
 ) -> FrameBounds:
@@ -172,7 +171,7 @@ def _operator_bounds(
     its rows, and T is M^H, M the restricted whitened operator; the pencil
     multiplies by the inverse factor from ``_reference_factor`` and reduces
     X, a fresh array either way, in place.
-    The family is ``kind`` when alpha > frame_tol, an absolute rule that
+    The family is ``kind`` when alpha > FRAME_TOL, an absolute rule that
     never reads beta; beta is computed on its first read.
     """
     if op.codomain.dim != seq.model.dim:
@@ -186,7 +185,7 @@ def _operator_bounds(
         if _is_wide(y):  # the pencil row-reduces it as it is given
             y = gram_form(y, _classify(y))
     alpha, beta = pencil_lower_bound(y, *_reference_factor(op, v, graph))
-    return FrameBounds(alpha, beta, kind if alpha > frame_tol else "bessel_only")
+    return FrameBounds(alpha, beta, kind if alpha > FRAME_TOL else "bessel_only")
 
 
 def _reference_factor(op: OperatorModel, v: Subspace, graph: bool):
@@ -218,7 +217,7 @@ def _reference_factor(op: OperatorModel, v: Subspace, graph: bool):
     return u, 1.0 / sv[:u.shape[1]]
 
 
-def canonical_dual(seq: FrameSequence, frame_tol: float = FRAME_TOL) -> FrameSequence:
+def canonical_dual(seq: FrameSequence) -> FrameSequence:
     """The dual family {S^-1 g_n}; requires an invertible frame operator."""
     y = seq.whitened()
     d, n = y.shape
@@ -227,7 +226,7 @@ def canonical_dual(seq: FrameSequence, frame_tol: float = FRAME_TOL) -> FrameSeq
     z = gram_form(y, seq._structure)  # real for a mirrored, real or imaginary family, as S is
     s_w = hermitize(z @ z.conj().T)
     vals = np.linalg.eigvalsh(s_w)
-    if vals[0] <= frame_tol * max(vals[-1], 1e-300):
+    if vals[0] <= FRAME_TOL * max(vals[-1], 1e-300):
         raise NotAFrame(f"frame operator nearly singular (lambda_min={vals[0]:.3e}, "
                         f"lambda_max={vals[-1]:.3e})")
     if np.iscomplexobj(s_w) or np.isrealobj(y):

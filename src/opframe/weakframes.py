@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from ._linalg import (
+    _DUAL_RCOND,
     _classify,
     _real_matmul,
     adjoint_matrix,
@@ -36,18 +37,15 @@ from ._linalg import (
 from .errors import FactorizationFailed, InvalidDimension, NotSurjective
 from .hilbert import HilbertModel
 from .opmodel import OperatorModel
-from .seqops import (
-    FRAME_TOL,
-    FrameBounds,
-    FrameSequence,
-    _operator_bounds,
-    _whitened_spectrum,
-)
+from .seqops import FrameBounds, FrameSequence, _operator_bounds, _whitened_spectrum
 
 PRODUCERS = ("weak_a_dual_thm", "k_dual_thm", "interchange_thm", "canonical", "user")
 
 #: weak factorization residual beyond this (relative) raises FactorizationFailed
 FACTORIZATION_TOL = 1e-8
+
+#: ``interchange_dual`` calls A surjective when sigma_min > SURJECTIVITY_TOL * sigma_max
+SURJECTIVITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -100,9 +98,7 @@ def user_dual(model: HilbertModel, vectors, certificate_residual=float("nan")):
 # -- bound ----------------------------------------------------------------
 
 
-def weak_aframe_bound(
-    seq: FrameSequence, A: OperatorModel, frame_tol: float = FRAME_TOL
-) -> FrameBounds:
+def weak_aframe_bound(seq: FrameSequence, A: OperatorModel) -> FrameBounds:
     """Optimal weak lower constant over D(A*); beta is diagnostic only.
 
     beta, computed on its first read, is lambda_max of the frame operator
@@ -116,13 +112,13 @@ def weak_aframe_bound(
     13.2 h^2 / b: order 2.006 from d = 64, 128, 256, and the Richardson
     (4 alpha_256 - alpha_128) / 3 is within 3.5e-7 relative of 1/b.
     """
-    return _operator_bounds(seq, A, "weak_a_frame", frame_tol, subspace=A.adjoint_domain)
+    return _operator_bounds(seq, A, "weak_a_frame", subspace=A.adjoint_domain)
 
 
 # -- constructive dual -----------------------------------------------------
 
 
-def weak_a_dual(seq: FrameSequence, A: OperatorModel, rcond=1e-10) -> DualSequence:
+def weak_a_dual(seq: FrameSequence, A: OperatorModel) -> DualSequence:
     """Construct the Bessel weak dual {t_n} = {M* e_n} of a weak frame.
 
     M is the minimum-norm solution of P_V (G M - A) = 0, where V = D(A*).
@@ -136,7 +132,7 @@ def weak_a_dual(seq: FrameSequence, A: OperatorModel, rcond=1e-10) -> DualSequen
     y, kt = v.coords(seq.vectors), v.coords(A.effective_matrix())  # r x N, r x d
     # coordinates on a basis are a new family; scaled or selected rows keep the family's record
     structure = _classify(y) if v.basis is not None else seq._structure.rows(v.index, seq.model.dim)
-    fac = factor(y, structure, rcond)
+    fac = factor(y, structure, _DUAL_RCOND)
     proj, m = fac.solve(kt)
     ym = proj if fac.s is None else y @ m  # y M, unless the SVD's proj projects onto R(y)
     weak_res, weak_scale = np.linalg.norm(ym - kt), np.linalg.norm(kt)
@@ -160,14 +156,13 @@ def verify_weak_duality(
     dual: DualSequence,
     A: OperatorModel,
     trials: int = 100,
-    seed: int = 0,
     hs: Optional[np.ndarray] = None,
     us: Optional[np.ndarray] = None,
 ) -> float:
     """Max normalized residual of the weak duality identity.
 
     Over sampled h in D(A) and u in D(A*) (domain basis vectors plus
-    `trials` random members, unless explicit columns hs/us are supplied):
+    `trials` random members from default_rng(0), unless explicit columns hs/us are supplied):
 
         |inner(Ah, u) - sum_n inner(h, t_n) inner(g_n, u)|
         --------------------------------------------------
@@ -178,7 +173,7 @@ def verify_weak_duality(
     once, from the dual's vectors, and read block by block: rows [I | Ru]^H
     times columns [I | Rh] (``sample_blocks``), no block concatenated.
     """
-    rng, dom, adom = np.random.default_rng(seed), A.domain_subspace, A.adjoint_domain_subspace
+    rng, dom, adom = np.random.default_rng(0), A.domain_subspace, A.adjoint_domain_subspace
     if hs is None:
         rh, ah, th = dom.sample_coords(rng, trials), A.domain_whitened(), dom.coords(dual.vectors)
     else:  # the probes act as the basis, with no random members
@@ -206,23 +201,21 @@ def verify_weak_duality(
     return float(np.max(worst))
 
 
-def interchange_dual(
-    seq: FrameSequence, dual: DualSequence, A: OperatorModel, sigma_tol: float = 1e-8
-) -> DualSequence:
+def interchange_dual(seq: FrameSequence, dual: DualSequence, A: OperatorModel) -> DualSequence:
     """h_n = (A+)* t_n; reconstructs every u in D(A*) when A is surjective,
-    which fails (NotSurjective) when sigma_min <= sigma_tol * sigma_max.
+    which fails (NotSurjective) when sigma_min <= SURJECTIVITY_TOL * sigma_max.
 
     With At the whitened A on orthonormal coordinates of D(A), (A+)* t_n is W^(-1/2) (At^H)+ t_n,
     the minimum-norm solve of At^H h = t_n by ``factor``'s record.  A certified record (s None)
-    needs no sigma_min: sigma_min / sigma_max >= 1 / kappa_F > max(sigma_tol, 1e-12) >= sigma_tol
-    is what ``factor`` certifies with rcond = sigma_tol; else s decides."""
+    needs no sigma_min: sigma_min / sigma_max >= 1 / kappa_F > SURJECTIVITY_TOL is what
+    ``factor`` certifies with rcond = SURJECTIVITY_TOL; else s decides."""
     if A.codomain.dim != seq.model.dim or A.input_model.dim != seq.model.dim:
         raise InvalidDimension("interchange dual expects an endomorphism model")
     ath = A.domain_whitened().conj().T  # At^H: dim D(A) x dim
     if ath.shape[0] < ath.shape[1]:
         raise NotSurjective(f"operator not surjective: dim D(A) = {ath.shape[0]} < {ath.shape[1]}")
-    fac = factor(ath, _classify(ath), sigma_tol)
-    if fac.s is not None and fac.s[-1] <= sigma_tol * fac.s[0]:
+    fac = factor(ath, _classify(ath), SURJECTIVITY_TOL)
+    if fac.s is not None and fac.s[-1] <= SURJECTIVITY_TOL * fac.s[0]:
         raise NotSurjective(f"operator is not surjective (sigma_min={fac.s[-1]:.3e}, "
                             f"sigma_max={fac.s[0]:.3e})")
     t = A.domain_subspace.coords(dual.vectors)

@@ -158,10 +158,10 @@ def concatenated(mat, coeffs):
     return mat if coeffs is None else np.concatenate([mat, mat @ coeffs], axis=1)
 
 
-def concatenated_weak_duality(seq, dual, A, trials=100, seed=0, hs=None, us=None):
+def concatenated_weak_duality(seq, dual, A, trials=100, hs=None, us=None):
     """``verify_weak_duality`` with [I | Ru]^H D [I | Rh] formed whole and divided by the
     whole outer product of the sample norms."""
-    rng, dom, adom = np.random.default_rng(seed), A.domain_subspace, A.adjoint_domain_subspace
+    rng, dom, adom = np.random.default_rng(0), A.domain_subspace, A.adjoint_domain_subspace
     if hs is None:
         rh, ah, th = dom.sample_coords(rng, trials), A.domain_whitened(), dom.coords(dual.vectors)
     else:

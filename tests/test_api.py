@@ -148,6 +148,38 @@ def test_every_exported_error_is_raised():
     assert sorted(errors - raised) == []
 
 
+#: the parameters with a default of each function in opframe.__all__ (18 in all): each is data
+#: the caller describes, such as a label, a domain, a window or a sample count; no tolerance,
+#: rank cut or seed, which are module constants (README, "Numerical policy")
+FUNCTION_DEFAULTS = {
+    "interval_grid": ["x0", "x1", "label"], "l2_truncation": ["label"], "window_grid": ["label"],
+    "diagonal_operator": ["name"], "user_dual": ["certificate_residual"],
+    "verify_weak_duality": ["trials", "hs", "us"], "exponential_system": ["derivative"],
+    "gabor_system": ["window_deriv", "derivative", "m_values"], "pw_example": ["taper"],
+    "wavelet_system": ["support", "mother_deriv", "derivative"],
+}
+
+#: the fields with a default of each exported class
+FIELD_DEFAULTS = {
+    "HilbertModel": ["label", "points"], "Subspace": ["index"],
+    "OperatorModel": ["domain", "adjoint_domain", "name", "projection", "stencil"],
+    "FrameSequence": ["index_labels"], "DualSequence": ["graph_space"],
+}
+
+
+def test_defaulted_parameters_are_pinned():
+    """A new optional parameter of an exported function or class, a numerical knob above all,
+    needs a deliberate edit here; the cuts and seeds behind a verdict take none."""
+    found = {}
+    for name in opframe.__all__:
+        obj = getattr(opframe, name)
+        if inspect.isfunction(obj) or (isinstance(obj, type) and not issubclass(obj, Exception)):
+            params = inspect.signature(obj).parameters.values()
+            if defaulted := [p.name for p in params if p.default is not inspect.Parameter.empty]:
+                found[name] = defaulted
+    assert found == {**FUNCTION_DEFAULTS, **FIELD_DEFAULTS}
+
+
 #: how a matrix is factored: the SVD, its rank cut, the certificate (R^-1 by
 #: ``triangular_inverse`` and the kappa_F ceiling) and the reflection-parity layout of
 #: the blocks (``_pair``)

@@ -334,6 +334,9 @@ PROBES = [
     # the construction param 'sizes' keeps the schema rule of the top-level field
     *[("sizes", _scenario("parseval_family", {"sizes": value})) for value in ([], [0], [-3, 4])],
     *[(key, _scenario("wavelet_derivative", {key: -1})) for key in ("m_range", "n_range")],
+    # a grid length that is no power of two, or no multiple of the window length L
+    *[("d", _scenario("pw_quarter", params))
+      for params in ({"d": 100}, {"d": 4096, "L": 48}, {"d": 64, "L": 128})],
 ]
 
 

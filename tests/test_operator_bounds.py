@@ -17,7 +17,7 @@ from opframe.errors import DegenerateOperator
 from opframe.hilbert import Subspace, interval_grid, l2_truncation, orthonormalize, window_grid
 from opframe.opmodel import OperatorModel, diff_operator
 from opframe.relframes import aframe_bounds_graph, kframe_bounds
-from opframe.seqops import FrameSequence, frame_bounds
+from opframe.seqops import FRAME_TOL, FrameSequence, frame_bounds
 from opframe.weakframes import weak_aframe_bound
 
 from conftest import random_frame, random_matrix, random_weighted_model
@@ -80,7 +80,7 @@ def test_degenerate_operator_threshold(rng, norm, degenerate):
 
 
 def test_operator_bound_kind_never_reads_beta(rng, monkeypatch):
-    """kind follows the absolute rule alpha > frame_tol; beta stays unread."""
+    """kind follows the absolute rule alpha > FRAME_TOL; beta stays unread."""
     pencil = seqops.pencil_lower_bound
 
     def unread_beta(*args):
@@ -96,7 +96,10 @@ def test_operator_bound_kind_never_reads_beta(rng, monkeypatch):
     K = OperatorModel(random_matrix(rng, 6, 6), seq.model, seq.model)
     fb = kframe_bounds(seq, K)
     assert fb.kind == "k_frame" and fb.alpha > 1e-8
-    assert kframe_bounds(seq, K, frame_tol=2.0 * fb.alpha).kind == "bessel_only"
+    # alpha scales with |c|^2: the family scaled to alpha = FRAME_TOL / 2 is Bessel-only
+    scaled = FrameSequence(seq.model, seq.vectors * np.sqrt(0.5 * FRAME_TOL / fb.alpha))
+    small = kframe_bounds(scaled, K)
+    assert small.kind == "bessel_only" and small.alpha == pytest.approx(0.5 * FRAME_TOL, rel=1e-9)
 
 
 # -- kernel counts ------------------------------------------------------------
@@ -185,7 +188,7 @@ class TestKernelCounts:
         seq = FrameSequence(model, random_matrix(rng, 8, 12))
         thin, svd_of = [], _linalg.thin_svd
 
-        def recorded(m):  # factor's calls; the pencil's orthonormal_range makes its own
+        def recorded(m):  # factor's calls; the pencil calls thin_svd directly, not counted
             if sys._getframe(1).f_code is _linalg.factor.__code__:
                 thin.append(m)
             return svd_of(m)

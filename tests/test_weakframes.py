@@ -174,7 +174,7 @@ class TestVerifyWeakDuality:
         A = OperatorModel(random_matrix(rng, d, d), m, m)
         seq = FrameSequence(m, A.matrix @ random_frame(rng, d, 9, m).vectors)
         dual = weak_a_dual(seq, A)
-        assert verify_weak_duality(seq, dual, A, trials=200, seed=7) <= 1e-8
+        assert verify_weak_duality(seq, dual, A, trials=200) <= 1e-8
 
     def test_exm1_scaled_pair_passes_and_printed_scaling_fails(self):
         """The valid weak dual of {2 pi n b e_nb} is {b e_nb}.
@@ -342,7 +342,7 @@ class TestInterchange:
     @pytest.mark.parametrize("c", [1e-9, 1.0, 1e9])
     def test_surjectivity_is_scale_invariant(self, rng, c):
         # c I is surjective at every scale; the rank rule is sigma_min
-        # against sigma_tol * sigma_max, never an absolute sigma_min
+        # against SURJECTIVITY_TOL * sigma_max, never an absolute sigma_min
         d = 5
         m = l2_truncation(d)
         seq = random_frame(rng, d, 8)
@@ -387,7 +387,7 @@ class TestInterchange:
 @example(d=6, log_ratio=-9.0, with_domain=False, seed=2)  # not surjective
 def test_interchange_dual_against_svd_oracles(d, log_ratio, with_domain, seed):
     """sigma_min / sigma_max of the whitened A from 1e-10 to 1, on both sides of
-    sigma_tol = 1e-8 and of 1 / kappa_F = 1e-6: NotSurjective exactly when the
+    SURJECTIVITY_TOL = 1e-8 and of 1 / kappa_F = 1e-6: NotSurjective exactly when the
     SVD gives sigma_min <= 1e-8 sigma_max, else the vectors of the pinv oracle
     (A+)* t_n = W^(-1/2) pinv(At)^H W^(1/2) t_n to 1e-9 kappa relative."""
     rng = np.random.default_rng(seed)
