@@ -39,12 +39,10 @@ from .hilbert import (
 )
 from .opmodel import (
     OperatorModel,
-    TruncationFamily,
     block_multiplier,
     diagonal_operator,
     diff_operator,
     dirichlet_subspace,
-    truncation_trajectory,
 )
 from .seqops import (
     FrameBounds,
@@ -86,9 +84,8 @@ __all__ = [
     "OpframeError", "RangeNotIncluded", "WindowOverflow",
     "HilbertModel", "Subspace", "interval_grid", "l2_truncation", "norm",
     "orthonormalize", "window_grid",
-    "OperatorModel", "TruncationFamily", "block_multiplier",
-    "diagonal_operator", "diff_operator", "dirichlet_subspace",
-    "truncation_trajectory",
+    "OperatorModel", "block_multiplier", "diagonal_operator", "diff_operator",
+    "dirichlet_subspace",
     "FrameBounds", "FrameSequence", "analysis", "canonical_dual", "frame_bounds",
     "reconstruct", "synthesis",
     "a_dual_graph", "aframe_bounds_graph", "k_dual", "kframe_bounds",

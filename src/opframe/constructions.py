@@ -97,7 +97,7 @@ def exponential_system(
     {2*pi*n*b * e_nb} (the image of the system under -i d/dx).
     """
     if not 0.0 < b <= 1.0:
-        raise InvalidDimension("b must lie in (0, 1]")
+        raise InvalidDimension(f"'b' must lie in (0, 1], got {b!r}")
     pts, h, x0, _ = _grid_geometry(grid)
     ns = np.arange(-label_range, label_range + 1)
     cols = _exp_table(pts, h, x0, b, ns)
@@ -127,16 +127,17 @@ def gabor_system(
     2*pi*b*n (M_{bn} T_{am} g) - i (M_{bn} T_{am} g'), requiring
     window_deriv.
     """
-    if a <= 0 or b <= 0:
-        raise InvalidDimension("a and b must be positive")
+    for key, value in ("a", a), ("b", b):
+        if not value > 0:
+            raise InvalidDimension(f"{key!r} must be positive, got {value!r}")
     pts, h, x0, length = _grid_geometry(grid)
     if abs(b * length - round(b * length)) > 1e-9:
-        raise GridMismatch("b times the window length must be an integer")
-    shift = _integer_shift(a, h, "translation step a")
+        raise GridMismatch(f"'b' {b!r} times the window length {length:g} must be an integer")
+    shift = _integer_shift(a, h, "translation step 'a'")
     g = _sample(window, pts)
     gp = _sample(window_deriv, pts) if window_deriv is not None else None
     if derivative and gp is None:
-        raise InvalidDimension("derivative system requires window_deriv")
+        raise InvalidDimension("a derivative system needs 'window_deriv', that of 'window'")
     ms = list(m_values) if m_values is not None else range(-m_range, m_range + 1)
     ns = np.arange(-n_range, n_range + 1)
     mod = _exp_table(pts, h, x0, b, ns)[:, None, :]  # (point, -, n)
@@ -164,13 +165,17 @@ def wavelet_system(
     derivative=True builds {a^(-3m/2) phi'(a^-m x - n b)} from mother_deriv.
     Scales whose support escapes the window raise WindowOverflow.
     """
-    if a <= 1.0 or b <= 0.0:
-        raise InvalidDimension("need a > 1 and b > 0")
+    if not a > 1.0:
+        raise InvalidDimension(f"'a' must be > 1, got {a!r}")
+    if not b > 0.0:
+        raise InvalidDimension(f"'b' must be positive, got {b!r}")
+    s0, s1 = support
+    if not s0 < s1:  # else lo > hi below, and the window test passes every scale
+        raise InvalidDimension(f"'support' [s0, s1] must have s0 < s1, got {tuple(support)}")
     pts, h, x0, length = _grid_geometry(grid)
     x1 = x0 + length
-    s0, s1 = support
     if derivative and mother_deriv is None:
-        raise InvalidDimension("derivative system requires mother_deriv")
+        raise InvalidDimension("a derivative system needs 'mother_deriv', that of 'mother'")
     fn, power = (mother_deriv, -1.5) if derivative else (mother, -0.5)
     cols = []
     for m in range(-m_range, m_range + 1):
@@ -201,7 +206,7 @@ def _band_profile(freqs: np.ndarray, taper: str) -> np.ndarray:
     elif taper == "raised_cosine":
         prof[mid] = 0.5 * (1.0 + np.cos(4.0 * np.pi * (g[mid] - 0.25)))
     else:
-        raise InvalidDimension(f"unknown taper {taper!r}")
+        raise InvalidDimension(f"'taper' must be 'linear' or 'raised_cosine', got {taper!r}")
     return prof
 
 

@@ -11,7 +11,7 @@ conditions (e.g. the Dirichlet subspace of the -i d/dx operators).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -316,34 +316,3 @@ def block_multiplier(alphas: Sequence[complex], pts_per_cell: int) -> OperatorMo
         M[second, first] = alphas[k] * eye
     return OperatorModel(M, grid, grid, name="block_multiplier")
 
-
-# -- truncation families -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TruncationFamily:
-    """A rule producing (operator, sequence) pairs at increasing sizes."""
-
-    generator: Callable[[int], tuple]
-    sizes: Sequence[int]
-
-
-TRAJECTORY_PROBES = ("bessel_bound", "weak_alpha")
-
-
-def truncation_trajectory(family: TruncationFamily, probe: str):
-    """Evaluate a named probe at every family size; returns [(N, value)]."""
-    from .seqops import frame_bounds
-    from .weakframes import weak_aframe_bound
-
-    if probe not in TRAJECTORY_PROBES:
-        raise InvalidProbe(f"unknown probe {probe!r}; valid: {TRAJECTORY_PROBES}")
-    out = []
-    for n in family.sizes:
-        op, seq = family.generator(n)
-        if probe == "bessel_bound":
-            value = frame_bounds(seq).beta
-        else:
-            value = weak_aframe_bound(seq, op).alpha
-        out.append((int(n), float(value)))
-    return out

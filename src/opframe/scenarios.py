@@ -3,8 +3,9 @@
 A scenario file names one construction, optionally one operator, and a list
 of checks with tolerances.  Execution order is construction -> operator ->
 checks; the report records every check value, the declared tolerance, and
-the verdict.  Randomness flows through a single seeded generator recorded
-in the report, so identical files give identical reports up to wall clock.
+the verdict.  Randomness flows through a single seeded generator recorded in
+the report, so at one BLAS thread count identical files give byte-identical
+reports up to wall clock.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Callable, Dict, List, Optional, Tuple, get_args, get_origin
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, get_args, get_origin
 
 import numpy as np
 
@@ -30,12 +31,10 @@ from .errors import InvalidScenario, OpframeError
 from .hilbert import HilbertModel, interval_grid, l2_truncation, window_grid
 from .opmodel import (
     OperatorModel,
-    TruncationFamily,
     block_multiplier,
     diagonal_operator,
     diff_operator,
     self_adjoint_gap,
-    truncation_trajectory,
 )
 from .relframes import aframe_bounds_graph, kframe_bounds, range_inclusion
 from .seqops import FrameSequence, analysis, frame_bounds
@@ -173,13 +172,13 @@ def _build_not_frame(rng, cells=2, pts_per_cell=32, alpha_range=(1.0, 2.0),
 
 
 def _build_parseval(rng, sizes=(8, 16, 32, 64, 128)):
-    def gen(n):
+    truncations = []  # (N, A_N = diag(1..N), the columns of A_N) at each size N
+    for n in sizes:
         model = l2_truncation(n)
         diag = np.arange(1.0, n + 1)
-        A = diagonal_operator(model, diag, name=f"diag(1..{n})")
-        return A, FrameSequence(model, np.diag(diag))
-
-    return {"family": TruncationFamily(gen, sizes)}
+        truncations.append((n, diagonal_operator(model, diag, name=f"diag(1..{n})"),
+                            FrameSequence(model, np.diag(diag))))
+    return {"truncations": truncations}
 
 
 CONSTRUCTIONS: Dict[str, Callable] = {
@@ -268,11 +267,24 @@ def exm1_decomposition_error(b: float, label_range: int, grid: HilbertModel, pla
 
 
 # --------------------------------------------------------------------------
-# checks: registry entries are (direction, fn(ctx, rng, **params) -> value);
-# ctx["params"] holds the construction's params with defaults filled in
+# checks: registry entries are (direction, fn(ctx, rng, **params)).  fn reads
+# the context (ctx["params"]: the construction's params, defaults filled in)
+# and writes nothing into it.  It returns its float value, or a _Found that
+# also gives run_scenario, the one writer of the report's sections, one entry:
+# a FrameBounds in "bounds", [(N, value)] in "trajectories", or a JSON value
+# in "extras".
 # direction: "le" pass iff value <= tol; "ge" iff value >= tol;
 #            "lt" iff value < tol
 # --------------------------------------------------------------------------
+
+
+class _Found(NamedTuple):
+    """A check's value and its finding for report[section][key]."""
+
+    value: float
+    section: str
+    key: str
+    item: object
 
 
 def _chk_weak_duality_residual(ctx, rng):
@@ -294,8 +306,8 @@ def _chk_decomposition_monotone(ctx, rng, ranges=(20, 40, 80)):
         raise InvalidScenario(f"decomposition_error_monotone 'ranges' needs 2+ ints >= 1: {ranges}")
     errs = [exm1_decomposition_error(b, r, ctx["grid"], _exponentials(ctx, b, r).vectors)
             for r in ranges]
-    ctx.setdefault("extras", {})["decomposition_errors"] = dict(zip(ranges, errs))
-    return max(errs[i + 1] / errs[i] for i in range(len(errs) - 1))
+    return _Found(max(errs[i + 1] / errs[i] for i in range(len(errs) - 1)),
+                  "extras", "decomposition_errors", dict(zip(ranges, errs)))
 
 
 def _chk_weak_alpha(ctx, rng, label_range: Optional[int] = None):
@@ -318,8 +330,7 @@ def _chk_derivative_gap(ctx, rng):
 def _chk_derivative_match(ctx, rng):
     value = _chk_derivative_gap(ctx, rng)
     h = float(ctx["grid"].points[1] - ctx["grid"].points[0])
-    ctx.setdefault("extras", {})["derivative_match_C_h2"] = value / h**2
-    return value
+    return _Found(value, "extras", "derivative_match_C_h2", value / h**2)
 
 
 def _chk_self_adjoint_gap(ctx, rng):
@@ -328,8 +339,7 @@ def _chk_self_adjoint_gap(ctx, rng):
 
 def _chk_range_inclusion_residual(ctx, rng):
     included, residual = range_inclusion(ctx["op"], ctx["seq"])
-    ctx.setdefault("extras", {})["range_included"] = bool(included)
-    return residual
+    return _Found(residual, "extras", "range_included", bool(included))
 
 
 def _chk_aframe_alpha(ctx, rng):
@@ -338,8 +348,7 @@ def _chk_aframe_alpha(ctx, rng):
 
 def _chk_frame_ratio(ctx, rng):
     fb = frame_bounds(ctx["seq"])
-    ctx.setdefault("bounds", {})["frame"] = fb
-    return fb.alpha / fb.beta if fb.beta > 0 else 0.0
+    return _Found(fb.alpha / fb.beta if fb.beta > 0 else 0.0, "bounds", "frame", fb)
 
 
 def _chk_partial_sum_identity(ctx, rng):
@@ -351,9 +360,7 @@ def _chk_partial_sum_identity(ctx, rng):
 
 
 def _chk_weak_certificate(ctx, rng):
-    dual = weak_a_dual(ctx["seq"], ctx["op"])
-    ctx["dual"] = dual
-    return dual.certificate_residual
+    return ctx["dual"].certificate_residual
 
 
 def _chk_strong_residual_min(ctx, rng):
@@ -361,8 +368,7 @@ def _chk_strong_residual_min(ctx, rng):
     A = ctx["op"]
     d = seq.n_vectors
     f = 1.0 / np.arange(1, d + 1)
-    dual = ctx.get("dual") or weak_a_dual(seq, A)
-    coeffs = analysis(dual.as_frame_sequence(), f)
+    coeffs = analysis(ctx["dual"].as_frame_sequence(), f)
     sums = np.cumsum(seq.vectors[:, :d - 1] * coeffs[:d - 1], axis=1)  # partial sums n < d
     return float(np.min(np.linalg.norm(sums - A.apply(f)[:, None], axis=0)))
 
@@ -386,8 +392,7 @@ def _chk_pw_reconstruction(ctx, rng, signals=20):
 
 def _chk_kframe_alpha(ctx, rng):
     fb = kframe_bounds(ctx["seq"], ctx["op"])
-    ctx.setdefault("bounds", {})["k_frame"] = fb
-    return fb.alpha
+    return _Found(fb.alpha, "bounds", "k_frame", fb)
 
 
 def _chk_psi_in_range(ctx, rng):
@@ -410,15 +415,13 @@ def _chk_multiplier_weak_duality(ctx, rng, pairs=20):
 
 
 def _chk_parseval_alpha_deviation(ctx, rng):
-    traj = truncation_trajectory(ctx["family"], "weak_alpha")
-    ctx.setdefault("trajectories", {})["weak_alpha"] = traj
-    return max(abs(v - 1.0) for _, v in traj)
+    traj = [(n, weak_aframe_bound(seq, A).alpha) for n, A, seq in ctx["truncations"]]
+    return _Found(max(abs(v - 1.0) for _, v in traj), "trajectories", "weak_alpha", traj)
 
 
 def _chk_bessel_square_deviation(ctx, rng):
-    traj = truncation_trajectory(ctx["family"], "bessel_bound")
-    ctx.setdefault("trajectories", {})["bessel_bound"] = traj
-    return max(abs(v - n**2) for n, v in traj)
+    traj = [(n, frame_bounds(seq).beta) for n, _, seq in ctx["truncations"]]
+    return _Found(max(abs(v - n**2) for n, v in traj), "trajectories", "bessel_bound", traj)
 
 
 CHECKS: Dict[str, tuple] = {
@@ -527,10 +530,14 @@ class _Missing(LookupError):
 
 
 class _Context(dict):
-    """A scenario's context: reading a key that nothing gave raises _Missing."""
+    """A scenario's inputs: reading a key that nothing gave raises _Missing, save "dual",
+    which the construction may give and is else weak_a_dual(seq, op), formed on first read."""
 
     def __missing__(self, key):
-        raise _Missing(key)
+        if key != "dual":
+            raise _Missing(key)
+        dual = self["dual"] = weak_a_dual(self["seq"], self["op"])
+        return dual
 
 
 @functools.cache
@@ -664,6 +671,10 @@ class ScenarioReport:
 
 
 _PASSES = {"le": operator.le, "ge": operator.ge, "lt": operator.lt}
+#: report section -> the JSON form of a _Found item in it
+_REPORTED = {"bounds": lambda fb: {"alpha": fb.alpha, "beta": fb.beta, "kind": fb.kind},
+             "trajectories": lambda traj: [[int(n), float(v)] for n, v in traj],
+             "extras": lambda item: item}
 
 
 def run_scenario(data: dict, seed: Optional[int] = None, tol_scale: float = 1.0) -> ScenarioReport:
@@ -685,38 +696,26 @@ def run_scenario(data: dict, seed: Optional[int] = None, tol_scale: float = 1.0)
         raise
     except OpframeError as exc:
         raise InvalidScenario(f"{building}: {exc}") from exc
+    report = {"bounds": {}, "trajectories": {}, "extras": ctx.pop("extras", {})}
     results = []
     for chk, chk_params in zip(data["checks"], check_params):
         direction, fn = CHECKS[chk["name"]]
         tol = float(chk["tolerance"]) * tol_scale
         try:
-            value = float(fn(ctx, rng, **chk_params))
+            value = fn(ctx, rng, **chk_params)
         except _Missing as exc:
             raise InvalidScenario(
                 f"check {chk['name']!r} needs {exc.args[0]!r}, which {given} does not give"
             ) from None
+        if isinstance(value, _Found):
+            report[value.section][value.key] = _REPORTED[value.section](value.item)
+            value = value.value
+        value = float(value)
         results.append(
             CheckResult(chk["name"], value, tol, direction, _PASSES[direction](value, tol))
         )
-    bounds = {
-        key: {"alpha": fb.alpha, "beta": fb.beta, "kind": fb.kind}
-        for key, fb in ctx.get("bounds", {}).items()
-    }
-    trajectories = {
-        key: [[int(n), float(v)] for n, v in traj]
-        for key, traj in ctx.get("trajectories", {}).items()
-    }
-    return ScenarioReport(
-        scenario=data["name"],
-        version=__version__,
-        report_version=REPORT_SCHEMA_VERSION,
-        seed=used_seed,
-        wall_clock_s=time.perf_counter() - start,
-        checks=results,
-        bounds=bounds,
-        trajectories=trajectories,
-        extras=ctx.get("extras", {}),
-    )
+    return ScenarioReport(data["name"], __version__, REPORT_SCHEMA_VERSION, used_seed,
+                          time.perf_counter() - start, results, **report)
 
 
 # --------------------------------------------------------------------------

@@ -8,14 +8,7 @@ import numpy as np
 
 from opframe.errors import DegenerateOperator, FactorizationFailed, RangeNotIncluded
 from opframe.hilbert import interval_grid, l2_truncation, window_grid
-from opframe.opmodel import (
-    OperatorModel,
-    TruncationFamily,
-    block_multiplier,
-    diagonal_operator,
-    diff_operator,
-    truncation_trajectory,
-)
+from opframe.opmodel import OperatorModel, block_multiplier, diagonal_operator, diff_operator
 from opframe.constructions import (
     difference_sequence,
     exponential_system,
@@ -55,19 +48,13 @@ def _rand_mat(rng, rows, cols):
 def test_criterion_01_parseval_trajectory():
     """diag(1..N) family: weak alpha identically 1, Bessel bound exactly N^2."""
     sizes = [8, 16, 32, 64, 128]
-
-    def gen(n):
+    for n in sizes:
         model = l2_truncation(n)
         diag = np.arange(1, n + 1, dtype=complex)
-        return diagonal_operator(model, diag), FrameSequence(model, np.diag(diag))
-
-    family = TruncationFamily(gen, sizes)
-    alphas = truncation_trajectory(family, "weak_alpha")
-    bessels = truncation_trajectory(family, "bessel_bound")
-    for n, v in alphas:
-        assert abs(v - 1.0) <= 1e-10, (n, v)
-    for n, v in bessels:
-        assert v == float(n) ** 2, (n, v)
+        A, seq = diagonal_operator(model, diag), FrameSequence(model, np.diag(diag))
+        alpha = weak_aframe_bound(seq, A).alpha
+        assert abs(alpha - 1.0) <= 1e-10, (n, alpha)
+        assert frame_bounds(seq).beta == float(n) ** 2, n
     _report(1, f"alpha = 1 within 1e-10 and beta = N^2 exactly at N in {sizes}")
 
 

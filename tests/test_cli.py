@@ -276,6 +276,44 @@ class TestDeterminism:
         r = run_scenario(load_bundled("difference"), seed=42)
         assert r.seed == 42
 
+    @pytest.mark.parametrize("name", REPRODUCE_NAMES)
+    def test_check_order_does_not_change_the_report(self, name):
+        """The checks share one weak dual and one exponential table, whichever runs first."""
+        data = load_bundled(name)
+        forward = run_scenario(data).to_dict()
+        data["checks"].reverse()
+        backward = run_scenario(data).to_dict()
+        backward["checks"].reverse()
+        for report in forward, backward:
+            report.pop("wall_clock_s")
+        assert json.dumps(backward, sort_keys=True) == json.dumps(forward, sort_keys=True)
+
+    def test_checks_return_what_they_found_and_write_no_context(self, monkeypatch):
+        """A check returns a float or a _Found; the context keys that appear while checks run
+        are the shared dual and the widened exponential table, and no other value is replaced."""
+        appeared, returned = set(), []
+
+        def watched(fn):
+            @functools.wraps(fn)  # the params validate_scenario reads from its signature
+            def check(ctx, rng, **params):
+                before = dict(ctx)
+                out = fn(ctx, rng, **params)
+                appeared.update(ctx.keys() - before.keys())
+                assert all(ctx[key] is value for key, value in before.items()
+                           if key != "exponentials"), fn.__name__
+                returned.append(out)
+                return out
+            return check
+
+        for key, (direction, fn) in S.CHECKS.items():
+            monkeypatch.setitem(S.CHECKS, key, (direction, watched(fn)))
+        for name in REPRODUCE_NAMES:
+            run_scenario(load_bundled(name))
+        assert appeared <= {"dual", "exponentials"}
+        assert appeared  # the guard saw the difference scenario's dual formed
+        assert all(isinstance(out, float) or isinstance(out, S._Found)
+                   and isinstance(out.value, float) for out in returned), returned
+
 
 def _scenario(construction, params=None, operator=None, checks=("frame_ratio",), check_params=None):
     data = {"name": "probe", "construction": {"name": construction, "params": params or {}},
@@ -337,6 +375,21 @@ PROBES = [
     # a grid length that is no power of two, or no multiple of the window length L
     *[("d", _scenario("pw_quarter", params))
       for params in ({"d": 100}, {"d": 4096, "L": 48}, {"d": 64, "L": 128})],
+    # a reversed support once passed every scale's window test and ran to a failed check
+    ("support", _scenario("wavelet_derivative", {"m_range": 3, "support": [1.0, -1.0]},
+                          operator="diff_ddx_periodic", checks=["wavelet_derivative_match"])),
+    # a translation step of 6.25 samples, a nonpositive step or modulation, and a modulation
+    # that leaves 1.6 periods in the window
+    *[(key, _scenario("gabor_derivative", params))
+      for key, params in (("a", {"d": 100}), ("a", {"a": 0.0}), ("b", {"b": -0.125}),
+                          ("b", {"b": 0.1}))],
+    ("b", _scenario("exponential", {"b": 2.0})),
+    *[(key, _scenario("wavelet_derivative", {key: value})) for key, value in (("a", 1.0),
+                                                                              ("b", 0.0))],
+    ("taper", _scenario("pw_quarter", {"d": 256, "L": 16, "taper": "cubic"})),
+    # a window with no derivative under a derivative family
+    ("window", _scenario("gabor_derivative", {"window": "fold_symmetric"})),
+    ("mother", _scenario("wavelet_derivative", {"mother": "fold_symmetric"})),
 ]
 
 

@@ -191,7 +191,7 @@ class TestExm1Families:
 class TestRunningSums:
     def test_partial_sum_checks_match_one_sum_per_cutoff(self):
         rng = np.random.default_rng(0)
-        ctx = S.CONSTRUCTIONS["difference"](rng, d=40)
+        ctx = S._Context(S.CONSTRUCTIONS["difference"](rng, d=40))
         seq = ctx["seq"]
         d = seq.n_vectors
         c = 1.0 / np.arange(1, d + 1)

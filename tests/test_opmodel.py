@@ -11,17 +11,14 @@ from opframe.hilbert import (
 from opframe.opmodel import (
     DIFF_VARIANTS,
     OperatorModel,
-    TruncationFamily,
     _graph_solve,
     block_multiplier,
     diagonal_operator,
     diff_operator,
     dirichlet_subspace,
     self_adjoint_gap,
-    truncation_trajectory,
 )
 from opframe.scenarios import CHECKS
-from opframe.seqops import FrameSequence
 
 from conftest import (
     adjoint,
@@ -381,26 +378,3 @@ class TestBlockMultiplier:
             second = out[16 * k + 8 : 16 * k + 16]
             np.testing.assert_allclose(second, first)
 
-
-class TestTruncationTrajectory:
-    @staticmethod
-    def family(sizes):
-        def gen(n):
-            model = l2_truncation(n)
-            diag = np.arange(1, n + 1, dtype=complex)
-            return diagonal_operator(model, diag), FrameSequence(model, np.diag(diag))
-
-        return TruncationFamily(gen, sizes)
-
-    def test_bessel_bound_exact_squares(self):
-        traj = truncation_trajectory(self.family([4, 8, 16]), "bessel_bound")
-        assert traj == [(4, 16.0), (8, 64.0), (16, 256.0)]
-
-    def test_weak_alpha_is_one(self):
-        traj = truncation_trajectory(self.family([4, 8, 16]), "weak_alpha")
-        for _, v in traj:
-            assert v == pytest.approx(1.0, abs=1e-10)
-
-    def test_unknown_probe(self):
-        with pytest.raises(InvalidProbe):
-            truncation_trajectory(self.family([4]), "nonsense")

@@ -276,7 +276,7 @@ def test_the_real_bundled_families_keep_float64():
     ctx = CONSTRUCTIONS["difference"](np.random.default_rng(0), d=16)
     assert ctx["seq"].vectors.dtype == ctx["op"].matrix.dtype == np.float64
     assert weak_a_dual(ctx["seq"], ctx["op"]).vectors.dtype == np.float64
-    A, seq = CONSTRUCTIONS["parseval_family"](None)["family"].generator(8)
+    [(_, A, seq)] = CONSTRUCTIONS["parseval_family"](None, sizes=(8,))["truncations"]
     assert A.matrix.dtype == seq.vectors.dtype == np.float64
     ctx = CONSTRUCTIONS["wavelet_derivative"](None, d=512)
     assert ctx["seq"].vectors.dtype == ctx["plain"].vectors.dtype == np.float64
