@@ -360,7 +360,7 @@ def _chk_partial_sum_identity(ctx, rng):
 
 
 def _chk_weak_certificate(ctx, rng):
-    return ctx["dual"].certificate_residual
+    return ctx["weak_dual"].certificate_residual
 
 
 def _chk_strong_residual_min(ctx, rng):
@@ -368,7 +368,7 @@ def _chk_strong_residual_min(ctx, rng):
     A = ctx["op"]
     d = seq.n_vectors
     f = 1.0 / np.arange(1, d + 1)
-    coeffs = analysis(ctx["dual"].as_frame_sequence(), f)
+    coeffs = analysis(ctx["weak_dual"].as_frame_sequence(), f)
     sums = np.cumsum(seq.vectors[:, :d - 1] * coeffs[:d - 1], axis=1)  # partial sums n < d
     return float(np.min(np.linalg.norm(sums - A.apply(f)[:, None], axis=0)))
 
@@ -530,13 +530,13 @@ class _Missing(LookupError):
 
 
 class _Context(dict):
-    """A scenario's inputs: reading a key that nothing gave raises _Missing, save "dual",
-    which the construction may give and is else weak_a_dual(seq, op), formed on first read."""
+    """A scenario's inputs: reading a key that nothing gave raises _Missing, save "weak_dual",
+    weak_a_dual(seq, op), formed on its first read."""
 
     def __missing__(self, key):
-        if key != "dual":
+        if key != "weak_dual":
             raise _Missing(key)
-        dual = self["dual"] = weak_a_dual(self["seq"], self["op"])
+        dual = self["weak_dual"] = weak_a_dual(self["seq"], self["op"])
         return dual
 
 

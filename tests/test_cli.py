@@ -272,6 +272,14 @@ class TestDeterminism:
         b.pop("wall_clock_s")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
+    def test_weak_certificate_certifies_the_weak_dual_beside_a_given_one(self):
+        """On multiplier, which gives its biorthogonal dual, weak_certificate still forms and
+        certifies weak_a_dual(seq, op)."""
+        data = _scenario("multiplier", {"d": 16}, checks=["weak_certificate"])
+        data["checks"][0]["tolerance"] = 1e-8
+        (result,) = run_scenario(data).checks
+        assert result.passed and result.value <= 1e-8
+
     def test_seed_recorded_and_overridable(self):
         r = run_scenario(load_bundled("difference"), seed=42)
         assert r.seed == 42
@@ -290,7 +298,8 @@ class TestDeterminism:
 
     def test_checks_return_what_they_found_and_write_no_context(self, monkeypatch):
         """A check returns a float or a _Found; the context keys that appear while checks run
-        are the shared dual and the widened exponential table, and no other value is replaced."""
+        are the shared weak dual and the widened exponential table, and no other value is
+        replaced."""
         appeared, returned = set(), []
 
         def watched(fn):
@@ -309,8 +318,8 @@ class TestDeterminism:
             monkeypatch.setitem(S.CHECKS, key, (direction, watched(fn)))
         for name in REPRODUCE_NAMES:
             run_scenario(load_bundled(name))
-        assert appeared <= {"dual", "exponentials"}
-        assert appeared  # the guard saw the difference scenario's dual formed
+        assert appeared <= {"weak_dual", "exponentials"}
+        assert appeared  # the guard saw the difference scenario's weak dual formed
         assert all(isinstance(out, float) or isinstance(out, S._Found)
                    and isinstance(out.value, float) for out in returned), returned
 
@@ -390,6 +399,8 @@ PROBES = [
     # a window with no derivative under a derivative family
     ("window", _scenario("gabor_derivative", {"window": "fold_symmetric"})),
     ("mother", _scenario("wavelet_derivative", {"mother": "fold_symmetric"})),
+    # a dual is an input that only a construction gives; no weak dual stands in for it
+    ("dual", _scenario("difference", {"d": 20}, checks=["multiplier_weak_duality"])),
 ]
 
 
