@@ -9,8 +9,8 @@ One structure rule: a family's arithmetic is decided once, by ``_classify``, int
 ``_Structure`` record its sequence, dual or subspace caches; real, imaginary, mirrored and
 parity families then factor in real arithmetic, and no kernel scans a family again.
 
-Every lower bound and every dual is one minimum-norm factorization, and
-``factor`` alone decides how a matrix mat is factored, into a record that solves:
+Every lower bound and every dual, the canonical one (K = I) too, is one minimum-norm
+factorization, and ``factor`` alone decides how a matrix mat is factored, into a record that solves:
 
 - certified, by the R^-1 of the QR of ``gram_form``'s z (under reflection parity, of two
   half-size real blocks cut from the raw columns and sqrt(w)), when mat has no more rows

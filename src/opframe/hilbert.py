@@ -69,9 +69,11 @@ def l2_truncation(dim, label=None):
 
 
 def interval_grid(dim, x0=0.0, x1=1.0, label=None):
-    """Uniform midpoint grid on [x0, x1) with uniform weights (x1-x0)/dim."""
+    """Uniform midpoint grid on [x0, x1), x1 > x0, with uniform weights (x1-x0)/dim."""
     if dim < 1:
         raise InvalidDimension("model dimension must be positive")
+    if not x1 > x0:
+        raise InvalidDimension(f"'x1' must exceed x0 = {x0:g}, got {x1:g}")
     h = (x1 - x0) / dim
     pts = x0 + (np.arange(dim) + 0.5) * h
     return HilbertModel(dim, np.full(dim, h),

@@ -1,5 +1,5 @@
-"""Sequence-level operator machinery: analysis, synthesis, optimal bounds,
-canonical duals, reconstruction.
+"""Sequence-level operator machinery: analysis, synthesis, optimal bounds, reconstruction,
+and the canonical dual, the K = I case of the minimum-norm duals, one ``factor`` solve.
 
 A :class:`FrameSequence` stores the family {g_n} as the columns of a
 dim x N matrix over a weighted model: float64 when the columns are given
@@ -218,22 +218,19 @@ def _reference_factor(op: OperatorModel, v: Subspace, graph: bool):
 
 
 def canonical_dual(seq: FrameSequence) -> FrameSequence:
-    """The dual family {S^-1 g_n}; requires an invertible frame operator."""
-    y = seq.whitened()
-    d, n = y.shape
-    if n < d:
+    """The dual family {S^-1 g_n}: the K = I case of the minimum-norm duals, W^(-1/2) M^H for
+    M = y+ (y = W^(1/2) G) solved by ``factor``'s record against I.  NotAFrame when N < dim or
+    sigma_min <= sqrt(FRAME_TOL) sigma_max, i.e. lambda_min(S) <= FRAME_TOL lambda_max(S), which
+    a record certified at that cut excludes (sigma_min / sigma_max >= 1 / kappa_F)."""
+    if seq.n_vectors < seq.model.dim:
         raise NotAFrame("sequence has fewer columns than the model dimension")
-    z = gram_form(y, seq._structure)  # real for a mirrored, real or imaginary family, as S is
-    s_w = hermitize(z @ z.conj().T)
-    vals = np.linalg.eigvalsh(s_w)
-    if vals[0] <= FRAME_TOL * max(vals[-1], 1e-300):
-        raise NotAFrame(f"frame operator nearly singular (lambda_min={vals[0]:.3e}, "
-                        f"lambda_max={vals[-1]:.3e})")
-    if np.iscomplexobj(s_w) or np.isrealobj(y):
-        dual_w = np.linalg.solve(s_w, y)
-    else:  # a real S solves a complex y on its float view
-        dual_w = np.linalg.solve(s_w, np.ascontiguousarray(y).view(np.float64)).view(np.complex128)
-    return FrameSequence(seq.model, dual_w / seq.model.sqrt_weights[:, None], seq.index_labels)
+    cut, sqrt_w = np.sqrt(FRAME_TOL), seq.model.sqrt_weights
+    fac = factor(seq.vectors, seq._structure, cut, scale=sqrt_w)
+    if fac.s is not None and fac.s[-1] <= cut * fac.s[0]:
+        raise NotAFrame(f"frame operator nearly singular (lambda_min={fac.s[-1]**2:.3e}, "
+                        f"lambda_max={fac.s[0]**2:.3e})")
+    m = fac.solve(np.eye(seq.model.dim))[1]
+    return FrameSequence(seq.model, m.conj().T / sqrt_w[:, None], seq.index_labels)
 
 
 def reconstruct(seq: FrameSequence, dual: FrameSequence, f):

@@ -206,3 +206,29 @@ def test_factorization_is_decided_in_linalg_only():
             for name in names & DECISION:
                 found.setdefault(path.stem, set()).add(name)
     assert found == {}
+
+
+#: the numpy.linalg kernels of a Gram matrix: its normal equations and its spectrum
+GRAM_KERNELS = {"solve", "eigvalsh", "eigh"}
+
+
+def test_gram_kernels_run_only_where_the_gram_is_the_object():
+    """Outside ``_linalg`` np.linalg.solve, eigvalsh and eigh run only where a Gram itself is
+    wanted: the graph inner product's I + At^H At and the frame operator's spectrum.  Every dual,
+    the canonical one included, solves through ``factor``'s record, with no normal equations."""
+    found = set()
+    for path in Path(opframe.__file__).parent.glob("*.py"):
+        if path.name == "_linalg.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+                    called = {alias.name for alias in node.names}
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                        and ast.unparse(node.func.value).endswith("linalg"):
+                    called = {node.func.attr}
+                else:
+                    continue
+                if called & GRAM_KERNELS:
+                    found.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert found == {"opmodel._graph_solve", "seqops._whitened_spectrum"}

@@ -401,6 +401,10 @@ PROBES = [
     ("mother", _scenario("wavelet_derivative", {"mother": "fold_symmetric"})),
     # a dual is an input that only a construction gives; no weak dual stands in for it
     ("dual", _scenario("difference", {"d": 20}, checks=["multiplier_weak_duality"])),
+    # a reversed or empty interval, refused by the one grid every grid construction builds on
+    ("x1", _scenario("gabor_derivative", {"x1": -8.0})),
+    ("x1", _scenario("wavelet_derivative", {"x0": 8.0, "x1": -8.0})),
+    ("x1", _scenario("exponential", {"x0": 1.0, "x1": 0.0})),
 ]
 
 

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opframe.errors import EmptySpan, InvalidDimension
-from opframe.hilbert import HilbertModel, Subspace, l2_truncation, orthonormalize
+from opframe.hilbert import HilbertModel, Subspace, interval_grid, l2_truncation, orthonormalize
 
 from conftest import random_matrix, random_vector, random_weighted_model, violation
 
@@ -21,6 +21,13 @@ class TestInner:
     def test_weights_must_be_finite(self, bad):
         with pytest.raises(InvalidDimension):
             HilbertModel(2, [1.0, bad])
+
+
+class TestIntervalGrid:
+    @pytest.mark.parametrize("x0, x1", [(1.0, 0.0), (0.5, 0.5), (0.0, np.nan)])
+    def test_reversed_or_empty_interval_is_refused_naming_x1(self, x0, x1):
+        with pytest.raises(InvalidDimension, match="'x1'"):
+            interval_grid(8, x0, x1)
 
 
 class TestOrthonormalize:

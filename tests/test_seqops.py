@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from opframe.errors import InvalidDimension, InvalidIndex, NotAFrame
-from opframe.hilbert import interval_grid, l2_truncation
+from opframe.hilbert import HilbertModel, interval_grid, l2_truncation
 from opframe.constructions import difference_sequence, exponential_system
 from opframe.seqops import (
+    FRAME_TOL,
     FrameSequence,
     _whitened_spectrum,
     analysis,
@@ -146,6 +149,20 @@ class TestFrameBounds:
         assert fb2.beta == pytest.approx(fb.beta, abs=1e-12)
 
 
+def _family_of_spectrum(d, n, rank, real, tail, seed, clustered=False):
+    """A d x n family over random weights with rank nonzero whitened singular values from 1 to
+    10^-tail, log-spaced, or clustered: the first half at 1 and the rest at 10^-tail, which puts
+    kappa_F = ||s|| ||1/s|| well above sigma_max / sigma_min."""
+    rng = np.random.default_rng(seed)
+    draw = rng.standard_normal if real else lambda shape: random_matrix(rng, *shape)
+    u, v = (np.linalg.qr(draw(shape))[0][:, :rank] for shape in ((d, d), (n, n)))
+    s = np.logspace(0, -tail, rank)
+    if clustered:
+        s = np.where(np.arange(rank) < rank // 2, 1.0, s[-1])
+    model = random_weighted_model(rng, d)
+    return FrameSequence(model, (u * s) @ v.conj().T / model.sqrt_weights[:, None])
+
+
 class TestCanonicalDual:
     def test_standard_basis_self_dual(self):
         seq = standard_basis_seq(4)
@@ -189,6 +206,58 @@ class TestCanonicalDual:
         cplx = canonical_dual(FrameSequence(model, vectors + 0j)).vectors
         assert real.dtype == np.float64 and real.shape == cplx.shape
         assert np.linalg.norm(real - cplx) <= 1e-13 * np.linalg.norm(cplx)
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "mirrored", "parity"])
+    def test_pinv_oracle_at_condition_1e3(self, rng, kind):
+        """Against pinv(Y)^H / sqrt(w), Y = W^(1/2) G of condition 1e3 over random weights.  The
+        exponential families are E on an odd interval grid (E E^H a multiple of I) with rows
+        scaled so that kappa(Y) is exact: under unmirrored weights they take the mirror form,
+        under mirrored weights and row scales reflection parity."""
+        d = 41
+        if kind in ("real", "complex"):
+            seq = _family_of_spectrum(d, 60, d, kind == "real", 3.0, int(rng.integers(2**32)))
+        else:
+            w, h = 0.25 + rng.random(d), d // 2
+            if kind == "parity":  # rows d - h .. d - 1 mirror rows 0 .. h - 1
+                s = np.logspace(0, -3, h + 1)[rng.permutation(h + 1)]
+                s, w[d - h:] = np.concatenate([s, s[:h][::-1]]), w[:h][::-1]
+            else:
+                s = np.logspace(0, -3, d)[rng.permutation(d)]
+            e = exponential_system(1.0, d // 2, interval_grid(d))
+            rows = s / np.sqrt(w)
+            seq = FrameSequence(HilbertModel(d, w), rows[:, None] * e.vectors, e.index_labels)
+            assert seq._structure.sign and (seq._structure.even is not None) == (kind == "parity")
+        y = seq.whitened()
+        assert np.linalg.cond(y) == pytest.approx(1e3, rel=1e-6)
+        oracle = np.linalg.pinv(y).conj().T / seq.model.sqrt_weights[:, None]
+        dual = canonical_dual(seq)
+        assert dual.vectors.dtype == seq.vectors.dtype and dual.index_labels == seq.index_labels
+        assert np.linalg.norm(dual.vectors - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+    def test_one_factorization_and_no_normal_equations(self, rng, linalg_calls):
+        qr, solve, eigvalsh = (linalg_calls(name) for name in ("qr", "solve", "eigvalsh"))
+        canonical_dual(FrameSequence(random_weighted_model(rng, 6), random_matrix(rng, 6, 10)))
+        assert (len(qr), solve, eigvalsh) == (1, [], [])
+
+
+@settings(max_examples=150, deadline=None)
+@example(d=12, n=18, deficit=0, real=True, tail=3.5, seed=0, clustered=True)  # a frame, uncertified
+@given(d=st.integers(1, 12), n=st.integers(1, 18), deficit=st.integers(0, 3), real=st.booleans(),
+       tail=st.floats(0.0, 6.0), seed=st.integers(0, 2**32 - 1), clustered=st.booleans())
+def test_not_a_frame_exactly_when_bessel_only(d, n, deficit, real, tail, seed, clustered):
+    """canonical_dual's sigma rule and frame_bounds' lambda rule agree on frames and on N < d and
+    rank-deficient families, whether the factor is certified or not, save within a factor 2 of
+    FRAME_TOL, where sigma^2 and eigvalsh may round apart; a float64 family gets a float64 dual."""
+    seq = _family_of_spectrum(d, n, max(1, min(d, n) - deficit), real, tail, seed, clustered)
+    bounds = frame_bounds(seq)
+    assume(not FRAME_TOL / 2 <= bounds.alpha / bounds.beta <= 2 * FRAME_TOL)
+    try:
+        dual = canonical_dual(seq)
+    except NotAFrame:
+        assert bounds.kind == "bessel_only"
+    else:
+        assert bounds.kind == "frame"
+        assert dual.vectors.dtype == (np.float64 if real else np.complex128)
 
 
 class TestReconstruct:
