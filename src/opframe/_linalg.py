@@ -254,7 +254,7 @@ def _corrected_solve(y, r_inv, kt):
     m = proj = 0.0
     for _ in range(2):
         w = _real_matmul(r_inv, _real_matmul(r_inv.conj().T, kt - proj))
-        m = m + (_real_matmul(y.T, w) if np.isrealobj(y) else (w.conj().T @ y).conj().T)
+        m = m + (_real_matmul(y.T, w) if np.isrealobj(y) else _real_matmul(w.conj().T, y).conj().T)
         proj = _real_matmul(y, m)
     return proj, m
 

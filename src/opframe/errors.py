@@ -59,7 +59,7 @@ class WindowOverflow(OpframeError):
 
 
 class InvalidProbe(OpframeError):
-    """Raised for unknown trajectory probe names."""
+    """Raised for an unknown ``diff_operator`` variant."""
 
 
 class InvalidScenario(OpframeError):

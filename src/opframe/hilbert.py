@@ -75,7 +75,12 @@ def interval_grid(dim, x0=0.0, x1=1.0, label=None):
     if not x1 > x0:
         raise InvalidDimension(f"'x1' must exceed x0 = {x0:g}, got {x1:g}")
     h = (x1 - x0) / dim
+    if not np.isfinite(h):  # x1 - x0 overflows
+        raise InvalidDimension(f"'x1' - x0 must be finite, got {x1:g} - {x0:g}")
     pts = x0 + (np.arange(dim) + 0.5) * h
+    if not np.all(pts[1:] > pts[:-1]):  # a step below the spacing of float64 near x0
+        raise InvalidDimension(f"'x1' = {x1!r} is too close to x0 = {x0!r} for {dim} "
+                               f"distinct grid nodes in float64")
     return HilbertModel(dim, np.full(dim, h),
                         label or f"L2({x0:g},{x1:g}) uniform grid d={dim}", points=pts)
 

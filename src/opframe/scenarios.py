@@ -75,30 +75,20 @@ def _lookup(kind: str, registry: dict, name):
 # --------------------------------------------------------------------------
 
 
-def _exponentials(ctx, b: float, label_range: int, derivative=False) -> FrameSequence:
-    """exponential_system(b, label_range, grid, derivative) on the scenario's
-    grid, its columns taken from the widest table the scenario has built."""
-    wide = ctx["exponentials"]
-    if wide.shape[1] <= 2 * label_range:
-        wide = ctx["exponentials"] = C.exponential_system(b, label_range, ctx["grid"]).vectors
-    ns = np.arange(-label_range, label_range + 1)
-    cols = wide[:, wide.shape[1] // 2 - label_range:][:, :ns.size]
-    if derivative:
-        cols = cols * (2.0 * np.pi * b * ns)[None, :]
-    return FrameSequence(ctx["grid"], cols, ns)
-
-
 def _build_exponential(rng, d=256, x0=0.0, x1=1.0, b=1.0, label_range=40, derivative=False):
     if d < 2:
         raise InvalidScenario(f"exponential param 'd' must give at least 2 points, got {d}")
+    _at_least("exponential", "label_range", label_range, 1 if derivative else 0)
     grid = interval_grid(d, x0, x1)
-    ctx = {"grid": grid, "exponentials": C.exponential_system(b, label_range, grid).vectors}
-    ctx["seq"] = _exponentials(ctx, b, label_range, derivative)
-    return ctx
+    return {"grid": grid, "seq": C.exponential_system(b, label_range, grid, derivative)}
 
 
 def _build_gabor(rng, d=1024, x0=-8.0, x1=8.0, window="gaussian", a=1.0, b=0.125,
                  m_range=2, n_range=2, m_values: Optional[Tuple[int, ...]] = None):
+    for key, value in ("m_range", m_range), ("n_range", n_range):  # else no column at all
+        _at_least("gabor_derivative", key, value, 0)
+    if m_values is not None and not m_values:
+        raise InvalidScenario("gabor_derivative param 'm_values' must not be empty")
     grid = window_grid(d, x0, x1)
     win, win_d = _lookup("window", WINDOWS, window)
     family = functools.partial(C.gabor_system, win, a, b, m_range, n_range, grid,
@@ -139,6 +129,7 @@ def _build_difference(rng, d=200):
 
 
 def _build_multiplier(rng, d=64, cond_max=10.0):
+    _at_least("multiplier", "d", d, 1)
     _at_least("multiplier", "cond_max", cond_max, 1)  # singular values 1 + (cond_max - 1) U[0, 1)
     model = l2_truncation(d)
     qa, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
@@ -155,7 +146,11 @@ def _build_multiplier(rng, d=64, cond_max=10.0):
 
 def _build_not_frame(rng, cells=2, pts_per_cell=32, alpha_range=(1.0, 2.0),
                      window="fold_symmetric", n_range: Optional[int] = None):
-    _at_least("not_frame_gabor", "cells", cells, 1)
+    if n_range is None:  # every modulation a cell resolves
+        n_range = pts_per_cell // 2
+    for key, value, low in (("cells", cells, 1), ("pts_per_cell", pts_per_cell, 1),
+                            ("n_range", n_range, 0)):
+        _at_least("not_frame_gabor", key, value, low)
     if min(alpha_range) <= 0.0:  # magnitudes; a zero one makes a numerically zero operator
         raise InvalidScenario(f"not_frame_gabor param 'alpha_range' items must be positive, "
                               f"got {alpha_range}")
@@ -165,8 +160,6 @@ def _build_not_frame(rng, cells=2, pts_per_cell=32, alpha_range=(1.0, 2.0),
     A = block_multiplier(mags * phases, pts_per_cell)
     grid = A.input_model
     win, _ = _lookup("window", WINDOWS, window)
-    if n_range is None:  # every modulation a cell resolves
-        n_range = pts_per_cell // 2
     seq = C.gabor_system(win, 2.0, 1.0, 0, n_range, grid, m_values=list(range(cells)))
     return {"grid": grid, "seq": seq, "op": A}
 
@@ -241,25 +234,22 @@ def exm1_probe_functions(grid: HilbertModel):
     return hs, us
 
 
-def exm1_scaled_dual(b: float, label_range: int, grid: HilbertModel, plain=None) -> DualSequence:
-    """The canonical dual of {e_nb} is {b e_nb}; pair it with {2 pi n b e_nb}.
-    plain: the columns of exponential_system(b, label_range, grid), if built."""
-    if plain is None:
-        plain = C.exponential_system(b, label_range, grid).vectors
-    return user_dual(grid, b * plain)
+def exm1_scaled_dual(b: float, label_range: int, grid: HilbertModel) -> DualSequence:
+    """The canonical dual of {e_nb} is {b e_nb}; pair it with {2 pi n b e_nb}."""
+    return user_dual(grid, b * C.exponential_system(b, label_range, grid).vectors)
 
 
-def exm1_decomposition_error(b: float, label_range: int, grid: HilbertModel, plain=None) -> float:
+def exm1_decomposition_error(b: float, label_range: int, grid: HilbertModel) -> float:
     """Relative gap of sum_n inner(u, g_n) t_n against the analytic -i u'.
 
     Probe u = sin^3(pi x): u and u' vanish at both interval ends, so the
     zero extension is C^1 and the truncation error decays cleanly while
-    staying above the quadrature floor.  plain is as in exm1_scaled_dual.
+    staying above the quadrature floor.
     """
     x = grid.points
     u = np.sin(np.pi * x) ** 3
     uprime = 3.0 * np.pi * np.sin(np.pi * x) ** 2 * np.cos(np.pi * x)
-    t = exm1_scaled_dual(b, label_range, grid, plain).vectors  # t_n = b e_nb
+    t = exm1_scaled_dual(b, label_range, grid).vectors  # t_n = b e_nb
     g = t * (2.0 * np.pi * np.arange(-label_range, label_range + 1))[None, :]  # 2 pi n b e_nb
     vec = t @ analysis(FrameSequence(grid, g), u)
     ref = -1j * uprime
@@ -290,23 +280,23 @@ class _Found(NamedTuple):
 def _chk_weak_duality_residual(ctx, rng):
     p, grid = ctx["params"], ctx["grid"]
     b, r = p["b"], p["label_range"]
-    dual = exm1_scaled_dual(b, r, grid, _exponentials(ctx, b, r).vectors)
+    dual = exm1_scaled_dual(b, r, grid)
     hs, us = exm1_probe_functions(grid)
     return verify_weak_duality(ctx["seq"], dual, ctx["op"], hs=hs, us=us)
 
 
 def _chk_adjoint_decomposition_error(ctx, rng):
     b, r = ctx["params"]["b"], ctx["params"]["label_range"]
-    return exm1_decomposition_error(b, r, ctx["grid"], _exponentials(ctx, b, r).vectors)
+    return exm1_decomposition_error(b, r, ctx["grid"])
 
 
 def _chk_decomposition_monotone(ctx, rng, ranges=(20, 40, 80)):
     b = ctx["params"]["b"]
     if len(ranges) < 2 or min(ranges) < 1:  # a ratio of successive errors needs a pair
         raise InvalidScenario(f"decomposition_error_monotone 'ranges' needs 2+ ints >= 1: {ranges}")
-    errs = [exm1_decomposition_error(b, r, ctx["grid"], _exponentials(ctx, b, r).vectors)
-            for r in ranges]
-    return _Found(max(errs[i + 1] / errs[i] for i in range(len(errs) - 1)),
+    errs = [exm1_decomposition_error(b, r, ctx["grid"]) for r in ranges]
+    # an error of exactly 0.0 (an underflowed probe) makes the ratio after it infinite
+    return _Found(max(errs[i + 1] / errs[i] if errs[i] else np.inf for i in range(len(errs) - 1)),
                   "extras", "decomposition_errors", dict(zip(ranges, errs)))
 
 
@@ -317,7 +307,7 @@ def _chk_weak_alpha(ctx, rng, label_range: Optional[int] = None):
         # modes than the quantifier space has dimensions gives alpha = 0 by a rank count
         _at_least("weak_alpha", "label_range", label_range, 1)  # else no family to rebuild
         p = ctx["params"]
-        seq = _exponentials(ctx, p["b"], label_range, p["derivative"])
+        seq = C.exponential_system(p["b"], label_range, ctx["grid"], p["derivative"])
     return weak_aframe_bound(seq, ctx["op"]).alpha
 
 

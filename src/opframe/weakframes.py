@@ -39,7 +39,7 @@ from .hilbert import HilbertModel
 from .opmodel import OperatorModel
 from .seqops import FrameBounds, FrameSequence, _operator_bounds, _whitened_spectrum
 
-PRODUCERS = ("weak_a_dual_thm", "k_dual_thm", "interchange_thm", "canonical", "user")
+PRODUCERS = ("weak_a_dual_thm", "k_dual_thm", "interchange_thm", "user")
 
 #: weak factorization residual beyond this (relative) raises FactorizationFailed
 FACTORIZATION_TOL = 1e-8

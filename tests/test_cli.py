@@ -196,6 +196,22 @@ class TestRunCommand:
         assert main(["run", str(f), "--out", str(tmp_path / "r.json")]) == 2
         assert "ranges" in capsys.readouterr().err
 
+    def test_decomposition_monotone_on_an_underflowed_probe_fails_with_a_report(self, tmp_path):
+        """On [0, 1e-300) the probe underflows and every error reads exactly 0.0: the ratio
+        after a zero error is infinite, so the check fails (exit 1) instead of dividing by
+        zero (exit 3)."""
+        data = load_bundled("exm1")
+        data["construction"]["params"].update(x0=0.0, x1=1e-300)
+        data["checks"] = [chk for chk in data["checks"]
+                          if chk["name"] == "decomposition_error_monotone"]
+        f = tmp_path / "underflow.json"
+        f.write_text(json.dumps(data))
+        out = tmp_path / "r.json"
+        assert main(["run", str(f), "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert report["checks"][0]["value"] == float("inf")
+        assert report["extras"]["decomposition_errors"] == {"20": 0.0, "40": 0.0, "80": 0.0}
+
     @pytest.mark.parametrize("name", ["../../escaped/deep/x", "<tmp>/abs/x", "a\\b", "a\x00b",
                                       ".", ".."])
     def test_name_that_is_no_file_stem_exits_two_writing_nothing(
@@ -297,9 +313,8 @@ class TestDeterminism:
         assert json.dumps(backward, sort_keys=True) == json.dumps(forward, sort_keys=True)
 
     def test_checks_return_what_they_found_and_write_no_context(self, monkeypatch):
-        """A check returns a float or a _Found; the context keys that appear while checks run
-        are the shared weak dual and the widened exponential table, and no other value is
-        replaced."""
+        """A check returns a float or a _Found; the one context key that appears while checks
+        run is the shared weak dual, and no value is replaced."""
         appeared, returned = set(), []
 
         def watched(fn):
@@ -308,8 +323,7 @@ class TestDeterminism:
                 before = dict(ctx)
                 out = fn(ctx, rng, **params)
                 appeared.update(ctx.keys() - before.keys())
-                assert all(ctx[key] is value for key, value in before.items()
-                           if key != "exponentials"), fn.__name__
+                assert all(ctx[key] is value for key, value in before.items()), fn.__name__
                 returned.append(out)
                 return out
             return check
@@ -318,7 +332,7 @@ class TestDeterminism:
             monkeypatch.setitem(S.CHECKS, key, (direction, watched(fn)))
         for name in REPRODUCE_NAMES:
             run_scenario(load_bundled(name))
-        assert appeared <= {"weak_dual", "exponentials"}
+        assert appeared <= {"weak_dual"}
         assert appeared  # the guard saw the difference scenario's weak dual formed
         assert all(isinstance(out, float) or isinstance(out, S._Found)
                    and isinstance(out.value, float) for out in returned), returned
@@ -405,6 +419,18 @@ PROBES = [
     ("x1", _scenario("gabor_derivative", {"x1": -8.0})),
     ("x1", _scenario("wavelet_derivative", {"x0": 8.0, "x1": -8.0})),
     ("x1", _scenario("exponential", {"x0": 1.0, "x1": 0.0})),
+    # grid nodes that round together, or a step that overflows, under exm1's family
+    *[("x1", _scenario("exponential", {"b": 0.5, "derivative": True, "x0": x0, "x1": x1},
+                       operator="diff_minus_i_H1"))
+      for x0, x1 in ((1.0, 1.00000000000001), (1e15, 1e15 + 1), (-1e308, 1e308))],
+    # a construction left with no column, or with only zero ones
+    ("label_range", _scenario("exponential", {"label_range": -1})),
+    ("label_range", _scenario("exponential", {"label_range": 0, "derivative": True})),
+    *[(key, _scenario("gabor_derivative", {key: value}))
+      for key, value in (("m_range", -1), ("n_range", -1), ("m_values", []))],
+    ("pts_per_cell", _scenario("not_frame_gabor", {"pts_per_cell": 0})),
+    ("n_range", _scenario("not_frame_gabor", {"n_range": -1})),
+    ("d", _scenario("multiplier", {"d": 0})),
 ]
 
 

@@ -160,32 +160,12 @@ class TestExm1Families:
         assert report["checks"][3]["name"] == "decomposition_error_monotone"
         assert float(abs(value - ratio) / ratio) <= 1e-12
 
-    def test_checks_slice_one_table_per_width(self, monkeypatch):
-        built = []
-        real = C.exponential_system
-
-        def counted(b, label_range, grid, derivative=False):
-            built.append(label_range)
-            return real(b, label_range, grid, derivative)
-
-        monkeypatch.setattr(C, "exponential_system", counted)
-        assert S.run_scenario(S.load_bundled("exm1")).all_passed
-        # the construction's range 40, then weak_alpha's 256, which every
-        # later check slices
-        assert built == [40, 256]
-
     def test_sliced_families_equal_rebuilt_ones(self):
         grid = interval_grid(128)
         ctx = S.CONSTRUCTIONS["exponential"](
             None, b=0.5, label_range=50, d=128, derivative=True)
         assert np.array_equal(ctx["seq"].vectors,
                               C.exponential_system(0.5, 50, grid, derivative=True).vectors)
-        for r in (10, 50):
-            plain = S._exponentials(ctx, 0.5, r)
-            assert np.array_equal(plain.vectors, C.exponential_system(0.5, r, grid).vectors)
-            assert plain.index_labels == tuple(range(-r, r + 1))
-        assert S.exm1_decomposition_error(0.5, 20, grid, S._exponentials(ctx, 0.5, 20).vectors) \
-            == S.exm1_decomposition_error(0.5, 20, grid)
 
 
 class TestRunningSums:

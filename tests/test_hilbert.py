@@ -4,7 +4,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opframe.errors import EmptySpan, InvalidDimension
-from opframe.hilbert import HilbertModel, Subspace, interval_grid, l2_truncation, orthonormalize
+from opframe.hilbert import (
+    HilbertModel,
+    Subspace,
+    interval_grid,
+    l2_truncation,
+    orthonormalize,
+    window_grid,
+)
 
 from conftest import random_matrix, random_vector, random_weighted_model, violation
 
@@ -28,6 +35,14 @@ class TestIntervalGrid:
     def test_reversed_or_empty_interval_is_refused_naming_x1(self, x0, x1):
         with pytest.raises(InvalidDimension, match="'x1'"):
             interval_grid(8, x0, x1)
+
+    @pytest.mark.parametrize("x0, x1", [(1.0, 1.00000000000001), (1e15, 1e15 + 1),
+                                        (-1e308, 1e308)])
+    def test_collapsing_nodes_or_an_overflowing_step_are_refused_naming_x1(self, x0, x1):
+        with pytest.raises(InvalidDimension, match="'x1'"):
+            interval_grid(256, x0, x1)
+        with pytest.raises(InvalidDimension, match="'x1'"):
+            window_grid(256, x0, x1)
 
 
 class TestOrthonormalize:

@@ -21,7 +21,7 @@ from opframe.serialize import (
     frame_sequence_to_dict,
     loads,
 )
-from opframe.weakframes import user_dual
+from opframe.weakframes import DualSequence, user_dual
 
 from conftest import random_matrix, random_weighted_model
 
@@ -77,6 +77,18 @@ def test_dual_sequence_roundtrip(rng):
         assert back.graph_space is dual.graph_space
     # through the text too, a graph-space dual does not read back as an ordinary K-dual
     assert loads(dumps(graph_dual, "dual_sequence"), "dual_sequence").graph_space is True
+
+
+def test_unknown_producer_is_refused(rng):
+    """A producer tag names a theorem that made the dual; "canonical" names none, since
+    ``canonical_dual`` returns a FrameSequence."""
+    model = l2_truncation(3)
+    vectors = random_matrix(rng, 3, 4)
+    with pytest.raises(InvalidDimension, match="unknown producer"):
+        DualSequence(model, vectors, "canonical", float("nan"))
+    payload = dict(dual_sequence_to_dict(user_dual(model, vectors)), producer="canonical")
+    with pytest.raises(InvalidDimension, match="unknown producer"):
+        loads(json.dumps(payload), "dual_sequence")
 
 
 def test_loads_inverts_dumps(rng):
