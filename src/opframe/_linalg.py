@@ -17,6 +17,10 @@ factorization, and ``factor`` alone decides how a matrix mat is factored, into a
   than columns, kappa_F = ||R||_F ||R^-1||_F <= 1e6 and kappa_F max(rcond, 1e-12) < 1;
 - otherwise a thin SVD, row-reduced by the refused R unless V is needed,
   with the support cut at 1e-12 sigma_0 and M cut at rcond sigma_0.
+
+One SVD kernel: ``_svd`` is the only caller of ``np.linalg.svd``.  A matrix whose exact zeros
+make it block diagonal over contiguous ranges, each block at least ``_SVD_BLOCK`` rows and
+columns, is factored block by block, which moves its values and vectors at roundoff only.
 """
 
 from __future__ import annotations
@@ -39,6 +43,9 @@ _DIRECT_COND = 1e6
 
 #: the pencil subtracts U U^H Y in row blocks of about this many entries
 _ROW_BLOCK = 2**16
+
+#: ``_svd`` factors a diagonal block alone when it has at least this many rows and columns
+_SVD_BLOCK = 32
 
 
 def as_complex_vector(f, dim):
@@ -189,14 +196,64 @@ def _is_wide(mat):
     return 2 * mat.shape[0] <= mat.shape[1]
 
 
+def _diagonal_blocks(mat):
+    """The (row, column) starts of mat's contiguous diagonal blocks, then (m, n), when mat's
+    exact zeros make it block diagonal with each block at least _SVD_BLOCK rows and columns,
+    else None.  A cut after row i - 1 falls at the first nonzero column of rows i on, so zero
+    columns join the block before; a block under the floor merges with the next, the last with
+    the one before.  A nonzero off-diagonal corner returns at once, and a mat under
+    2 _SVD_BLOCK rows or columns is not scanned."""
+    (m, n), floor = mat.shape, _SVD_BLOCK
+    if min(m, n) < 2 * floor or mat[0, -1] or mat[-1, 0]:
+        return None
+    nz = mat != 0
+    live = np.any(nz, axis=1)
+    first = np.where(live, np.argmax(nz, axis=1), n)  # of each row; n and -1 for a zero row
+    last = np.where(live, n - 1 - np.argmax(nz[:, ::-1], axis=1), -1)
+    above = np.maximum.accumulate(last)[:-1]  # the last nonzero column of rows < i, i = 1..m-1
+    below = np.minimum.accumulate(first[::-1])[::-1][1:]  # the first of rows >= i
+    starts = [(0, 0)]
+    for i in np.flatnonzero(above < below) + 1:  # every cut, kept if it leaves floors around it
+        (i0, j0), j = starts[-1], int(below[i - 1])
+        if min(i - i0, j - j0, m - i, n - j) >= floor:
+            starts.append((int(i), j))
+    return starts + [(m, n)] if len(starts) > 1 else None
+
+
+def _svd(mat, compute_uv=True):
+    """``np.linalg.svd(mat, full_matrices=False)``, or its values alone when not compute_uv: the
+    one caller of it in opframe.  A mat that ``_diagonal_blocks`` splits is factored block by
+    block, and the blocks' values merged descending (a stable sort, padded with exact zeros to
+    min(m, n)), each block's U and V^H columns at its values' merged positions and zero at a
+    padded value's; values and vectors differ from the dense SVD's at roundoff only."""
+    cuts = _diagonal_blocks(mat) or [(0, 0), mat.shape]
+    blocks = [(slice(i0, i1), slice(j0, j1)) for (i0, j0), (i1, j1) in zip(cuts, cuts[1:])]
+    parts = [np.linalg.svd(mat[b], full_matrices=False, compute_uv=compute_uv) for b in blocks]
+    if len(parts) == 1:
+        return parts[0]
+    values = [p[1] if compute_uv else p for p in parts]
+    sizes = np.cumsum([len(v) for v in values])
+    s = np.concatenate(values + [np.zeros(min(mat.shape) - sizes[-1])])
+    order = np.argsort(-s, kind="stable")
+    if not compute_uv:
+        return s[order]
+    at = np.empty_like(order)
+    at[order] = np.arange(order.size)  # the merged position of each value
+    u = np.zeros((mat.shape[0], s.size), parts[0][0].dtype)
+    vh = np.zeros((s.size, mat.shape[1]), parts[0][2].dtype)
+    for (rows, cols), (ub, _, vhb), pos in zip(blocks, parts, np.split(at, sizes)):
+        u[rows, pos], vh[pos, cols] = ub, vhb
+    return u, s[order], vh
+
+
 def thin_svd(mat):
     """(U, s, V^H) with mat = U diag(s) V^H, s descending: every SVD with vectors in opframe
     runs here.  A wide mat is row-reduced: with mat^H = Q R the SVD runs on R^H = U diag(s) W^H,
     and V^H = W^H Q^H."""
     if not _is_wide(mat):
-        return np.linalg.svd(mat, full_matrices=False)
+        return _svd(mat)
     q, r = np.linalg.qr(mat.conj().T)
-    u, s, wh = np.linalg.svd(r.conj().T, full_matrices=False)
+    u, s, wh = _svd(r.conj().T)
     return u, s, wh @ q.conj().T
 
 
@@ -341,7 +398,7 @@ def pencil_lower_bound(sqrt_s, b_basis, b_inv_h):
     uy = y if b_basis is None else b_basis.conj().T @ y  # (X U)^H, q x m
     if b_basis is None or b_basis.shape[1] == b_basis.shape[0]:
         def beta():
-            return float(np.linalg.svd(y, compute_uv=False)[0]) ** 2
+            return float(_svd(y, compute_uv=False)[0]) ** 2
     else:
         # X restricted to ker(B) = X (I - U U^H) has the left singular pairs
         # of its row reduction x_k, so its column space T is that of x_k, and
@@ -352,8 +409,7 @@ def pencil_lower_bound(sqrt_s, b_basis, b_inv_h):
         # directions.
         (r, m), q = y.shape, b_basis.shape[1]
         tall = _is_wide(y.T)  # (X (I - U U^H))^H is reduced to its m x m R
-        smax = None if (m if tall else r) + q < r else float(
-            np.linalg.svd(y, compute_uv=False)[0])
+        smax = None if (m if tall else r) + q < r else float(_svd(y, compute_uv=False)[0])
         if np.iscomplexobj(uy) and np.isrealobj(y):
             y = y.astype(complex)
         step = max(1, _ROW_BLOCK // m)
@@ -361,8 +417,7 @@ def pencil_lower_bound(sqrt_s, b_basis, b_inv_h):
             y[i:i + step] -= b_basis[i:i + step] @ uy
         x_k = (np.linalg.qr(_classify(y).real_form(y), mode="r") if tall else y).conj().T
         if smax is None:
-            smax = float(np.linalg.svd(
-                np.concatenate([x_k, uy.conj().T], axis=1), compute_uv=False)[0])
+            smax = float(_svd(np.concatenate([x_k, uy.conj().T], axis=1), compute_uv=False)[0])
         u, s, _ = thin_svd(x_k)  # T's basis, cut at _RANK_TOL sigma_max(X): x_k may be noise
         t_basis = u[:, :rank_cut(s, _RANK_TOL, smax)]
         if t_basis.shape[1]:
@@ -373,7 +428,7 @@ def pencil_lower_bound(sqrt_s, b_basis, b_inv_h):
         return 0.0, beta
     # (X U L^-H)^H = L^-1 U^H Y has the same singular values
     scaled = np.conj(b_inv_h)[:, None] * uy if b_inv_h.ndim == 1 else b_inv_h.conj().T @ uy
-    smin = float(np.linalg.svd(scaled, compute_uv=False)[-1])
+    smin = float(_svd(scaled, compute_uv=False)[-1])
     return smin**2, beta
 
 

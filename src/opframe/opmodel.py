@@ -17,6 +17,7 @@ import numpy as np
 
 from ._linalg import (
     _real_matmul,
+    _svd,
     as_complex_vector,
     hermitize,
     real_or_complex,
@@ -234,7 +235,7 @@ def self_adjoint_gap(op: OperatorModel) -> float:
         gap = kt - _real_matmul(_real_matmul(kt.conj().T, vw), vw.conj().T)
     if not np.any(gap):
         return 0.0
-    s = np.linalg.svd(gap, compute_uv=False)
+    s = _svd(gap, compute_uv=False)
     return float(s[0]) if s.size else 0.0
 
 

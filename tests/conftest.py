@@ -23,11 +23,15 @@ def rng():
 @pytest.fixture
 def linalg_calls(monkeypatch):
     """count(name) wraps numpy.linalg.<name> for the test and returns the
-    list of (args, kwargs) of its calls.  What a solver asks LAPACK for is
-    the same on every machine, unlike its timings."""
+    list of (args, kwargs) of its calls, the same list on every count(name),
+    so a hypothesis example can clear it rather than wrap the wrapper.  What
+    a solver asks LAPACK for is the same on every machine, unlike its timings."""
+    lists = {}
 
     def count(name):
-        calls = []
+        if name in lists:
+            return lists[name]
+        calls = lists[name] = []
         original = getattr(np.linalg, name)
 
         def counted(*args, **kwargs):

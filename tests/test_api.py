@@ -212,14 +212,11 @@ def test_factorization_is_decided_in_linalg_only():
 GRAM_KERNELS = {"solve", "eigvalsh", "eigh"}
 
 
-def test_gram_kernels_run_only_where_the_gram_is_the_object():
-    """Outside ``_linalg`` np.linalg.solve, eigvalsh and eigh run only where a Gram itself is
-    wanted: the graph inner product's I + At^H At and the frame operator's spectrum.  Every dual,
-    the canonical one included, solves through ``factor``'s record, with no normal equations."""
+def _numpy_linalg_callers(kernels):
+    """module.name of each top-level definition of src/opframe that calls one of the
+    numpy.linalg kernels, or imports one from numpy.linalg."""
     found = set()
     for path in Path(opframe.__file__).parent.glob("*.py"):
-        if path.name == "_linalg.py":
-            continue
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
                 if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
@@ -229,6 +226,21 @@ def test_gram_kernels_run_only_where_the_gram_is_the_object():
                     called = {node.func.attr}
                 else:
                     continue
-                if called & GRAM_KERNELS:
+                if called & kernels:
                     found.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return found
+
+
+def test_gram_kernels_run_only_where_the_gram_is_the_object():
+    """Outside ``_linalg`` np.linalg.solve, eigvalsh and eigh run only where a Gram itself is
+    wanted: the graph inner product's I + At^H At and the frame operator's spectrum.  Every dual,
+    the canonical one included, solves through ``factor``'s record, with no normal equations."""
+    found = {name for name in _numpy_linalg_callers(GRAM_KERNELS)
+             if not name.startswith("_linalg.")}
     assert found == {"opmodel._graph_solve", "seqops._whitened_spectrum"}
+
+
+def test_one_svd_kernel():
+    """np.linalg.svd runs in ``_linalg._svd`` alone, so every SVD, a values-only one too, is
+    split into the diagonal blocks its matrix's exact zeros give."""
+    assert _numpy_linalg_callers({"svd"}) == {"_linalg._svd"}

@@ -197,11 +197,11 @@ class TestRunCommand:
         assert "ranges" in capsys.readouterr().err
 
     def test_decomposition_monotone_on_an_underflowed_probe_fails_with_a_report(self, tmp_path):
-        """On [0, 1e-300) the probe underflows and every error reads exactly 0.0: the ratio
+        """On [0, 1e-120) the probe underflows and every error reads exactly 0.0: the ratio
         after a zero error is infinite, so the check fails (exit 1) instead of dividing by
         zero (exit 3)."""
         data = load_bundled("exm1")
-        data["construction"]["params"].update(x0=0.0, x1=1e-300)
+        data["construction"]["params"].update(x0=0.0, x1=1e-120)
         data["checks"] = [chk for chk in data["checks"]
                           if chk["name"] == "decomposition_error_monotone"]
         f = tmp_path / "underflow.json"
@@ -211,6 +211,19 @@ class TestRunCommand:
         report = json.loads(out.read_text())
         assert report["checks"][0]["value"] == float("inf")
         assert report["extras"]["decomposition_errors"] == {"20": 0.0, "40": 0.0, "80": 0.0}
+
+    def test_checks_whose_probes_vanish_read_inf(self, tmp_path):
+        """On [0, 1e-120) 1/h^2 is finite but every u probe and sin^3(pi x) underflow, so the
+        weak duality residual and the decomposition error compare nothing: both read inf and
+        fail with a report (exit 1) instead of passing at 0.0."""
+        data = load_bundled("exm1")
+        data["construction"]["params"].update(x0=0.0, x1=1e-120)
+        f, out = tmp_path / "vanished.json", tmp_path / "r.json"
+        f.write_text(json.dumps(data))
+        assert main(["run", str(f), "--out", str(out)]) == 1
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        for name in "weak_duality_residual", "adjoint_decomposition_error":
+            assert checks[name]["value"] == float("inf") and not checks[name]["pass"]
 
     @pytest.mark.parametrize("name", ["../../escaped/deep/x", "<tmp>/abs/x", "a\\b", "a\x00b",
                                       ".", ".."])
@@ -431,6 +444,10 @@ PROBES = [
     ("pts_per_cell", _scenario("not_frame_gabor", {"pts_per_cell": 0})),
     ("n_range", _scenario("not_frame_gabor", {"n_range": -1})),
     ("d", _scenario("multiplier", {"d": 0})),
+    # a grid step whose 1/h^2 overflows: once a nonfinite stencil, or an overflow in the bound
+    *[("x1", _scenario("exponential", {"b": 0.5, "derivative": True, "x0": 0.0, "x1": x1},
+                       operator="diff_minus_i_H1", checks=["weak_alpha"]))
+      for x1 in (1e-320, 1e-300)],
 ]
 
 

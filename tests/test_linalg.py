@@ -2,10 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from opframe import _linalg
 from opframe._linalg import (
+    _SVD_BLOCK,
+    _svd,
     max_column_gap,
     pencil_lower_bound,
     rank_cut,
@@ -14,8 +17,14 @@ from opframe._linalg import (
 )
 from opframe.hilbert import HilbertModel, Subspace, l2_truncation, orthonormalize
 from opframe.opmodel import OperatorModel
-from opframe.relframes import a_dual_graph, k_dual, kframe_bounds, range_inclusion
-from opframe.scenarios import CHECKS
+from opframe.relframes import (
+    a_dual_graph,
+    aframe_bounds_graph,
+    k_dual,
+    kframe_bounds,
+    range_inclusion,
+)
+from opframe.scenarios import CHECKS, CONSTRUCTIONS
 from opframe.seqops import FrameSequence
 from opframe.weakframes import weak_a_dual, weak_aframe_bound
 
@@ -298,3 +307,87 @@ def test_singular_factor_takes_the_svd_path(rng, linalg_calls):
     assert k_dual(seq, K).certificate_residual <= 1e-10
     assert range_inclusion(K, seq)[0]
     assert len(svd) == 2
+
+
+# -- the SVD kernel ------------------------------------------------------------
+
+
+def _block(rng, kind, r, c, cplx):
+    """An r x c block: dense random, of a random lower rank, or with one repeated value."""
+    def draw(rows, cols):
+        return random_matrix(rng, rows, cols) if cplx else rng.standard_normal((rows, cols))
+    k = min(r, c)
+    if kind == "dense" or not k:
+        return draw(r, c)
+    if kind == "deficient":
+        inner = int(rng.integers(0, k))
+        return draw(r, inner) @ draw(inner, c)
+    u, v = np.linalg.qr(draw(r, k))[0], np.linalg.qr(draw(c, k))[0]
+    return (u * 2.5) @ v.conj().T  # every value 2.5
+
+
+#: a block side: about the floor, or under it (zero included)
+_SIDE = st.one_of(st.integers(_SVD_BLOCK - 4, 48), st.integers(0, 12))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(shapes=st.lists(st.tuples(_SIDE, _SIDE, st.sampled_from(["dense", "deficient", "repeated"])),
+                       min_size=1, max_size=4),
+       repeat=st.booleans(), cplx=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_svd_kernel_matches_the_dense_svd(linalg_calls, shapes, repeat, cplx, seed):
+    """Contiguous block-diagonal matrices, with zero rows or columns (blocks with no columns or
+    no rows), rank-deficient blocks, repeated values within a block and (repeat) across copied
+    blocks, and blocks under the floor: the kernel's values descend and are the dense SVD's, its
+    vectors above 1e-12 sigma_max are orthonormal and rebuild the matrix, and a nonzero corner
+    makes one LAPACK call."""
+    rng = np.random.default_rng(seed)
+    blocks = [_block(rng, kind, r, c, cplx) for r, c, kind in shapes]
+    if repeat:
+        blocks.append(blocks[0].copy())
+    rows, cols = (np.cumsum([0] + [b.shape[axis] for b in blocks]) for axis in (0, 1))
+    mat = np.zeros((rows[-1], cols[-1]), complex if cplx else float)
+    for b, i, j in zip(blocks, rows, cols):
+        mat[i:i + b.shape[0], j:j + b.shape[1]] = b
+    oracle = np.linalg.svd(mat, compute_uv=False)
+    top = oracle[0] if oracle.size else 0.0
+
+    calls = linalg_calls("svd")
+    calls.clear()  # this example's calls
+    s = _svd(mat, compute_uv=False)
+    u, s_uv, vh = _svd(mat)
+    for values in s, s_uv:
+        assert values.shape == oracle.shape and np.all(np.diff(values) <= 0.0)
+        assert np.max(np.abs(values - oracle), initial=0.0) <= 1e-13 * top
+    assert u.shape == (mat.shape[0], s.size) and vh.shape == (s.size, mat.shape[1])
+    live = s > 1e-12 * top
+    for q in u[:, live], vh[live].conj().T:
+        assert np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1])), initial=0.0) <= 1e-13
+    assert np.max(np.abs((u * s) @ vh - mat), initial=0.0) <= 1e-13 * max(top, 1.0)
+    if all(kind == "dense" and min(r, c) >= _SVD_BLOCK for r, c, kind in shapes):
+        assert len(calls) == 2 * len(blocks)  # one call per block, values and vectors
+
+    if mat.size:
+        calls.clear()
+        mat[-1, 0] = 1.0
+        _svd(mat, compute_uv=False)
+        assert [args[0].shape for args, _ in calls] == [mat.shape]
+
+
+def test_not_frame_factors_cell_by_cell(linalg_calls, monkeypatch):
+    """not_frame at 4 cells of 64 points: every Gabor column lives in one cell and the operator
+    acts cell by cell, so no SVD sees more than one cell's 64 rows, and the graph bound and the
+    range residual are those of the unsplit SVDs."""
+    def run():
+        ctx = CONSTRUCTIONS["not_frame_gabor"](np.random.default_rng(0), cells=4, pts_per_cell=32)
+        return (aframe_bounds_graph(ctx["seq"], ctx["op"]).alpha,
+                range_inclusion(ctx["op"], ctx["seq"])[1])
+
+    calls = linalg_calls("svd")
+    split = run()
+    assert calls and max(args[0].shape[0] for args, _ in calls) <= 64
+    monkeypatch.setattr(_linalg, "_diagonal_blocks", lambda mat: None)
+    dense = run()
+    assert max(args[0].shape[0] for args, _ in calls) == 256
+    for a, b in zip(split, dense):
+        assert abs(a - b) <= max(1e-12 * abs(b), 1e-15)
