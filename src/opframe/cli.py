@@ -7,16 +7,13 @@
 Exit codes: 0 all checks pass, 1 a check failed, 2 parse/validation error,
 3 internal error.  The report is always written when execution reaches the
 checks; trajectories are additionally exported as CSV next to the report.
-The environment variable OPFRAME_TOL_OVERRIDE (a finite float > 0) scales
-every check tolerance and is ignored when unset.
+Each check's tolerance is the one its scenario file declares.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
 from pathlib import Path
 
@@ -35,21 +32,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_INTERNAL = 3
-
-
-def _tol_scale() -> float:
-    raw = os.environ.get("OPFRAME_TOL_OVERRIDE")
-    if raw is None:
-        return 1.0
-    try:
-        scale = float(raw)
-    except ValueError:
-        scale = math.nan  # rejected below with every other invalid value
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise InvalidScenario(
-            f"OPFRAME_TOL_OVERRIDE must be a finite float > 0, got {raw!r}"
-        )
-    return scale
 
 
 #: the largest seed, 2**64 - 1, as the scenario schema bounds it
@@ -81,14 +63,6 @@ def _print_summary(report: ScenarioReport):
             f"[{status}] {report.scenario}: {c.name} = {c.value:.6e} "
             f"(required {sym[c.direction]} {c.tolerance:.6e})"
         )
-
-
-def _execute(data: dict, out: Path, seed) -> int:
-    report = run_scenario(data, seed=seed, tol_scale=_tol_scale())
-    _write_report(report, out)
-    _print_summary(report)
-    print(f"report written to {out}")
-    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 
 def main(argv=None) -> int:
@@ -125,22 +99,19 @@ def main(argv=None) -> int:
             try:
                 data = json.loads(args.file.read_text())
             except (OSError, json.JSONDecodeError) as exc:
-                print(f"error: cannot parse scenario file: {exc}", file=sys.stderr)
-                return EXIT_PARSE_ERROR
+                raise InvalidScenario(f"cannot parse scenario file: {exc}") from None
             if not isinstance(data, dict):
-                print("error: scenario file must hold a JSON object, got "
-                      f"{type(data).__name__}", file=sys.stderr)
-                return EXIT_PARSE_ERROR
+                raise InvalidScenario("scenario file must hold a JSON object, got "
+                                      f"{type(data).__name__}")
             out = args.out or Path(f"{data.get('name', args.file.stem)}.report.json")
-            return _execute(data, out, args.seed)
-        # reproduce
-        try:
+        else:  # reproduce
             data = load_bundled(args.name)
-        except InvalidScenario as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE_ERROR
-        out = args.out or Path(f"{data['name']}.report.json")
-        return _execute(data, out, args.seed)
+            out = args.out or Path(f"{data['name']}.report.json")
+        report = run_scenario(data, seed=args.seed)
+        _write_report(report, out)
+        _print_summary(report)
+        print(f"report written to {out}")
+        return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
     except InvalidScenario as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR

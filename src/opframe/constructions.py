@@ -83,7 +83,7 @@ def _translates(g: np.ndarray, shift: int, ms) -> np.ndarray:
 
 def _integer_shift(amount: float, h: float, what: str) -> int:
     s = amount / h
-    if abs(s - round(s)) > 1e-9:
+    if not abs(s) < 2.0**53 or abs(s - round(s)) > 1e-9:  # from 2**53 every float is integral
         raise GridMismatch(f"{what} {amount!r} is not an integer number of samples")
     return int(round(s))
 

@@ -70,7 +70,7 @@ def l2_truncation(dim, label=None):
 
 def interval_grid(dim, x0=0.0, x1=1.0, label=None):
     """Uniform midpoint grid on [x0, x1), x1 > x0, with uniform weights h = (x1-x0)/dim, refused
-    unless h and 1/h^2 are finite in float64 and the nodes distinct."""
+    unless h and dim (2/h)^2 are finite in float64 and the nodes distinct."""
     if dim < 1:
         raise InvalidDimension("model dimension must be positive")
     if not x1 > x0:
@@ -78,9 +78,11 @@ def interval_grid(dim, x0=0.0, x1=1.0, label=None):
     h = (x1 - x0) / dim
     if not np.isfinite(h):  # x1 - x0 overflows
         raise InvalidDimension(f"'x1' - x0 must be finite, got {x1:g} - {x0:g}")
-    if h < np.finfo(np.float64).max ** -0.5:  # a second difference's 1/h^2 overflows
+    # dim (2/h)^2 bounds the squared Frobenius norm of a first difference on the grid, and a
+    # second difference's 1/h^2; either overflowing makes a stencil or its norm nonfinite
+    if h < 2.0 * np.sqrt(dim) * np.finfo(np.float64).max ** -0.5:
         raise InvalidDimension(f"'x1' = {x1!r} is too close to x0 = {x0!r}: the grid step {h:g} "
-                               f"has no finite 1/h^2 in float64")
+                               f"has no finite {dim} (2/h)^2 in float64")
     pts = x0 + (np.arange(dim) + 0.5) * h
     if not np.all(pts[1:] > pts[:-1]):  # a step below the spacing of float64 near x0
         raise InvalidDimension(f"'x1' = {x1!r} is too close to x0 = {x0!r} for {dim} "

@@ -27,7 +27,8 @@ import numpy as np
 from . import __version__
 from . import constructions as C
 from ._linalg import _real_matmul, max_column_gap
-from .errors import InvalidScenario, OpframeError
+from .errors import (FactorizationFailed, InvalidScenario, NotAFrame, NotSurjective,
+                     OpframeError, RangeNotIncluded)
 from .hilbert import HilbertModel, interval_grid, l2_truncation, window_grid
 from .opmodel import (
     OperatorModel,
@@ -350,9 +351,20 @@ def _chk_frame_ratio(ctx, rng):
     return _Found(fb.alpha / fb.beta if fb.beta > 0 else 0.0, "bounds", "frame", fb)
 
 
+def _square(check: str, seq: FrameSequence, least: int = 1) -> FrameSequence:
+    """seq, refused naming the check unless it has one vector per grid point, and no fewer than
+    least: a check that pairs the n-th vector with the n-th point calls this first."""
+    n, d = seq.n_vectors, seq.model.dim
+    if n != d or n < least:
+        more = f" and at least {least}" if least > 1 else ""
+        raise InvalidScenario(f"check {check!r} needs as many vectors as grid points{more}, "
+                              f"got {n} for {d}")
+    return seq
+
+
 def _chk_partial_sum_identity(ctx, rng):
     """max_n |sum_{k <= n} g_k / k - e_n|, every partial sum from one running sum."""
-    seq = ctx["seq"]
+    seq = _square("partial_sum_identity", ctx["seq"])
     d = seq.n_vectors
     sums = np.cumsum(seq.vectors * (1.0 / np.arange(1, d + 1)), axis=1)
     return float(np.max(np.linalg.norm(sums - np.eye(d), axis=0)))
@@ -363,7 +375,7 @@ def _chk_weak_certificate(ctx, rng):
 
 
 def _chk_strong_residual_min(ctx, rng):
-    seq = ctx["seq"]
+    seq = _square("strong_residual_min", ctx["seq"], least=2)  # the partial sums n < d
     A = ctx["op"]
     d = seq.n_vectors
     f = 1.0 / np.arange(1, d + 1)
@@ -670,13 +682,16 @@ class ScenarioReport:
 
 
 _PASSES = {"le": operator.le, "ge": operator.ge, "lt": operator.lt}
+#: how a check finds that the dual or the inclusion it reads does not exist for the scenario's
+#: family: a verdict on the scenario, refused naming the check, not an internal error
+_ABSENT = (FactorizationFailed, NotAFrame, NotSurjective, RangeNotIncluded)
 #: report section -> the JSON form of a _Found item in it
 _REPORTED = {"bounds": lambda fb: {"alpha": fb.alpha, "beta": fb.beta, "kind": fb.kind},
              "trajectories": lambda traj: [[int(n), float(v)] for n, v in traj],
              "extras": lambda item: item}
 
 
-def run_scenario(data: dict, seed: Optional[int] = None, tol_scale: float = 1.0) -> ScenarioReport:
+def run_scenario(data: dict, seed: Optional[int] = None) -> ScenarioReport:
     """Execute a validated scenario dict and return its report."""
     params, check_params = validate_scenario(data)
     start = time.perf_counter()
@@ -699,13 +714,15 @@ def run_scenario(data: dict, seed: Optional[int] = None, tol_scale: float = 1.0)
     results = []
     for chk, chk_params in zip(data["checks"], check_params):
         direction, fn = CHECKS[chk["name"]]
-        tol = float(chk["tolerance"]) * tol_scale
+        tol = float(chk["tolerance"])
         try:
             value = fn(ctx, rng, **chk_params)
         except _Missing as exc:
             raise InvalidScenario(
                 f"check {chk['name']!r} needs {exc.args[0]!r}, which {given} does not give"
             ) from None
+        except _ABSENT as exc:
+            raise InvalidScenario(f"check {chk['name']!r} on {given}: {exc}") from exc
         if isinstance(value, _Found):
             report[value.section][value.key] = _REPORTED[value.section](value.item)
             value = value.value

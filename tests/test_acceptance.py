@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-summary.  Tolerances are pinned here; OPFRAME_TOL_OVERRIDE does not apply.
+summary.  Tolerances are pinned here, as a scenario file pins its own.
 """
 
 import numpy as np

@@ -180,6 +180,20 @@ def test_defaulted_parameters_are_pinned():
     assert found == {**FUNCTION_DEFAULTS, **FIELD_DEFAULTS}
 
 
+def test_no_module_reads_the_environment():
+    """No environment variable changes what a scenario computes or reports: no module of
+    src/opframe reads os.environ or calls os.getenv, under any alias."""
+    found = set()
+    for path in Path(opframe.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                found.add((path.stem, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found.update((path.stem, alias.name) for alias in node.names
+                             if alias.name in ("environ", "getenv"))
+    assert found == set()
+
+
 #: how a matrix is factored: the SVD, its rank cut, the certificate (R^-1 by
 #: ``triangular_inverse`` and the kappa_F ceiling) and the reflection-parity layout of
 #: the blocks (``_pair``)

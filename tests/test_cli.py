@@ -124,33 +124,24 @@ class TestRunCommand:
         f.write_text(json.dumps({"name": "x"}))
         assert main(["run", str(f)]) == 2
 
-    def test_tolerance_override_scales(self, tmp_path, tiny_scenario, monkeypatch):
-        tiny_scenario["checks"] = [
-            {"name": "weak_certificate", "tolerance": 1e-30}
-        ]
+    def test_tolerance_is_the_files_whatever_the_environment(self, tmp_path, tiny_scenario,
+                                                             monkeypatch):
+        """The scenario file is the one source of a tolerance: the variable that once scaled
+        every tolerance changes neither the verdict nor the reported tolerance."""
+        tiny_scenario["checks"] = [{"name": "weak_certificate", "tolerance": 1e-30}]
         f = tmp_path / "tiny.json"
         f.write_text(json.dumps(tiny_scenario))
         out = tmp_path / "report.json"
-        assert main(["run", str(f), "--out", str(out)]) == 1
         monkeypatch.setenv("OPFRAME_TOL_OVERRIDE", "1e20")
-        assert main(["run", str(f), "--out", str(out)]) == 0
+        assert main(["run", str(f), "--out", str(out)]) == 1
+        (check,) = json.loads(out.read_text())["checks"]
+        assert check["tolerance"] == 1e-30 and not check["pass"]
 
     def test_negative_seed_exits_two(self, tmp_path, tiny_scenario):
         f = tmp_path / "tiny.json"
         f.write_text(json.dumps(tiny_scenario))
         out = tmp_path / "report.json"
         assert main(["run", str(f), "--out", str(out), "--seed", "-1"]) == 2
-        assert not out.exists()
-
-    @pytest.mark.parametrize("raw", ["nan", "-1"])
-    def test_invalid_tolerance_override_exits_two(
-        self, tmp_path, tiny_scenario, monkeypatch, raw
-    ):
-        f = tmp_path / "tiny.json"
-        f.write_text(json.dumps(tiny_scenario))
-        out = tmp_path / "report.json"
-        monkeypatch.setenv("OPFRAME_TOL_OVERRIDE", raw)
-        assert main(["run", str(f), "--out", str(out)]) == 2
         assert not out.exists()
 
     @pytest.mark.parametrize("construction", [
@@ -448,6 +439,15 @@ PROBES = [
     *[("x1", _scenario("exponential", {"b": 0.5, "derivative": True, "x0": 0.0, "x1": x1},
                        operator="diff_minus_i_H1", checks=["weak_alpha"]))
       for x1 in (1e-320, 1e-300)],
+    # a step whose 1/h^2 is finite but whose first difference's squared norm, about d (2/h)^2,
+    # overflows: once an overflow in the bound's norm, exit 3 under -W error
+    *[("x1", _scenario("exponential", {"b": 0.5, "label_range": 40, "d": 256, "derivative": True,
+                                       "x0": 0.0, "x1": x1},
+                       operator="diff_minus_i_H1", checks=["weak_alpha"]))
+      for x1 in (4e-152, 1e-151)],
+    # a translation step of more samples than a float64 tells from its neighbours
+    ("a", _scenario("gabor_derivative", {"x0": 0.0, "x1": 1e-145, "d": 16},
+                    operator="diff_minus_i_periodic")),
 ]
 
 
@@ -472,6 +472,46 @@ def test_probe_exits_two_naming_the_field(tmp_path, probe):
     others = set(S._defaults(S.CONSTRUCTIONS[data["construction"]["name"]])) - {field}
     assert [key for key in sorted(others) if repr(key) in err.split("; valid:")[0]] == []
     assert not (tmp_path / "report.json").exists()
+
+
+#: each construction's smallest params over its bundled file's: the 16 points its operator
+#: needs, and the fewest labels, cells, points or sizes its builder takes.  pw_quarter runs at
+#: d = 2L, since at d = L its family is square and the bundled one is not.
+SMALLEST = {
+    "exponential": {"d": 16, "label_range": 1},
+    "gabor_derivative": {"d": 16},
+    "wavelet_derivative": {"d": 16},
+    "pw_quarter": {"d": 8, "L": 4},
+    "not_frame_gabor": {"cells": 1, "pts_per_cell": 1},
+    "difference": {"d": 2},
+    "multiplier": {"d": 1},
+    "parseval_family": {"sizes": [1]},
+}
+
+
+@pytest.mark.parametrize("name", REPRODUCE_NAMES)
+def test_every_check_on_every_construction_exits_zero_one_or_two(name):
+    """Every check runs on each bundled construction and operator at its smallest params: it
+    passes (exit 0), fails (1) or is refused with InvalidScenario (2).  Any other error, a
+    warning included, is the internal error (3) that no valid scenario may reach."""
+    data = load_bundled(name)
+    data["construction"]["params"] = {**data["construction"].get("params", {}),
+                                      **SMALLEST[data["construction"]["name"]]}
+    data.pop("sizes", None)
+    raised = {}
+    for check in S.CHECKS:
+        try:
+            run_scenario(dict(data, checks=[{"name": check, "tolerance": 1.0}]))
+        except InvalidScenario:
+            pass
+        except Exception as exc:  # noqa: BLE001 - what the CLI would report as exit 3
+            raised[check] = f"{type(exc).__name__}: {exc}"
+    assert raised == {}
+
+
+def test_every_construction_has_a_smallest_size():
+    bundled = {load_bundled(name)["construction"]["name"] for name in REPRODUCE_NAMES}
+    assert sorted(SMALLEST) == sorted(bundled) == sorted(S.CONSTRUCTIONS)
 
 
 def test_every_none_default_param_is_annotated_optional():

@@ -44,6 +44,16 @@ class TestIntervalGrid:
         with pytest.raises(InvalidDimension, match="'x1'"):
             window_grid(256, x0, x1)
 
+    @pytest.mark.parametrize("x1", [4e-152, 1e-151])
+    def test_a_step_whose_first_difference_norm_overflows_is_refused_naming_x1(self, x1):
+        """At d = 256 these steps keep 1/h^2 finite, but a first difference's squared norm,
+        about d (2/h)^2, overflows; at d = 16 it does not."""
+        h = x1 / 256
+        assert np.isfinite(1.0 / h**2) and not np.isfinite(256 * (2.0 / h) ** 2)
+        with pytest.raises(InvalidDimension, match="'x1'"):
+            interval_grid(256, 0.0, x1)
+        assert interval_grid(16, 0.0, x1).dim == 16
+
 
 class TestOrthonormalize:
     def test_identity_columns_unchanged(self):
